@@ -5,16 +5,19 @@ net for image-grid inputs (one 3x3 conv with 8 channels, relu, 2x2 average
 pool, then an MLP head). The softmax head is shared. Gradients are derived
 per layer; there is no autodiff. Dropout applies to fully-connected hidden
 activations in train mode only, with masks drawn from an explicit rng stream
-so every forward is reproducible.
+so every forward is reproducible. All parameters live in one contiguous
+float64 vector, ``Model.flat``; ``Model.params`` maps each block name to a
+reshaped view into it, in ``block_shapes`` order.
 """
 
 from __future__ import annotations
 
-import json
+import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .fileio import read_blocks, write_blocks
 from .numerics import softmax
 
 CONV_CHANNELS = 8
@@ -23,6 +26,7 @@ CHECKPOINT_MAGIC = "BSDLAB-CKPT v1"
 __all__ = [
     "ModelSpec",
     "Model",
+    "block_shapes",
     "init_model",
     "param_count",
     "forward",
@@ -74,11 +78,42 @@ class ModelSpec:
         return ((h - 2) // 2) * ((w - 2) // 2) * CONV_CHANNELS
 
 
+def block_shapes(spec: ModelSpec):
+    """(name, shape) of every parameter block, in storage order."""
+    shapes = []
+    if spec.architecture == "tiny-conv":
+        shapes += [("conv_w", (9 * spec.grid_shape[2], CONV_CHANNELS)),
+                   ("conv_b", (CONV_CHANNELS,))]
+    widths = [spec.head_input_dim(), *spec.hidden, spec.classes]
+    for i in range(len(widths) - 1):
+        shapes += [(f"w{i}", (widths[i], widths[i + 1])), (f"b{i}", (widths[i + 1],))]
+    return shapes
+
+
+def param_count(spec: ModelSpec) -> int:
+    return sum(math.prod(shape) for _, shape in block_shapes(spec))
+
+
 @dataclass
 class Model:
     spec: ModelSpec
-    params: dict
+    flat: np.ndarray
     mode: str = "train"  # "train" | "eval"
+    params: dict = field(init=False, repr=False)
+
+    def __post_init__(self):
+        if self.flat.shape != (param_count(self.spec),) or not self.flat.flags.c_contiguous:
+            raise ValueError("flat must be one contiguous vector holding every parameter")
+        self.params = self.views(self.flat)
+
+    def views(self, flat):
+        """Block name -> reshaped view into ``flat``, a vector laid out like ``self.flat``."""
+        out, pos = {}, 0
+        for name, shape in block_shapes(self.spec):
+            size = math.prod(shape)
+            out[name] = flat[pos:pos + size].reshape(shape)
+            pos += size
+        return out
 
     def train(self):
         self.mode = "train"
@@ -92,7 +127,7 @@ class Model:
         return list(self.params)
 
     def copy(self):
-        return Model(self.spec, {k: v.copy() for k, v in self.params.items()}, self.mode)
+        return Model(self.spec, self.flat.copy(), self.mode)
 
 
 def _init_limit(activation, fan_in, fan_out):
@@ -105,28 +140,12 @@ def _init_limit(activation, fan_in, fan_out):
 def init_model(spec: ModelSpec) -> Model:
     """Allocate and initialize parameter blocks, deterministic in spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    params = {}
-    if spec.architecture == "tiny-conv":
-        _, _, ch = spec.grid_shape
-        fan_in = 9 * ch
-        lim = _init_limit("relu", fan_in, CONV_CHANNELS)
-        params["conv_w"] = rng.uniform(-lim, lim, size=(fan_in, CONV_CHANNELS))
-        params["conv_b"] = np.zeros(CONV_CHANNELS)
-    widths = [spec.head_input_dim(), *spec.hidden, spec.classes]
-    for i in range(len(widths) - 1):
-        fan_in, fan_out = widths[i], widths[i + 1]
-        lim = _init_limit(spec.activation, fan_in, fan_out)
-        params[f"w{i}"] = rng.uniform(-lim, lim, size=(fan_in, fan_out))
-        params[f"b{i}"] = np.zeros(fan_out)
-    return Model(spec=spec, params=params, mode="train")
-
-
-def param_count(spec: ModelSpec) -> int:
-    widths = [spec.head_input_dim(), *spec.hidden, spec.classes]
-    n = sum(widths[i] * widths[i + 1] + widths[i + 1] for i in range(len(widths) - 1))
-    if spec.architecture == "tiny-conv":
-        n += 9 * spec.grid_shape[2] * CONV_CHANNELS + CONV_CHANNELS
-    return n
+    model = Model(spec=spec, flat=np.zeros(param_count(spec)), mode="train")
+    for name, block in model.params.items():
+        if block.ndim == 2:
+            lim = _init_limit("relu" if name == "conv_w" else spec.activation, *block.shape)
+            block[...] = rng.uniform(-lim, lim, size=block.shape)
+    return model
 
 
 def _activate(name, z):
@@ -168,8 +187,8 @@ def _conv_backward(model, cache, dflat, grads):
     spread = np.repeat(np.repeat(dpooled, 2, axis=1), 2, axis=2) / 4.0
     da[:, : 2 * ph, : 2 * pw, :] = spread
     dz = (da.reshape(n * oh * ow, CONV_CHANNELS)) * (cache["conv_z"] > 0.0)
-    grads["conv_w"] = cache["patches"].T @ dz
-    grads["conv_b"] = dz.sum(axis=0)
+    np.matmul(cache["patches"].T, dz, out=grads["conv_w"])
+    dz.sum(axis=0, out=grads["conv_b"])
 
 
 def forward(model: Model, batch, rng=None):
@@ -215,29 +234,31 @@ def forward(model: Model, batch, rng=None):
     return probs, cache
 
 
-def backward(model: Model, cache, dlogits):
+def backward(model: Model, cache, dlogits, out=None):
     """Backpropagate a gradient w.r.t. the logits; returns gradient blocks.
 
     For cross-entropy-through-softmax callers pass (probs - target) scaled by
     the loss normalization directly; the fused form avoids differentiating
-    through the probabilities.
+    through the probabilities. Blocks are written into ``out`` (by default
+    a fresh ``model.views(...)``); pass ``model.views(grad_flat)`` to get
+    the whole gradient in the flat vector ``grad_flat``.
     """
     if "logits_input" not in cache:
         raise ValueError("stale or incomplete forward cache")
     spec = model.spec
     n_hidden = len(spec.hidden)
-    grads = {}
+    grads = model.views(np.empty_like(model.flat)) if out is None else out
     a = cache["logits_input"]
-    grads[f"w{n_hidden}"] = a.T @ dlogits
-    grads[f"b{n_hidden}"] = dlogits.sum(axis=0)
+    np.matmul(a.T, dlogits, out=grads[f"w{n_hidden}"])
+    dlogits.sum(axis=0, out=grads[f"b{n_hidden}"])
     da = dlogits @ model.params[f"w{n_hidden}"].T
     for i in range(n_hidden - 1, -1, -1):
         layer = cache["layers"][i]
         if layer["mask"] is not None:
             da = da * layer["mask"]
         dz = da * _activate_grad(spec.activation, layer["z"], layer["act"])
-        grads[f"w{i}"] = layer["input"].T @ dz
-        grads[f"b{i}"] = dz.sum(axis=0)
+        np.matmul(layer["input"].T, dz, out=grads[f"w{i}"])
+        dz.sum(axis=0, out=grads[f"b{i}"])
         da = dz @ model.params[f"w{i}"].T
     if spec.architecture == "tiny-conv":
         _conv_backward(model, cache["conv"], da, grads)
@@ -245,43 +266,20 @@ def backward(model: Model, cache, dlogits):
 
 
 def save_checkpoint(model: Model, path):
-    """Write a checkpoint: readable JSON header, then little-endian f64 blobs.
-
-    Blobs follow the header's block manifest order; round-trips are bit-exact.
-    """
-    names = model.block_names()
-    header = {
-        "format_version": 1,
-        "spec": asdict(model.spec),
-        "seed": model.spec.seed,
-        "blocks": [{"name": n, "shape": list(model.params[n].shape)} for n in names],
-    }
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC.encode("ascii") + b"\n")
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(model.params[n], dtype="<f8").tobytes())
+    """Write the spec and every block as a block file; round-trips are bit-exact."""
+    header = {"format_version": 1, "spec": asdict(model.spec), "seed": model.spec.seed}
+    write_blocks(path, CHECKPOINT_MAGIC, header, model.params)
 
 
 def load_checkpoint(path) -> Model:
-    with open(path, "rb") as fh:
-        magic = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"not a checkpoint file (magic {magic!r})")
-        header = json.loads(fh.readline().decode("ascii"))
-        if header.get("format_version") != 1:
-            raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-        spec_dict = dict(header["spec"])
-        if spec_dict.get("grid_shape") is not None:
-            spec_dict["grid_shape"] = tuple(spec_dict["grid_shape"])
-        spec_dict["hidden"] = tuple(spec_dict["hidden"])
-        spec = ModelSpec(**spec_dict)
-        params = {}
-        for block in header["blocks"]:
-            shape = tuple(block["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"truncated checkpoint: block {block['name']!r}")
-            params[block["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return Model(spec=spec, params=params, mode="eval")
+    header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
+    if header.get("format_version") != 1:
+        raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
+    spec_dict = dict(header["spec"])
+    if spec_dict.get("grid_shape") is not None:
+        spec_dict["grid_shape"] = tuple(spec_dict["grid_shape"])
+    spec_dict["hidden"] = tuple(spec_dict["hidden"])
+    spec = ModelSpec(**spec_dict)
+    if [(n, b.shape) for n, b in blocks.items()] != block_shapes(spec):
+        raise ValueError("checkpoint blocks do not match its model spec")
+    return Model(spec, np.concatenate([b.ravel() for b in blocks.values()]), mode="eval")

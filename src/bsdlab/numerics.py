@@ -9,7 +9,7 @@ never produce infinities.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,7 +21,6 @@ __all__ = [
     "entropy",
     "kl_div",
     "soft_cross_entropy",
-    "check_simplex",
     "one_hot",
     "OptimizerState",
     "sgd_state",
@@ -74,16 +73,6 @@ def soft_cross_entropy(target, pred, floor=PROB_FLOOR):
     return -(t * np.log(np.maximum(p, floor))).sum(axis=-1)
 
 
-def check_simplex(p, tol=1e-9):
-    """Raise if any row is off the simplex by more than ``tol``."""
-    p = np.asarray(p, dtype=np.float64)
-    if np.any(p < -tol):
-        raise ValueError("negative probability entry")
-    sums = p.sum(axis=-1)
-    if np.any(np.abs(sums - 1.0) > tol):
-        raise ValueError(f"row sums deviate from 1 by up to {np.abs(sums - 1.0).max():.3e}")
-
-
 def one_hot(labels, k):
     """Integer labels to one-hot float64 rows."""
     labels = np.asarray(labels)
@@ -96,9 +85,9 @@ def one_hot(labels, k):
 class OptimizerState:
     """First-order optimizer state: SGD with momentum or Adam.
 
-    Moment buffers are allocated lazily on the first step so the state can be
-    created before the parameter shapes are known. ``step`` counts completed
-    updates and drives Adam's bias correction.
+    Flat moment vectors (``m``/``v`` for Adam, ``buf`` for momentum) are
+    allocated on the first step, so the state can be created before the
+    parameter count is known. ``step`` drives Adam's bias correction.
     """
 
     kind: str  # "sgd-momentum" | "adam"
@@ -109,7 +98,9 @@ class OptimizerState:
     eps: float = 1e-8
     weight_decay: float = 0.0
     step: int = 0
-    slots: dict = field(default_factory=dict)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
+    buf: np.ndarray | None = None
 
     def __post_init__(self):
         if self.kind not in ("sgd-momentum", "adam"):
@@ -127,41 +118,41 @@ def adam_state(lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
 
 
 def optimizer_step(params, grads, state, lr=None):
-    """Apply one in-place update to every parameter block.
+    """Apply one in-place, element-wise update to a flat parameter vector.
 
-    ``params`` and ``grads`` are dicts of name -> float64 array with matching
-    shapes. ``lr`` overrides the state's base learning rate for this step
-    (schedules). Deterministic: identical inputs give bit-identical outputs.
+    ``params`` and ``grads`` are same-shape float64 vectors (``Model.flat``
+    and its gradient). ``lr`` overrides the state's base learning rate for
+    this step (schedules). A non-finite gradient raises ValueError before
+    anything changes. Identical inputs give bit-identical outputs.
     """
-    if set(params) != set(grads):
-        raise ValueError("parameter/gradient key sets differ")
+    if params.shape != grads.shape:
+        raise ValueError(f"shape mismatch: parameters {params.shape} vs gradients {grads.shape}")
+    if not np.isfinite(grads).all():
+        raise ValueError("non-finite gradient")
     step_lr = state.lr if lr is None else lr
     state.step += 1
-    for name in params:
-        p, g = params[name], grads[name]
-        if p.shape != g.shape:
-            raise ValueError(f"shape mismatch for block {name!r}: {p.shape} vs {g.shape}")
-        if not np.all(np.isfinite(g)):
-            raise ValueError(f"non-finite gradient in block {name!r}")
-        if state.weight_decay != 0.0:
-            g = g + state.weight_decay * p
-        if state.kind == "sgd-momentum":
-            if state.momentum != 0.0:
-                buf = state.slots.setdefault(name, np.zeros_like(p))
-                buf *= state.momentum
-                buf += g
-                g = buf
-            p -= step_lr * g
-        else:  # adam
-            slot = state.slots.setdefault(name, {"m": np.zeros_like(p), "v": np.zeros_like(p)})
-            m, v = slot["m"], slot["v"]
-            m *= state.beta1
-            m += (1.0 - state.beta1) * g
-            v *= state.beta2
-            v += (1.0 - state.beta2) * (g * g)
-            m_hat = m / (1.0 - state.beta1 ** state.step)
-            v_hat = v / (1.0 - state.beta2 ** state.step)
-            p -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g = grads
+    if state.weight_decay != 0.0:
+        g = g + state.weight_decay * params
+    if state.kind == "sgd-momentum":
+        if state.momentum != 0.0:
+            if state.buf is None:
+                state.buf = np.zeros_like(params)
+            state.buf *= state.momentum
+            state.buf += g
+            g = state.buf
+        params -= step_lr * g
+        return params, state
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    m_hat = m / (1.0 - state.beta1 ** state.step)
+    v_hat = v / (1.0 - state.beta2 ** state.step)
+    params -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
     return params, state
 
 

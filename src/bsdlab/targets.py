@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import atomic_open
 from .numerics import one_hot
 
 SIMPLEX_RENORM_TOL = 1e-6
@@ -99,7 +100,7 @@ class EvidenceStore:
         self.A[indices] = gA + 1.0
 
     def save_csv(self, path):
-        with open(path, "w", newline="") as fh:
+        with atomic_open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["sample_id", "A"] + [f"y_{j}" for j in range(self.k)])
             for i in range(self.n):

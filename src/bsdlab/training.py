@@ -23,12 +23,14 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
+from .fileio import read_blocks, write_blocks
 from .models import Model, backward, forward, init_model, save_checkpoint
 from .numerics import (PROB_FLOOR, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
 from .targets import StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
+STATE_MAGIC = "BSDLAB-STATE v1"
 
 # rng stream tags
 _SHUFFLE, _DROPOUT, _WEAK, _STRONG_BASE = 0, 1, 2, 3
@@ -146,17 +148,12 @@ def contrastive_term(model: Model, sample, strong_views, anchor_pred, lam):
         raise ValueError("need at least one strong view")
     anchor = np.asarray(anchor_pred, dtype=np.float64)[None, :]
     total = 0.0
-    grads = None
+    grads = model.views(np.zeros_like(model.flat))
     for view in strong_views:
         probs, cache = forward(model, np.asarray(view, dtype=np.float64)[None, :])
         total += float(kl_div(probs[0], anchor[0]))
-        dlogits = (lam / m) * _kl_logit_grad(probs, anchor)
-        g = backward(model, cache, dlogits)
-        if grads is None:
-            grads = g
-        else:
-            for name in g:
-                grads[name] += g[name]
+        for name, g in backward(model, cache, (lam / m) * _kl_logit_grad(probs, anchor)).items():
+            grads[name] += g
     return lam / m * total, grads
 
 
@@ -184,6 +181,12 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
+    # gradient buffers laid out like model.flat; strong views add theirs in
+    grad_flat = np.empty_like(model.flat)
+    grads = model.views(grad_flat)
+    if cfg.bsd_plus.enabled:
+        view_flat = np.empty_like(model.flat)
+        view_grads = model.views(view_flat)
     loss_sum = 0.0
     for start in range(0, n, cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
@@ -203,21 +206,26 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
         sharp = sharpen(targets, cfg.tau)
         batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
         dlogits = (probs - sharp) / (bsz * k)
-        grads = backward(model, cache, dlogits)
+        backward(model, cache, dlogits, out=grads)
 
         if strong_views:
             scale = cfg.bsd_plus.lam / (cfg.bsd_plus.views * bsz)
             for view in strong_views:
                 s_probs, s_cache = forward(model, view, dropout_rng)
                 batch_loss += float(scale * kl_div(s_probs, probs).sum())
-                s_grads = backward(model, s_cache, scale * _kl_logit_grad(s_probs, probs))
-                for name in s_grads:
-                    grads[name] += s_grads[name]
+                backward(model, s_cache, scale * _kl_logit_grad(s_probs, probs), out=view_grads)
+                grad_flat += view_flat
 
         if not np.isfinite(batch_loss):
             raise TrainingDiverged(
                 f"non-finite loss at epoch {epoch}, batch starting {start} (seed {seed})")
-        optimizer_step(model.params, grads, opt_state, lr=lr)
+        try:
+            optimizer_step(model.flat, grad_flat, opt_state, lr=lr)
+        except ValueError as exc:  # grad_flat matches model.flat, so only a non-finite entry
+            bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
+            raise TrainingDiverged(
+                f"non-finite gradient in block {bad!r} at epoch {epoch}, batch starting "
+                f"{start} (seed {seed})") from exc
         strategy.update(idx, probs)
         loss_sum += batch_loss * bsz
 
@@ -260,42 +268,13 @@ def run_layout(run_dir):
     }
 
 
-def _write_blocks(path, header, blocks):
-    names = list(blocks)
-    header = dict(header)
-    header["blocks"] = [{"name": n, "shape": list(np.asarray(blocks[n]).shape)} for n in names]
-    with open(path, "wb") as fh:
-        fh.write(b"BSDLAB-STATE v1\n")
-        fh.write(json.dumps(header, sort_keys=True).encode("ascii") + b"\n")
-        for n in names:
-            fh.write(np.ascontiguousarray(blocks[n], dtype="<f8").tobytes())
-
-
-def _read_blocks(path):
-    with open(path, "rb") as fh:
-        magic = fh.readline()
-        if magic != b"BSDLAB-STATE v1\n":
-            raise ValueError(f"not a training-state file: {path}")
-        header = json.loads(fh.readline().decode("ascii"))
-        blocks = {}
-        for spec in header["blocks"]:
-            shape = tuple(spec["shape"])
-            count = int(np.prod(shape)) if shape else 1
-            raw = fh.read(count * 8)
-            if len(raw) != count * 8:
-                raise ValueError(f"truncated training state: {path}")
-            blocks[spec["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
-    return header, blocks
-
-
 def _save_train_state(path, model, opt_state, strategy, epoch):
     blocks = {f"param/{n}": v for n, v in model.params.items()}
-    for name, slot in opt_state.slots.items():
-        if isinstance(slot, dict):
-            blocks[f"opt/m/{name}"] = slot["m"]
-            blocks[f"opt/v/{name}"] = slot["v"]
-        else:
-            blocks[f"opt/buf/{name}"] = slot
+    moments = [(key, model.views(vec)) for key, vec in
+               (("m", opt_state.m), ("v", opt_state.v), ("buf", opt_state.buf)) if vec is not None]
+    for name in model.params:
+        for key, views in moments:
+            blocks[f"opt/{key}/{name}"] = views[name]
     if strategy.store is not None:
         blocks["strategy/y"] = strategy.store.y
         blocks["strategy/A"] = strategy.store.A
@@ -305,19 +284,20 @@ def _save_train_state(path, model, opt_state, strategy, epoch):
         blocks["strategy/te_accum"] = strategy.te_accum
         blocks["strategy/te_count"] = strategy.te_count.astype(np.float64)
     header = {"epoch": epoch, "opt_step": opt_state.step}
-    _write_blocks(path, header, blocks)
+    write_blocks(path, STATE_MAGIC, header, blocks)
 
 
 def _load_train_state(path, model, opt_state, strategy):
-    header, blocks = _read_blocks(path)
+    header, blocks = read_blocks(path, STATE_MAGIC)
     for name in model.params:
         model.params[name][...] = blocks[f"param/{name}"]
     opt_state.step = int(header["opt_step"])
-    for name in model.params:
-        if f"opt/m/{name}" in blocks:
-            opt_state.slots[name] = {"m": blocks[f"opt/m/{name}"], "v": blocks[f"opt/v/{name}"]}
-        elif f"opt/buf/{name}" in blocks:
-            opt_state.slots[name] = blocks[f"opt/buf/{name}"]
+    for key in ("m", "v", "buf"):
+        if any(b.startswith(f"opt/{key}/") for b in blocks):
+            if getattr(opt_state, key) is None:
+                setattr(opt_state, key, np.zeros_like(model.flat))
+            for name, view in model.views(getattr(opt_state, key)).items():
+                view[...] = blocks[f"opt/{key}/{name}"]
     if strategy.store is not None:
         strategy.store.y[...] = blocks["strategy/y"]
         strategy.store.A[...] = blocks["strategy/A"]

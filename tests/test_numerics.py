@@ -84,52 +84,70 @@ class TestSoftCrossEntropy:
 
 class TestOptimizerStep:
     def test_plain_sgd_step(self):
-        params = {"w": np.array([1.0])}
-        grads = {"w": np.array([2.0])}
-        optimizer_step(params, grads, sgd_state(lr=0.1))
-        np.testing.assert_allclose(params["w"], [0.8], rtol=1e-15)
+        params = np.array([1.0])
+        optimizer_step(params, np.array([2.0]), sgd_state(lr=0.1))
+        np.testing.assert_allclose(params, [0.8], rtol=1e-15)
 
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step moves by lr / (1 + eps) for unit gradient
-        params = {"w": np.array([0.5])}
-        grads = {"w": np.array([1.0])}
-        optimizer_step(params, grads, adam_state(lr=0.001))
-        np.testing.assert_allclose(params["w"], [0.5 - 0.001], atol=1e-9)
+        params = np.array([0.5])
+        optimizer_step(params, np.array([1.0]), adam_state(lr=0.001))
+        np.testing.assert_allclose(params, [0.5 - 0.001], atol=1e-9)
 
     def test_zero_gradient_no_move(self):
-        params = {"w": np.array([1.0, -2.0])}
-        optimizer_step(params, {"w": np.zeros(2)}, sgd_state(lr=0.5))
-        np.testing.assert_array_equal(params["w"], [1.0, -2.0])
+        params = np.array([1.0, -2.0])
+        optimizer_step(params, np.zeros(2), sgd_state(lr=0.5))
+        np.testing.assert_array_equal(params, [1.0, -2.0])
 
     def test_bit_identical_determinism(self):
         rng = np.random.default_rng(3)
-        p0 = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
-        g = {"w": rng.normal(size=(4, 3)), "b": rng.normal(size=3)}
+        p0 = rng.normal(size=15)
+        g = rng.normal(size=15)
         runs = []
         for _ in range(2):
-            params = {k: v.copy() for k, v in p0.items()}
+            params = p0.copy()
             state = adam_state(lr=0.01)
             for _ in range(5):
-                optimizer_step(params, {k: v.copy() for k, v in g.items()}, state)
+                optimizer_step(params, g.copy(), state)
             runs.append(params)
-        for key in p0:
-            np.testing.assert_array_equal(runs[0][key], runs[1][key])
+        np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="shape mismatch.*'w'"):
-            optimizer_step({"w": np.zeros(2)}, {"w": np.zeros(3)}, sgd_state(lr=0.1))
+        with pytest.raises(ValueError, match="shape mismatch"):
+            optimizer_step(np.zeros(2), np.zeros(3), sgd_state(lr=0.1))
 
-    def test_non_finite_gradient_names_block(self):
-        with pytest.raises(ValueError, match="non-finite gradient.*'bad'"):
-            optimizer_step({"bad": np.zeros(2)}, {"bad": np.array([np.nan, 0.0])},
-                           sgd_state(lr=0.1))
+    def test_non_finite_gradient_rejected_before_any_change(self):
+        params = np.zeros(2)
+        state = adam_state(lr=0.1)
+        with pytest.raises(ValueError, match="non-finite gradient"):
+            optimizer_step(params, np.array([np.nan, 1.0]), state)
+        np.testing.assert_array_equal(params, [0.0, 0.0])
+        assert state.step == 0 and state.m is None
+
+    @pytest.mark.parametrize("make_state", [
+        lambda: adam_state(lr=0.01, weight_decay=0.1),
+        lambda: sgd_state(lr=0.1, momentum=0.9, weight_decay=0.1),
+        lambda: sgd_state(lr=0.1),
+    ], ids=["adam", "sgd-momentum", "sgd-plain"])
+    def test_flat_step_equals_per_block_steps(self, make_state):
+        # every operation is element-wise, so one step over the whole vector
+        # is bit-identical to separate steps over each block's slice
+        rng = np.random.default_rng(4)
+        p0, grads = rng.normal(size=10), rng.normal(size=(3, 10))
+        whole, per_block = p0.copy(), p0.copy()
+        whole_state, block_states = make_state(), [make_state() for _ in range(2)]
+        for g in grads:
+            optimizer_step(whole, g, whole_state)
+            for sl, state in zip((slice(0, 4), slice(4, 10)), block_states):
+                optimizer_step(per_block[sl], g[sl], state)
+        np.testing.assert_array_equal(whole, per_block)
 
     def test_momentum_accumulates(self):
-        params = {"w": np.array([0.0])}
+        params = np.array([0.0])
         state = sgd_state(lr=1.0, momentum=0.5)
-        optimizer_step(params, {"w": np.array([1.0])}, state)  # buf=1, w=-1
-        optimizer_step(params, {"w": np.array([1.0])}, state)  # buf=1.5, w=-2.5
-        np.testing.assert_allclose(params["w"], [-2.5], rtol=1e-15)
+        optimizer_step(params, np.array([1.0]), state)  # buf=1, w=-1
+        optimizer_step(params, np.array([1.0]), state)  # buf=1.5, w=-2.5
+        np.testing.assert_allclose(params, [-2.5], rtol=1e-15)
 
 
 class TestFiniteDiffGrad:

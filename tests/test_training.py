@@ -1,10 +1,13 @@
 import copy
 import math
+from dataclasses import replace as dc_replace
 
 import numpy as np
 import pytest
 
+from bsdlab import training
 from bsdlab.data import Dataset, make_blobs
+from bsdlab.fileio import read_blocks, write_blocks
 from bsdlab.models import ModelSpec, forward, init_model
 from bsdlab.numerics import finite_diff_grad, kl_div, soft_cross_entropy
 from bsdlab.targets import StrategyConfig, TargetStrategy, update_weight
@@ -22,7 +25,7 @@ def small_config(mode="baseline", **kw):
     strategy_kw = kw.pop("strategy_kw", {})
     return TrainConfig(epochs=kw.pop("epochs", 3), batch_size=kw.pop("batch_size", 8),
                        optimizer=kw.pop("optimizer", "sgd"), lr=kw.pop("lr", 0.5),
-                       momentum=0.0, eval_every=kw.pop("eval_every", 1),
+                       momentum=kw.pop("momentum", 0.0), eval_every=kw.pop("eval_every", 1),
                        strategy=StrategyConfig(mode=mode, **strategy_kw), **kw)
 
 
@@ -171,6 +174,24 @@ class TestTrainEpoch:
         with pytest.raises(ValueError, match="misaligned"):
             train_epoch(model, ds, short, opt, cfg, 1, seed=0)
 
+    def test_non_finite_gradient_raises_diverged_naming_block(self, monkeypatch):
+        model, ds, strategy, opt, cfg = fresh_run("bsd", optimizer="adam", lr=0.05)
+        train_epoch(model, ds, strategy, opt, cfg, 1, seed=4)
+        original = training.backward
+
+        def poisoned(model, cache, dlogits, out=None):
+            grads = original(model, cache, dlogits, out=out)
+            grads["w1"][0, 0] = np.nan  # the loss itself stays finite
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned)
+        before, step = model.flat.copy(), opt.step
+        with pytest.raises(TrainingDiverged, match=r"non-finite gradient in block 'w1' "
+                           r"at epoch 2, batch starting 0 \(seed 4\)"):
+            train_epoch(model, ds, strategy, opt, cfg, 2, seed=4)
+        np.testing.assert_array_equal(model.flat, before)
+        assert opt.step == step
+
     @pytest.mark.filterwarnings("ignore:overflow")
     def test_divergence_aborts_with_context(self):
         model, ds, strategy, opt, cfg = fresh_run("baseline", lr=1e18, epochs=9)
@@ -279,10 +300,15 @@ class TestRunExperiment:
         b = (layout["records"] / "seed_2.jsonl").read_text()
         assert a != b
 
-    def test_resume_reproduces_uninterrupted_run(self, tmp_path):
+    @pytest.mark.parametrize("opt_kw, moments", [
+        ({"optimizer": "adam", "lr": 0.05}, ("m", "v")),
+        ({"optimizer": "sgd", "momentum": 0.9}, ("buf",)),
+        ({"optimizer": "sgd", "momentum": 0.0}, ()),
+    ], ids=["adam", "sgd-momentum", "sgd-plain"])
+    def test_resume_reproduces_uninterrupted_run(self, tmp_path, opt_kw, moments):
         ds = tiny_dataset(n_per=8)
         test = tiny_dataset(n_per=4, seed=2)
-        cfg = small_config("bsd", epochs=4, strategy_kw={"gamma": 0.8, "c": 20.0})
+        cfg = small_config("bsd", epochs=4, strategy_kw={"gamma": 0.8, "c": 20.0}, **opt_kw)
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.2)
 
         full_layout = run_layout(tmp_path / "full")
@@ -292,6 +318,9 @@ class TestRunExperiment:
         part_layout["root"].mkdir(parents=True)
         run_single_seed(spec, ds, test, cfg, 5, part_layout, {"cfg": "x"},
                         stop_after=2)
+        _, saved = read_blocks(part_layout["checkpoints"] / "seed_5.state",
+                               training.STATE_MAGIC)
+        assert {b.split("/")[1] for b in saved if b.startswith("opt/")} == set(moments)
         run_single_seed(spec, ds, test, cfg, 5, part_layout, {"cfg": "x"},
                         resume=True)
 
@@ -301,6 +330,30 @@ class TestRunExperiment:
         full_ckpt = (full_layout["checkpoints"] / "seed_5_final.ckpt").read_bytes()
         part_ckpt = (part_layout["checkpoints"] / "seed_5_final.ckpt").read_bytes()
         assert full_ckpt == part_ckpt
+        full_state = (full_layout["checkpoints"] / "seed_5.state").read_bytes()
+        part_state = (part_layout["checkpoints"] / "seed_5.state").read_bytes()
+        assert full_state == part_state
+
+    def test_interrupted_state_write_keeps_previous_state(self, tmp_path):
+        ds = tiny_dataset(n_per=8)
+        test = tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, optimizer="adam", lr=0.05)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(spec, ds, test, cfg, 5, layout, {}, stop_after=2)
+        state_path = layout["checkpoints"] / "seed_5.state"
+        before = state_path.read_bytes()
+
+        # the second block cannot be converted, so the writer raises after
+        # the header and the first block are already written
+        with pytest.raises(TypeError):
+            write_blocks(state_path, training.STATE_MAGIC, {"epoch": 3, "opt_step": 0},
+                         {"param/w0": np.zeros(3), "param/b0": object()})
+        assert state_path.read_bytes() == before
+        assert [p.name for p in state_path.parent.iterdir()] == ["seed_5.state"]
+        model = init_model(dc_replace(spec, seed=5))
+        strategy = TargetStrategy(cfg.strategy, ds.labels, ds.k, cfg.epochs)
+        assert training._load_train_state(state_path, model, make_optimizer(cfg), strategy) == 2
 
     def test_bsd_entropy_positive_baseline_zero(self, tmp_path):
         ds = tiny_dataset(n_per=10)
