@@ -220,19 +220,20 @@ def auroc(id_scores, ood_scores):
 def mean_flip_probability(sequences):
     """Fraction of adjacent frames whose argmax class changes, sample-averaged.
 
-    Accepts per-sample sequences of class indices (1-D) or probability rows
-    (2-D, frames x classes). Every sequence needs at least two frames.
+    ``sequences`` is one array-like of equal-length sequences: ``(n, frames)``
+    class indices or ``(n, frames, k)`` probability rows; ragged input is not
+    accepted. Every sequence needs at least two frames.
     """
-    rates = []
-    for seq in sequences:
-        seq = np.asarray(seq)
-        frames = seq.argmax(axis=1) if seq.ndim == 2 else seq
-        if frames.shape[0] < 2:
-            raise ValueError("prediction sequence shorter than 2 frames")
-        rates.append(np.mean(frames[1:] != frames[:-1]))
-    if not rates:
+    frames = np.asarray(sequences)
+    if frames.shape[0] == 0:
         raise ValueError("no sequences given")
-    return float(np.mean(rates))
+    if frames.ndim == 3:
+        frames = frames.argmax(axis=2)
+    if frames.ndim != 2:
+        raise ValueError("expected (n, frames) class indices or (n, frames, k) probabilities")
+    if frames.shape[1] < 2:
+        raise ValueError("prediction sequence shorter than 2 frames")
+    return float(np.mean(np.mean(frames[:, 1:] != frames[:, :-1], axis=1)))
 
 
 def mu_matrix(preds, labels, k):
@@ -298,6 +299,32 @@ def _logits_from_preds(preds, floor=PROB_FLOOR):
     return np.log(np.maximum(_as_preds(preds), floor))
 
 
+def _temperature_nll(logits, labels):
+    """``t -> nll(softmax(logits / t), labels)`` for t > 0, bit for bit, with
+    everything that does not depend on ``t`` hoisted out of the returned objective.
+
+    Rounded division by t > 0 is monotone, so max(z / t) == max(z) / t, and
+    logits / t is finite iff max|logits| / t is.
+    """
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    abs_max = float(np.abs(logits).max())
+    row_max = logits.max(axis=-1)
+    rows = np.arange(logits.shape[0])
+    e = np.empty_like(logits)
+
+    def objective(t):
+        if not math.isfinite(abs_max / t):
+            raise ValueError("non-finite logits")
+        np.divide(logits, t, out=e)
+        np.subtract(e, (row_max / t)[:, None], out=e)
+        np.exp(e, out=e)
+        p_true = e[rows, labels] / e.sum(axis=-1)
+        return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
+
+    return objective
+
+
 def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
     """Scalar temperature minimizing NLL of softmax(logits / T), by golden section.
 
@@ -308,11 +335,11 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
     labels = np.asarray(labels)
     if logits.shape[0] == 0:
         raise ValueError("empty validation set")
+    if not lo > 0.0:
+        raise ValueError("temperature search needs lo > 0")
     if np.all(logits == logits[:, :1]):
         raise ValueError("degenerate logits: all classes identical")
-
-    def objective(t):
-        return nll(softmax(logits / t), labels)
+    objective = _temperature_nll(logits, labels)
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi

@@ -160,8 +160,11 @@ def _analyze_dynamics(layout):
         t_final = analysis.fit_temperature(np.log(np.maximum(final_preds, 1e-12)), labels)
         rows = []
         for epoch, path in epochs.items():
-            snap_preds, _, _ = read_trace_csv(path)
-            t_snap = analysis.fit_temperature(np.log(np.maximum(snap_preds, 1e-12)), labels)
+            if epoch == last:
+                snap_preds, t_snap = final_preds, t_final
+            else:
+                snap_preds, _, _ = read_trace_csv(path)
+                t_snap = analysis.fit_temperature(np.log(np.maximum(snap_preds, 1e-12)), labels)
             kl_snap_fit = analysis.temp_adjusted_kl(snap_preds, final_preds, (t_snap, t_final))
             kl_final_fit = analysis.temp_adjusted_kl(snap_preds, final_preds, (t_final, t_final))
             rows.append((epoch, t_snap, kl_snap_fit, kl_final_fit))

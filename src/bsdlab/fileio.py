@@ -1,4 +1,5 @@
-"""Crash-safe file replacement, and the binary block format of checkpoints and states."""
+"""Crash-safe file replacement, the binary block format of checkpoints and states,
+and the float-table CSV writer of traces and store snapshots."""
 
 import json
 import math
@@ -6,6 +7,10 @@ import os
 from contextlib import contextmanager
 
 import numpy as np
+
+# Rows formatted per fh.write: large enough to amortize the write, small
+# enough that no whole-file string is built.
+ROWS_PER_WRITE = 256
 
 
 @contextmanager
@@ -50,3 +55,26 @@ def read_blocks(path, magic):
                 raise ValueError(f"truncated file {path}: block {block['name']!r}")
             blocks[block["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
     return header, blocks
+
+
+def write_float_table(fh, header, values, labels=None, newline="\n"):
+    """Write a header line, then row i as ``i[,labels[i]],repr(v) for v in values[i]``.
+
+    ``repr`` is the shortest string that parses back to the same double, so
+    the table reads back bit for bit. Rows are formatted in chunks of
+    ``ROWS_PER_WRITE``, one ``fh.write`` per chunk.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    if labels is not None and len(labels) != values.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {values.shape[0]} rows")
+    fh.write(",".join(header) + newline)
+    for start in range(0, values.shape[0], ROWS_PER_WRITE):
+        rows = values[start:start + ROWS_PER_WRITE].tolist()
+        ids = range(start, start + len(rows))
+        if labels is None:
+            lines = (f"{i},{','.join(map(repr, row))}{newline}" for i, row in zip(ids, rows))
+        else:
+            tags = np.asarray(labels[start:start + len(rows)]).astype(np.int64).tolist()
+            lines = (f"{i},{tag},{','.join(map(repr, row))}{newline}"
+                     for i, tag, row in zip(ids, tags, rows))
+        fh.write("".join(lines))

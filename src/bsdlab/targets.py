@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open
+from .fileio import atomic_open, write_float_table
 from .numerics import one_hot
 
 SIMPLEX_RENORM_TOL = 1e-6
@@ -95,16 +95,15 @@ class EvidenceStore:
         """Discounted Bayesian update of the selected rows from their predictions."""
         preds = _check_pred(preds)
         gA = self.gamma * self.A[indices]
-        w = update_weight(self.gamma, self.A[indices])
+        w = gA / (gA + 1.0)  # update_weight, from the same gathered masses
         self.y[indices] = w[:, None] * self.y[indices] + (1.0 - w)[:, None] * preds
         self.A[indices] = gA + 1.0
 
     def save_csv(self, path):
+        """``sample_id,A,y_0..y_{k-1}`` rows, floats as ``repr``, ``\\r\\n`` line ends."""
+        header = ["sample_id", "A"] + [f"y_{j}" for j in range(self.k)]
         with atomic_open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sample_id", "A"] + [f"y_{j}" for j in range(self.k)])
-            for i in range(self.n):
-                writer.writerow([i, repr(float(self.A[i]))] + [repr(float(v)) for v in self.y[i]])
+            write_float_table(fh, header, np.column_stack([self.A, self.y]), newline="\r\n")
 
     @classmethod
     def load_csv(cls, path, gamma, c, epsilon):

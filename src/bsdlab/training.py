@@ -23,7 +23,7 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import read_blocks, write_blocks
+from .fileio import read_blocks, write_blocks, write_float_table
 from .models import Model, backward, forward, init_model, save_checkpoint
 from .numerics import (PROB_FLOOR, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
@@ -310,25 +310,26 @@ def _load_train_state(path, model, opt_state, strategy):
 
 
 def write_trace_csv(path, preds, labels):
+    """One row per test sample: ``sample_id,label,p_0..p_{k-1}``, floats as ``repr``."""
     preds = np.asarray(preds)
-    labels = np.asarray(labels)
-    k = preds.shape[1]
+    header = ["sample_id", "label"] + [f"p_{j}" for j in range(preds.shape[1])]
     with open(path, "w", newline="") as fh:
-        fh.write("sample_id,label," + ",".join(f"p_{j}" for j in range(k)) + "\n")
-        for i in range(preds.shape[0]):
-            fh.write(f"{i},{int(labels[i])}," + ",".join(repr(float(v)) for v in preds[i]) + "\n")
+        write_float_table(fh, header, preds, labels=labels)
 
 
 def read_trace_csv(path):
+    """Read a ``write_trace_csv`` file bit for bit; returns (preds (n, k), labels, k)."""
     with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        k = len(header) - 2
-        labels, preds = [], []
-        for line in fh:
-            parts = line.strip().split(",")
-            labels.append(int(parts[1]))
-            preds.append([float(v) for v in parts[2:]])
-    return np.asarray(preds, dtype=np.float64), np.asarray(labels, dtype=np.int64), k
+        k = len(fh.readline().strip().split(",")) - 2
+        body = fh.tell()
+        if fh.read(1):
+            fh.seek(body)
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
+        else:
+            table = np.empty((0, k + 2))
+    if table.shape[1] != k + 2:
+        raise ValueError(f"{path}: rows have {table.shape[1]} columns, header has {k + 2}")
+    return np.ascontiguousarray(table[:, 2:]), table[:, 1].astype(np.int64), k
 
 
 def _record_line(row):

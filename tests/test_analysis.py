@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from bsdlab.analysis import (ace, auroc, calibration_report,
+from bsdlab.analysis import (_temperature_nll, ace, auroc, calibration_report,
                              delta_decomposition, ece, fit_temperature,
                              mean_flip_probability, mu_matrix, nll,
                              reconstruct_predictions, sce, temp_adjusted_kl,
@@ -135,6 +135,20 @@ class TestMeanFlipProbability:
         with pytest.raises(ValueError, match="shorter"):
             mean_flip_probability([np.array([1])])
 
+    def test_no_sequences_rejected(self):
+        with pytest.raises(ValueError, match="no sequences"):
+            mean_flip_probability([])
+
+    def test_matches_per_sample_average(self):
+        rng = np.random.default_rng(8)
+        probs = rng.dirichlet(np.ones(3), size=(50, 7))
+        frames = probs.argmax(axis=2)
+        rates = [np.mean(f[1:] != f[:-1]) for f in frames]
+        expected = float(np.mean(rates))
+        assert mean_flip_probability(frames) == expected
+        assert mean_flip_probability(probs) == expected
+        assert mean_flip_probability(list(frames)) == expected
+
 
 class TestMuMatrix:
     def test_symmetric_input_fixed_point(self):
@@ -228,6 +242,67 @@ class TestTemperature:
     def test_deterministic(self):
         logits, labels = self.calibrated_fixture()
         assert fit_temperature(logits, labels) == fit_temperature(logits, labels)
+
+    @staticmethod
+    def reference_fit(logits, labels, lo=0.05, hi=20.0, iters=80):
+        """Golden section over the unhoisted nll(softmax(logits / t)) objective."""
+        def objective(t):
+            return nll(softmax(logits / t), labels)
+
+        invphi = (np.sqrt(5.0) - 1.0) / 2.0
+        a, b = lo, hi
+        c, d = b - invphi * (b - a), a + invphi * (b - a)
+        fc, fd = objective(c), objective(d)
+        for _ in range(iters):
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = objective(c)
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = objective(d)
+        return float((a + b) / 2.0)
+
+    @staticmethod
+    def logit_sets():
+        rng = np.random.default_rng(12)
+        for scale in (0.5, 3.0, 50.0):
+            logits = rng.normal(0.0, scale, size=(300, 4))
+            labels = rng.integers(0, 4, size=300)
+            yield logits, labels
+            yield np.log(np.maximum(softmax(logits), 1e-12)), labels
+
+    def test_hoisted_objective_is_bit_identical(self):
+        ts = [0.05, 0.0731, 0.5, 1.0, 1.7, 3.3, 7.25, 20.0]
+        for logits, labels in self.logit_sets():
+            objective = _temperature_nll(logits, labels)
+            for t in ts:
+                assert objective(t) == nll(softmax(logits / t), labels), t
+
+    def test_fit_matches_unhoisted_search(self):
+        for logits, labels in self.logit_sets():
+            assert fit_temperature(logits, labels) == self.reference_fit(logits, labels)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_logits_rejected(self, bad):
+        logits = np.array([[0.0, 1.0], [2.0, 0.5], [1.0, 1.5]])
+        logits[1, 0] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            fit_temperature(logits, np.array([0, 1, 1]))
+
+    def test_overflowing_scaled_logits_rejected(self):
+        # finite logits whose quotient by a small temperature overflows
+        logits = np.array([[0.0, 1e307], [-1e307, 0.0]])
+        objective = _temperature_nll(logits, np.array([1, 1]))
+        assert objective(1.0) == 0.0
+        with pytest.raises(ValueError, match="non-finite"):
+            objective(0.05)
+
+    def test_non_positive_search_bound_rejected(self):
+        logits, labels = self.calibrated_fixture()
+        with pytest.raises(ValueError, match="lo > 0"):
+            fit_temperature(logits, labels, lo=0.0)
 
     def test_degenerate_logits_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bsdlab import analysis, cli
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
 from bsdlab.data import load_csv
@@ -157,6 +158,21 @@ class TestAnalyzeCommand:
         assert header == "epoch,fitted_temperature,kl_snapshot_fit,kl_final_fit"
         assert len(rows) == 3  # eval_every=1, epochs=3
         assert float(rows[-1].split(",")[2]) == 0.0  # final vs itself
+
+    def test_dynamics_reads_and_fits_each_trace_once(self, trained_run, monkeypatch):
+        calls = {"read": 0, "fit": 0}
+
+        def counted(key, fn):
+            def wrapper(*args, **kwargs):
+                calls[key] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(cli, "read_trace_csv", counted("read", cli.read_trace_csv))
+        monkeypatch.setattr(analysis, "fit_temperature",
+                            counted("fit", analysis.fit_temperature))
+        assert main(["analyze", str(trained_run), "--what", "dynamics"]) == 0
+        assert calls == {"read": 6, "fit": 6}  # 2 seeds x 3 eval epochs
 
     def test_ood_requires_second_run(self, trained_run, capsys):
         assert main(["analyze", str(trained_run), "--what", "ood"]) == 1

@@ -2,7 +2,9 @@
 
 Each case trains a fixed ``run_experiment`` job and hashes every artifact it
 leaves except ``timing.txt``: records, traces, the ``.state`` files, the final
-checkpoints and the store CSVs. A digest is SHA-256 over each file's relative
+checkpoints and the store CSVs. One more case drives the CLI end to end and
+hashes what the analyses read back from the traces: every report of the five
+``analyze --what`` commands and the ``compare --out`` table. A digest is SHA-256 over each file's relative
 path and bytes, in sorted path order. A change that is meant to keep every
 number must keep every digest; one that changes artifacts on purpose updates
 the digest here and says why in CHANGES.md. The digests were recorded with
@@ -11,11 +13,13 @@ round matmuls differently.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bsdlab.cli import ANALYSES, main
 from bsdlab.data import Dataset, NoiseSpec, apply_noise, make_blobs
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
@@ -109,3 +113,41 @@ def test_artifact_digest(case, tmp_path):
     run_experiment(spec, train, test, cfg, SEEDS, tmp_path / "run")
     files = "\n".join(f"{rel} {sha}" for rel, sha in digest_files(tmp_path / "run"))
     assert digest_tree(tmp_path / "run") == GOLDEN[case], files
+
+
+def cli_config(path, name, data_seed, mode, output_dir):
+    path.write_text(json.dumps({
+        "name": name,
+        "dataset": {"kind": "blobs", "classes": 3, "per_class": 12,
+                    "test_per_class": 400, "spacing": 2.0, "cov_scale": 0.8,
+                    "seed": data_seed},
+        "model": {"hidden": [6], "dropout": 0.0},
+        "train": {"epochs": 4, "batch_size": 8, "lr": 0.05, "eval_every": 1,
+                  "strategy": {"mode": mode, "gamma": 0.8, "c": 20.0}},
+        "seeds": SEEDS,
+        "output_dir": str(output_dir),
+    }))
+    return path
+
+
+GOLDEN_REPORTS = {
+    "reports": "3789b1d7dee56922b1abebddd6d2fa1c7c02859e9a6cadac532233f928e8f12c",
+    "compare.csv": "3848b427e552cc02bd0c657ff1eeb04f5fa4bcaff280de7b470116f3f3e5d9cf",
+}
+
+
+def test_analysis_report_digest(tmp_path):
+    out = tmp_path / "runs"
+    for name, data_seed, mode in (("main", 31, "bsd"), ("shifted", 32, "baseline")):
+        cfg = cli_config(tmp_path / f"{name}.json", name, data_seed, mode, out)
+        assert main(["train", str(cfg), "--quiet"]) == 0
+    for what in ANALYSES:
+        extra = ["--ood-run", str(out / "shifted")] if what == "ood" else []
+        assert main(["analyze", str(out / "main"), "--what", what, *extra]) == 0
+    assert main(["compare", str(out / "main"), str(out / "shifted"),
+                 "--out", str(tmp_path / "compare.csv")]) == 0
+    reports = out / "main" / "reports"
+    files = "\n".join(f"{rel} {sha}" for rel, sha in digest_files(reports))
+    got = {"reports": digest_tree(reports),
+           "compare.csv": hashlib.sha256((tmp_path / "compare.csv").read_bytes()).hexdigest()}
+    assert got == GOLDEN_REPORTS, files

@@ -1,6 +1,10 @@
+import csv
+import io
+
 import numpy as np
 import pytest
 
+from bsdlab.fileio import ROWS_PER_WRITE
 from bsdlab.numerics import one_hot
 from bsdlab.targets import (EvidenceStore, StrategyConfig, TargetStrategy,
                             bsd_update, conjugate_update_oracle,
@@ -304,3 +308,39 @@ class TestStoreCsv:
         loaded = EvidenceStore.load_csv(path, gamma=0.8, c=50.0, epsilon=0.5)
         np.testing.assert_array_equal(loaded.y, store.y)
         np.testing.assert_array_equal(loaded.A, store.A)
+
+    @pytest.mark.parametrize("n", [1, ROWS_PER_WRITE, 2 * ROWS_PER_WRITE + 3])
+    def test_bytes_match_csv_writer_and_round_trip_bit_exact(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        y = random_simplex(rng, n, 3)
+        y[0] = [5e-324, 1e-310, 1.0]
+        A = rng.uniform(1.0, 1e4, size=n)
+        A[0] = 1e-05
+        store = EvidenceStore(y=y, A=A, gamma=0.8, c=50.0, epsilon=0.0)
+        path = tmp_path / "store.csv"
+        store.save_csv(path)
+
+        ref = io.StringIO(newline="")
+        writer = csv.writer(ref)
+        writer.writerow(["sample_id", "A", "y_0", "y_1", "y_2"])
+        for i in range(n):
+            writer.writerow([i, repr(float(A[i]))] + [repr(float(v)) for v in y[i]])
+        assert path.read_bytes() == ref.getvalue().encode()
+
+        loaded = EvidenceStore.load_csv(path, gamma=0.8, c=50.0, epsilon=0.0)
+        np.testing.assert_array_equal(loaded.y.view(np.int64), y.view(np.int64))
+        np.testing.assert_array_equal(loaded.A.view(np.int64), A.view(np.int64))
+
+
+def test_update_rows_matches_update_weight_formula():
+    rng = np.random.default_rng(31)
+    store = init_prior(rng.integers(0, 4, size=40), k=4, c=30.0, epsilon=0.1, gamma=0.9)
+    for _ in range(5):
+        idx = rng.choice(40, size=16, replace=False)
+        preds = random_simplex(rng, 16, 4)
+        w = update_weight(store.gamma, store.A[idx])
+        y_ref = w[:, None] * store.y[idx] + (1.0 - w)[:, None] * preds
+        A_ref = store.gamma * store.A[idx] + 1.0
+        store.update_rows(idx, preds)
+        np.testing.assert_array_equal(store.y[idx].view(np.int64), y_ref.view(np.int64))
+        np.testing.assert_array_equal(store.A[idx].view(np.int64), A_ref.view(np.int64))

@@ -7,7 +7,7 @@ import pytest
 
 from bsdlab import training
 from bsdlab.data import Dataset, make_blobs
-from bsdlab.fileio import read_blocks, write_blocks
+from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import ModelSpec, forward, init_model
 from bsdlab.numerics import finite_diff_grad, kl_div, soft_cross_entropy
 from bsdlab.targets import StrategyConfig, TargetStrategy, update_weight
@@ -368,3 +368,58 @@ class TestRunExperiment:
             ent[mode] = [row["mean_target_entropy"] for row in records[0].rows]
         assert ent["baseline"][-1] == 0.0
         assert ent["bsd"][2] > 0.0
+
+
+def reference_trace_bytes(preds, labels):
+    """The trace format written one value at a time, as a byte-level reference."""
+    k = preds.shape[1]
+    lines = ["sample_id,label," + ",".join(f"p_{j}" for j in range(k)) + "\n"]
+    for i in range(preds.shape[0]):
+        lines.append(f"{i},{int(labels[i])}," + ",".join(repr(float(v)) for v in preds[i]) + "\n")
+    return "".join(lines).encode()
+
+
+class TestTraceCsv:
+    CHUNK = ROWS_PER_WRITE
+
+    @pytest.mark.parametrize("n", [0, 1, CHUNK, CHUNK + 1, 2 * CHUNK + 3])
+    def test_bytes_match_per_value_writer(self, n, tmp_path):
+        rng = np.random.default_rng(n)
+        preds = rng.dirichlet(np.ones(3), size=n)
+        labels = rng.integers(0, 3, size=n)
+        path = tmp_path / "trace.csv"
+        training.write_trace_csv(path, preds, labels)
+        assert path.read_bytes() == reference_trace_bytes(preds, labels)
+
+    def test_read_returns_written_bits(self, tmp_path):
+        rng = np.random.default_rng(4)
+        preds = rng.dirichlet(np.ones(4), size=2 * self.CHUNK + 3)
+        preds[:5] = [[5e-324, 1e-310, 0.0, 1.0], [1e-05, 0.0, 1.0, 5e-324],
+                     [1.0, 0.0, 0.0, 0.0], [1e-310, 1e-05, 0.1, 0.7],
+                     [0.25, 0.25, 0.25, 0.25]]
+        labels = rng.integers(0, 4, size=preds.shape[0])
+        path = tmp_path / "trace.csv"
+        training.write_trace_csv(path, preds, labels)
+        got, got_labels, k = training.read_trace_csv(path)
+        assert k == 4
+        assert got.dtype == np.float64 and got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.int64), preds.view(np.int64))
+        assert got_labels.dtype == np.int64
+        np.testing.assert_array_equal(got_labels, labels)
+
+    def test_header_only_file_reads_empty(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        training.write_trace_csv(path, np.empty((0, 5)), np.empty(0, dtype=np.int64))
+        preds, labels, k = training.read_trace_csv(path)
+        assert preds.shape == (0, 5) and labels.shape == (0,) and k == 5
+
+    def test_column_count_mismatch_rejected(self, tmp_path):
+        path = tmp_path / "trace.csv"
+        path.write_text("sample_id,label,p_0,p_1\n0,1,0.5\n1,0,1.0\n")
+        with pytest.raises(ValueError, match="columns"):
+            training.read_trace_csv(path)
+
+    def test_label_count_mismatch_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="labels"):
+            training.write_trace_csv(tmp_path / "trace.csv", np.full((3, 2), 0.5),
+                                     np.array([0, 1]))
