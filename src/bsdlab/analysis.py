@@ -35,6 +35,7 @@ __all__ = [
     "fit_temperature",
     "temperature_scale",
     "temp_adjusted_kl",
+    "mean_kl",
     "write_report_json",
     "write_mu_csv",
     "write_bins_csv",
@@ -365,14 +366,16 @@ def temperature_scale(preds, temperature, floor=PROB_FLOOR):
 
 def temp_adjusted_kl(snapshot_preds, final_preds, temperatures):
     """Mean KL(final at T_final, snapshot at T_snapshot) over aligned samples."""
-    snapshot_preds = _as_preds(snapshot_preds)
-    final_preds = _as_preds(final_preds)
-    if snapshot_preds.shape != final_preds.shape:
-        raise ValueError("snapshot/final prediction sets are misaligned")
     t_snap, t_final = temperatures
-    snap = temperature_scale(snapshot_preds, t_snap)
-    fin = temperature_scale(final_preds, t_final)
-    return float(np.mean(kl_div(fin, snap)))
+    return mean_kl(temperature_scale(final_preds, t_final),
+                   temperature_scale(snapshot_preds, t_snap))
+
+
+def mean_kl(p, q):
+    """Mean KL(p, q) over aligned rows of two (n, k) prediction sets."""
+    if p.shape != q.shape:
+        raise ValueError("snapshot/final prediction sets are misaligned")
+    return float(np.mean(kl_div(p, q)))
 
 
 def write_report_json(report: CalibrationReport, path):

@@ -158,16 +158,21 @@ def _analyze_dynamics(layout):
         last = max(epochs)
         final_preds, labels, _ = read_trace_csv(epochs[last])
         t_final = analysis.fit_temperature(np.log(np.maximum(final_preds, 1e-12)), labels)
+        final_at_t = analysis.temperature_scale(final_preds, t_final)
         rows = []
         for epoch, path in epochs.items():
+            # each KL is temp_adjusted_kl(snapshot, final, (t, t_final)), with the
+            # rescaled final trace shared by every epoch of the seed
             if epoch == last:
-                snap_preds, t_snap = final_preds, t_final
+                t_snap, at_fit, at_final = t_final, final_at_t, final_at_t
             else:
                 snap_preds, _, _ = read_trace_csv(path)
                 t_snap = analysis.fit_temperature(np.log(np.maximum(snap_preds, 1e-12)), labels)
-            kl_snap_fit = analysis.temp_adjusted_kl(snap_preds, final_preds, (t_snap, t_final))
-            kl_final_fit = analysis.temp_adjusted_kl(snap_preds, final_preds, (t_final, t_final))
-            rows.append((epoch, t_snap, kl_snap_fit, kl_final_fit))
+                at_fit = analysis.temperature_scale(snap_preds, t_snap)
+                at_final = (at_fit if t_snap == t_final
+                            else analysis.temperature_scale(snap_preds, t_final))
+            rows.append((epoch, t_snap, analysis.mean_kl(final_at_t, at_fit),
+                         analysis.mean_kl(final_at_t, at_final)))
         with open(layout["reports"] / f"dynamics_seed_{seed}.csv", "w") as fh:
             fh.write("epoch,fitted_temperature,kl_snapshot_fit,kl_final_fit\n")
             for epoch, t_snap, a, b in rows:

@@ -264,26 +264,27 @@ def _jitter(batch, rng, sigma):
 def _crop_flip(batch, rng, pad=4):
     """Pad-and-crop plus horizontal flip, drawn per sample."""
     n, h, w, ch = batch.shape
-    padded = np.pad(batch, ((0, 0), (pad, pad), (pad, pad), (0, 0)), mode="constant")
-    out = np.empty_like(batch)
+    hp, wp = h + 2 * pad, w + 2 * pad
+    padded = np.zeros((n, hp, wp, ch))
+    padded[:, pad:pad + h, pad:pad + w] = batch
     offs = rng.integers(0, 2 * pad + 1, size=(n, 2))
     flips = rng.uniform(size=n) < 0.5
-    for i in range(n):
-        oy, ox = offs[i]
-        view = padded[i, oy:oy + h, ox:ox + w, :]
-        out[i] = view[:, ::-1, :] if flips[i] else view
-    return out
+    # output pixel (i, y, x) reads padded pixel (i, oy + y, ox + x), or (i, oy + y, ox + w-1-x)
+    rows = np.arange(n)[:, None] * hp + offs[:, :1] + np.arange(h)
+    cols = offs[:, 1:] + np.where(flips[:, None], np.arange(w - 1, -1, -1), np.arange(w))
+    return padded.reshape(n * hp * wp, ch).take(rows[:, :, None] * wp + cols[:, None, :], axis=0)
 
 
 def _erase(batch, rng, frac):
     """Zero out one random square patch per sample (side = frac * min(h, w))."""
     n, h, w, _ = batch.shape
     side = max(1, int(round(frac * min(h, w))))
-    out = batch.copy()
     ys = rng.integers(0, h - side + 1, size=n)
     xs = rng.integers(0, w - side + 1, size=n)
-    for i in range(n):
-        out[i, ys[i]:ys[i] + side, xs[i]:xs[i] + side, :] = 0.0
+    in_rows = (np.arange(h) >= ys[:, None]) & (np.arange(h) < ys[:, None] + side)
+    in_cols = (np.arange(w) >= xs[:, None]) & (np.arange(w) < xs[:, None] + side)
+    out = batch.copy()
+    out[in_rows[:, :, None] & in_cols[:, None, :]] = 0.0
     return out
 
 

@@ -12,6 +12,7 @@ reshaped view into it, in ``block_shapes`` order.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, asdict
 
@@ -154,8 +155,16 @@ def _activate(name, z):
 
 def _activate_grad(name, z, a):
     if name == "relu":
-        return (z > 0.0).astype(np.float64)
+        return z > 0.0  # a bool mask multiplies exactly like its 0.0/1.0 cast
     return 1.0 - a * a
+
+
+@functools.lru_cache(maxsize=None)
+def _patch_index(h, w, ch):
+    y, x, ky, kx, c = np.ogrid[:h - 2, :w - 2, :3, :3, :ch]
+    idx = (((y + ky) * w + (x + kx)) * ch + c).ravel()
+    idx.flags.writeable = False
+    return idx
 
 
 def _conv_forward(model, batch):
@@ -164,31 +173,43 @@ def _conv_forward(model, batch):
     n = batch.shape[0]
     if batch.shape[1:] != (h, w, ch):
         raise ValueError(f"expected grid batch of shape (n, {h}, {w}, {ch}), got {batch.shape}")
-    win = np.lib.stride_tricks.sliding_window_view(batch, (3, 3), axis=(1, 2))
     oh, ow = h - 2, w - 2
-    # (n, oh, ow, ch, 3, 3) -> (n*oh*ow, 3*3*ch), window dims ordered (ky, kx, ch)
-    patches = np.ascontiguousarray(win.transpose(0, 1, 2, 4, 5, 3)).reshape(n * oh * ow, 9 * ch)
-    z = patches @ model.params["conv_w"] + model.params["conv_b"]
-    a = np.maximum(z, 0.0).reshape(n, oh, ow, CONV_CHANNELS)
+    # patch row (i, y, x) holds the 3x3 window at (y, x); columns ordered (ky, kx, ch)
+    patches = batch.reshape(n, h * w * ch).take(_patch_index(h, w, ch), axis=1)
+    patches = patches.reshape(n * oh * ow, 9 * ch)
+    z = patches @ model.params["conv_w"]
+    # the bias tiled over one image's rows: one long add per image, not one per row
+    per_image = z.reshape(n, oh * ow * CONV_CHANNELS)
+    per_image += np.tile(model.params["conv_b"], oh * ow)
+    relu_open = z > 0.0
+    a = np.maximum(z, 0.0, out=z).reshape(n, oh, ow, CONV_CHANNELS)
+    # 2x2 mean in the order numpy's mean(axis=(2, 4)) adds: ((a00 + a01) + a10) + a11;
+    # an odd last row or column is dropped
     ph, pw = oh // 2, ow // 2
-    pooled = a[:, : 2 * ph, : 2 * pw, :].reshape(n, ph, 2, pw, 2, CONV_CHANNELS).mean(axis=(2, 4))
+    pooled = a[:, 0:2 * ph:2, 0:2 * pw:2] + a[:, 0:2 * ph:2, 1:2 * pw:2]
+    pooled += a[:, 1:2 * ph:2, 0:2 * pw:2]
+    pooled += a[:, 1:2 * ph:2, 1:2 * pw:2]
+    pooled /= 4.0
     flat = pooled.reshape(n, ph * pw * CONV_CHANNELS)
-    cache = {"patches": patches, "conv_z": z, "oh": oh, "ow": ow, "ph": ph, "pw": pw, "n": n}
+    cache = {"patches": patches, "relu_open": relu_open,
+             "oh": oh, "ow": ow, "ph": ph, "pw": pw, "n": n}
     return flat, cache
 
 
 def _conv_backward(model, cache, dflat, grads):
     n, oh, ow = cache["n"], cache["oh"], cache["ow"]
     ph, pw = cache["ph"], cache["pw"]
-    dpooled = dflat.reshape(n, ph, pw, CONV_CHANNELS)
-    da = np.zeros((n, oh, ow, CONV_CHANNELS))
     # Each pooled cell spreads its gradient evenly over its 2x2 source block;
     # rows/cols truncated by the pool get zero gradient.
-    spread = np.repeat(np.repeat(dpooled, 2, axis=1), 2, axis=2) / 4.0
-    da[:, : 2 * ph, : 2 * pw, :] = spread
-    dz = (da.reshape(n * oh * ow, CONV_CHANNELS)) * (cache["conv_z"] > 0.0)
+    da = (np.zeros if oh % 2 or ow % 2 else np.empty)((n, oh, ow, CONV_CHANNELS))
+    # splitting the axes of a strided view never copies, so ``blocks`` writes into ``da``
+    blocks = da[:, :2 * ph, :2 * pw].reshape(n, ph, 2, pw, 2, CONV_CHANNELS)
+    np.divide(dflat.reshape(n, ph, 1, pw, 1, CONV_CHANNELS), 4.0, out=blocks)
+    dz = da.reshape(n * oh * ow, CONV_CHANNELS)
+    dz *= cache["relu_open"]
     np.matmul(cache["patches"].T, dz, out=grads["conv_w"])
-    dz.sum(axis=0, out=grads["conv_b"])
+    # adds row by row from 0.0, the order of dz.sum(axis=0), with a cheaper inner loop
+    np.einsum("ij->j", dz, out=grads["conv_b"])
 
 
 def forward(model: Model, batch, rng=None):

@@ -54,19 +54,21 @@ def _check_pred(pred):
 
     Sums within 1e-12 of 1 are left untouched (dividing by a 1-ulp-off sum
     would perturb every entry); larger drift up to the tolerance is
-    renormalized; beyond that is treated as a caller bug.
+    renormalized; beyond that is treated as a caller bug. A NaN entry is
+    passed through: it makes its row NaN but raises nothing, and it never
+    hides a negative entry, because ``fmin`` skips NaNs.
     """
     pred = np.asarray(pred, dtype=np.float64)
-    if np.any(pred < 0.0):
+    if pred.size and np.fmin.reduce(pred, axis=None) < 0.0:
         raise ValueError("prediction has negative entries")
     s = pred.sum(axis=-1, keepdims=True)
     err = np.abs(s - 1.0)
+    if np.max(err, initial=0.0) <= 1e-12:  # NaN-propagating, so False for a NaN row
+        return pred
     if np.any(err > SIMPLEX_RENORM_TOL):
         raise ValueError(
             f"prediction off the simplex by {err.max():.3e} (> {SIMPLEX_RENORM_TOL})"
         )
-    if np.all(err <= 1e-12):
-        return pred
     return pred / s
 
 

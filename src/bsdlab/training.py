@@ -336,6 +336,20 @@ def _record_line(row):
     return json.dumps(row, sort_keys=True) + "\n"
 
 
+def _truncate_records(path, epoch):
+    """Cut a records file back to its rows for epochs 1..``epoch``.
+
+    Each row is flushed before its epoch's state is saved, so a crash in
+    between leaves one row more than the state covers; resuming drops it.
+    """
+    with open(path, "rb+") as fh:
+        for expected in range(1, epoch + 1):
+            line = fh.readline()
+            if not line.endswith(b"\n") or json.loads(line).get("epoch") != expected:
+                raise ValueError(f"{path} does not hold complete rows for epochs 1..{epoch}")
+        fh.truncate()
+
+
 def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
                     cfg: TrainConfig, seed, layout, config_snapshot,
                     progress=None, stop_after=None, resume=False):
@@ -362,6 +376,7 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
         if not state_path.exists():
             raise FileNotFoundError(f"no training state to resume at {state_path}")
         start_epoch = _load_train_state(state_path, model, opt_state, strategy)
+        _truncate_records(records_path, start_epoch)
     elif records_path.exists():
         records_path.unlink()
 
@@ -378,6 +393,7 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
             else:
                 row.update(test_acc=None, test_ece=None, test_nll=None)
             rec_fh.write(_record_line(row))
+            rec_fh.flush()
             record.rows.append(row)
             _save_train_state(state_path, model, opt_state, strategy, epoch)
             if progress is not None:

@@ -174,6 +174,20 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(trained_run), "--what", "dynamics"]) == 0
         assert calls == {"read": 6, "fit": 6}  # 2 seeds x 3 eval epochs
 
+    def test_dynamics_rescales_final_trace_once_per_seed(self, trained_run, monkeypatch):
+        calls = []
+        scale = analysis.temperature_scale
+
+        def counted(preds, temperature):
+            calls.append(temperature)
+            return scale(preds, temperature)
+
+        monkeypatch.setattr(analysis, "temperature_scale", counted)
+        assert main(["analyze", str(trained_run), "--what", "dynamics"]) == 0
+        # per seed: the final trace once, then each earlier snapshot at its own
+        # temperature and at the final one (2 seeds x (1 + 2 x 2))
+        assert len(calls) <= 10
+
     def test_ood_requires_second_run(self, trained_run, capsys):
         assert main(["analyze", str(trained_run), "--what", "ood"]) == 1
         assert "--ood-run" in capsys.readouterr().err

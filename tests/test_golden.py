@@ -62,6 +62,19 @@ def grid_data():
     return train, test
 
 
+def grid_data_7x7x2():
+    """Three classes of 7x7x2 grids: noise, plus a class-specific bright band in one channel."""
+    rng = np.random.default_rng(23)
+    labels = np.tile([0, 1, 2], 6)
+    samples = rng.normal(0.0, 0.3, size=(18, 7, 7, 2))
+    samples[labels == 1, 2:5, :, 0] += 1.0
+    samples[labels == 2, :, 2:5, 1] += 1.0
+    train = Dataset(samples=samples[:15], clean_labels=labels[:15], labels=labels[:15], k=3)
+    test = Dataset(samples=samples[15:], clean_labels=labels[15:], labels=labels[15:], k=3,
+                   split="test")
+    return train, test
+
+
 def blob_job(mode, optimizer="adam", momentum=0.9, **kw):
     strategy_kw = {"granularity": "mini-batch"} if mode == "dlb" else {}
     cfg = TrainConfig(epochs=3, batch_size=5, optimizer=optimizer, lr=0.05,
@@ -81,6 +94,17 @@ def conv_plus_job():
     return spec, grid_data(), cfg
 
 
+def conv_plus_odd_job():
+    """A 7x7x2 grid: 5x5 conv output, so the 2x2 pool drops a row and a column."""
+    cfg = TrainConfig(epochs=2, batch_size=4, optimizer="adam", lr=0.02, eval_every=1,
+                      strategy=StrategyConfig(mode="bsd", gamma=0.8, c=20.0),
+                      bsd_plus=BsdPlusConfig(enabled=True, lam=0.5, views=2,
+                                             strong_jitter=0.1, erase_frac=0.3))
+    spec = ModelSpec(input_dim=98, classes=3, hidden=(5,), architecture="tiny-conv",
+                     grid_shape=(7, 7, 2), dropout=0.2)
+    return spec, grid_data_7x7x2(), cfg
+
+
 CASES = {
     "baseline": lambda: blob_job("baseline"),
     "label-smoothing": lambda: blob_job("label-smoothing"),
@@ -92,6 +116,7 @@ CASES = {
                                          weight_decay=1e-3),
     "bsd-sgd-plain": lambda: blob_job("bsd", optimizer="sgd", momentum=0.0),
     "bsd_plus-tiny-conv": conv_plus_job,
+    "bsd_plus-tiny-conv-7x7x2": conv_plus_odd_job,
 }
 
 GOLDEN = {
@@ -100,6 +125,7 @@ GOLDEN = {
     "bsd-sgd-momentum": "14d54a900200a48c0fa989a2cfc5334f7b3929b80fa7230017c83cd52f9e98de",
     "bsd-sgd-plain": "769cbe09ac1d95305ff36be509e2301e951e3f63b739d707688aca7e7dc4a86f",
     "bsd_plus-tiny-conv": "1d0b303787505b5ceaf96e0ada0db5cdc949f27f4df7facc9e79fd4bb74bbe7d",
+    "bsd_plus-tiny-conv-7x7x2": "8d4555033d6bbc02ced4c726d0638f2c19a01a6bd31bcb8875b52418219c3f67",
     "dlb": "b1d0db581c7181fd965f5fd07a1ef34d1679db3aee52cbfd5432638f3862ad56",
     "label-smoothing": "e0c961ecb4cfdbac36db0eb16241adf03049a6b3819c9a67ff3fc4e67f800cd7",
     "ps-kd": "ce44e2bcf19823410d5e3d922f3879649ba68cbf68d0abd6cab96efbb7460a3c",

@@ -6,8 +6,8 @@ import pytest
 
 from bsdlab.fileio import ROWS_PER_WRITE
 from bsdlab.numerics import one_hot
-from bsdlab.targets import (EvidenceStore, StrategyConfig, TargetStrategy,
-                            bsd_update, conjugate_update_oracle,
+from bsdlab.targets import (SIMPLEX_RENORM_TOL, EvidenceStore, StrategyConfig,
+                            TargetStrategy, _check_pred, bsd_update, conjugate_update_oracle,
                             evidence_mass_closed_form, fixed_point, init_prior,
                             sharpen, update_weight)
 
@@ -344,3 +344,72 @@ def test_update_rows_matches_update_weight_formula():
         store.update_rows(idx, preds)
         np.testing.assert_array_equal(store.y[idx].view(np.int64), y_ref.view(np.int64))
         np.testing.assert_array_equal(store.A[idx].view(np.int64), A_ref.view(np.int64))
+
+
+def reference_check_pred(pred):
+    """The six-pass ``_check_pred`` that the fused version replaced, kept verbatim."""
+    pred = np.asarray(pred, dtype=np.float64)
+    if np.any(pred < 0.0):
+        raise ValueError("prediction has negative entries")
+    s = pred.sum(axis=-1, keepdims=True)
+    err = np.abs(s - 1.0)
+    if np.any(err > SIMPLEX_RENORM_TOL):
+        raise ValueError(
+            f"prediction off the simplex by {err.max():.3e} (> {SIMPLEX_RENORM_TOL})"
+        )
+    if np.all(err <= 1e-12):
+        return pred
+    return pred / s
+
+
+def check_pred_outcome(check, pred):
+    try:
+        return check(pred)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCheckPred:
+    def same_as_reference(self, pred):
+        got = check_pred_outcome(_check_pred, pred)
+        want = check_pred_outcome(reference_check_pred, pred)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        return got
+
+    def test_negative_entry_rejected(self):
+        pred = np.array([[0.5, 0.5, 0.0], [1.1, -0.1, 0.0]])
+        assert self.same_as_reference(pred) == "prediction has negative entries"
+
+    def test_nan_does_not_hide_negative_entry_in_its_row(self):
+        pred = np.array([[0.5, 0.5, 0.0], [np.nan, -0.1, 1.1]])
+        assert self.same_as_reference(pred) == "prediction has negative entries"
+
+    def test_off_simplex_rejected_even_beside_a_nan_row(self):
+        assert "off the simplex by 1.000e-01" in self.same_as_reference(np.array([[0.5, 0.6]]))
+        # the message reports err.max(), which a NaN row turns into nan
+        pred = np.array([[0.5, 0.6], [np.nan, 0.5]])
+        assert "off the simplex by nan" in self.same_as_reference(pred)
+
+    def test_exact_rows_pass_through_unchanged(self):
+        pred = random_simplex(np.random.default_rng(3), 16, 4)
+        assert self.same_as_reference(pred) is pred
+
+    def test_small_drift_renormalized(self):
+        pred = np.array([[0.5, 0.5 + 1e-9], [0.25, 0.75]])
+        got = self.same_as_reference(pred)
+        assert got.tobytes() == (pred / pred.sum(axis=1, keepdims=True)).tobytes()
+
+    def test_nan_row_passes_through_as_nan(self):
+        pred = np.array([[0.25, 0.75], [np.nan, 0.5]])
+        got = self.same_as_reference(pred)
+        assert np.isnan(got[1]).all() and got[0].tobytes() == pred[0].tobytes()
+
+    def test_empty_batch_passes_through(self):
+        assert self.same_as_reference(np.empty((0, 3))).shape == (0, 3)
+
+    def test_single_row_vector(self):
+        self.same_as_reference(np.array([0.5, 0.5 + 1e-9]))
+        self.same_as_reference(np.array([0.5, -0.5]))

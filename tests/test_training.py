@@ -1,6 +1,11 @@
 import copy
 import math
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import replace as dc_replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -333,6 +338,93 @@ class TestRunExperiment:
         full_state = (full_layout["checkpoints"] / "seed_5.state").read_bytes()
         part_state = (part_layout["checkpoints"] / "seed_5.state").read_bytes()
         assert full_state == part_state
+
+    def test_crash_between_record_and_state_resumes_to_same_bytes(self, tmp_path,
+                                                                   monkeypatch):
+        ds = tiny_dataset(n_per=8)
+        test = tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, optimizer="adam", lr=0.05,
+                           strategy_kw={"gamma": 0.8, "c": 20.0})
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.2)
+        run_experiment(spec, ds, test, cfg, seeds=[5], run_dir=tmp_path / "full")
+
+        layout = run_layout(tmp_path / "part")
+        save_state = training._save_train_state
+
+        def crash_at_epoch_3(path, model, opt_state, strategy, epoch):
+            if epoch == 3:
+                raise KeyboardInterrupt("crash after the epoch-3 record row")
+            save_state(path, model, opt_state, strategy, epoch)
+
+        monkeypatch.setattr(training, "_save_train_state", crash_at_epoch_3)
+        with pytest.raises(KeyboardInterrupt):
+            run_single_seed(spec, ds, test, cfg, 5, layout, {})
+        records = layout["records"] / "seed_5.jsonl"
+        assert len(records.read_text().splitlines()) == 3  # one row past the state
+        monkeypatch.setattr(training, "_save_train_state", save_state)
+        run_single_seed(spec, ds, test, cfg, 5, layout, {}, resume=True)
+
+        full = run_layout(tmp_path / "full")
+        for rel in ("records/seed_5.jsonl", "records/store_seed_5.csv",
+                    "checkpoints/seed_5.state", "checkpoints/seed_5_final.ckpt"):
+            assert (layout["root"] / rel).read_bytes() == (full["root"] / rel).read_bytes(), rel
+
+    def test_killed_process_keeps_every_saved_epoch_row(self, tmp_path):
+        # the child process dies right after the epoch-2 state save, without
+        # closing or flushing anything, so only flushed record rows survive
+        child = textwrap.dedent("""
+            import os, sys
+            from bsdlab import training
+            from bsdlab.data import make_blobs
+            from bsdlab.models import ModelSpec
+            from bsdlab.targets import StrategyConfig
+            save_state = training._save_train_state
+
+            def die_after_epoch_2(path, model, opt_state, strategy, epoch):
+                save_state(path, model, opt_state, strategy, epoch)
+                if epoch == 2:
+                    os._exit(3)
+
+            training._save_train_state = die_after_epoch_2
+            ds = make_blobs(2, 8, spacing=4.0, cov_scale=0.5, seed=0)
+            test = make_blobs(2, 4, spacing=4.0, cov_scale=0.5, seed=2)
+            cfg = training.TrainConfig(epochs=4, batch_size=8, eval_every=1,
+                                       strategy=StrategyConfig(mode="bsd"))
+            spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
+            training.run_single_seed(spec, ds, test, cfg, 5,
+                                     training.run_layout(sys.argv[1]), {})
+        """)
+        src = str(Path(training.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / "part")],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+
+        ds = tiny_dataset(n_per=8)
+        test = tiny_dataset(n_per=4, seed=2)
+        cfg = TrainConfig(epochs=4, batch_size=8, eval_every=1,
+                          strategy=StrategyConfig(mode="bsd"))
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
+        run_single_seed(spec, ds, test, cfg, 5, run_layout(tmp_path / "part"), {},
+                        resume=True)
+        run_single_seed(spec, ds, test, cfg, 5, run_layout(tmp_path / "full"), {})
+        rel = Path("records") / "seed_5.jsonl"
+        assert (tmp_path / "part" / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes()
+
+    def test_resume_rejects_records_short_of_the_state(self, tmp_path):
+        ds = tiny_dataset(n_per=8)
+        test = tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(spec, ds, test, cfg, 5, layout, {}, stop_after=2)
+        records = layout["records"] / "seed_5.jsonl"
+        first_row = records.read_text().splitlines(keepends=True)[0]
+        records.write_text(first_row)
+        with pytest.raises(ValueError, match="epochs 1..2"):
+            run_single_seed(spec, ds, test, cfg, 5, layout, {}, resume=True)
+        assert records.read_text() == first_row
 
     def test_interrupted_state_write_keeps_previous_state(self, tmp_path):
         ds = tiny_dataset(n_per=8)
