@@ -89,22 +89,13 @@ def accuracy(preds, labels):
 
 def ece(preds, labels, bins=DEFAULT_BINS):
     """Expected calibration error over equal-width max-probability bins."""
-    preds = _as_preds(preds)
-    labels = np.asarray(labels)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    conf = preds.max(axis=1)
-    correct = (preds.argmax(axis=1) == labels).astype(np.float64)
-    idx = _bin_index(conf, bins)
-    n = conf.shape[0]
-    total = 0.0
-    for b in range(bins):
-        mask = idx == b
-        nb = int(mask.sum())
-        if nb == 0:
-            continue
-        total += (nb / n) * abs(correct[mask].mean() - conf[mask].mean())
-    return float(total)
+    return _ece_from_bins(reliability_bins(preds, labels, bins))
+
+
+def _ece_from_bins(rows):
+    """Count-weighted mean of |accuracy - confidence| over ``reliability_bins`` rows."""
+    n = sum(r["count"] for r in rows)
+    return float(sum((r["count"] / n) * abs(r["acc"] - r["conf"]) for r in rows if r["count"]))
 
 
 def sce(preds, labels, bins=DEFAULT_BINS):
@@ -157,6 +148,8 @@ def reliability_bins(preds, labels, bins=DEFAULT_BINS):
     """Per-bin (lo, hi, mean confidence, empirical accuracy, count)."""
     preds = _as_preds(preds)
     labels = np.asarray(labels)
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
     conf = preds.max(axis=1)
     correct = (preds.argmax(axis=1) == labels).astype(np.float64)
     idx = _bin_index(conf, bins)
@@ -178,7 +171,7 @@ def calibration_report(preds, labels, bins=DEFAULT_BINS) -> CalibrationReport:
     rows = reliability_bins(preds, labels, bins)
     return CalibrationReport(
         accuracy=accuracy(preds, labels),
-        ece=ece(preds, labels, bins),
+        ece=_ece_from_bins(rows),
         sce=sce(preds, labels, bins),
         ace=ace(preds, labels, bins),
         nll=nll(preds, labels),

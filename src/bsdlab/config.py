@@ -110,8 +110,7 @@ def _resolve_model(section):
 
 
 _STRATEGY_DEFAULTS = {"mode": "bsd", "gamma": 0.95, "c": 1000.0, "epsilon": 0.0,
-                      "ls_alpha": 0.1, "pskd_alpha": 0.8, "te_momentum": 0.6,
-                      "granularity": None}
+                      "ls_alpha": 0.1, "pskd_alpha": 0.8, "te_momentum": 0.6}
 
 
 def _resolve_strategy(section):
@@ -119,9 +118,6 @@ def _resolve_strategy(section):
     mode = _get("train.strategy", section, "mode", "bsd", str,
                 lambda v: v in STRATEGY_MODES,
                 f"train.strategy.mode must be one of {list(STRATEGY_MODES)}")
-    granularity = section.get("granularity")
-    if granularity is None:
-        granularity = "mini-batch" if mode == "dlb" else "epoch"
     out = {
         "mode": mode,
         "gamma": _get("train.strategy", section, "gamma", 0.95, float,
@@ -136,7 +132,6 @@ def _resolve_strategy(section):
                            lambda v: 0.0 <= v <= 1.0, "pskd_alpha must be in [0,1]"),
         "te_momentum": _get("train.strategy", section, "te_momentum", 0.6, float,
                             lambda v: 0.0 < v < 1.0, "te_momentum must be in (0,1)"),
-        "granularity": granularity,
     }
     try:
         StrategyConfig(**out)

@@ -46,7 +46,12 @@ def read_blocks(path, magic):
         found = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if found != magic:
             raise ValueError(f"{path}: expected magic {magic!r}, found {found!r}")
-        header = json.loads(fh.readline().decode("ascii"))
+        try:
+            header = json.loads(fh.readline().decode("ascii"))
+        except ValueError:  # JSONDecodeError and UnicodeDecodeError
+            header = None
+        if not isinstance(header, dict) or not isinstance(header.get("blocks"), list):
+            raise ValueError(f"{path}: truncated or non-JSON header line")
         blocks = {}
         for block in header["blocks"]:
             shape = tuple(block["shape"])

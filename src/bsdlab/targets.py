@@ -13,11 +13,13 @@ which is the normalized form of discounting the concentration vector by
 implements that raw concentration-space update and exists only so tests can
 check the factorization against it.
 
-The strategy layer realizes the related target-construction schemes as special
-cases or variants of the same recursion: plain one-hot training, label
-smoothing, progressive self-distillation with a linear ramp (ps-kd),
-last-pass distillation at mini-batch granularity (dlb), and a bias-corrected
-zero-initialized exponential moving average (te).
+The strategy layer runs the related target-construction schemes as stores of
+the same recursion: plain one-hot training and label smoothing are frozen
+stores, last-pass distillation (dlb) starts from the one-hot rows with
+A0 = 1 and gamma = 0, so it keeps the last prediction, progressive
+self-distillation (ps-kd) is that store with a linearly ramped one-hot mix,
+and the bias-corrected zero-initialized exponential moving average (te) is
+the one-hot start with the improper prior A0 = 0 and gamma = te_momentum.
 """
 
 from __future__ import annotations
@@ -79,8 +81,6 @@ class EvidenceStore:
     y: np.ndarray
     A: np.ndarray
     gamma: float
-    c: float
-    epsilon: float
 
     @property
     def n(self):
@@ -89,9 +89,6 @@ class EvidenceStore:
     @property
     def k(self):
         return self.y.shape[1]
-
-    def copy(self):
-        return EvidenceStore(self.y.copy(), self.A.copy(), self.gamma, self.c, self.epsilon)
 
     def update_rows(self, indices, preds):
         """Discounted Bayesian update of the selected rows from their predictions."""
@@ -108,7 +105,7 @@ class EvidenceStore:
             write_float_table(fh, header, np.column_stack([self.A, self.y]), newline="\r\n")
 
     @classmethod
-    def load_csv(cls, path, gamma, c, epsilon):
+    def load_csv(cls, path, gamma):
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         header, body = rows[0], rows[1:]
@@ -119,7 +116,7 @@ class EvidenceStore:
             i = int(row[0])
             A[i] = float(row[1])
             y[i] = [float(v) for v in row[2:]]
-        return cls(y=y, A=A, gamma=gamma, c=c, epsilon=epsilon)
+        return cls(y=y, A=A, gamma=gamma)
 
 
 def update_weight(gamma, A):
@@ -151,7 +148,7 @@ def init_prior(labels, k, c, epsilon=0.0, gamma=0.95) -> EvidenceStore:
     y = np.full((n, k), epsilon / a0, dtype=np.float64)
     y[np.arange(n), labels] = c / a0
     A = np.full(n, a0, dtype=np.float64)
-    return EvidenceStore(y=y, A=A, gamma=gamma, c=c, epsilon=epsilon)
+    return EvidenceStore(y=y, A=A, gamma=gamma)
 
 
 def bsd_update(store: EvidenceStore, i, pred):
@@ -220,7 +217,6 @@ class StrategyConfig:
     ls_alpha: float = 0.1      # label-smoothing mass spread over all classes
     pskd_alpha: float = 0.8    # terminal mixing weight, ramped linearly over epochs
     te_momentum: float = 0.6
-    granularity: str = "epoch"  # "epoch" | "mini-batch"
 
     def __post_init__(self):
         if self.mode not in STRATEGY_MODES:
@@ -237,22 +233,18 @@ class StrategyConfig:
             raise ValueError("pskd_alpha must be in [0, 1]")
         if not (0.0 < self.te_momentum < 1.0):
             raise ValueError("te_momentum must be in (0, 1)")
-        if self.granularity not in ("epoch", "mini-batch"):
-            raise ValueError(f"unknown granularity {self.granularity!r}")
-        if self.mode == "dlb" and self.granularity != "mini-batch":
-            raise ValueError("dlb requires mini-batch granularity")
 
 
 class TargetStrategy:
-    """Stateful target provider for one training run.
+    """Stateful target provider for one training run, backed by one EvidenceStore.
 
-    Owns whatever per-sample state the mode needs (an EvidenceStore for bsd,
-    a last-prediction buffer for ps-kd/dlb, a zero-initialized accumulator
-    for te) and hides it behind two calls used by the training loop:
-    ``targets(indices, epoch)`` for the rows consumed by the loss, and
-    ``update(indices, preds)`` applied after the optimizer step. Targets read
-    before the update are the stored values at that moment, matching the
-    in-place ordering of the training recursion.
+    ``__init__`` picks each mode's initial rows, initial mass, discount and
+    whether the store is frozen (never updated); see the module docstring.
+    Served rows are ``(1 - a) * onehot + a * y`` with ``a = 1`` except for
+    ps-kd, whose ``a`` ramps linearly to ``pskd_alpha``. The training loop
+    calls ``targets(indices, epoch)`` for the rows consumed by the loss and
+    ``update(indices, preds)`` after the optimizer step, so a batch always
+    trains on the pre-update rows.
     """
 
     def __init__(self, cfg: StrategyConfig, labels, k, total_epochs):
@@ -261,69 +253,42 @@ class TargetStrategy:
         self.k = k
         self.total_epochs = total_epochs
         self.onehot = one_hot(self.labels, k)
-        n = self.labels.shape[0]
-        self.store = None
-        self.last_pred = None
-        self.te_accum = None
-        self.te_count = None
-        if cfg.mode == "bsd":
+        mode = cfg.mode
+        self.frozen = mode in ("baseline", "label-smoothing")
+        if mode == "bsd":
             self.store = init_prior(self.labels, k, cfg.c, cfg.epsilon, cfg.gamma)
-        elif cfg.mode in ("ps-kd", "dlb"):
-            self.last_pred = self.onehot.copy()
-        elif cfg.mode == "te":
-            self.te_accum = np.zeros((n, k), dtype=np.float64)
-            self.te_count = np.zeros(n, dtype=np.int64)
+            return
+        y0 = self.onehot.copy()
+        if mode == "label-smoothing":
+            y0 = (1.0 - cfg.ls_alpha) * self.onehot + cfg.ls_alpha / k
+        A0, gamma = (0.0, cfg.te_momentum) if mode == "te" else (1.0, 0.0)
+        self.store = EvidenceStore(y0, np.full(self.labels.shape[0], A0), gamma)
 
-    def _pskd_mix(self, epoch):
+    def _mix(self, epoch):
+        """Weight a(epoch) of the stored row against the one-hot label."""
+        if self.cfg.mode != "ps-kd":
+            return 1.0
         if self.total_epochs <= 0:
             return 0.0
         return self.cfg.pskd_alpha * min(epoch, self.total_epochs) / self.total_epochs
 
     def targets(self, indices, epoch):
         """Target rows for the given sample indices at the given 1-based epoch."""
-        mode = self.cfg.mode
-        if mode == "baseline":
-            return self.onehot[indices].copy()
-        if mode == "label-smoothing":
-            a = self.cfg.ls_alpha
-            return (1.0 - a) * self.onehot[indices] + a / self.k
-        if mode == "ps-kd":
-            a_t = self._pskd_mix(epoch)
-            return (1.0 - a_t) * self.onehot[indices] + a_t * self.last_pred[indices]
-        if mode == "dlb":
-            return self.last_pred[indices].copy()
-        if mode == "te":
-            out = self.onehot[indices].copy()
-            seen = self.te_count[indices] > 0
-            if np.any(seen):
-                idx = np.asarray(indices)[seen]
-                corr = 1.0 - self.cfg.te_momentum ** self.te_count[idx]
-                out[seen] = self.te_accum[idx] / corr[:, None]
-            return out
-        return self.store.y[indices].copy()
+        a = self._mix(epoch)
+        if a == 1.0:
+            return self.store.y[indices]  # fancy indexing copies
+        return (1.0 - a) * self.onehot[indices] + a * self.store.y[indices]
 
     def target(self, i, epoch):
         return self.targets(np.asarray([i]), epoch)[0]
 
     def update(self, indices, preds):
-        """Fold the batch predictions into the per-sample state (post-step)."""
-        mode = self.cfg.mode
-        if mode in ("baseline", "label-smoothing"):
-            return
-        preds = np.asarray(preds, dtype=np.float64)
-        if mode in ("ps-kd", "dlb"):
-            self.last_pred[indices] = preds
-        elif mode == "te":
-            m = self.cfg.te_momentum
-            self.te_accum[indices] = m * self.te_accum[indices] + (1.0 - m) * preds
-            self.te_count[indices] += 1
-        else:
+        """Fold the batch predictions into the store (post-step); frozen stores ignore them."""
+        if not self.frozen:
             self.store.update_rows(indices, preds)
 
     def mean_evidence(self):
-        if self.store is None:
-            return None
-        return float(self.store.A.mean())
+        return None if self.frozen else float(self.store.A.mean())
 
     def current_targets(self, epoch):
         """Snapshot of every sample's target row as it would be served at ``epoch``."""

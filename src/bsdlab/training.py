@@ -136,25 +136,27 @@ def _kl_logit_grad(strong_probs, anchor_probs, floor=PROB_FLOOR):
     return strong_probs * (diff - row_kl)
 
 
-def contrastive_term(model: Model, sample, strong_views, anchor_pred, lam):
-    """Consistency loss for one sample: (lam / m) * sum_j KL(f(view_j), anchor).
+def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_flat, loss=0.0):
+    """Consistency loss (lam / (m * n)) * sum_j sum_i KL(f(view_j)_i, anchor_i).
 
-    The anchor prediction is treated as a constant. Returns the scalar loss
-    and the summed parameter gradients across views. The model is run in its
-    current mode; pass an eval-mode model for deterministic checks.
+    ``strong_views`` holds m batches of the n samples whose anchor
+    probabilities (constants) are ``anchor_probs``. Each view's parameter
+    gradient is added into ``grad_flat``, laid out like ``model.flat``.
+    Returns ``loss`` plus each view's term, added view by view. The model runs
+    in its current mode; ``rng`` drives train-mode dropout.
     """
     m = len(strong_views)
     if m == 0:
         raise ValueError("need at least one strong view")
-    anchor = np.asarray(anchor_pred, dtype=np.float64)[None, :]
-    total = 0.0
-    grads = model.views(np.zeros_like(model.flat))
+    scale = lam / (m * anchor_probs.shape[0])
+    view_flat = np.empty_like(model.flat)
+    view_grads = model.views(view_flat)
     for view in strong_views:
-        probs, cache = forward(model, np.asarray(view, dtype=np.float64)[None, :])
-        total += float(kl_div(probs[0], anchor[0]))
-        for name, g in backward(model, cache, (lam / m) * _kl_logit_grad(probs, anchor)).items():
-            grads[name] += g
-    return lam / m * total, grads
+        probs, cache = forward(model, view, rng)
+        loss += float(scale * kl_div(probs, anchor_probs).sum())
+        backward(model, cache, scale * _kl_logit_grad(probs, anchor_probs), out=view_grads)
+        grad_flat += view_flat
+    return loss
 
 
 def _augmented_views(samples, cfg: TrainConfig, seed, epoch):
@@ -181,12 +183,9 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
-    # gradient buffers laid out like model.flat; strong views add theirs in
+    # gradient buffer laid out like model.flat; strong views add theirs in
     grad_flat = np.empty_like(model.flat)
     grads = model.views(grad_flat)
-    if cfg.bsd_plus.enabled:
-        view_flat = np.empty_like(model.flat)
-        view_grads = model.views(view_flat)
     loss_sum = 0.0
     for start in range(0, n, cfg.batch_size):
         idx = perm[start:start + cfg.batch_size]
@@ -209,12 +208,8 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
         backward(model, cache, dlogits, out=grads)
 
         if strong_views:
-            scale = cfg.bsd_plus.lam / (cfg.bsd_plus.views * bsz)
-            for view in strong_views:
-                s_probs, s_cache = forward(model, view, dropout_rng)
-                batch_loss += float(scale * kl_div(s_probs, probs).sum())
-                backward(model, s_cache, scale * _kl_logit_grad(s_probs, probs), out=view_grads)
-                grad_flat += view_flat
+            batch_loss = contrastive_term(model, strong_views, probs, cfg.bsd_plus.lam,
+                                          dropout_rng, grad_flat, batch_loss)
 
         if not np.isfinite(batch_loss):
             raise TrainingDiverged(
@@ -275,37 +270,38 @@ def _save_train_state(path, model, opt_state, strategy, epoch):
     for name in model.params:
         for key, views in moments:
             blocks[f"opt/{key}/{name}"] = views[name]
-    if strategy.store is not None:
+    if not strategy.frozen:
         blocks["strategy/y"] = strategy.store.y
         blocks["strategy/A"] = strategy.store.A
-    if strategy.last_pred is not None:
-        blocks["strategy/last_pred"] = strategy.last_pred
-    if strategy.te_accum is not None:
-        blocks["strategy/te_accum"] = strategy.te_accum
-        blocks["strategy/te_count"] = strategy.te_count.astype(np.float64)
     header = {"epoch": epoch, "opt_step": opt_state.step}
     write_blocks(path, STATE_MAGIC, header, blocks)
 
 
 def _load_train_state(path, model, opt_state, strategy):
     header, blocks = read_blocks(path, STATE_MAGIC)
-    for name in model.params:
-        model.params[name][...] = blocks[f"param/{name}"]
+
+    def load(name, dest):
+        block = blocks.get(name)
+        if block is None:
+            raise ValueError(f"{path}: missing block {name!r}; the state does not match "
+                             f"this run's model, optimizer or strategy")
+        if block.shape != dest.shape:
+            raise ValueError(f"{path}: block {name!r} has shape {block.shape}, "
+                             f"this run needs {dest.shape}")
+        dest[...] = block
+
+    for name, param in model.params.items():
+        load(f"param/{name}", param)
     opt_state.step = int(header["opt_step"])
     for key in ("m", "v", "buf"):
         if any(b.startswith(f"opt/{key}/") for b in blocks):
             if getattr(opt_state, key) is None:
                 setattr(opt_state, key, np.zeros_like(model.flat))
             for name, view in model.views(getattr(opt_state, key)).items():
-                view[...] = blocks[f"opt/{key}/{name}"]
-    if strategy.store is not None:
-        strategy.store.y[...] = blocks["strategy/y"]
-        strategy.store.A[...] = blocks["strategy/A"]
-    if strategy.last_pred is not None:
-        strategy.last_pred[...] = blocks["strategy/last_pred"]
-    if strategy.te_accum is not None:
-        strategy.te_accum[...] = blocks["strategy/te_accum"]
-        strategy.te_count[...] = blocks["strategy/te_count"].astype(np.int64)
+                load(f"opt/{key}/{name}", view)
+    if not strategy.frozen:
+        load("strategy/y", strategy.store.y)
+        load("strategy/A", strategy.store.A)
     return int(header["epoch"])
 
 
@@ -401,7 +397,7 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
 
     if last_epoch == cfg.epochs:
         save_checkpoint(model, layout["checkpoints"] / f"seed_{seed}_final.ckpt")
-        if strategy.store is not None:
+        if not strategy.frozen:
             strategy.store.save_csv(layout["records"] / f"store_seed_{seed}.csv")
     record.wall_clock_s = time.perf_counter() - t0
     return record, model

@@ -50,6 +50,13 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="'gama'.*did you mean 'gamma'"):
             parse_config(path)
 
+    def test_granularity_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"train": {"strategy": {"mode": "dlb",
+                                                           "granularity": "mini-batch"}}}))
+        with pytest.raises(ConfigError, match="unknown key 'granularity' in train.strategy"):
+            parse_config(path)
+
     def test_round_trip_identical(self, tmp_path):
         path = write_config(tmp_path / "a.json", output_dir=str(tmp_path / "out"))
         cfg = parse_config(path)

@@ -1,19 +1,26 @@
-"""Bit-exact checks of the tiny-conv and grid-augmentation fast paths.
+"""Bit-exact checks of rewritten paths against the implementations they replaced.
 
-The reference functions below are verbatim copies of the implementations the
-fast paths replaced (renamed ``old_*``): im2col through a transposed
+The reference functions below are verbatim copies of the replaced code
+(renamed ``old_*``/``Old*``): im2col through a transposed
 ``sliding_window_view``, pooling through ``mean(axis=(2, 4))``, unpooling
-through a double ``np.repeat``, and per-sample crop/flip/erase loops. The
-fast paths must give the same bytes, sign of zero included, and draw the
-same numbers from the rng in the same order.
+through a double ``np.repeat``, per-sample crop/flip/erase loops, and the
+strategy layer that kept a last-prediction buffer for ps-kd/dlb and a
+zero-initialized accumulator for te beside the bsd evidence store. The
+rewrites must give the same bytes, sign of zero included, and draw the same
+numbers from the rng in the same order. The one exception is te, whose
+improper-prior store computes the bias-corrected average in another order
+and must agree to 1e-12.
 """
 
 import numpy as np
 import pytest
 
 from bsdlab import data, models
-from bsdlab.data import augment_strong
+from bsdlab.data import augment_strong, make_blobs
 from bsdlab.models import CONV_CHANNELS, ModelSpec, backward, forward, init_model
+from bsdlab.numerics import one_hot
+from bsdlab.targets import StrategyConfig, TargetStrategy, init_prior
+from bsdlab.training import TrainConfig, evaluate, make_optimizer, train_epoch
 
 
 def old_conv_forward(model, batch):
@@ -232,3 +239,141 @@ def test_augment_strong_matches_reference_composition(h, w, n):
     want = want + rng.normal(0.0, 0.1, size=want.shape)
     assert_bit_equal(augment_strong(batch, np.random.default_rng(11), jitter_sigma=0.1,
                                     erase_frac=0.2), want)
+
+
+class OldTargetStrategy:
+    """Stateful target provider for one training run.
+
+    Owns whatever per-sample state the mode needs (an EvidenceStore for bsd,
+    a last-prediction buffer for ps-kd/dlb, a zero-initialized accumulator
+    for te) and hides it behind two calls used by the training loop:
+    ``targets(indices, epoch)`` for the rows consumed by the loss, and
+    ``update(indices, preds)`` applied after the optimizer step. Targets read
+    before the update are the stored values at that moment, matching the
+    in-place ordering of the training recursion.
+    """
+
+    def __init__(self, cfg: StrategyConfig, labels, k, total_epochs):
+        self.cfg = cfg
+        self.labels = np.asarray(labels)
+        self.k = k
+        self.total_epochs = total_epochs
+        self.onehot = one_hot(self.labels, k)
+        n = self.labels.shape[0]
+        self.store = None
+        self.last_pred = None
+        self.te_accum = None
+        self.te_count = None
+        if cfg.mode == "bsd":
+            self.store = init_prior(self.labels, k, cfg.c, cfg.epsilon, cfg.gamma)
+        elif cfg.mode in ("ps-kd", "dlb"):
+            self.last_pred = self.onehot.copy()
+        elif cfg.mode == "te":
+            self.te_accum = np.zeros((n, k), dtype=np.float64)
+            self.te_count = np.zeros(n, dtype=np.int64)
+
+    def _pskd_mix(self, epoch):
+        if self.total_epochs <= 0:
+            return 0.0
+        return self.cfg.pskd_alpha * min(epoch, self.total_epochs) / self.total_epochs
+
+    def targets(self, indices, epoch):
+        """Target rows for the given sample indices at the given 1-based epoch."""
+        mode = self.cfg.mode
+        if mode == "baseline":
+            return self.onehot[indices].copy()
+        if mode == "label-smoothing":
+            a = self.cfg.ls_alpha
+            return (1.0 - a) * self.onehot[indices] + a / self.k
+        if mode == "ps-kd":
+            a_t = self._pskd_mix(epoch)
+            return (1.0 - a_t) * self.onehot[indices] + a_t * self.last_pred[indices]
+        if mode == "dlb":
+            return self.last_pred[indices].copy()
+        if mode == "te":
+            out = self.onehot[indices].copy()
+            seen = self.te_count[indices] > 0
+            if np.any(seen):
+                idx = np.asarray(indices)[seen]
+                corr = 1.0 - self.cfg.te_momentum ** self.te_count[idx]
+                out[seen] = self.te_accum[idx] / corr[:, None]
+            return out
+        return self.store.y[indices].copy()
+
+    def target(self, i, epoch):
+        return self.targets(np.asarray([i]), epoch)[0]
+
+    def update(self, indices, preds):
+        """Fold the batch predictions into the per-sample state (post-step)."""
+        mode = self.cfg.mode
+        if mode in ("baseline", "label-smoothing"):
+            return
+        preds = np.asarray(preds, dtype=np.float64)
+        if mode in ("ps-kd", "dlb"):
+            self.last_pred[indices] = preds
+        elif mode == "te":
+            m = self.cfg.te_momentum
+            self.te_accum[indices] = m * self.te_accum[indices] + (1.0 - m) * preds
+            self.te_count[indices] += 1
+        else:
+            self.store.update_rows(indices, preds)
+
+    def mean_evidence(self):
+        if self.store is None:
+            return None
+        return float(self.store.A.mean())
+
+    def current_targets(self, epoch):
+        """Snapshot of every sample's target row as it would be served at ``epoch``."""
+        return self.targets(np.arange(self.labels.shape[0]), epoch)
+
+
+STRATEGY_CASES = [("baseline", {}), ("label-smoothing", {"ls_alpha": 0.2}), ("bsd", {}),
+                  ("dlb", {}), ("ps-kd", {"pskd_alpha": 0.8}), ("ps-kd", {"pskd_alpha": 1.0}),
+                  ("te", {"te_momentum": 0.6})]
+STRATEGY_IDS = ["baseline", "label-smoothing", "bsd", "dlb", "ps-kd-0.8", "ps-kd-1.0", "te"]
+
+
+def assert_same_targets(mode, got, want):
+    if mode == "te":
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+    else:
+        assert_bit_equal(got, want)
+
+
+@pytest.mark.parametrize("mode, kw", STRATEGY_CASES, ids=STRATEGY_IDS)
+def test_target_strategy_matches_reference(mode, kw):
+    rng = np.random.default_rng(41)
+    n, k, epochs, batch = 23, 4, 5, 6
+    labels = rng.integers(0, k, size=n)
+    cfg = StrategyConfig(mode=mode, gamma=0.7, c=5.0, epsilon=0.2, **kw)
+    new = TargetStrategy(cfg, labels, k, epochs)
+    old = OldTargetStrategy(cfg, labels, k, epochs)
+    for epoch in range(1, epochs + 2):  # one epoch past the ramp's end
+        perm = rng.permutation(n)
+        for start in range(0, n, batch):
+            idx = perm[start:start + batch]
+            assert_same_targets(mode, new.targets(idx, epoch), old.targets(idx, epoch))
+            preds = rng.dirichlet(np.full(k, 0.5), size=idx.shape[0])
+            new.update(idx, preds)
+            old.update(idx, preds)
+        assert_same_targets(mode, new.current_targets(epoch), old.current_targets(epoch))
+
+
+@pytest.mark.parametrize("mode, kw", STRATEGY_CASES, ids=STRATEGY_IDS)
+def test_training_with_store_strategy_matches_reference(mode, kw):
+    train = make_blobs(3, 10, spacing=2.0, cov_scale=0.8, seed=[5, 0])
+    test = make_blobs(3, 10, spacing=2.0, cov_scale=0.8, seed=[5, 1], split="test")
+    cfg = TrainConfig(epochs=4, batch_size=7, lr=0.05,
+                      strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0, **kw))
+    spec = ModelSpec(input_dim=2, classes=3, hidden=(6,), dropout=0.1, seed=3)
+    runs = []
+    for cls in (TargetStrategy, OldTargetStrategy):
+        model, opt = init_model(spec), make_optimizer(cfg)
+        strategy = cls(cfg.strategy, train.labels, train.k, cfg.epochs)
+        losses = [train_epoch(model, train, strategy, opt, cfg, e, seed=9)["train_loss"]
+                  for e in range(1, cfg.epochs + 1)]
+        runs.append((losses, evaluate(model, test)["preds"]))
+    (new_losses, new_preds), (old_losses, old_preds) = runs
+    assert_same_targets(mode, new_preds, old_preds)
+    np.testing.assert_allclose(new_losses, old_losses, rtol=0.0 if mode != "te" else 1e-12)

@@ -76,11 +76,9 @@ def grid_data_7x7x2():
 
 
 def blob_job(mode, optimizer="adam", momentum=0.9, **kw):
-    strategy_kw = {"granularity": "mini-batch"} if mode == "dlb" else {}
     cfg = TrainConfig(epochs=3, batch_size=5, optimizer=optimizer, lr=0.05,
                       momentum=momentum, eval_every=2,
-                      strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0,
-                                              **strategy_kw), **kw)
+                      strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0), **kw)
     spec = ModelSpec(input_dim=2, classes=3, hidden=(5, 4), dropout=0.0)
     return spec, blob_data(), cfg
 
@@ -126,10 +124,10 @@ GOLDEN = {
     "bsd-sgd-plain": "769cbe09ac1d95305ff36be509e2301e951e3f63b739d707688aca7e7dc4a86f",
     "bsd_plus-tiny-conv": "1d0b303787505b5ceaf96e0ada0db5cdc949f27f4df7facc9e79fd4bb74bbe7d",
     "bsd_plus-tiny-conv-7x7x2": "8d4555033d6bbc02ced4c726d0638f2c19a01a6bd31bcb8875b52418219c3f67",
-    "dlb": "b1d0db581c7181fd965f5fd07a1ef34d1679db3aee52cbfd5432638f3862ad56",
+    "dlb": "afbee4b63de171841521757e9db7b61cc3642cf4172cf8361504c7f371f4300f",
     "label-smoothing": "e0c961ecb4cfdbac36db0eb16241adf03049a6b3819c9a67ff3fc4e67f800cd7",
-    "ps-kd": "ce44e2bcf19823410d5e3d922f3879649ba68cbf68d0abd6cab96efbb7460a3c",
-    "te": "f9feaca752559a9da1b03142a2637f1b2477b540d87d30e6106b4258447fd934",
+    "ps-kd": "85a13915e0acafb9942e9b99d3923c73bf4160e7aae40b0817c32c97bd053947",
+    "te": "a495fe8519f87871a318e4c014fa211a92180c092b2240c997443ae394cbf48b",
 }
 
 
@@ -139,6 +137,51 @@ def test_artifact_digest(case, tmp_path):
     run_experiment(spec, train, test, cfg, SEEDS, tmp_path / "run")
     files = "\n".join(f"{rel} {sha}" for rel, sha in digest_files(tmp_path / "run"))
     assert digest_tree(tmp_path / "run") == GOLDEN[case], files
+
+
+# Per-file SHA-256 of the dlb and ps-kd traces and final checkpoints, recorded
+# with a separate last-prediction buffer. A gamma = 0 evidence store keeps
+# the last prediction bit for bit, so these files must not change; only the
+# records (``mean_evidence``), the ``.state`` blocks and the store CSVs may.
+GOLDEN_FILES = {
+    "dlb": {
+        "checkpoints/seed_1_final.ckpt":
+            "b36ba10707764630086e386d510f6e4c89669aed78db6891e2b1ebd7508b3a8b",
+        "checkpoints/seed_2_final.ckpt":
+            "fa391cf86fa78ba34aaa823f6a44b0668b8bf7fbc12ddb72ba970a7b95d432bc",
+        "traces/seed_1/epoch_2.csv":
+            "6da479961305f8c6109ddbd20f56dbda396428a7eaba0e9438bfec81f244da18",
+        "traces/seed_1/epoch_3.csv":
+            "871666465c07def67c6db3602d73bdd9e9a461dc8e86587da2b1a71b963cac36",
+        "traces/seed_2/epoch_2.csv":
+            "08bb91f15b91b673f8ea28c270ac8b28819e65cbd3ac5053745558d20a96fec1",
+        "traces/seed_2/epoch_3.csv":
+            "f749bc31b64b80f06f0f73e65598cd60df23d3b7309396e2497e7904ebe44626",
+    },
+    "ps-kd": {
+        "checkpoints/seed_1_final.ckpt":
+            "94c59a4f5eec725a96ab763570922395897d19aaeb6e84ccf1a01053a25ab64e",
+        "checkpoints/seed_2_final.ckpt":
+            "362d37b66f2ab47ff99ce6ded23ecb9ddfb9baa8d42ae2b3b05c21425e554048",
+        "traces/seed_1/epoch_2.csv":
+            "a541c7c2e09a13d40dba37901045d95eaddc80e09ed9ded96cdbe7d0d920a5ac",
+        "traces/seed_1/epoch_3.csv":
+            "a9713d610e882d4b172d6fad3998be5b988ca4edc1f8512df6d6d78c0de4e564",
+        "traces/seed_2/epoch_2.csv":
+            "20db2071f2d5d04013c9ffc95f8e4a210af6dd9436822c67d75bba32ae3b94d4",
+        "traces/seed_2/epoch_3.csv":
+            "18c184d82a46fac66b82886c4d10edc47204d9a87c2ae648fe67917ebcf7752d",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_FILES))
+def test_last_prediction_store_keeps_traces_and_checkpoints(case, tmp_path):
+    spec, (train, test), cfg = CASES[case]()
+    run_experiment(spec, train, test, cfg, SEEDS, tmp_path / "run")
+    got = {rel: sha for rel, sha in digest_files(tmp_path / "run")
+           if rel.startswith("traces/") or rel.endswith("_final.ckpt")}
+    assert got == GOLDEN_FILES[case]
 
 
 def cli_config(path, name, data_seed, mode, output_dir):

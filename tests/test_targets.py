@@ -111,8 +111,7 @@ class TestConjugacyOracle:
             expected = ap / ap.sum()
 
             store = EvidenceStore(y=(alpha / alpha.sum())[None, :],
-                                  A=np.array([alpha.sum()]), gamma=gamma,
-                                  c=1.0, epsilon=0.0)
+                                  A=np.array([alpha.sum()]), gamma=gamma)
             y, _ = bsd_update(store, 0, pred)
             np.testing.assert_allclose(y, expected, atol=1e-12)
 
@@ -203,11 +202,6 @@ class TestSharpen:
 
 
 class TestStrategyConfig:
-    def test_dlb_granularity_forced(self):
-        with pytest.raises(ValueError, match="mini-batch"):
-            StrategyConfig(mode="dlb", granularity="epoch")
-        StrategyConfig(mode="dlb", granularity="mini-batch")
-
     def test_unknown_mode(self):
         with pytest.raises(ValueError, match="unknown strategy mode"):
             StrategyConfig(mode="frobnicate")
@@ -250,7 +244,7 @@ class TestTargetStrategy:
         np.testing.assert_array_equal(strat.target(0, 1), [1.0, 0.0])
 
     def test_dlb_serves_previous_pass_prediction(self):
-        strat = self.make("dlb", granularity="mini-batch")
+        strat = self.make("dlb")
         np.testing.assert_array_equal(strat.targets(np.array([0]), 1),
                                       one_hot(self.labels[:1], self.k))
         pred = np.array([[0.1, 0.2, 0.3, 0.4]])
@@ -305,7 +299,7 @@ class TestStoreCsv:
         store.update_rows(np.arange(5), random_simplex(rng, 5, 3))
         path = tmp_path / "store.csv"
         store.save_csv(path)
-        loaded = EvidenceStore.load_csv(path, gamma=0.8, c=50.0, epsilon=0.5)
+        loaded = EvidenceStore.load_csv(path, gamma=0.8)
         np.testing.assert_array_equal(loaded.y, store.y)
         np.testing.assert_array_equal(loaded.A, store.A)
 
@@ -316,7 +310,7 @@ class TestStoreCsv:
         y[0] = [5e-324, 1e-310, 1.0]
         A = rng.uniform(1.0, 1e4, size=n)
         A[0] = 1e-05
-        store = EvidenceStore(y=y, A=A, gamma=0.8, c=50.0, epsilon=0.0)
+        store = EvidenceStore(y=y, A=A, gamma=0.8)
         path = tmp_path / "store.csv"
         store.save_csv(path)
 
@@ -327,7 +321,7 @@ class TestStoreCsv:
             writer.writerow([i, repr(float(A[i]))] + [repr(float(v)) for v in y[i]])
         assert path.read_bytes() == ref.getvalue().encode()
 
-        loaded = EvidenceStore.load_csv(path, gamma=0.8, c=50.0, epsilon=0.0)
+        loaded = EvidenceStore.load_csv(path, gamma=0.8)
         np.testing.assert_array_equal(loaded.y.view(np.int64), y.view(np.int64))
         np.testing.assert_array_equal(loaded.A.view(np.int64), A.view(np.int64))
 

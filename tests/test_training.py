@@ -1,6 +1,7 @@
 import copy
 import math
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -129,7 +130,7 @@ class TestTrainEpoch:
         for epoch in (1, 2, 3):
             train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
         np.testing.assert_array_equal(strategy.current_targets(3), before)
-        assert strategy.store is None
+        assert strategy.frozen
 
     def test_pure_conjugate_accumulation_at_gamma_one(self):
         # gamma = 1, tau = 1: after T epochs the stored target equals
@@ -209,47 +210,59 @@ class TestContrastive:
     def test_identical_views_zero_loss(self):
         spec = ModelSpec(input_dim=3, classes=2, hidden=(4,), dropout=0.0, seed=10)
         model = init_model(spec).eval()
-        x = np.array([0.2, -0.4, 1.0])
-        pred, _ = forward(model, x[None, :])
-        loss, _ = contrastive_term(model, x, [x, x], pred[0], lam=3.0)
+        x = np.array([[0.2, -0.4, 1.0], [1.5, 0.3, -0.7]])
+        pred, _ = forward(model, x)
+        grad_flat = np.zeros_like(model.flat)
+        loss = contrastive_term(model, [x, x], pred, 3.0, None, grad_flat)
         np.testing.assert_allclose(loss, 0.0, atol=1e-12)
+        np.testing.assert_allclose(grad_flat, 0.0, atol=1e-12)
 
     def test_lambda_scaling(self):
         spec = ModelSpec(input_dim=3, classes=2, hidden=(4,), dropout=0.0, seed=11)
         model = init_model(spec).eval()
         rng = np.random.default_rng(12)
-        x = rng.normal(size=3)
-        views = [rng.normal(size=3)]
-        anchor, _ = forward(model, x[None, :])
-        l1, _ = contrastive_term(model, x, views, anchor[0], lam=1.0)
-        l2, _ = contrastive_term(model, x, views, anchor[0], lam=2.0)
+        x = rng.normal(size=(1, 3))
+        views = [rng.normal(size=(1, 3))]
+        anchor, _ = forward(model, x)
+        l1 = contrastive_term(model, views, anchor, 1.0, None, np.zeros_like(model.flat))
+        l2 = contrastive_term(model, views, anchor, 2.0, None, np.zeros_like(model.flat))
         np.testing.assert_allclose(l2, 2.0 * l1, rtol=1e-12)
+
+    def test_batch_is_mean_of_single_samples(self):
+        spec = ModelSpec(input_dim=3, classes=3, hidden=(5,), dropout=0.0, seed=17)
+        model = init_model(spec).eval()
+        rng = np.random.default_rng(18)
+        x = rng.normal(size=(4, 3))
+        views = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
+        anchor, _ = forward(model, x)
+        grad_flat = np.zeros_like(model.flat)
+        loss = contrastive_term(model, views, anchor, 1.3, None, grad_flat)
+        singles = [np.zeros_like(model.flat) for _ in range(4)]
+        single_losses = [contrastive_term(model, [v[i:i + 1] for v in views], anchor[i:i + 1],
+                                          1.3, None, singles[i]) for i in range(4)]
+        np.testing.assert_allclose(loss, np.mean(single_losses), rtol=1e-12)
+        np.testing.assert_allclose(grad_flat, np.mean(singles, axis=0), rtol=1e-10, atol=1e-15)
 
     def test_gradient_matches_finite_differences(self):
         spec = ModelSpec(input_dim=3, classes=3, hidden=(5,), dropout=0.0, seed=13)
         model = init_model(spec).eval()
         rng = np.random.default_rng(14)
-        x = rng.normal(size=3)
-        views = [rng.normal(size=3), rng.normal(size=3)]
-        anchor, _ = forward(model, x[None, :])
-        anchor = anchor[0].copy()
-        _, grads = contrastive_term(model, x, views, anchor, lam=1.7)
-        analytic = np.concatenate([grads[n].ravel() for n in model.block_names()])
-
-        names = model.block_names()
-        x0 = np.concatenate([model.params[n].ravel() for n in names])
+        x = rng.normal(size=(3, 3))
+        views = [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))]
+        anchor, _ = forward(model, x)
+        # the gradient is added to what the buffer already holds, the loss to ``loss``
+        grad_flat = np.ones_like(model.flat)
+        loss = contrastive_term(model, views, anchor, 1.7, None, grad_flat, loss=5.0)
+        analytic = grad_flat - 1.0
+        x0 = model.flat.copy()
 
         def f(flat):
-            pos = 0
-            for n in names:
-                blk = model.params[n]
-                blk[...] = flat[pos:pos + blk.size].reshape(blk.shape)
-                pos += blk.size
-            loss, _ = contrastive_term(model, x, views, anchor, lam=1.7)
-            return loss
+            model.flat[...] = flat
+            return contrastive_term(model, views, anchor, 1.7, None, np.zeros_like(flat))
 
+        np.testing.assert_allclose(loss - 5.0, f(x0), rtol=1e-12)
         numeric = finite_diff_grad(f, x0.copy(), h=1e-5)
-        f(x0)
+        model.flat[...] = x0
         rel = np.abs(analytic - numeric).max() / max(np.abs(numeric).max(), 1e-12)
         assert rel < 1e-4
 
@@ -257,7 +270,8 @@ class TestContrastive:
         spec = ModelSpec(input_dim=2, classes=2, seed=15)
         model = init_model(spec).eval()
         with pytest.raises(ValueError, match="view"):
-            contrastive_term(model, np.zeros(2), [], np.array([0.5, 0.5]), lam=1.0)
+            contrastive_term(model, [], np.array([[0.5, 0.5]]), 1.0, None,
+                             np.zeros_like(model.flat))
 
 
 class TestBsdPlusEpoch:
@@ -460,6 +474,49 @@ class TestRunExperiment:
             ent[mode] = [row["mean_target_entropy"] for row in records[0].rows]
         assert ent["baseline"][-1] == 0.0
         assert ent["bsd"][2] > 0.0
+
+
+class TestUnusableState:
+    """A ``.state`` that does not fit the run is rejected with its path and block."""
+
+    def stopped_run(self, tmp_path, mode):
+        ds = tiny_dataset(n_per=8)
+        test = tiny_dataset(n_per=4, seed=2)
+        cfg = small_config(mode, epochs=4, optimizer="adam", lr=0.05)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(spec, ds, test, cfg, 5, layout, {}, stop_after=2)
+        return spec, test, cfg, layout, layout["checkpoints"] / "seed_5.state"
+
+    @pytest.mark.parametrize("mode, old_blocks", [
+        ("dlb", ("strategy/last_pred",)),
+        ("te", ("strategy/te_accum", "strategy/te_count")),
+    ])
+    def test_former_strategy_blocks_name_the_missing_block(self, tmp_path, mode, old_blocks):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, mode)
+        header, blocks = read_blocks(path, training.STATE_MAGIC)
+        # the layout these modes had before they became evidence stores
+        y, A = blocks.pop("strategy/y"), blocks.pop("strategy/A")
+        for name in old_blocks:
+            blocks[name] = A if name.endswith("count") else y
+        del header["blocks"]
+        write_blocks(path, training.STATE_MAGIC, header, blocks)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: missing block 'strategy/y'")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, {}, resume=True)
+
+    def test_block_of_wrong_shape(self, tmp_path):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: block 'strategy/y' has shape (16, 2), this run needs (18, 2)")):
+            run_single_seed(spec, tiny_dataset(n_per=9), test, cfg, 5, layout, {}, resume=True)
+
+    @pytest.mark.parametrize("header_line", [b'{"blocks": [{"name": "param/w0", ', b"not json\n"],
+                             ids=["truncated", "non-json"])
+    def test_bad_header_line(self, tmp_path, header_line):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        path.write_bytes(training.STATE_MAGIC.encode() + b"\n" + header_line)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: truncated or non-JSON header")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, {}, resume=True)
 
 
 def reference_trace_bytes(preds, labels):
