@@ -15,7 +15,7 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from .numerics import PROB_FLOOR, kl_div, softmax
+from .numerics import PROB_FLOOR, _class_reduce, kl_div, softmax
 
 __all__ = [
     "CalibrationReport",
@@ -76,14 +76,43 @@ def _as_preds(preds):
     return p
 
 
+def _as_labels(labels, n, k):
+    """Labels as a 1-D int64 array of length ``n`` with every value in [0, k).
+
+    Checked up front because a negative label would index from the end of a
+    row and a length-1 array would broadcast, both without an error.
+    """
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or labels.shape[0] != n:
+        raise ValueError(f"need {n} labels in a 1-D array, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if n and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label out of range [0, {k})")
+    return labels.astype(np.int64, copy=False)
+
+
 def _bin_index(conf, bins):
     idx = np.minimum((conf * bins).astype(np.int64), bins - 1)
     return np.maximum(idx, 0)
 
 
+def _check_bins(bins):
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+
+
+def _bin_slices(idx, bins):
+    """(order, bounds): ``order`` lists the samples bin by bin, each bin's in their
+    original order, and bin b is ``order[bounds[b]:bounds[b + 1]]``. A mean over
+    that contiguous slice has the bytes of the mean over a boolean bin mask."""
+    bounds = [0] + np.cumsum(np.bincount(idx, minlength=bins)).tolist()
+    return np.argsort(idx, kind="stable"), bounds
+
+
 def accuracy(preds, labels):
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, *preds.shape)
     return float(np.mean(preds.argmax(axis=1) == labels))
 
 
@@ -101,45 +130,46 @@ def _ece_from_bins(rows):
 def sce(preds, labels, bins=DEFAULT_BINS):
     """Static calibration error: classwise equal-width bins, count-weighted."""
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, *preds.shape)
+    _check_bins(bins)
     n, k = preds.shape
     total = 0.0
     for j in range(k):
         pj = preds[:, j]
-        hit = (labels == j).astype(np.float64)
-        idx = _bin_index(pj, bins)
-        for b in range(bins):
-            mask = idx == b
-            nb = int(mask.sum())
-            if nb == 0:
-                continue
-            total += (nb / n) * abs(hit[mask].mean() - pj[mask].mean())
+        order, bounds = _bin_slices(_bin_index(pj, bins), bins)
+        pj, hit = pj[order], (labels[order] == j).astype(np.float64)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                total += ((hi - lo) / n) * abs(hit[lo:hi].mean() - pj[lo:hi].mean())
     return float(total / k)
 
 
 def ace(preds, labels, bins=DEFAULT_BINS):
     """Adaptive calibration error: classwise equal-mass bins, bin-averaged."""
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, *preds.shape)
+    _check_bins(bins)
     n, k = preds.shape
+    # the equal-mass bins of np.array_split: the first n % bins hold one more
+    size, extra = divmod(n, bins)
+    bounds = np.cumsum([0] + [size + 1] * extra + [size] * (bins - extra)).tolist()
     total = 0.0
     used = 0
     for j in range(k):
         pj = preds[:, j]
-        hit = (labels == j).astype(np.float64)
         order = np.argsort(pj, kind="stable")
-        for chunk in np.array_split(order, bins):
-            if chunk.size == 0:
-                continue
-            total += abs(hit[chunk].mean() - pj[chunk].mean())
-            used += 1
+        pj, hit = pj[order], (labels[order] == j).astype(np.float64)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                total += abs(hit[lo:hi].mean() - pj[lo:hi].mean())
+                used += 1
     return float(total / used)
 
 
 def nll(preds, labels, floor=PROB_FLOOR):
     """Mean negative log-likelihood of the true labels."""
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, *preds.shape)
     p_true = preds[np.arange(preds.shape[0]), labels]
     return float(-np.mean(np.log(np.maximum(p_true, floor))))
 
@@ -147,22 +177,20 @@ def nll(preds, labels, floor=PROB_FLOOR):
 def reliability_bins(preds, labels, bins=DEFAULT_BINS):
     """Per-bin (lo, hi, mean confidence, empirical accuracy, count)."""
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
-    if bins < 1:
-        raise ValueError("bins must be >= 1")
-    conf = preds.max(axis=1)
-    correct = (preds.argmax(axis=1) == labels).astype(np.float64)
-    idx = _bin_index(conf, bins)
+    labels = _as_labels(labels, *preds.shape)
+    _check_bins(bins)
+    conf = _class_reduce(np.maximum, preds)
+    order, bounds = _bin_slices(_bin_index(conf, bins), bins)
+    conf = conf[order]
+    correct = (preds.argmax(axis=1) == labels).astype(np.float64)[order]
     rows = []
-    for b in range(bins):
-        mask = idx == b
-        nb = int(mask.sum())
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rows.append({
             "bin_lo": b / bins,
             "bin_hi": (b + 1) / bins,
-            "conf": float(conf[mask].mean()) if nb else 0.0,
-            "acc": float(correct[mask].mean()) if nb else 0.0,
-            "count": nb,
+            "conf": float(conf[lo:hi].mean()) if hi > lo else 0.0,
+            "acc": float(correct[lo:hi].mean()) if hi > lo else 0.0,
+            "count": hi - lo,
         })
     return rows
 
@@ -185,16 +213,15 @@ def calibration_report(preds, labels, bins=DEFAULT_BINS) -> CalibrationReport:
 
 
 def _midranks(values):
+    """1-based ranks of a nonempty array, ties sharing the mean of their ranks;
+    every NaN is a tie group of its own."""
     order = np.argsort(values, kind="stable")
-    ranks = np.empty(values.shape[0], dtype=np.float64)
     sorted_vals = values[order]
-    i = 0
-    while i < sorted_vals.shape[0]:
-        j = i
-        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    n = sorted_vals.shape[0]
+    starts = np.flatnonzero(np.concatenate(([True], sorted_vals[1:] != sorted_vals[:-1])))
+    ends = np.append(starts[1:], n) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 
@@ -237,7 +264,7 @@ def mu_matrix(preds, labels, k):
     the result is (M + M^T) / 2. Missing classes are a hard error.
     """
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, preds.shape[0], k)
     missing = [j for j in range(k) if not np.any(labels == j)]
     if missing:
         raise ValueError(f"no samples for classes {missing}")
@@ -257,13 +284,13 @@ def delta_decomposition(preds, labels, mu) -> DarkKnowledge:
     ``reconstruct_predictions`` is bit-exact.
     """
     preds = _as_preds(preds)
-    labels = np.asarray(labels)
     mu = np.asarray(mu, dtype=np.float64)
+    labels = _as_labels(labels, preds.shape[0], mu.shape[0])
     a, b = preds, -mu[labels]
     delta = a + b
     bb = delta - a
     comp = (a - (delta - bb)) + (b - bb)  # Knuth two-sum residual
-    mags = np.abs(delta).sum(axis=1)
+    mags = _class_reduce(np.add, np.abs(delta))
     k = mu.shape[0]
     class_means = np.array([
         mags[labels == j].mean() if np.any(labels == j) else 0.0 for j in range(k)
@@ -278,7 +305,7 @@ def reconstruct_predictions(dk: DarkKnowledge, labels):
     math.fsum rounds the exact three-term sum once; since the true sum is the
     original prediction (a representable double), the result is identical.
     """
-    labels = np.asarray(labels)
+    labels = _as_labels(labels, dk.delta.shape[0], dk.mu.shape[0])
     mu_rows = dk.mu[labels]
     n, k = dk.delta.shape
     out = np.empty((n, k), dtype=np.float64)
@@ -298,23 +325,35 @@ def _temperature_nll(logits, labels):
     everything that does not depend on ``t`` hoisted out of the returned objective.
 
     Rounded division by t > 0 is monotone, so max(z / t) == max(z) / t, and
-    logits / t is finite iff max|logits| / t is.
+    logits / t is finite iff max|logits| / t is. The work buffer is class-major,
+    (k, n), so every step is a whole-array call over contiguous rows; each
+    element sees the same operations as in the row-major original. ``labels``
+    must already have passed ``_as_labels``.
     """
     if not np.all(np.isfinite(logits)):
         raise ValueError("non-finite logits")
+    n, k = logits.shape
     abs_max = float(np.abs(logits).max())
-    row_max = logits.max(axis=-1)
-    rows = np.arange(logits.shape[0])
-    e = np.empty_like(logits)
+    row_max = _class_reduce(np.maximum, logits)
+    logits_t = np.ascontiguousarray(logits.T)
+    true_flat = labels * n + np.arange(n)  # flat index of each sample's label in e
+    e = np.empty((k, n))
+    shift = np.empty(n)
+    p_true = np.empty(n)
 
     def objective(t):
         if not math.isfinite(abs_max / t):
             raise ValueError("non-finite logits")
-        np.divide(logits, t, out=e)
-        np.subtract(e, (row_max / t)[:, None], out=e)
+        np.divide(logits_t, t, out=e)
+        np.divide(row_max, t, out=shift)
+        np.subtract(e, shift, out=e)
         np.exp(e, out=e)
-        p_true = e[rows, labels] / e.sum(axis=-1)
-        return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
+        # numpy sums 8 or more terms pairwise over row-major rows, so wide rows
+        # are copied back to that layout first
+        sums = _class_reduce(np.add, e.T if k < 8 else e.T.copy())
+        np.divide(e.take(true_flat), sums, out=p_true)
+        np.maximum(p_true, PROB_FLOOR, out=p_true)
+        return float(-np.mean(np.log(p_true, out=p_true)))
 
     return objective
 
@@ -326,9 +365,11 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
     and iteration count are fixed, so the result is deterministic.
     """
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
     if logits.shape[0] == 0:
         raise ValueError("empty validation set")
+    if logits.ndim != 2:
+        raise ValueError("need an (n, k) logit array")
+    labels = _as_labels(labels, *logits.shape)
     if not lo > 0.0:
         raise ValueError("temperature search needs lo > 0")
     if np.all(logits == logits[:, :1]):

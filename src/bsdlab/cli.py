@@ -28,6 +28,7 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, load_csv, load_idx, make_blobs, write_idx
+from .numerics import _class_reduce
 from .training import read_trace_csv, run_experiment, run_layout
 
 OUT_ROOT_ENV = "BSDLAB_OUT_ROOT"
@@ -193,7 +194,8 @@ def _analyze_ood(layout, ood_run):
                 f"missing OOD trace {ood_dir}; train the --ood-run with the same seeds")
         (id_preds, _, _), _ = _final_trace(seed_dir)
         (ood_preds, _, _), _ = _final_trace(ood_dir)
-        results[seed] = analysis.auroc(id_preds.max(axis=1), ood_preds.max(axis=1))
+        results[seed] = analysis.auroc(_class_reduce(np.maximum, id_preds),
+                                       _class_reduce(np.maximum, ood_preds))
     with open(layout["reports"] / "ood_auroc.json", "w") as fh:
         json.dump(results, fh, sort_keys=True, indent=2)
         fh.write("\n")

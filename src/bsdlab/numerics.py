@@ -5,6 +5,15 @@ Everything downstream builds on this module. Arrays are plain numpy float64;
 single probability vector or a batch of them. All log computations clamp their
 arguments at ``PROB_FLOOR`` so that exact zeros (one-hot targets, zero priors)
 never produce infinities.
+
+Class-axis sums and maxima go through ``_class_reduce``, which returns the
+bytes of ``ufunc.reduce(x, axis=-1)``. For a 2-D float array with
+2 <= k < 8 classes and at least ``CHAIN_MIN_ROWS`` rows it chains over the
+class columns left to right (``add`` from +0.0, ``maximum`` from column 0),
+one whole-column call per class instead of numpy's per-row reduction
+overhead. That is the order numpy itself adds and compares fewer than 8
+terms in; from 8 terms on it unrolls the sum pairwise, so wider rows, fewer
+rows and other shapes make the one reduce call.
 """
 
 from __future__ import annotations
@@ -14,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 PROB_FLOOR = 1e-12
+CHAIN_MIN_ROWS = 64  # below this, one reduce call is cheaper than k column calls
 
 __all__ = [
     "PROB_FLOOR",
@@ -30,6 +40,18 @@ __all__ = [
 ]
 
 
+def _class_reduce(ufunc, x, keepdims=False):
+    """``ufunc.reduce(x, axis=-1, keepdims=keepdims)`` bit for bit, for ``np.add`` or
+    ``np.maximum`` over a float array; see the module docstring for when it chains."""
+    if x.ndim != 2 or not 2 <= x.shape[1] < 8 or x.shape[0] < CHAIN_MIN_ROWS:
+        return ufunc.reduce(x, axis=-1, keepdims=keepdims)
+    # numpy adds onto the identity +0.0, which turns an all -0.0 row into +0.0
+    out = x[:, 0] + 0.0 if ufunc is np.add else x[:, 0].copy()
+    for j in range(1, x.shape[1]):
+        ufunc(out, x[:, j], out=out)
+    return out[:, None] if keepdims else out
+
+
 def softmax(logits):
     """Map logits to the probability simplex along the last axis.
 
@@ -39,15 +61,15 @@ def softmax(logits):
     z = np.asarray(logits, dtype=np.float64)
     if not np.all(np.isfinite(z)):
         raise ValueError("non-finite logits")
-    shifted = z - z.max(axis=-1, keepdims=True)
+    shifted = z - _class_reduce(np.maximum, z, keepdims=True)
     e = np.exp(shifted)
-    return e / e.sum(axis=-1, keepdims=True)
+    return e / _class_reduce(np.add, e, keepdims=True)
 
 
 def entropy(p, floor=PROB_FLOOR):
     """Shannon entropy -sum p*ln(p) along the last axis, in nats."""
     p = np.asarray(p, dtype=np.float64)
-    return -(p * np.log(np.maximum(p, floor))).sum(axis=-1)
+    return -_class_reduce(np.add, p * np.log(np.maximum(p, floor)))
 
 
 def kl_div(p, q, floor=PROB_FLOOR):
@@ -60,7 +82,7 @@ def kl_div(p, q, floor=PROB_FLOOR):
     q = np.asarray(q, dtype=np.float64)
     logp = np.log(np.maximum(p, floor))
     logq = np.log(np.maximum(q, floor))
-    return (p * (logp - logq)).sum(axis=-1)
+    return _class_reduce(np.add, p * (logp - logq))
 
 
 def soft_cross_entropy(target, pred, floor=PROB_FLOOR):
@@ -70,7 +92,7 @@ def soft_cross_entropy(target, pred, floor=PROB_FLOOR):
     """
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(pred, dtype=np.float64)
-    return -(t * np.log(np.maximum(p, floor))).sum(axis=-1)
+    return -_class_reduce(np.add, t * np.log(np.maximum(p, floor)))
 
 
 def one_hot(labels, k):

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import atomic_open, write_float_table
-from .numerics import one_hot
+from .numerics import _class_reduce, one_hot
 
 SIMPLEX_RENORM_TOL = 1e-6
 
@@ -63,7 +63,7 @@ def _check_pred(pred):
     pred = np.asarray(pred, dtype=np.float64)
     if pred.size and np.fmin.reduce(pred, axis=None) < 0.0:
         raise ValueError("prediction has negative entries")
-    s = pred.sum(axis=-1, keepdims=True)
+    s = _class_reduce(np.add, pred, keepdims=True)
     err = np.abs(s - 1.0)
     if np.max(err, initial=0.0) <= 1e-12:  # NaN-propagating, so False for a NaN row
         return pred
@@ -203,7 +203,7 @@ def sharpen(target, tau):
     if tau == 1.0:
         return t.copy()
     powered = t ** (1.0 / tau)
-    return powered / powered.sum(axis=-1, keepdims=True)
+    return powered / _class_reduce(np.add, powered, keepdims=True)
 
 
 @dataclass

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, asdict, replace as dc_replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from . import analysis
 from .data import Dataset, augment_strong, augment_weak
 from .fileio import read_blocks, write_blocks, write_float_table
 from .models import Model, backward, forward, init_model, save_checkpoint
-from .numerics import (PROB_FLOOR, adam_state, entropy, kl_div,
+from .numerics import (PROB_FLOOR, _class_reduce, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
 from .targets import StrategyConfig, TargetStrategy, sharpen
 
@@ -101,12 +102,30 @@ class TrainConfig:
             raise ValueError("eval_every must be >= 1")
 
 
+# per-seed wall-clock phases reported in timing.txt
+PHASES = ("train_epoch", "evaluate", "trace_write", "state_write")
+
+
 @dataclass
 class RunRecord:
     seed: int
     config: dict
     rows: list = field(default_factory=list)
     wall_clock_s: float = 0.0
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+
+    @contextmanager
+    def timed(self, phase):
+        """Add the wall-clock seconds of the ``with`` body to ``phase_s[phase]``."""
+        t0 = time.perf_counter()
+        try:
+            yield
+        finally:
+            self.phase_s[phase] += time.perf_counter() - t0
+
+    def timing_line(self):
+        phases = ", ".join(f"{name} {secs:.3f} s" for name, secs in self.phase_s.items())
+        return f"seed {self.seed}: {self.wall_clock_s:.3f} s ({phases})\n"
 
 
 def lr_at(schedule, base_lr, epoch, total_epochs):
@@ -132,7 +151,7 @@ def _kl_logit_grad(strong_probs, anchor_probs, floor=PROB_FLOOR):
     lp = np.log(np.maximum(strong_probs, floor))
     lq = np.log(np.maximum(anchor_probs, floor))
     diff = lp - lq
-    row_kl = (strong_probs * diff).sum(axis=1, keepdims=True)
+    row_kl = _class_reduce(np.add, strong_probs * diff, keepdims=True)
     return strong_probs * (diff - row_kl)
 
 
@@ -380,18 +399,23 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     last_epoch = cfg.epochs if stop_after is None else min(stop_after, cfg.epochs)
     with open(records_path, "a") as rec_fh:
         for epoch in range(start_epoch + 1, last_epoch + 1):
-            row = train_epoch(model, train_set, strategy, opt_state, cfg, epoch, seed)
+            with record.timed("train_epoch"):
+                row = train_epoch(model, train_set, strategy, opt_state, cfg, epoch, seed)
             row["schema_version"] = RECORD_SCHEMA_VERSION
             if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-                ev = evaluate(model, test_set)
+                with record.timed("evaluate"):
+                    ev = evaluate(model, test_set)
                 row.update(test_acc=ev["acc"], test_ece=ev["ece"], test_nll=ev["nll"])
-                write_trace_csv(trace_dir / f"epoch_{epoch}.csv", ev["preds"], test_set.labels)
+                with record.timed("trace_write"):
+                    write_trace_csv(trace_dir / f"epoch_{epoch}.csv", ev["preds"],
+                                    test_set.labels)
             else:
                 row.update(test_acc=None, test_ece=None, test_nll=None)
             rec_fh.write(_record_line(row))
             rec_fh.flush()
             record.rows.append(row)
-            _save_train_state(state_path, model, opt_state, strategy, epoch)
+            with record.timed("state_write"):
+                _save_train_state(state_path, model, opt_state, strategy, epoch)
             if progress is not None:
                 progress(seed, row)
 
@@ -408,8 +432,9 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
                    progress=None):
     """Train every seed with independent derived streams; returns RunRecords.
 
-    Wall-clock totals go to a sidecar timing file so every other artifact in
-    the run directory is byte-reproducible from (config, seeds).
+    Wall-clock totals, with the per-seed phase totals of ``RunRecord.phase_s``,
+    go to a sidecar timing file so every other artifact in the run directory
+    is byte-reproducible from (config, seeds).
     """
     layout = run_layout(run_dir)
     layout["root"].mkdir(parents=True, exist_ok=True)
@@ -421,6 +446,5 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
                                     layout, snapshot, progress=progress)
         records.append(record)
     with open(layout["root"] / "timing.txt", "w") as fh:
-        for record in records:
-            fh.write(f"seed {record.seed}: {record.wall_clock_s:.3f} s\n")
+        fh.writelines(record.timing_line() for record in records)
     return records

@@ -1,9 +1,10 @@
 """Acceptance criteria, one test per criterion, each printing a PASS/FAIL line.
 
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
-lines as they complete. Criteria 9-11 share the session-scoped benchmark
+lines as they complete. Criteria 8-11 share the session-scoped benchmark
 fixture from conftest (twenty 100-epoch runs), so the first of them to run
-pays the training cost.
+pays the training cost. Those tests carry the ``slow`` marker:
+``pytest -m "not slow"`` runs everything else in a few seconds.
 """
 
 import json
@@ -229,6 +230,7 @@ def test_c7_metric_hand_cases():
     report(7, f"metric hand cases ({sum(checks)}/{len(checks)} exact)", all(checks))
 
 
+@pytest.mark.slow
 def test_c8_decomposition_identity(benchmark_runs):
     # real trained predictions from the benchmark, every seed
     layout = run_layout(benchmark_runs["bsd_noisy"]["dir"])
@@ -248,6 +250,7 @@ def _final_rows(records):
     return [[r for r in rec.rows if r["test_acc"] is not None][-1] for rec in records]
 
 
+@pytest.mark.slow
 def test_c9_noise_robustness(benchmark_runs):
     base = _final_rows(benchmark_runs["baseline_noisy"]["records"])
     bsd = _final_rows(benchmark_runs["bsd_noisy"]["records"])
@@ -258,6 +261,7 @@ def test_c9_noise_robustness(benchmark_runs):
               f"(need >= +0.02), {seconds:.0f}s", gap >= 0.02 and seconds < 120.0)
 
 
+@pytest.mark.slow
 def test_c10_calibration(benchmark_runs):
     base = _final_rows(benchmark_runs["baseline_clean"]["records"])
     bsd = _final_rows(benchmark_runs["bsd_clean"]["records"])
@@ -270,6 +274,7 @@ def test_c10_calibration(benchmark_runs):
                f"{seconds:.0f}s", ece_s <= ece_b and nll_s <= nll_b and seconds < 120.0)
 
 
+@pytest.mark.slow
 def test_c11_dark_knowledge_emergence(benchmark_runs):
     layout = run_layout(benchmark_runs["bsd_noisy"]["dir"])
     ok = True

@@ -3,16 +3,68 @@ import math
 import numpy as np
 import pytest
 
-from bsdlab.analysis import (_temperature_nll, ace, auroc, calibration_report,
+from bsdlab.analysis import (_temperature_nll, accuracy, ace, auroc, calibration_report,
                              delta_decomposition, ece, fit_temperature,
                              mean_flip_probability, mu_matrix, nll,
-                             reconstruct_predictions, sce, temp_adjusted_kl,
-                             temperature_scale)
+                             reconstruct_predictions, reliability_bins, sce,
+                             temp_adjusted_kl, temperature_scale)
 from bsdlab.numerics import one_hot, softmax
 
 
 def perfect_preds(labels, k):
     return one_hot(np.asarray(labels), k)
+
+
+class TestLabels:
+    """Every entry point that takes labels rejects ones that would index wrongly."""
+
+    preds = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1], [0.2, 0.2, 0.6]])
+    mu = np.full((3, 3), 1.0 / 3.0)
+    BAD = {
+        "negative": np.array([0, 1, -1]),
+        "too large": np.array([0, 1, 3]),
+        "length 1": np.array([1]),
+        "too long": np.array([0, 1, 2, 0]),
+        "2-D": np.array([[0, 1, 2]]),
+        "float": np.array([0.0, 1.0, 2.0]),
+    }
+
+    def entry_points(self):
+        p, mu = self.preds, self.mu
+        logits = np.log(p)
+        dk = delta_decomposition(p, np.array([0, 1, 2]), mu)
+        return {
+            "accuracy": lambda y: accuracy(p, y),
+            "ece": lambda y: ece(p, y),
+            "sce": lambda y: sce(p, y),
+            "ace": lambda y: ace(p, y),
+            "nll": lambda y: nll(p, y),
+            "reliability_bins": lambda y: reliability_bins(p, y),
+            "calibration_report": lambda y: calibration_report(p, y),
+            "mu_matrix": lambda y: mu_matrix(p, y, 3),
+            "delta_decomposition": lambda y: delta_decomposition(p, y, mu),
+            "reconstruct_predictions": lambda y: reconstruct_predictions(dk, y),
+            "fit_temperature": lambda y: fit_temperature(logits, y),
+        }
+
+    @pytest.mark.parametrize("case", sorted(BAD))
+    def test_bad_labels_rejected(self, case):
+        for name, call in self.entry_points().items():
+            with pytest.raises(ValueError, match="label"):
+                call(self.BAD[case])
+
+    def test_negative_label_no_longer_wraps(self):
+        # -1 used to index the last class, so this equalled nll(p, [0, 1, 2])
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+            nll(self.preds, [0, 1, -1])
+
+    def test_valid_labels_of_any_integer_dtype(self):
+        preds = np.tile(self.preds, (100, 1))  # 300 rows: label * n overflows uint8
+        labels = np.tile([0, 1, 2], 100)
+        for dtype in (np.int32, np.uint8):
+            assert nll(preds, labels.astype(dtype)) == nll(preds, labels)
+            assert fit_temperature(np.log(preds), labels.astype(dtype)) == \
+                fit_temperature(np.log(preds), labels)
 
 
 class TestEce:

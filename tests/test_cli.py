@@ -150,6 +150,15 @@ class TestAnalyzeCommand:
         assert report["ece"] == 0.0 and report["sce"] == 0.0 and report["ace"] == 0.0
         assert report["nll"] == 0.0 and report["accuracy"] == 1.0
 
+    @pytest.mark.parametrize("what", ["calibration", "dark-knowledge", "dynamics"])
+    def test_out_of_range_label_is_an_error(self, tmp_path, capsys, what):
+        tdir = tmp_path / "bad" / "traces" / "seed_0"
+        tdir.mkdir(parents=True)
+        rows = [f"{i},{i % 3},0.5,0.25,0.25" for i in range(6)] + ["6,3,0.5,0.25,0.25"]
+        (tdir / "epoch_1.csv").write_text("sample_id,label,p_0,p_1,p_2\n" + "\n".join(rows) + "\n")
+        assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
+        assert capsys.readouterr().err == "error: label out of range [0, 3)\n"
+
     def test_dark_knowledge_symmetric_csv(self, trained_run):
         assert main(["analyze", str(trained_run), "--what", "dark-knowledge"]) == 0
         mu_path = run_layout(trained_run)["reports"] / "mu_seed_1.csv"

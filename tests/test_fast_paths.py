@@ -10,17 +10,30 @@ rewrites must give the same bytes, sign of zero included, and draw the same
 numbers from the rng in the same order. The one exception is te, whose
 improper-prior store computes the bias-corrected average in another order
 and must agree to 1e-12.
+
+The analysis pass is checked the same way: ``_class_reduce`` against
+``ufunc.reduce`` itself, and every function routed through it, the
+slice-binned calibration errors, the class-major temperature objective and
+the vectorized midranks against copies of the versions they replaced.
 """
+
+import math
 
 import numpy as np
 import pytest
 
 from bsdlab import data, models
+from bsdlab.analysis import (DarkKnowledge, _as_preds, _bin_index, _midranks,
+                             _temperature_nll, ace, auroc, delta_decomposition,
+                             reliability_bins, sce)
 from bsdlab.data import augment_strong, make_blobs
 from bsdlab.models import CONV_CHANNELS, ModelSpec, backward, forward, init_model
-from bsdlab.numerics import one_hot
-from bsdlab.targets import StrategyConfig, TargetStrategy, init_prior
-from bsdlab.training import TrainConfig, evaluate, make_optimizer, train_epoch
+from bsdlab.numerics import (PROB_FLOOR, _class_reduce, entropy, kl_div, one_hot,
+                             soft_cross_entropy, softmax)
+from bsdlab.targets import (SIMPLEX_RENORM_TOL, StrategyConfig, TargetStrategy, _check_pred,
+                            init_prior, sharpen)
+from bsdlab.training import (TrainConfig, _kl_logit_grad, evaluate, make_optimizer,
+                             train_epoch)
 
 
 def old_conv_forward(model, batch):
@@ -377,3 +390,338 @@ def test_training_with_store_strategy_matches_reference(mode, kw):
     (new_losses, new_preds), (old_losses, old_preds) = runs
     assert_same_targets(mode, new_preds, old_preds)
     np.testing.assert_allclose(new_losses, old_losses, rtol=0.0 if mode != "te" else 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Class-axis reductions and the analysis pass
+
+CHAIN_SHAPES_N = [1, 63, 64, 65, 10000]
+
+
+def wide_range_rows(rng, n, k):
+    """Mixed-sign values from 1e-300 to 1e300, with all -0.0 rows, mixed +-0.0
+    rows, and NaN / +inf / -inf entries sprinkled in."""
+    x = rng.choice([-1.0, 1.0], size=(n, k)) * 10.0 ** rng.uniform(-300, 300, size=(n, k))
+    x[rng.random((n, k)) < 0.3] *= 1e-300 * rng.random()
+    x[::7] = -0.0
+    x[3::11] = rng.choice([0.0, -0.0], size=x[3::11].shape)
+    for value, rate in ((np.nan, 0.01), (np.inf, 0.01), (-np.inf, 0.01)):
+        x[rng.random((n, k)) < rate] = value
+    return x
+
+
+def layouts(x):
+    """The same values C-ordered, F-ordered and as a strided view."""
+    big = np.full((x.shape[0], 2 * x.shape[1]), 7.0)
+    big[:, ::2] = x
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x), "strided": big[:, ::2]}
+
+
+@pytest.mark.parametrize("n", CHAIN_SHAPES_N)
+@pytest.mark.parametrize("k", range(2, 11))
+def test_class_reduce_matches_ufunc_reduce(k, n):
+    rng = np.random.default_rng(1000 * k + n)
+    x = wide_range_rows(rng, n, k)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for name, view in layouts(x).items():
+            for ufunc in (np.add, np.maximum):
+                for keepdims in (False, True):
+                    got = _class_reduce(ufunc, view, keepdims=keepdims)
+                    want = ufunc.reduce(view, axis=-1, keepdims=keepdims)
+                    assert_bit_equal(got, want)
+
+
+# Verbatim copies of the functions the class-axis reducer, the contiguous bin
+# slices, the class-major temperature objective and the vectorized midranks
+# replaced.
+
+def old_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    if not np.all(np.isfinite(z)):
+        raise ValueError("non-finite logits")
+    shifted = z - z.max(axis=-1, keepdims=True)
+    e = np.exp(shifted)
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def old_entropy(p, floor=PROB_FLOOR):
+    p = np.asarray(p, dtype=np.float64)
+    return -(p * np.log(np.maximum(p, floor))).sum(axis=-1)
+
+
+def old_kl_div(p, q, floor=PROB_FLOOR):
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    logp = np.log(np.maximum(p, floor))
+    logq = np.log(np.maximum(q, floor))
+    return (p * (logp - logq)).sum(axis=-1)
+
+
+def old_soft_cross_entropy(target, pred, floor=PROB_FLOOR):
+    t = np.asarray(target, dtype=np.float64)
+    p = np.asarray(pred, dtype=np.float64)
+    return -(t * np.log(np.maximum(p, floor))).sum(axis=-1)
+
+
+def old_check_pred(pred):
+    pred = np.asarray(pred, dtype=np.float64)
+    if pred.size and np.fmin.reduce(pred, axis=None) < 0.0:
+        raise ValueError("prediction has negative entries")
+    s = pred.sum(axis=-1, keepdims=True)
+    err = np.abs(s - 1.0)
+    if np.max(err, initial=0.0) <= 1e-12:  # NaN-propagating, so False for a NaN row
+        return pred
+    if np.any(err > SIMPLEX_RENORM_TOL):
+        raise ValueError(
+            f"prediction off the simplex by {err.max():.3e} (> {SIMPLEX_RENORM_TOL})"
+        )
+    return pred / s
+
+
+def old_sharpen(target, tau):
+    if tau <= 0.0:
+        raise ValueError("sharpening tau must be > 0")
+    t = np.asarray(target, dtype=np.float64)
+    if tau == 1.0:
+        return t.copy()
+    powered = t ** (1.0 / tau)
+    return powered / powered.sum(axis=-1, keepdims=True)
+
+
+def old_kl_logit_grad(strong_probs, anchor_probs, floor=PROB_FLOOR):
+    lp = np.log(np.maximum(strong_probs, floor))
+    lq = np.log(np.maximum(anchor_probs, floor))
+    diff = lp - lq
+    row_kl = (strong_probs * diff).sum(axis=1, keepdims=True)
+    return strong_probs * (diff - row_kl)
+
+
+def old_sce(preds, labels, bins=15):
+    preds = _as_preds(preds)
+    labels = np.asarray(labels)
+    n, k = preds.shape
+    total = 0.0
+    for j in range(k):
+        pj = preds[:, j]
+        hit = (labels == j).astype(np.float64)
+        idx = _bin_index(pj, bins)
+        for b in range(bins):
+            mask = idx == b
+            nb = int(mask.sum())
+            if nb == 0:
+                continue
+            total += (nb / n) * abs(hit[mask].mean() - pj[mask].mean())
+    return float(total / k)
+
+
+def old_ace(preds, labels, bins=15):
+    preds = _as_preds(preds)
+    labels = np.asarray(labels)
+    n, k = preds.shape
+    total = 0.0
+    used = 0
+    for j in range(k):
+        pj = preds[:, j]
+        hit = (labels == j).astype(np.float64)
+        order = np.argsort(pj, kind="stable")
+        for chunk in np.array_split(order, bins):
+            if chunk.size == 0:
+                continue
+            total += abs(hit[chunk].mean() - pj[chunk].mean())
+            used += 1
+    return float(total / used)
+
+
+def old_reliability_bins(preds, labels, bins=15):
+    preds = _as_preds(preds)
+    labels = np.asarray(labels)
+    if bins < 1:
+        raise ValueError("bins must be >= 1")
+    conf = preds.max(axis=1)
+    correct = (preds.argmax(axis=1) == labels).astype(np.float64)
+    idx = _bin_index(conf, bins)
+    rows = []
+    for b in range(bins):
+        mask = idx == b
+        nb = int(mask.sum())
+        rows.append({
+            "bin_lo": b / bins,
+            "bin_hi": (b + 1) / bins,
+            "conf": float(conf[mask].mean()) if nb else 0.0,
+            "acc": float(correct[mask].mean()) if nb else 0.0,
+            "count": nb,
+        })
+    return rows
+
+
+def old_midranks(values):
+    order = np.argsort(values, kind="stable")
+    ranks = np.empty(values.shape[0], dtype=np.float64)
+    sorted_vals = values[order]
+    i = 0
+    while i < sorted_vals.shape[0]:
+        j = i
+        while j + 1 < sorted_vals.shape[0] and sorted_vals[j + 1] == sorted_vals[i]:
+            j += 1
+        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        i = j + 1
+    return ranks
+
+
+def old_auroc(id_scores, ood_scores):
+    id_scores = np.asarray(id_scores, dtype=np.float64)
+    ood_scores = np.asarray(ood_scores, dtype=np.float64)
+    if id_scores.size == 0 or ood_scores.size == 0:
+        raise ValueError("both score sets must be nonempty")
+    pooled = np.concatenate([id_scores, ood_scores])
+    ranks = old_midranks(pooled)
+    n_id, n_ood = id_scores.size, ood_scores.size
+    rank_sum = ranks[:n_id].sum()
+    return float((rank_sum - n_id * (n_id + 1) / 2.0) / (n_id * n_ood))
+
+
+def old_delta_decomposition(preds, labels, mu):
+    preds = _as_preds(preds)
+    labels = np.asarray(labels)
+    mu = np.asarray(mu, dtype=np.float64)
+    a, b = preds, -mu[labels]
+    delta = a + b
+    bb = delta - a
+    comp = (a - (delta - bb)) + (b - bb)  # Knuth two-sum residual
+    mags = np.abs(delta).sum(axis=1)
+    k = mu.shape[0]
+    class_means = np.array([
+        mags[labels == j].mean() if np.any(labels == j) else 0.0 for j in range(k)
+    ])
+    return DarkKnowledge(mu=mu, delta=delta, delta_comp=comp, delta_l1=mags,
+                         class_mean_delta_l1=class_means, mu_row_sums=mu.sum(axis=1))
+
+
+def old_temperature_nll(logits, labels):
+    if not np.all(np.isfinite(logits)):
+        raise ValueError("non-finite logits")
+    abs_max = float(np.abs(logits).max())
+    row_max = logits.max(axis=-1)
+    rows = np.arange(logits.shape[0])
+    e = np.empty_like(logits)
+
+    def objective(t):
+        if not math.isfinite(abs_max / t):
+            raise ValueError("non-finite logits")
+        np.divide(logits, t, out=e)
+        np.subtract(e, (row_max / t)[:, None], out=e)
+        np.exp(e, out=e)
+        p_true = e[rows, labels] / e.sum(axis=-1)
+        return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
+
+    return objective
+
+
+ANALYSIS_SHAPES = [(1, 2), (7, 3), (63, 4), (64, 4), (65, 7), (1000, 4), (1000, 8), (300, 10),
+                   (10000, 4)]
+
+
+def trace_preds(rng, n, k):
+    """Trace-like predictions: peaked and flat rows, exact zeros and one-hots, ties
+    (rows repeated and entries rounded onto bin edges), and F-ordered storage."""
+    p = rng.dirichlet(np.full(k, 0.3), size=n)
+    p[::5] = np.round(p[::5] * 15.0) / 15.0
+    p[1::9] = np.eye(k)[rng.integers(0, k, size=p[1::9].shape[0])]
+    p[2::13] = p[0]
+    return p
+
+
+@pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
+def test_numerics_reductions_match_reference(n, k):
+    rng = np.random.default_rng(n * 31 + k)
+    logits = rng.normal(0.0, 30.0, size=(n, k))
+    p, q = trace_preds(rng, n, k), trace_preds(rng, n, k)
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        z, a, b = layout(logits), layout(p), layout(q)
+        assert_bit_equal(softmax(z), old_softmax(z))
+        assert_bit_equal(entropy(a), old_entropy(a))
+        assert_bit_equal(kl_div(a, b), old_kl_div(a, b))
+        assert_bit_equal(soft_cross_entropy(a, b), old_soft_cross_entropy(a, b))
+        assert_bit_equal(_kl_logit_grad(a, b), old_kl_logit_grad(a, b))
+        for tau in (0.5, 1.0, 2.0):
+            assert_bit_equal(sharpen(a, tau), old_sharpen(a, tau))
+    stack = np.stack([p, q])  # (2, n, k): not a 2-D batch, so one reduce call
+    assert_bit_equal(entropy(stack), old_entropy(stack))
+    assert_bit_equal(softmax(logits[0]), old_softmax(logits[0]))
+
+
+@pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
+def test_check_pred_matches_reference(n, k):
+    rng = np.random.default_rng(n * 37 + k)
+    p = trace_preds(rng, n, k)
+    p /= p.sum(axis=1, keepdims=True)  # the rows rounded onto bin edges are off the simplex
+    drifted = p * (1.0 + 1e-9 * rng.standard_normal((n, 1)))
+    with_nan = p.copy()
+    with_nan[n // 2, 0] = np.nan
+    for case in (p, drifted, with_nan, np.asfortranarray(drifted)):
+        assert_bit_equal(_check_pred(case), old_check_pred(case))
+    off = p.copy()
+    off[-1] *= 1.1
+    for bad in (off, -p):
+        with pytest.raises(ValueError) as got:
+            _check_pred(bad)
+        with pytest.raises(ValueError) as want:
+            old_check_pred(bad)
+        assert str(got.value) == str(want.value)
+
+
+@pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
+@pytest.mark.parametrize("bins", [1, 10, 15, 40])
+def test_binned_calibration_matches_reference(n, k, bins):
+    rng = np.random.default_rng(n * 41 + k + bins)
+    p = trace_preds(rng, n, k)
+    labels = rng.integers(0, k, size=n)
+    assert repr(reliability_bins(p, labels, bins)) == repr(old_reliability_bins(p, labels, bins))
+    assert repr(sce(p, labels, bins)) == repr(old_sce(p, labels, bins))
+    assert repr(ace(p, labels, bins)) == repr(old_ace(p, labels, bins))
+
+
+@pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
+def test_delta_decomposition_matches_reference(n, k):
+    rng = np.random.default_rng(n * 43 + k)
+    p = trace_preds(rng, n, k)
+    labels = rng.integers(0, k, size=n)
+    mu = trace_preds(rng, k, k)
+    got, want = delta_decomposition(p, labels, mu), old_delta_decomposition(p, labels, mu)
+    for name in ("mu", "delta", "delta_comp", "delta_l1", "class_mean_delta_l1", "mu_row_sums"):
+        assert_bit_equal(getattr(got, name), getattr(want, name))
+
+
+@pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
+def test_temperature_objective_matches_reference(n, k):
+    rng = np.random.default_rng(n * 47 + k)
+    labels = rng.integers(0, k, size=n)
+    for logits in (rng.normal(0.0, 3.0, size=(n, k)),
+                   np.log(np.maximum(trace_preds(rng, n, k), 1e-12)),
+                   np.asfortranarray(rng.normal(0.0, 50.0, size=(n, k)))):
+        got, want = _temperature_nll(logits, labels), old_temperature_nll(logits, labels)
+        for t in (0.05, 0.0731, 0.5, 1.0, 1.7, 3.3, 7.25, 20.0):
+            assert repr(got(t)) == repr(want(t))
+
+
+def tied_scores(rng, n):
+    """Scores on a coarse grid (long tie runs), exact zeros of both signs."""
+    s = rng.integers(0, 6, size=n) / 5.0
+    s[::17] = -0.0
+    return s
+
+
+@pytest.mark.parametrize("n_id, n_ood", [(1, 1), (3, 4), (50, 7), (10000, 10000)])
+def test_midranks_and_auroc_match_reference(n_id, n_ood):
+    rng = np.random.default_rng(n_id + n_ood)
+    a, b = tied_scores(rng, n_id), tied_scores(rng, n_ood)
+    pooled = np.concatenate([a, b])
+    assert_bit_equal(_midranks(pooled), old_midranks(pooled))
+    with_nan = pooled.copy()
+    with_nan[::3] = np.nan
+    assert_bit_equal(_midranks(with_nan), old_midranks(with_nan))
+    distinct = rng.permutation(pooled.size).astype(np.float64)
+    assert_bit_equal(_midranks(distinct), old_midranks(distinct))
+    assert repr(auroc(a, b)) == repr(old_auroc(a, b))
+    c = rng.random(n_ood)
+    assert repr(auroc(a, c)) == repr(old_auroc(a, c))
