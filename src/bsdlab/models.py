@@ -269,19 +269,22 @@ def backward(model: Model, cache, dlogits, out=None):
     spec = model.spec
     n_hidden = len(spec.hidden)
     grads = model.views(np.empty_like(model.flat)) if out is None else out
+    conv = spec.architecture == "tiny-conv"
     a = cache["logits_input"]
     np.matmul(a.T, dlogits, out=grads[f"w{n_hidden}"])
-    dlogits.sum(axis=0, out=grads[f"b{n_hidden}"])
-    da = dlogits @ model.params[f"w{n_hidden}"].T
+    np.add.reduce(dlogits, axis=0, out=grads[f"b{n_hidden}"])
+    if n_hidden or conv:  # an MLP's input gradient is never used
+        da = dlogits @ model.params[f"w{n_hidden}"].T
     for i in range(n_hidden - 1, -1, -1):
         layer = cache["layers"][i]
         if layer["mask"] is not None:
             da = da * layer["mask"]
         dz = da * _activate_grad(spec.activation, layer["z"], layer["act"])
         np.matmul(layer["input"].T, dz, out=grads[f"w{i}"])
-        dz.sum(axis=0, out=grads[f"b{i}"])
-        da = dz @ model.params[f"w{i}"].T
-    if spec.architecture == "tiny-conv":
+        np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
+        if i or conv:
+            da = dz @ model.params[f"w{i}"].T
+    if conv:
         _conv_backward(model, cache["conv"], da, grads)
     return grads
 

@@ -18,7 +18,7 @@ rows and other shapes make the one reduce call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,6 +52,11 @@ def _class_reduce(ufunc, x, keepdims=False):
     return out[:, None] if keepdims else out
 
 
+def _all_finite(x):
+    """``np.isfinite(x).all()`` as one ufunc reduce, without the Python-level wrapper."""
+    return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
 def softmax(logits):
     """Map logits to the probability simplex along the last axis.
 
@@ -59,7 +64,7 @@ def softmax(logits):
     all logits leaves the output unchanged (up to float64 rounding).
     """
     z = np.asarray(logits, dtype=np.float64)
-    if not np.all(np.isfinite(z)):
+    if not _all_finite(z):
         raise ValueError("non-finite logits")
     shifted = z - _class_reduce(np.maximum, z, keepdims=True)
     e = np.exp(shifted)
@@ -110,6 +115,8 @@ class OptimizerState:
     Flat moment vectors (``m``/``v`` for Adam, ``buf`` for momentum) are
     allocated on the first step, so the state can be created before the
     parameter count is known. ``step`` drives Adam's bias correction.
+    ``scratch`` is a pair of vectors for the step's intermediates; it is
+    working memory, not state, so it is neither saved nor compared.
     """
 
     kind: str  # "sgd-momentum" | "adam"
@@ -123,6 +130,7 @@ class OptimizerState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     buf: np.ndarray | None = None
+    scratch: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("sgd-momentum", "adam"):
@@ -149,13 +157,20 @@ def optimizer_step(params, grads, state, lr=None):
     """
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: parameters {params.shape} vs gradients {grads.shape}")
-    if not np.isfinite(grads).all():
+    if not _all_finite(grads):
         raise ValueError("non-finite gradient")
     step_lr = state.lr if lr is None else lr
     state.step += 1
+    if state.scratch is None:
+        state.scratch = (np.empty_like(params), np.empty_like(params))
+    # intermediates go to the scratch pair, each op in the order of the plain
+    # expressions g = grads + wd * params, then params -= lr * g (sgd) or
+    # params -= lr * m_hat / (sqrt(v_hat) + eps) (adam); float + and * commute
+    s1, s2 = state.scratch
     g = grads
     if state.weight_decay != 0.0:
-        g = g + state.weight_decay * params
+        g = np.multiply(state.weight_decay, params, s1)
+        g += grads
     if state.kind == "sgd-momentum":
         if state.momentum != 0.0:
             if state.buf is None:
@@ -163,18 +178,24 @@ def optimizer_step(params, grads, state, lr=None):
             state.buf *= state.momentum
             state.buf += g
             g = state.buf
-        params -= step_lr * g
+        params -= np.multiply(step_lr, g, s2)
         return params, state
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     m, v = state.m, state.v
     m *= state.beta1
-    m += (1.0 - state.beta1) * g
+    m += np.multiply(1.0 - state.beta1, g, s2)
     v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    m_hat = m / (1.0 - state.beta1 ** state.step)
-    v_hat = v / (1.0 - state.beta2 ** state.step)
-    params -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    g2 = np.multiply(g, g, s2)
+    g2 *= 1.0 - state.beta2
+    v += g2
+    delta = np.divide(m, 1.0 - state.beta1 ** state.step, s1)  # m_hat, then lr * m_hat
+    delta *= step_lr
+    denom = np.divide(v, 1.0 - state.beta2 ** state.step, s2)  # v_hat, then sqrt(v_hat) + eps
+    np.sqrt(denom, denom)
+    denom += state.eps
+    delta /= denom
+    params -= delta
     return params, state
 
 

@@ -51,16 +51,29 @@ __all__ = [
 ]
 
 
-def _check_pred(pred):
-    """Validate a prediction row; renormalize tiny drift, reject real deviations.
+def _check_pred(pred, block=None):
+    """Validate prediction rows; renormalize tiny drift, reject real deviations.
 
     Sums within 1e-12 of 1 are left untouched (dividing by a 1-ulp-off sum
     would perturb every entry); larger drift up to the tolerance is
     renormalized; beyond that is treated as a caller bug. A NaN entry is
     passed through: it makes its row NaN but raises nothing, and it never
     hides a negative entry, because ``fmin`` skips NaNs.
+
+    The leave-or-renormalize decision covers a whole block of rows: with
+    ``block`` set, each consecutive ``block`` rows (one training mini-batch)
+    decide on their own and are checked in order, so the first offending
+    block raises; ``None`` makes all rows one block.
     """
     pred = np.asarray(pred, dtype=np.float64)
+    if block is not None and pred.ndim == 2 and pred.shape[0] > block:
+        # row sums do not depend on the row count, so when every row is fine
+        # no block can decide otherwise
+        if (np.fmin.reduce(pred, axis=None) >= 0.0
+                and np.max(np.abs(_class_reduce(np.add, pred) - 1.0)) <= 1e-12):
+            return pred
+        return np.concatenate([_check_pred(pred[start:start + block])
+                               for start in range(0, pred.shape[0], block)])
     if pred.size and np.fmin.reduce(pred, axis=None) < 0.0:
         raise ValueError("prediction has negative entries")
     s = _class_reduce(np.add, pred, keepdims=True)
@@ -90,9 +103,12 @@ class EvidenceStore:
     def k(self):
         return self.y.shape[1]
 
-    def update_rows(self, indices, preds):
-        """Discounted Bayesian update of the selected rows from their predictions."""
-        preds = _check_pred(preds)
+    def update_rows(self, indices, preds, block=None):
+        """Discounted Bayesian update of the selected rows from their predictions.
+
+        ``block`` rows at a time are checked together; see ``_check_pred``.
+        """
+        preds = _check_pred(preds, block)
         gA = self.gamma * self.A[indices]
         w = gA / (gA + 1.0)  # update_weight, from the same gathered masses
         self.y[indices] = w[:, None] * self.y[indices] + (1.0 - w)[:, None] * preds
@@ -242,9 +258,9 @@ class TargetStrategy:
     whether the store is frozen (never updated); see the module docstring.
     Served rows are ``(1 - a) * onehot + a * y`` with ``a = 1`` except for
     ps-kd, whose ``a`` ramps linearly to ``pskd_alpha``. The training loop
-    calls ``targets(indices, epoch)`` for the rows consumed by the loss and
-    ``update(indices, preds)`` after the optimizer step, so a batch always
-    trains on the pre-update rows.
+    calls ``targets(perm, epoch)`` once for the epoch's rows and, after the
+    epoch's last optimizer step, ``update(perm, preds, batch=...)`` once, so
+    every batch trains on the pre-update rows.
     """
 
     def __init__(self, cfg: StrategyConfig, labels, k, total_epochs):
@@ -282,10 +298,14 @@ class TargetStrategy:
     def target(self, i, epoch):
         return self.targets(np.asarray([i]), epoch)[0]
 
-    def update(self, indices, preds):
-        """Fold the batch predictions into the store (post-step); frozen stores ignore them."""
+    def update(self, indices, preds, batch=None):
+        """Fold predictions into the store (post-step); frozen stores ignore them.
+
+        ``batch`` is the mini-batch size when ``preds`` holds several
+        batches' rows in order, each checked on its own (see ``_check_pred``).
+        """
         if not self.frozen:
-            self.store.update_rows(indices, preds)
+            self.store.update_rows(indices, preds, block=batch)
 
     def mean_evidence(self):
         return None if self.frozen else float(self.store.A.mean())

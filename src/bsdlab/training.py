@@ -1,11 +1,15 @@
 """Training loop, loss assembly, schedules, and experiment orchestration.
 
 One epoch follows the in-place recursion exactly: for each mini-batch,
-forward, loss against the currently stored targets (sharpened by tau),
-gradient step, then fold the batch predictions back into the target state.
-Targets consumed by a batch are always the pre-update values; predictions fed
-to the state are the same forward outputs used for the loss, captured before
-the optimizer step, with no gradient connection.
+forward, loss against the stored targets (sharpened by tau), gradient step;
+the predictions are folded back into the target state once per epoch, in one
+store update after the last step. That is the same computation as folding
+each batch in after its step: the epoch's shuffle visits every sample once,
+so a batch reads only its own rows, and no row is written before the next
+epoch. Targets consumed by a batch are therefore always the pre-update
+values; predictions fed to the state are the same forward outputs used for
+the loss, captured before the optimizer step, with no gradient connection.
+Each batch keeps its own leave-or-renormalize decision in the update.
 
 Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
@@ -205,12 +209,18 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     # gradient buffer laid out like model.flat; strong views add theirs in
     grad_flat = np.empty_like(model.flat)
     grads = model.views(grad_flat)
+    # one gather and one store update per epoch; exact because perm visits
+    # each sample once (see the module docstring)
+    samples = dataset.samples[perm]
+    served = strategy.targets(perm, epoch)
+    if cfg.tau != 1.0:
+        served = sharpen(served, cfg.tau)
+    preds = np.empty((n, k))
     loss_sum = 0.0
     for start in range(0, n, cfg.batch_size):
-        idx = perm[start:start + cfg.batch_size]
-        bsz = idx.shape[0]
-        raw = dataset.samples[idx]
-        weak, strong_views = _augmented_views(raw, cfg, seed, epoch)
+        stop = min(start + cfg.batch_size, n)
+        bsz = stop - start
+        weak, strong_views = _augmented_views(samples[start:stop], cfg, seed, epoch)
 
         try:
             probs, cache = forward(model, weak, dropout_rng)
@@ -220,8 +230,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                     f"non-finite activations at epoch {epoch}, batch starting {start} "
                     f"(seed {seed}): {exc}") from exc
             raise
-        targets = strategy.targets(idx, epoch)
-        sharp = sharpen(targets, cfg.tau)
+        sharp = served[start:stop]
         batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
         dlogits = (probs - sharp) / (bsz * k)
         backward(model, cache, dlogits, out=grads)
@@ -240,8 +249,9 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
             raise TrainingDiverged(
                 f"non-finite gradient in block {bad!r} at epoch {epoch}, batch starting "
                 f"{start} (seed {seed})") from exc
-        strategy.update(idx, probs)
+        preds[start:stop] = probs
         loss_sum += batch_loss * bsz
+    strategy.update(perm, preds, batch=cfg.batch_size)
 
     target_entropy = float(np.mean(entropy(strategy.current_targets(epoch))))
     return {

@@ -15,6 +15,13 @@ The analysis pass is checked the same way: ``_class_reduce`` against
 ``ufunc.reduce`` itself, and every function routed through it, the
 slice-binned calibration errors, the class-major temperature objective and
 the vectorized midranks against copies of the versions they replaced.
+
+The training loop is checked against a copy of the per-batch loop it
+replaced: one store update, sample gather and target gather per mini-batch,
+the allocating optimizer step and the backward pass that also formed the
+unused input gradient. Parameters, optimizer moments, the evidence store and
+every epoch row must match bit for bit, and the epoch-level store update
+must keep each mini-batch's own leave-or-renormalize decision and error.
 """
 
 import math
@@ -22,18 +29,20 @@ import math
 import numpy as np
 import pytest
 
-from bsdlab import data, models
+from bsdlab import data, models, training
 from bsdlab.analysis import (DarkKnowledge, _as_preds, _bin_index, _midranks,
                              _temperature_nll, ace, auroc, delta_decomposition,
                              reliability_bins, sce)
 from bsdlab.data import augment_strong, make_blobs
-from bsdlab.models import CONV_CHANNELS, ModelSpec, backward, forward, init_model
+from bsdlab.models import (CONV_CHANNELS, ModelSpec, _activate_grad, _conv_backward, backward,
+                           forward, init_model)
 from bsdlab.numerics import (PROB_FLOOR, _class_reduce, entropy, kl_div, one_hot,
                              soft_cross_entropy, softmax)
-from bsdlab.targets import (SIMPLEX_RENORM_TOL, StrategyConfig, TargetStrategy, _check_pred,
-                            init_prior, sharpen)
-from bsdlab.training import (TrainConfig, _kl_logit_grad, evaluate, make_optimizer,
-                             train_epoch)
+from bsdlab.targets import (SIMPLEX_RENORM_TOL, STRATEGY_MODES, EvidenceStore, StrategyConfig,
+                            TargetStrategy, _check_pred, init_prior, sharpen)
+from bsdlab.training import (_DROPOUT, _SHUFFLE, BsdPlusConfig, TrainConfig, TrainingDiverged,
+                             _augmented_views, _epoch_rng, _kl_logit_grad, contrastive_term,
+                             evaluate, lr_at, make_optimizer, train_epoch)
 
 
 def old_conv_forward(model, batch):
@@ -341,6 +350,15 @@ class OldTargetStrategy:
         return self.targets(np.arange(self.labels.shape[0]), epoch)
 
 
+class PerBatchOldTargetStrategy(OldTargetStrategy):
+    """The reference strategy fed one mini-batch at a time, as the old loop fed it."""
+
+    def update(self, indices, preds, batch=None):
+        step = len(indices) if batch is None else batch
+        for start in range(0, len(indices), step):
+            super().update(indices[start:start + step], preds[start:start + step])
+
+
 STRATEGY_CASES = [("baseline", {}), ("label-smoothing", {"ls_alpha": 0.2}), ("bsd", {}),
                   ("dlb", {}), ("ps-kd", {"pskd_alpha": 0.8}), ("ps-kd", {"pskd_alpha": 1.0}),
                   ("te", {"te_momentum": 0.6})]
@@ -381,7 +399,7 @@ def test_training_with_store_strategy_matches_reference(mode, kw):
                       strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0, **kw))
     spec = ModelSpec(input_dim=2, classes=3, hidden=(6,), dropout=0.1, seed=3)
     runs = []
-    for cls in (TargetStrategy, OldTargetStrategy):
+    for cls in (TargetStrategy, PerBatchOldTargetStrategy):
         model, opt = init_model(spec), make_optimizer(cfg)
         strategy = cls(cfg.strategy, train.labels, train.k, cfg.epochs)
         losses = [train_epoch(model, train, strategy, opt, cfg, e, seed=9)["train_loss"]
@@ -725,3 +743,276 @@ def test_midranks_and_auroc_match_reference(n_id, n_ood):
     assert repr(auroc(a, b)) == repr(old_auroc(a, b))
     c = rng.random(n_ood)
     assert repr(auroc(a, c)) == repr(old_auroc(a, c))
+
+
+# ---------------------------------------------------------------------------
+# The epoch-level training loop and the call-trimmed step
+
+class OldEvidenceStore(EvidenceStore):
+    def update_rows(self, indices, preds):
+        """Discounted Bayesian update of the selected rows from their predictions."""
+        preds = old_check_pred(preds)
+        gA = self.gamma * self.A[indices]
+        w = gA / (gA + 1.0)  # update_weight, from the same gathered masses
+        self.y[indices] = w[:, None] * self.y[indices] + (1.0 - w)[:, None] * preds
+        self.A[indices] = gA + 1.0
+
+
+class OldUpdateTargetStrategy(TargetStrategy):
+    def update(self, indices, preds):
+        """Fold the batch predictions into the store (post-step); frozen stores ignore them."""
+        if not self.frozen:
+            self.store.update_rows(indices, preds)
+
+
+def old_optimizer_step(params, grads, state, lr=None):
+    if params.shape != grads.shape:
+        raise ValueError(f"shape mismatch: parameters {params.shape} vs gradients {grads.shape}")
+    if not np.isfinite(grads).all():
+        raise ValueError("non-finite gradient")
+    step_lr = state.lr if lr is None else lr
+    state.step += 1
+    g = grads
+    if state.weight_decay != 0.0:
+        g = g + state.weight_decay * params
+    if state.kind == "sgd-momentum":
+        if state.momentum != 0.0:
+            if state.buf is None:
+                state.buf = np.zeros_like(params)
+            state.buf *= state.momentum
+            state.buf += g
+            g = state.buf
+        params -= step_lr * g
+        return params, state
+    if state.m is None:
+        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
+    m, v = state.m, state.v
+    m *= state.beta1
+    m += (1.0 - state.beta1) * g
+    v *= state.beta2
+    v += (1.0 - state.beta2) * (g * g)
+    m_hat = m / (1.0 - state.beta1 ** state.step)
+    v_hat = v / (1.0 - state.beta2 ** state.step)
+    params -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    return params, state
+
+
+def old_backward(model, cache, dlogits, out=None):
+    if "logits_input" not in cache:
+        raise ValueError("stale or incomplete forward cache")
+    spec = model.spec
+    n_hidden = len(spec.hidden)
+    grads = model.views(np.empty_like(model.flat)) if out is None else out
+    a = cache["logits_input"]
+    np.matmul(a.T, dlogits, out=grads[f"w{n_hidden}"])
+    dlogits.sum(axis=0, out=grads[f"b{n_hidden}"])
+    da = dlogits @ model.params[f"w{n_hidden}"].T
+    for i in range(n_hidden - 1, -1, -1):
+        layer = cache["layers"][i]
+        if layer["mask"] is not None:
+            da = da * layer["mask"]
+        dz = da * _activate_grad(spec.activation, layer["z"], layer["act"])
+        np.matmul(layer["input"].T, dz, out=grads[f"w{i}"])
+        dz.sum(axis=0, out=grads[f"b{i}"])
+        da = dz @ model.params[f"w{i}"].T
+    if spec.architecture == "tiny-conv":
+        _conv_backward(model, cache["conv"], da, grads)
+    return grads
+
+
+def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
+    """Run one epoch (1-based ``epoch``); returns epoch metrics."""
+    if strategy.labels.shape[0] != dataset.n:
+        raise ValueError("target state and dataset sizes are misaligned")
+    n, k = dataset.n, dataset.k
+    model.train()
+    lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
+    perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
+    dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
+    # gradient buffer laid out like model.flat; strong views add theirs in
+    grad_flat = np.empty_like(model.flat)
+    grads = model.views(grad_flat)
+    loss_sum = 0.0
+    for start in range(0, n, cfg.batch_size):
+        idx = perm[start:start + cfg.batch_size]
+        bsz = idx.shape[0]
+        raw = dataset.samples[idx]
+        weak, strong_views = _augmented_views(raw, cfg, seed, epoch)
+
+        try:
+            probs, cache = forward(model, weak, dropout_rng)
+        except ValueError as exc:
+            if "non-finite" in str(exc):
+                raise TrainingDiverged(
+                    f"non-finite activations at epoch {epoch}, batch starting {start} "
+                    f"(seed {seed}): {exc}") from exc
+            raise
+        targets = strategy.targets(idx, epoch)
+        sharp = sharpen(targets, cfg.tau)
+        batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
+        dlogits = (probs - sharp) / (bsz * k)
+        old_backward(model, cache, dlogits, out=grads)
+
+        if strong_views:
+            batch_loss = contrastive_term(model, strong_views, probs, cfg.bsd_plus.lam,
+                                          dropout_rng, grad_flat, batch_loss)
+
+        if not np.isfinite(batch_loss):
+            raise TrainingDiverged(
+                f"non-finite loss at epoch {epoch}, batch starting {start} (seed {seed})")
+        try:
+            old_optimizer_step(model.flat, grad_flat, opt_state, lr=lr)
+        except ValueError as exc:  # grad_flat matches model.flat, so only a non-finite entry
+            bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
+            raise TrainingDiverged(
+                f"non-finite gradient in block {bad!r} at epoch {epoch}, batch starting "
+                f"{start} (seed {seed})") from exc
+        strategy.update(idx, probs)
+        loss_sum += batch_loss * bsz
+
+    target_entropy = float(np.mean(entropy(strategy.current_targets(epoch))))
+    return {
+        "epoch": epoch,
+        "lr": float(lr),
+        "train_loss": loss_sum / n,
+        "mean_target_entropy": target_entropy,
+        "mean_evidence": strategy.mean_evidence(),
+    }
+
+
+def assert_same_run(new, old):
+    """Same epoch rows (repr of every float), parameters, moments and store bytes."""
+    new_model, new_opt, new_strategy, new_rows = new
+    old_model, old_opt, old_strategy, old_rows = old
+    assert repr(new_rows) == repr(old_rows)
+    assert_bit_equal(new_model.flat, old_model.flat)
+    assert new_opt.step == old_opt.step
+    for key in ("m", "v", "buf"):
+        got, want = getattr(new_opt, key), getattr(old_opt, key)
+        assert (got is None) == (want is None)
+        if got is not None:
+            assert_bit_equal(got, want)
+    assert_bit_equal(new_strategy.store.y, old_strategy.store.y)
+    assert_bit_equal(new_strategy.store.A, old_strategy.store.A)
+
+
+def run_both(dataset, spec, cfg, monkeypatch, seed=5):
+    """Train ``cfg.epochs`` epochs with the new loop, then with the old one."""
+    def run(epoch_fn, strategy):
+        model, opt = init_model(spec), make_optimizer(cfg)
+        rows = [epoch_fn(model, dataset, strategy, opt, cfg, e, seed)
+                for e in range(1, cfg.epochs + 1)]
+        return model, opt, strategy, rows
+
+    new = run(train_epoch, TargetStrategy(cfg.strategy, dataset.labels, dataset.k, cfg.epochs))
+    old_strategy = OldUpdateTargetStrategy(cfg.strategy, dataset.labels, dataset.k, cfg.epochs)
+    store = old_strategy.store
+    old_strategy.store = OldEvidenceStore(store.y, store.A, store.gamma)
+    monkeypatch.setattr(training, "backward", old_backward)  # the strong views' backward too
+    return new, run(old_train_epoch, old_strategy)
+
+
+@pytest.mark.parametrize("mode", STRATEGY_MODES)
+@pytest.mark.parametrize("tau", [0.5, 1.0, 2.0])
+def test_train_epoch_matches_reference_every_mode(mode, tau, monkeypatch):
+    # 23 samples in batches of 6: the last batch is short
+    train = make_blobs(3, 8, spacing=1.5, cov_scale=0.8, seed=[7, 0])
+    train = data.Dataset(samples=train.samples[:23], clean_labels=train.clean_labels[:23],
+                         labels=train.labels[:23], k=3, split="train")
+    cfg = TrainConfig(epochs=4, batch_size=6, lr=0.05, tau=tau,
+                      strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0, epsilon=0.1))
+    spec = ModelSpec(input_dim=2, classes=3, hidden=(6, 5), dropout=0.2, seed=3)
+    assert_same_run(*run_both(train, spec, cfg, monkeypatch))
+
+
+@pytest.mark.parametrize("optimizer, momentum, weight_decay",
+                         [("sgd", 0.0, 0.0), ("sgd", 0.0, 1e-3), ("sgd", 0.9, 0.0),
+                          ("sgd", 0.9, 1e-3), ("adam", 0.0, 1e-3)])
+@pytest.mark.parametrize("hidden", [(), (7,)])
+def test_train_epoch_matches_reference_optimizers(optimizer, momentum, weight_decay, hidden,
+                                                  monkeypatch):
+    train = make_blobs(4, 9, spacing=2.0, cov_scale=0.8, seed=[8, 0])
+    cfg = TrainConfig(epochs=3, batch_size=5, optimizer=optimizer, lr=0.1, momentum=momentum,
+                      weight_decay=weight_decay, schedule="cosine",
+                      strategy=StrategyConfig(mode="bsd", gamma=0.9, c=10.0))
+    spec = ModelSpec(input_dim=2, classes=4, hidden=hidden, activation="tanh", seed=4)
+    assert_same_run(*run_both(train, spec, cfg, monkeypatch))
+
+
+@pytest.mark.parametrize("mode", ["bsd", "te"])
+def test_train_epoch_matches_reference_bsd_plus(mode, monkeypatch):
+    rng = np.random.default_rng(12)
+    h, w, ch, n = 7, 6, 2, 13
+    train = data.Dataset(samples=rng.uniform(0.0, 1.0, size=(n, h, w, ch)),
+                         clean_labels=rng.integers(0, 3, size=n),
+                         labels=rng.integers(0, 3, size=n), k=3, split="train")
+    cfg = TrainConfig(epochs=3, batch_size=4, lr=0.02, tau=0.5,
+                      strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0),
+                      bsd_plus=BsdPlusConfig(enabled=True, lam=0.7, views=2,
+                                             strong_jitter=0.1, erase_frac=0.3))
+    spec = ModelSpec(input_dim=h * w * ch, classes=3, hidden=(5,), architecture="tiny-conv",
+                     grid_shape=(h, w, ch), dropout=0.2, seed=6)
+    assert_same_run(*run_both(train, spec, cfg, monkeypatch))
+
+
+def per_batch_update(store, perm, preds, block):
+    """The old loop's store traffic: one update per consecutive ``block`` rows."""
+    for start in range(0, perm.shape[0], block):
+        store.update_rows(perm[start:start + block], preds[start:start + block])
+
+
+def store_pair(rng, n, k):
+    store = init_prior(rng.integers(0, k, size=n), k, c=30.0, epsilon=0.1, gamma=0.9)
+    store.A += rng.uniform(0.0, 5.0, size=n)
+    return store, OldEvidenceStore(store.y.copy(), store.A.copy(), store.gamma)
+
+
+@pytest.mark.parametrize("k", [3, 10])
+def test_epoch_update_keeps_each_batch_renormalize_decision(k):
+    rng = np.random.default_rng(k)
+    n, block = 70, 16
+    perm = rng.permutation(n)
+    preds = rng.dirichlet(np.full(k, 0.7), size=n)
+    preds /= preds.sum(axis=1, keepdims=True)
+    clean = preds.copy()
+    preds[16:32] *= 1.0 + 1e-10  # the second batch drifted; its neighbours did not
+    nan_row = preds.copy()
+    nan_row[40, 1] = np.nan
+    for case in (clean, preds, nan_row):
+        new, old = store_pair(rng, n, k)
+        new.update_rows(perm, case, block=block)
+        per_batch_update(old, perm, case, block)
+        assert_bit_equal(new.y, old.y)
+        assert_bit_equal(new.A, old.A)
+    # a drifted batch is renormalized alone: its neighbours keep their exact bits
+    checked = _check_pred(preds, 16)
+    assert_bit_equal(checked[:16], preds[:16])
+    assert_bit_equal(checked[32:], preds[32:])
+    assert checked[16:32].tobytes() != preds[16:32].tobytes()
+    # one block for all rows, as before, when no block size is given
+    assert_bit_equal(_check_pred(preds), old_check_pred(preds))
+
+
+@pytest.mark.parametrize("first, second", [("off", "negative"), ("negative", "off"),
+                                           ("off", "off")])
+def test_epoch_update_raises_first_offending_batch_message(first, second):
+    rng = np.random.default_rng(3)
+    n, k, block = 40, 4, 8
+    perm = rng.permutation(n)
+    preds = rng.dirichlet(np.full(k, 0.7), size=n)
+    preds /= preds.sum(axis=1, keepdims=True)
+    for rows, kind, scale in ((slice(9, 10), first, 1.1), (slice(24, 26), second, 1.3)):
+        if kind == "off":
+            preds[rows] *= scale
+        else:
+            preds[rows, 0] = -1e-3
+    new, old = store_pair(rng, n, k)
+    y0, A0 = new.y.copy(), new.A.copy()
+    with pytest.raises(ValueError) as got:
+        new.update_rows(perm, preds, block=block)
+    with pytest.raises(ValueError) as want:
+        per_batch_update(old, perm, preds, block)
+    assert str(got.value) == str(want.value)
+    # nothing is written when any batch is rejected
+    assert_bit_equal(new.y, y0)
+    assert_bit_equal(new.A, A0)

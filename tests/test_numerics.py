@@ -142,6 +142,19 @@ class TestOptimizerStep:
                 optimizer_step(per_block[sl], g[sl], state)
         np.testing.assert_array_equal(whole, per_block)
 
+    def test_scratch_is_working_memory_not_state(self):
+        params, grads = np.array([1.0, -2.0]), np.array([0.5, 0.25])
+        stepped, fresh = sgd_state(lr=0.1, weight_decay=0.1), sgd_state(lr=0.1, weight_decay=0.1)
+        optimizer_step(params, grads, stepped)
+        fresh.step = 1
+        assert stepped.scratch is not None and fresh.scratch is None
+        assert stepped == fresh
+        assert "scratch" not in repr(stepped)
+        # the scratch pair never aliases the caller's arrays
+        assert not any(np.shares_memory(buf, arr) for buf in stepped.scratch
+                       for arr in (params, grads))
+        np.testing.assert_array_equal(grads, [0.5, 0.25])
+
     def test_momentum_accumulates(self):
         params = np.array([0.0])
         state = sgd_state(lr=1.0, momentum=0.5)

@@ -16,7 +16,7 @@ from bsdlab.data import Dataset, make_blobs
 from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import ModelSpec, forward, init_model
 from bsdlab.numerics import finite_diff_grad, kl_div, soft_cross_entropy
-from bsdlab.targets import StrategyConfig, TargetStrategy, update_weight
+from bsdlab.targets import EvidenceStore, StrategyConfig, TargetStrategy, update_weight
 from bsdlab.training import (BsdPlusConfig, TrainConfig, TrainingDiverged,
                              contrastive_term, evaluate, lr_at, make_optimizer,
                              run_experiment, run_layout, run_single_seed,
@@ -118,7 +118,7 @@ class TestTrainEpoch:
             model, _, strategy, opt, cfg = fresh_run("bsd", dataset=ds, seed=7,
                                                      batch_size=ds.n)
             if mutate:
-                strategy.update = lambda indices, preds: None  # drop the write-back
+                strategy.update = lambda indices, preds, batch=None: None  # drop the write-back
             train_epoch(model, ds, strategy, opt, cfg, 1, seed=0)
             runs.append(model)
         for name in runs[0].block_names():
@@ -204,6 +204,63 @@ class TestTrainEpoch:
         with pytest.raises(TrainingDiverged, match="epoch"):
             for epoch in range(1, 10):
                 train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
+
+
+class TestEpochUpdate:
+    """The store is updated once per epoch, after the epoch's last step."""
+
+    def test_mid_epoch_divergence_leaves_store_at_epoch_start(self, monkeypatch):
+        model, ds, strategy, opt, cfg = fresh_run("bsd", optimizer="adam", lr=0.05,
+                                                  batch_size=4)
+        train_epoch(model, ds, strategy, opt, cfg, 1, seed=4)
+        y0, A0, step = strategy.store.y.tobytes(), strategy.store.A.tobytes(), opt.step
+        original = training.backward
+        calls = []
+
+        def poisoned_third_batch(model, cache, dlogits, out=None):
+            grads = original(model, cache, dlogits, out=out)
+            calls.append(None)
+            if len(calls) == 3:
+                grads["w1"][0, 0] = np.nan
+            return grads
+
+        monkeypatch.setattr(training, "backward", poisoned_third_batch)
+        with pytest.raises(TrainingDiverged, match="at epoch 2, batch starting 8 "):
+            train_epoch(model, ds, strategy, opt, cfg, 2, seed=4)
+        assert opt.step == step + 2  # two batches stepped before the third diverged
+        assert strategy.store.y.tobytes() == y0
+        assert strategy.store.A.tobytes() == A0
+
+    def test_store_updated_once_per_epoch_with_batch_blocks(self, monkeypatch):
+        calls = []
+        original = EvidenceStore.update_rows
+
+        def counted(self, indices, preds, block=None):
+            calls.append((indices.shape[0], preds.shape, block))
+            return original(self, indices, preds, block)
+
+        monkeypatch.setattr(EvidenceStore, "update_rows", counted)
+        model, ds, strategy, opt, cfg = fresh_run("bsd", batch_size=6)  # 20 = 3 * 6 + 2
+        for epoch in (1, 2, 3):
+            train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
+        assert calls == [(ds.n, (ds.n, ds.k), 6)] * 3
+
+    @pytest.mark.parametrize("shape", [(10, 3), (10, 6, 7, 2)])
+    @pytest.mark.parametrize("jitter", [0.0, 0.1])
+    def test_augmentations_never_write_into_their_input(self, shape, jitter):
+        # a batch is a slice of the epoch's sample gather, so a write into it
+        # would reach the strong views built from the same rows
+        gathered = np.random.default_rng(0).normal(size=shape)
+        before = gathered.tobytes()
+        gathered.flags.writeable = False
+        batch = gathered[2:7]
+        cfg = TrainConfig(bsd_plus=BsdPlusConfig(enabled=True, views=3, weak_jitter=jitter,
+                                                 strong_jitter=jitter))
+        weak, strong = training._augmented_views(batch, cfg, seed=1, epoch=2)
+        for view in [weak, *strong]:
+            assert view.shape == batch.shape
+            assert not np.shares_memory(view, gathered)
+        assert gathered.tobytes() == before
 
 
 class TestContrastive:
