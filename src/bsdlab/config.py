@@ -8,15 +8,16 @@ yields an identical resolved config.
 
 from __future__ import annotations
 
+import copy
 import difflib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .data import NoiseSpec
 from .models import ModelSpec
-from .targets import STRATEGY_MODES, StrategyConfig
-from .training import BsdPlusConfig, TrainConfig
+from .settings import check_error
+from .training import TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "resolved_json"]
 
@@ -33,44 +34,49 @@ def _reject_unknown(section, given, allowed):
             raise ConfigError(f"unknown key {key!r} in {section}{suffix}")
 
 
-def _get(section_name, section, key, default, kind, check=None, msg=None):
+def _get(section_name, section, key, default, check=None, msg=None):
+    """``section[key]`` (or ``default``), of ``default``'s type, passing ``check``."""
     value = section.get(key, default)
-    if value is None and default is None:
-        return None
-    if kind is float and isinstance(value, int) and not isinstance(value, bool):
+    kind = type(default)
+    if kind is float and type(value) is int:
         value = float(value)
-    if not isinstance(value, kind) or isinstance(value, bool) and kind is not bool:
+    if type(value) is not kind:
         raise ConfigError(f"{section_name}.{key} must be {kind.__name__}, got {value!r}")
-    if check is not None and not check(value):
-        raise ConfigError(msg or f"{section_name}.{key} has invalid value {value!r}")
+    error = check_error(f"{section_name}.{key}", value, check, msg)
+    if error:
+        raise ConfigError(error)
     return value
 
 
+# key: (default, check, msg); the checks exclude what make_blobs rejects
+_BLOBS = {
+    "classes": (4, lambda v: v >= 2, ">= 2"),
+    "per_class": (1000, lambda v: v >= 1, ">= 1"),
+    "test_per_class": (250, lambda v: v >= 1, ">= 1"),
+    "dim": (2, lambda v: v >= 2, ">= 2 (class centers sit on a ring)"),
+    "spacing": (3.0, None, None),
+    "cov_scale": (1.0, lambda v: v > 0.0, "> 0"),
+    "seed": (0, None, None),
+}
+
 _DATASET_KEYS = {
-    "blobs": {"kind", "classes", "per_class", "test_per_class", "dim", "spacing",
-              "cov_scale", "seed"},
+    "blobs": {"kind", *_BLOBS},
     "csv": {"kind", "path", "test_path", "label_column"},
     "idx": {"kind", "images", "labels", "test_images", "test_labels"},
 }
 
-_BLOBS_DEFAULTS = {"classes": 4, "per_class": 1000, "test_per_class": 250,
-                   "dim": 2, "spacing": 3.0, "cov_scale": 1.0, "seed": 0}
-
 
 def _resolve_dataset(section, base_dir):
+    if not isinstance(section, dict):
+        raise ConfigError("dataset must be an object")
     kind = section.get("kind", "blobs")
     if kind not in _DATASET_KEYS:
         raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
     _reject_unknown("dataset", section, _DATASET_KEYS[kind])
     out = {"kind": kind}
     if kind == "blobs":
-        for key, default in _BLOBS_DEFAULTS.items():
-            num = float if isinstance(default, float) else int
-            out[key] = _get("dataset", section, key, default, num)
-        if out["classes"] < 2:
-            raise ConfigError("dataset.classes must be >= 2")
-        if out["per_class"] < 1 or out["test_per_class"] < 1:
-            raise ConfigError("dataset.per_class and test_per_class must be >= 1")
+        for key, (default, check, msg) in _BLOBS.items():
+            out[key] = _get("dataset", section, key, default, check, msg)
     else:
         path_keys = ("path", "test_path") if kind == "csv" else (
             "images", "labels", "test_images", "test_labels")
@@ -83,122 +89,40 @@ def _resolve_dataset(section, base_dir):
                 raise ConfigError(f"dataset.{key}: no such file {resolved}")
             out[key] = resolved
         if kind == "csv":
-            out["label_column"] = _get("dataset", section, "label_column", "label", str)
+            out["label_column"] = _get("dataset", section, "label_column", "label")
     return out
 
 
-_MODEL_DEFAULTS = {"hidden": [32, 32], "activation": "relu", "architecture": "mlp",
-                   "dropout": 0.1}
+def _section_fields(cls):
+    """(field name, config key, nested dataclass or setting metadata) per config-facing field."""
+    for f in fields(cls):
+        if is_dataclass(f.default_factory):  # a nested section, e.g. TrainConfig.strategy
+            yield f.name, f.name, f.default_factory
+        elif "check" in f.metadata:
+            yield f.name, f.metadata["key"] or f.name, f.metadata
 
 
-def _resolve_model(section):
-    _reject_unknown("model", section, set(_MODEL_DEFAULTS))
-    hidden = section.get("hidden", _MODEL_DEFAULTS["hidden"])
-    if not isinstance(hidden, list) or not all(isinstance(h, int) and h >= 1 for h in hidden):
-        raise ConfigError("model.hidden must be a list of positive integers")
-    return {
-        "hidden": hidden,
-        "activation": _get("model", section, "activation", "relu", str,
-                           lambda v: v in ("relu", "tanh"),
-                           "model.activation must be 'relu' or 'tanh'"),
-        "architecture": _get("model", section, "architecture", "mlp", str,
-                             lambda v: v in ("mlp", "tiny-conv"),
-                             "model.architecture must be 'mlp' or 'tiny-conv'"),
-        "dropout": _get("model", section, "dropout", 0.1, float,
-                        lambda v: 0.0 <= v < 1.0, "model.dropout must be in [0, 1)"),
-    }
-
-
-_STRATEGY_DEFAULTS = {"mode": "bsd", "gamma": 0.95, "c": 1000.0, "epsilon": 0.0,
-                      "ls_alpha": 0.1, "pskd_alpha": 0.8, "te_momentum": 0.6}
-
-
-def _resolve_strategy(section):
-    _reject_unknown("train.strategy", section, set(_STRATEGY_DEFAULTS))
-    mode = _get("train.strategy", section, "mode", "bsd", str,
-                lambda v: v in STRATEGY_MODES,
-                f"train.strategy.mode must be one of {list(STRATEGY_MODES)}")
-    out = {
-        "mode": mode,
-        "gamma": _get("train.strategy", section, "gamma", 0.95, float,
-                      lambda v: 0.0 <= v <= 1.0, "gamma must be in [0,1]"),
-        "c": _get("train.strategy", section, "c", 1000.0, float,
-                  lambda v: v > 0.0, "c must be > 0"),
-        "epsilon": _get("train.strategy", section, "epsilon", 0.0, float,
-                        lambda v: v >= 0.0, "epsilon must be >= 0"),
-        "ls_alpha": _get("train.strategy", section, "ls_alpha", 0.1, float,
-                         lambda v: 0.0 <= v < 1.0, "ls_alpha must be in [0,1)"),
-        "pskd_alpha": _get("train.strategy", section, "pskd_alpha", 0.8, float,
-                           lambda v: 0.0 <= v <= 1.0, "pskd_alpha must be in [0,1]"),
-        "te_momentum": _get("train.strategy", section, "te_momentum", 0.6, float,
-                            lambda v: 0.0 < v < 1.0, "te_momentum must be in (0,1)"),
-    }
-    try:
-        StrategyConfig(**out)
-    except ValueError as exc:
-        raise ConfigError(f"train.strategy: {exc}") from exc
-    return out
-
-
-_BSD_PLUS_DEFAULTS = {"enabled": False, "lambda": 2.0, "views": 2,
-                      "weak_jitter": 0.05, "strong_jitter": 0.2, "erase_frac": 0.3}
-
-_TRAIN_SCALARS = {
-    "epochs": (100, int, lambda v: v >= 1, "train.epochs must be >= 1"),
-    "batch_size": (128, int, lambda v: v >= 1, "train.batch_size must be >= 1"),
-    "optimizer": ("adam", str, lambda v: v in ("adam", "sgd"),
-                  "train.optimizer must be 'adam' or 'sgd'"),
-    "lr": (0.01, float, lambda v: v >= 0.0, "train.lr must be >= 0"),
-    "momentum": (0.9, float, lambda v: 0.0 <= v < 1.0, "train.momentum must be in [0,1)"),
-    "beta1": (0.9, float, lambda v: 0.0 <= v < 1.0, "train.beta1 must be in [0,1)"),
-    "beta2": (0.999, float, lambda v: 0.0 <= v < 1.0, "train.beta2 must be in [0,1)"),
-    "adam_eps": (1e-8, float, lambda v: v > 0.0, "train.adam_eps must be > 0"),
-    "weight_decay": (0.0, float, lambda v: v >= 0.0, "train.weight_decay must be >= 0"),
-    "schedule": ("constant", str, lambda v: v in ("constant", "cosine"),
-                 "train.schedule must be 'constant' or 'cosine'"),
-    "tau": (1.0, float, lambda v: v > 0.0, "train.tau must be > 0"),
-    "eval_every": (5, int, lambda v: v >= 1, "train.eval_every must be >= 1"),
-}
-
-
-def _resolve_train(section):
-    allowed = set(_TRAIN_SCALARS) | {"strategy", "bsd_plus"}
-    _reject_unknown("train", section, allowed)
+def _resolve(section_name, cls, section):
+    """Resolve one config section against the config-facing fields of ``cls``."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{section_name} must be an object")
+    walked = list(_section_fields(cls))
+    _reject_unknown(section_name, section, [key for _, key, _ in walked])
     out = {}
-    for key, (default, kind, check, msg) in _TRAIN_SCALARS.items():
-        out[key] = _get("train", section, key, default, kind, check, msg)
-    out["strategy"] = _resolve_strategy(section.get("strategy", {}))
-    plus = section.get("bsd_plus", {})
-    _reject_unknown("train.bsd_plus", plus, set(_BSD_PLUS_DEFAULTS))
-    out["bsd_plus"] = {
-        "enabled": _get("train.bsd_plus", plus, "enabled", False, bool),
-        "lambda": _get("train.bsd_plus", plus, "lambda", 2.0, float,
-                       lambda v: v >= 0.0, "bsd_plus.lambda must be >= 0"),
-        "views": _get("train.bsd_plus", plus, "views", 2, int,
-                      lambda v: v >= 1, "bsd_plus.views must be >= 1"),
-        "weak_jitter": _get("train.bsd_plus", plus, "weak_jitter", 0.05, float,
-                            lambda v: v >= 0.0, "bsd_plus.weak_jitter must be >= 0"),
-        "strong_jitter": _get("train.bsd_plus", plus, "strong_jitter", 0.2, float,
-                              lambda v: v >= 0.0, "bsd_plus.strong_jitter must be >= 0"),
-        "erase_frac": _get("train.bsd_plus", plus, "erase_frac", 0.3, float,
-                           lambda v: 0.0 <= v <= 1.0, "bsd_plus.erase_frac must be in [0,1]"),
-    }
+    for _, key, meta in walked:
+        if is_dataclass(meta):
+            out[key] = _resolve(f"{section_name}.{key}", meta, section.get(key, {}))
+        else:
+            default = copy.copy(meta["config_default"])  # never share the field's list
+            out[key] = _get(section_name, section, key, default, meta["check"], meta["msg"])
     return out
 
 
-_NOISE_DEFAULTS = {"kind": "none", "rate": 0.0, "seed": 0}
-
-
-def _resolve_noise(section):
-    _reject_unknown("noise", section, set(_NOISE_DEFAULTS))
-    return {
-        "kind": _get("noise", section, "kind", "none", str,
-                     lambda v: v in ("none", "symmetric", "asymmetric"),
-                     "noise.kind must be 'none', 'symmetric' or 'asymmetric'"),
-        "rate": _get("noise", section, "rate", 0.0, float,
-                     lambda v: 0.0 <= v <= 1.0, "noise.rate must be in [0,1]"),
-        "seed": _get("noise", section, "seed", 0, int),
-    }
+def _build(cls, section, **extra):
+    """Construct ``cls`` from its resolved config section."""
+    kwargs = {name: _build(meta, section[key]) if is_dataclass(meta) else section[key]
+              for name, key, meta in _section_fields(cls)}
+    return cls(**kwargs, **extra)
 
 
 @dataclass
@@ -208,26 +132,14 @@ class ExperimentConfig:
     base_dir: Path
 
     def model_spec(self, input_dim, classes, grid_shape=None, seed=0) -> ModelSpec:
-        m = self.resolved["model"]
-        return ModelSpec(input_dim=input_dim, classes=classes,
-                         hidden=tuple(m["hidden"]), activation=m["activation"],
-                         architecture=m["architecture"], dropout=m["dropout"],
-                         seed=seed, grid_shape=grid_shape)
+        return _build(ModelSpec, self.resolved["model"], input_dim=input_dim,
+                      classes=classes, grid_shape=grid_shape, seed=seed)
 
     def train_config(self) -> TrainConfig:
-        t = self.resolved["train"]
-        strat = StrategyConfig(**t["strategy"])
-        plus_raw = dict(t["bsd_plus"])
-        plus = BsdPlusConfig(enabled=plus_raw["enabled"], lam=plus_raw["lambda"],
-                             views=plus_raw["views"], weak_jitter=plus_raw["weak_jitter"],
-                             strong_jitter=plus_raw["strong_jitter"],
-                             erase_frac=plus_raw["erase_frac"])
-        scalars = {k: t[k] for k in _TRAIN_SCALARS}
-        return TrainConfig(strategy=strat, bsd_plus=plus, **scalars)
+        return _build(TrainConfig, self.resolved["train"])
 
     def noise_spec(self) -> NoiseSpec:
-        n = self.resolved["noise"]
-        return NoiseSpec(kind=n["kind"], rate=n["rate"], seed=n["seed"])
+        return _build(NoiseSpec, self.resolved["noise"])
 
     @property
     def seeds(self):
@@ -251,9 +163,6 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown("top level", raw, _TOP_KEYS)
-    for section in ("dataset", "model", "train", "noise"):
-        if section in raw and not isinstance(raw[section], dict):
-            raise ConfigError(f"{section} must be an object")
     seeds = raw.get("seeds", [0])
     if (not isinstance(seeds, list) or not seeds
             or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
@@ -266,12 +175,15 @@ def parse_config(path) -> ExperimentConfig:
     resolved = {
         "name": name,
         "dataset": _resolve_dataset(raw.get("dataset", {}), path.parent),
-        "model": _resolve_model(raw.get("model", {})),
-        "train": _resolve_train(raw.get("train", {})),
-        "noise": _resolve_noise(raw.get("noise", {})),
+        "model": _resolve("model", ModelSpec, raw.get("model", {})),
+        "train": _resolve("train", TrainConfig, raw.get("train", {})),
+        "noise": _resolve("noise", NoiseSpec, raw.get("noise", {})),
         "seeds": seeds,
-        "output_dir": _get("top level", raw, "output_dir", "runs", str),
+        "output_dir": _get("top level", raw, "output_dir", "runs"),
     }
+    if resolved["model"]["architecture"] == "tiny-conv" and resolved["dataset"]["kind"] != "idx":
+        raise ConfigError("model.architecture 'tiny-conv' needs image grids, "
+                          "which only dataset.kind 'idx' gives")
     return ExperimentConfig(name=name, resolved=resolved, base_dir=path.parent)
 
 

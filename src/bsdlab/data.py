@@ -13,6 +13,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .settings import Settings, setting
+
 __all__ = [
     "Dataset",
     "NoiseSpec",
@@ -68,17 +70,12 @@ class Dataset:
 
 
 @dataclass
-class NoiseSpec:
-    kind: str = "none"  # "none" | "symmetric" | "asymmetric"
-    rate: float = 0.0
-    seed: int = 0
+class NoiseSpec(Settings):
+    kind: str = setting("none", lambda v: v in ("none", "symmetric", "asymmetric"),
+                        "'none', 'symmetric' or 'asymmetric'")
+    rate: float = setting(0.0, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
+    seed: int = setting(0)
     mapping: dict | None = None  # asymmetric only; None selects the cyclic successor map
-
-    def __post_init__(self):
-        if self.kind not in ("none", "symmetric", "asymmetric"):
-            raise ValueError(f"unknown noise kind {self.kind!r}")
-        if not (0.0 <= self.rate <= 1.0):
-            raise ValueError("noise rate must be in [0, 1]")
 
 
 def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0,

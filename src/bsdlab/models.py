@@ -20,6 +20,7 @@ import numpy as np
 
 from .fileio import read_blocks, write_blocks
 from .numerics import softmax
+from .settings import Settings, setting
 
 CONV_CHANNELS = 8
 CHECKPOINT_MAGIC = "BSDLAB-CKPT v1"
@@ -38,30 +39,27 @@ __all__ = [
 
 
 @dataclass
-class ModelSpec:
+class ModelSpec(Settings):
     input_dim: int
     classes: int
-    hidden: tuple = ()
-    activation: str = "relu"  # "relu" | "tanh"
-    architecture: str = "mlp"  # "mlp" | "tiny-conv"
-    dropout: float = 0.0
+    hidden: tuple = setting((), lambda v: all(type(h) is int and h >= 1 for h in v),
+                            "a list of positive integers", config_default=[32, 32])
+    activation: str = setting("relu", lambda v: v in ("relu", "tanh"), "'relu' or 'tanh'")
+    architecture: str = setting("mlp", lambda v: v in ("mlp", "tiny-conv"),
+                                "'mlp' or 'tiny-conv'")
+    dropout: float = setting(0.0, lambda v: 0.0 <= v < 1.0, "in [0, 1)", config_default=0.1)
     seed: int = 0
     grid_shape: tuple | None = None  # (h, w, ch), required for tiny-conv
 
     def __post_init__(self):
-        self.hidden = tuple(int(h) for h in self.hidden)
+        super().__post_init__()
+        self.hidden = tuple(self.hidden)
         if self.grid_shape is not None:
             self.grid_shape = tuple(int(g) for g in self.grid_shape)
         if self.classes < 2:
             raise ValueError("classes must be >= 2")
-        if self.input_dim < 1 or any(h < 1 for h in self.hidden):
-            raise ValueError("all layer sizes must be >= 1")
-        if not (0.0 <= self.dropout < 1.0):
-            raise ValueError("dropout must lie in [0, 1)")
-        if self.activation not in ("relu", "tanh"):
-            raise ValueError(f"unknown activation {self.activation!r}")
-        if self.architecture not in ("mlp", "tiny-conv"):
-            raise ValueError(f"unknown architecture {self.architecture!r}")
+        if self.input_dim < 1:
+            raise ValueError("input_dim must be >= 1")
         if self.architecture == "tiny-conv":
             if self.grid_shape is None or len(self.grid_shape) != 3:
                 raise ValueError("tiny-conv requires grid_shape=(h, w, ch)")

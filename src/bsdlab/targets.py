@@ -31,6 +31,7 @@ import numpy as np
 
 from .fileio import atomic_open, write_float_table
 from .numerics import _class_reduce, one_hot
+from .settings import Settings, setting
 
 SIMPLEX_RENORM_TOL = 1e-6
 
@@ -223,32 +224,19 @@ def sharpen(target, tau):
 
 
 @dataclass
-class StrategyConfig:
+class StrategyConfig(Settings):
     """Which target-construction scheme to run, with its mode-specific knobs."""
 
-    mode: str = "bsd"
-    gamma: float = 0.95
-    c: float = 1000.0
-    epsilon: float = 0.0
-    ls_alpha: float = 0.1      # label-smoothing mass spread over all classes
-    pskd_alpha: float = 0.8    # terminal mixing weight, ramped linearly over epochs
-    te_momentum: float = 0.6
-
-    def __post_init__(self):
-        if self.mode not in STRATEGY_MODES:
-            raise ValueError(f"unknown strategy mode {self.mode!r}")
-        if not (0.0 <= self.gamma <= 1.0):
-            raise ValueError("gamma must be in [0, 1]")
-        if self.c <= 0.0:
-            raise ValueError("c must be > 0")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be >= 0")
-        if not (0.0 <= self.ls_alpha < 1.0):
-            raise ValueError("ls_alpha must be in [0, 1)")
-        if not (0.0 <= self.pskd_alpha <= 1.0):
-            raise ValueError("pskd_alpha must be in [0, 1]")
-        if not (0.0 < self.te_momentum < 1.0):
-            raise ValueError("te_momentum must be in (0, 1)")
+    mode: str = setting("bsd", lambda v: v in STRATEGY_MODES,
+                        f"one of {list(STRATEGY_MODES)} (unknown strategy mode)")
+    gamma: float = setting(0.95, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
+    c: float = setting(1000.0, lambda v: v > 0.0, "> 0")
+    epsilon: float = setting(0.0, lambda v: v >= 0.0, ">= 0")
+    # label-smoothing mass spread over all classes
+    ls_alpha: float = setting(0.1, lambda v: 0.0 <= v < 1.0, "in [0,1)")
+    # terminal mixing weight, ramped linearly over epochs
+    pskd_alpha: float = setting(0.8, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
+    te_momentum: float = setting(0.6, lambda v: 0.0 < v < 1.0, "in (0,1)")
 
 
 class TargetStrategy:

@@ -32,6 +32,7 @@ from .fileio import read_blocks, write_blocks, write_float_table
 from .models import Model, backward, forward, init_model, save_checkpoint
 from .numerics import (PROB_FLOOR, _class_reduce, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
+from .settings import Settings, setting
 from .targets import StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
@@ -59,51 +60,32 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class BsdPlusConfig:
-    enabled: bool = False
-    lam: float = 2.0          # contrastive weight
-    views: int = 2            # strong views per sample
-    weak_jitter: float = 0.05
-    strong_jitter: float = 0.2
-    erase_frac: float = 0.3
-
-    def __post_init__(self):
-        if self.enabled and self.views < 1:
-            raise ValueError("bsd_plus needs at least one strong view")
-        if self.lam < 0.0:
-            raise ValueError("contrastive weight must be >= 0")
+class BsdPlusConfig(Settings):
+    enabled: bool = setting(False)
+    lam: float = setting(2.0, lambda v: v >= 0.0, ">= 0", key="lambda")  # contrastive weight
+    views: int = setting(2, lambda v: v >= 1, ">= 1")  # strong views per sample
+    weak_jitter: float = setting(0.05, lambda v: v >= 0.0, ">= 0")
+    strong_jitter: float = setting(0.2, lambda v: v >= 0.0, ">= 0")
+    erase_frac: float = setting(0.3, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
 
 
 @dataclass
-class TrainConfig:
-    epochs: int = 100
-    batch_size: int = 128
-    optimizer: str = "adam"   # "adam" | "sgd"
-    lr: float = 0.01
-    momentum: float = 0.9
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
-    schedule: str = "constant"  # "constant" | "cosine"
+class TrainConfig(Settings):
+    epochs: int = setting(100, lambda v: v >= 1, ">= 1")
+    batch_size: int = setting(128, lambda v: v >= 1, ">= 1")
+    optimizer: str = setting("adam", lambda v: v in ("adam", "sgd"), "'adam' or 'sgd'")
+    lr: float = setting(0.01, lambda v: v >= 0.0, ">= 0")
+    momentum: float = setting(0.9, lambda v: 0.0 <= v < 1.0, "in [0,1)")
+    beta1: float = setting(0.9, lambda v: 0.0 <= v < 1.0, "in [0,1)")
+    beta2: float = setting(0.999, lambda v: 0.0 <= v < 1.0, "in [0,1)")
+    adam_eps: float = setting(1e-8, lambda v: v > 0.0, "> 0")
+    weight_decay: float = setting(0.0, lambda v: v >= 0.0, ">= 0")
+    schedule: str = setting("constant", lambda v: v in ("constant", "cosine"),
+                            "'constant' or 'cosine'")
     strategy: StrategyConfig = field(default_factory=StrategyConfig)
-    tau: float = 1.0
+    tau: float = setting(1.0, lambda v: v > 0.0, "> 0")  # target sharpening; 1 disables
     bsd_plus: BsdPlusConfig = field(default_factory=BsdPlusConfig)
-    eval_every: int = 5
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if self.tau <= 0.0:
-            raise ValueError("tau must be > 0 (1 disables sharpening)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
-        if self.schedule not in ("constant", "cosine"):
-            raise ValueError(f"unknown schedule {self.schedule!r}")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be >= 1")
+    eval_every: int = setting(5, lambda v: v >= 1, ">= 1")
 
 
 # per-seed wall-clock phases reported in timing.txt

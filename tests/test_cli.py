@@ -1,4 +1,7 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,8 +9,10 @@ import pytest
 from bsdlab import analysis, cli
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
-from bsdlab.data import load_csv
-from bsdlab.training import run_layout
+from bsdlab.data import NoiseSpec, load_csv
+from bsdlab.models import ModelSpec
+from bsdlab.targets import StrategyConfig
+from bsdlab.training import BsdPlusConfig, TrainConfig, run_layout
 
 
 def write_config(path, **overrides):
@@ -80,6 +85,95 @@ class TestParseConfig:
             parse_config(path)
 
 
+# (dotted section, config key, invalid value) for every checked setting
+INVALID_SETTINGS = [
+    ("model", "hidden", [0]),
+    ("model", "hidden", [True, 8]),  # JSON booleans are not layer widths
+    ("model", "activation", "sigmoid"),
+    ("model", "architecture", "resnet"),
+    ("model", "dropout", 1.0),
+    ("train", "epochs", 0),
+    ("train", "batch_size", 0),
+    ("train", "optimizer", "rmsprop"),
+    ("train", "lr", -1.0),
+    ("train", "momentum", 1.0),
+    ("train", "beta1", 1.0),
+    ("train", "beta2", 1.0),
+    ("train", "adam_eps", 0.0),
+    ("train", "weight_decay", -0.5),
+    ("train", "schedule", "step"),
+    ("train", "tau", 0.0),
+    ("train", "eval_every", 0),
+    ("train.strategy", "mode", "frobnicate"),
+    ("train.strategy", "gamma", 1.5),
+    ("train.strategy", "c", 0.0),
+    ("train.strategy", "epsilon", -1.0),
+    ("train.strategy", "ls_alpha", 1.0),
+    ("train.strategy", "pskd_alpha", 1.5),
+    ("train.strategy", "te_momentum", 1.0),
+    ("train.bsd_plus", "lambda", -1.0),
+    ("train.bsd_plus", "views", 0),
+    ("train.bsd_plus", "weak_jitter", -0.1),
+    ("train.bsd_plus", "strong_jitter", -0.1),
+    ("train.bsd_plus", "erase_frac", 2.0),
+    ("noise", "kind", "uniform"),
+    ("noise", "rate", 1.5),
+]
+
+SECTION_CLASSES = {"model": ModelSpec, "train": TrainConfig, "train.strategy": StrategyConfig,
+                   "train.bsd_plus": BsdPlusConfig, "noise": NoiseSpec}
+
+
+class TestSettingsParity:
+    def test_every_checked_setting_is_covered(self):
+        covered = {(section, "lam" if key == "lambda" else key)
+                   for section, key, _ in INVALID_SETTINGS}
+        checked = {(section, f.name) for section, cls in SECTION_CLASSES.items()
+                   for f in dataclasses.fields(cls) if f.metadata.get("check") is not None}
+        assert checked == covered
+
+    @pytest.mark.parametrize("section,key,value", INVALID_SETTINGS,
+                             ids=[f"{s}.{k}={v!r}" for s, k, v in INVALID_SETTINGS])
+    def test_config_and_library_reject_alike(self, tmp_path, section, key, value):
+        raw = {}
+        node = raw
+        for part in section.split("."):
+            node = node.setdefault(part, {})
+        node[key] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        with pytest.raises(ConfigError) as exc:
+            parse_config(path)
+        assert str(exc.value).startswith(f"{section}.{key} must be ")
+        name = "lam" if key == "lambda" else key
+        required = {"input_dim": 4, "classes": 3} if section == "model" else {}
+        with pytest.raises(ValueError):
+            SECTION_CLASSES[section](**required, **{name: value})
+
+    def test_field_name_lam_is_an_unknown_key(self, tmp_path):
+        path = tmp_path / "lam.json"
+        path.write_text(json.dumps({"train": {"bsd_plus": {"lam": 1.0}}}))
+        with pytest.raises(ConfigError, match="unknown key 'lam' in train.bsd_plus; "
+                                              "did you mean 'lambda'"):
+            parse_config(path)
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_schema_matches_resolved_defaults(tmp_path):
+    text = README.read_text()
+    block = text[text.index("## Config schema"):]
+    block = block[block.index("```jsonc\n") + len("```jsonc\n"):]
+    block = block[:block.index("```")]
+    schema = json.loads(re.sub(r"//[^\n]*", "", block))
+    path = tmp_path / "empty.json"
+    path.write_text("{}")
+    resolved = json.loads(resolved_json(parse_config(path)))
+    assert schema.pop("name") == "<config file stem>" and resolved.pop("name") == "empty"
+    assert schema == resolved
+
+
 class TestTrainCommand:
     def test_records_per_seed_and_refusal(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"))
@@ -107,6 +201,25 @@ class TestTrainCommand:
         bad.write_text(json.dumps({"train": {"strategy": {"gamma": 2.0}}}))
         assert main(["train", str(bad)]) == 2
         assert "gamma" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case,key", [
+        ("dim", "dataset.dim"), ("cov_scale", "dataset.cov_scale"),
+        ("conv_blobs", "model.architecture"), ("conv_csv", "model.architecture")])
+    def test_dry_run_rejects_what_training_cannot_build(self, tmp_path, capsys, case, key):
+        for name in ("train.csv", "test.csv"):
+            (tmp_path / name).write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        overrides = {
+            "dim": {"dataset": {"kind": "blobs", "dim": 1}},
+            "cov_scale": {"dataset": {"kind": "blobs", "cov_scale": 0}},
+            "conv_blobs": {"model": {"architecture": "tiny-conv"}},
+            "conv_csv": {"model": {"architecture": "tiny-conv"},
+                         "dataset": {"kind": "csv", "path": "train.csv",
+                                     "test_path": "test.csv"}},
+        }[case]
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"),
+                                **overrides)
+        assert main(["train", str(cfg_path), "--dry-run"]) == 2
+        assert f"error: {key}" in capsys.readouterr().err
 
     def test_out_root_env_override(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "ignored"))

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from bsdlab.cli import ANALYSES, main
+from bsdlab.config import parse_config, resolved_json
 from bsdlab.data import Dataset, NoiseSpec, apply_noise, make_blobs
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
@@ -220,3 +221,59 @@ def test_analysis_report_digest(tmp_path):
     got = {"reports": digest_tree(reports),
            "compare.csv": hashlib.sha256((tmp_path / "compare.csv").read_bytes()).hexdigest()}
     assert got == GOLDEN_REPORTS, files
+
+
+# Resolved configs: parse_config must keep writing the same config.resolved
+# bytes for the shipped configs, the empty config and configs that set every
+# key to a non-default value. Dataset paths resolve to absolute paths, so the
+# test directory is replaced by "/data" before hashing.
+EVERY_KEY = {
+    "name": "every_key",
+    "dataset": {"kind": "idx", "images": "train-images.idx", "labels": "train-labels.idx",
+                "test_images": "test-images.idx", "test_labels": "test-labels.idx"},
+    "model": {"hidden": [7, 5], "activation": "tanh", "architecture": "tiny-conv",
+              "dropout": 0.25},
+    "train": {"epochs": 7, "batch_size": 9, "optimizer": "sgd", "lr": 0.125,
+              "momentum": 0.5, "beta1": 0.75, "beta2": 0.875, "adam_eps": 1e-6,
+              "weight_decay": 0.001, "schedule": "cosine", "tau": 0.5, "eval_every": 2,
+              "strategy": {"mode": "te", "gamma": 0.5, "c": 20, "epsilon": 0.25,
+                           "ls_alpha": 0.2, "pskd_alpha": 0.6, "te_momentum": 0.7},
+              "bsd_plus": {"enabled": True, "lambda": 0.5, "views": 3, "weak_jitter": 0.01,
+                           "strong_jitter": 0.1, "erase_frac": 0.2}},
+    "noise": {"kind": "asymmetric", "rate": 0.3, "seed": 5},
+    "seeds": [4, 2],
+    "output_dir": "elsewhere",
+}
+
+EVERY_BLOBS_KEY = {
+    "dataset": {"kind": "blobs", "classes": 3, "per_class": 40, "test_per_class": 10,
+                "dim": 5, "spacing": 2, "cov_scale": 0.5, "seed": 11},
+}
+
+GOLDEN_RESOLVED = {
+    "benchmark_baseline_noisy": "417a1b0aa67786666b2fbce7cf1e97696fcc5aa1bd839236b8af89dabe977bf4",
+    "benchmark_bsd_noisy": "07c32cfc51a41bf68ce3831b4c07e2ed48ddac734061035108d9d9d081fa977b",
+    "quickstart": "449e1a13a8e42338a85f90d0b14ce8a6be859e45b4f44b69b0797fd7b619bf05",
+    "empty": "faac5fa1d0d2ed6b95732c7b921afb43f0210b48249da9010da2df26e2663401",
+    "every_key": "b3a7f0440942653a7bafa047a495446a60a8f43bdfa14f46d9872fe976bb3606",
+    "every_blobs_key": "7e5e6f4c643e692ccc439e7cd247a0e83da9921dfde27ce2fee6781e6eef432a",
+}
+
+
+def resolved_input(case, tmp_path):
+    shipped = Path(__file__).resolve().parent.parent / "configs" / f"{case}.json"
+    if shipped.exists():
+        return shipped
+    for key in ("images", "labels", "test_images", "test_labels"):
+        (tmp_path / EVERY_KEY["dataset"][key]).touch()
+    raw = {"empty": {}, "every_key": EVERY_KEY, "every_blobs_key": EVERY_BLOBS_KEY}[case]
+    path = tmp_path / f"{case}.json"
+    path.write_text(json.dumps(raw))
+    return path
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_RESOLVED))
+def test_resolved_config_digest(case, tmp_path):
+    text = resolved_json(parse_config(resolved_input(case, tmp_path)))
+    text = text.replace(str(tmp_path.resolve()), "/data")
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_RESOLVED[case], text
