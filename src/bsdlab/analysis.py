@@ -8,10 +8,8 @@ which is bitwise symmetric because float addition commutes.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,9 +34,6 @@ __all__ = [
     "temperature_scale",
     "temp_adjusted_kl",
     "mean_kl",
-    "write_report_json",
-    "write_mu_csv",
-    "write_bins_csv",
 ]
 
 DEFAULT_BINS = 15
@@ -411,27 +406,3 @@ def mean_kl(p, q):
         raise ValueError("snapshot/final prediction sets are misaligned")
     return float(np.mean(kl_div(p, q)))
 
-
-def write_report_json(report: CalibrationReport, path):
-    with open(path, "w") as fh:
-        json.dump(asdict(report), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
-def write_mu_csv(mu, path):
-    mu = np.asarray(mu)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"class_{j}" for j in range(mu.shape[1])])
-        for row in mu:
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def write_bins_csv(report: CalibrationReport, path):
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["bin_lo", "bin_hi", "conf", "acc", "count"])
-        for lo, hi, conf, acc, count in zip(report.bin_lo, report.bin_hi,
-                                            report.bin_conf, report.bin_acc,
-                                            report.bin_count):
-            writer.writerow([repr(lo), repr(hi), repr(conf), repr(acc), count])

@@ -8,10 +8,12 @@ Commands are batch processes over a fixed run-directory layout:
         checkpoints/         final model checkpoints + rolling training state
         traces/seed_<s>/     per-eval-epoch test-set prediction CSVs
         reports/             analyze outputs
+        timing.txt           wall-clock sidecar
 
 The output root can be overridden with the BSDLAB_OUT_ROOT environment
 variable. Everything except timing.txt is byte-reproducible from
-(config, seeds).
+(config, seeds). ``train --force`` deletes these entries of the previous
+run before training.
 """
 
 from __future__ import annotations
@@ -19,15 +21,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import shutil
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
-from .data import apply_noise, load_csv, load_idx, make_blobs, write_idx
+from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
+from .fileio import write_json, write_table
 from .numerics import _class_reduce
 from .training import read_trace_csv, run_experiment, run_layout
 
@@ -63,6 +67,15 @@ def resolve_run_dir(cfg: ExperimentConfig):
     return Path(root) / cfg.name
 
 
+def _remove_run(layout):
+    """Delete the ``run_layout`` entries of a previous run; other files in its directory stay."""
+    for path in (p for key, p in layout.items() if key != "root"):
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
+
+
 def cmd_train(args):
     cfg = parse_config(args.config)
     if args.dry_run:
@@ -78,8 +91,10 @@ def cmd_train(args):
     grid_shape = train_set.samples.shape[1:] if train_set.is_grid else None
     model_spec = cfg.model_spec(train_set.d, train_set.k, grid_shape=grid_shape)
     train_cfg = cfg.train_config()
+    if args.force:
+        _remove_run(layout)
     layout["root"].mkdir(parents=True, exist_ok=True)
-    layout["config"].write_text(resolved_json(cfg))
+    write_json(layout["config"], cfg.resolved)
 
     def progress(seed, row):
         if row["test_acc"] is None or args.quiet:
@@ -97,65 +112,60 @@ def cmd_train(args):
     return 0
 
 
-def _seed_dirs(layout):
-    traces = sorted(layout["traces"].glob("seed_*"))
-    if not traces:
+def _seed_traces(layout):
+    """Yield (seed, {epoch: trace path}) for each trained seed, epochs ascending."""
+    seed_dirs = sorted(layout["traces"].glob("seed_*"))
+    if not seed_dirs:
         raise FileNotFoundError(
             f"no traces under {layout['traces']}; run 'bsdlab train' first "
             "(eval traces are written every train.eval_every epochs)")
-    return traces
+    for seed_dir in seed_dirs:
+        yield seed_dir.name.split("_")[1], _trace_epochs(seed_dir)
 
 
 def _trace_epochs(seed_dir):
-    files = {}
-    for path in seed_dir.glob("epoch_*.csv"):
-        files[int(path.stem.split("_")[1])] = path
+    files = {int(path.stem.split("_")[1]): path for path in seed_dir.glob("epoch_*.csv")}
     if not files:
         raise FileNotFoundError(f"no epoch traces in {seed_dir}")
     return dict(sorted(files.items()))
 
 
-def _final_trace(seed_dir):
-    epochs = _trace_epochs(seed_dir)
-    last = max(epochs)
-    return read_trace_csv(epochs[last]), last
+def _final_trace(epochs):
+    return read_trace_csv(epochs[max(epochs)])
 
 
 def _analyze_calibration(layout):
     out = []
-    for seed_dir in _seed_dirs(layout):
-        seed = seed_dir.name.split("_")[1]
-        (preds, labels, _), _epoch = _final_trace(seed_dir)
+    for seed, epochs in _seed_traces(layout):
+        preds, labels, _ = _final_trace(epochs)
         report = analysis.calibration_report(preds, labels)
-        analysis.write_report_json(report, layout["reports"] / f"calibration_seed_{seed}.json")
-        analysis.write_bins_csv(report, layout["reports"] / f"reliability_seed_{seed}.csv")
+        write_json(layout["reports"] / f"calibration_seed_{seed}.json", asdict(report))
+        write_table(layout["reports"] / f"reliability_seed_{seed}.csv",
+                    ["bin_lo", "bin_hi", "conf", "acc", "count"],
+                    [report.bin_lo, report.bin_hi, report.bin_conf, report.bin_acc,
+                     report.bin_count], newline="\r\n")
         out.append((seed, report))
     return out
 
 
 def _analyze_dark_knowledge(layout):
-    for seed_dir in _seed_dirs(layout):
-        seed = seed_dir.name.split("_")[1]
-        (preds, labels, k), _epoch = _final_trace(seed_dir)
+    for seed, epochs in _seed_traces(layout):
+        preds, labels, k = _final_trace(epochs)
         mu = analysis.mu_matrix(preds, labels, k)
         dk = analysis.delta_decomposition(preds, labels, mu)
-        analysis.write_mu_csv(mu, layout["reports"] / f"mu_seed_{seed}.csv")
+        header = [f"class_{j}" for j in range(k)]
+        write_table(layout["reports"] / f"mu_seed_{seed}.csv", header, [mu], newline="\r\n")
         # plot-ready log-scale heatmap data, floored to keep zeros finite
-        analysis.write_mu_csv(np.log10(np.maximum(mu, 1e-12)),
-                              layout["reports"] / f"mu_log10_seed_{seed}.csv")
-        summary = {
+        write_table(layout["reports"] / f"mu_log10_seed_{seed}.csv", header,
+                    [np.log10(np.maximum(mu, 1e-12))], newline="\r\n")
+        write_json(layout["reports"] / f"dark_knowledge_seed_{seed}.json", {
             "class_mean_delta_l1": [float(v) for v in dk.class_mean_delta_l1],
             "mu_row_sums": [float(v) for v in dk.mu_row_sums],
-        }
-        with open(layout["reports"] / f"dark_knowledge_seed_{seed}.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        })
 
 
 def _analyze_dynamics(layout):
-    for seed_dir in _seed_dirs(layout):
-        seed = seed_dir.name.split("_")[1]
-        epochs = _trace_epochs(seed_dir)
+    for seed, epochs in _seed_traces(layout):
         last = max(epochs)
         final_preds, labels, _ = read_trace_csv(epochs[last])
         t_final = analysis.fit_temperature(np.log(np.maximum(final_preds, 1e-12)), labels)
@@ -174,49 +184,41 @@ def _analyze_dynamics(layout):
                             else analysis.temperature_scale(snap_preds, t_final))
             rows.append((epoch, t_snap, analysis.mean_kl(final_at_t, at_fit),
                          analysis.mean_kl(final_at_t, at_final)))
-        with open(layout["reports"] / f"dynamics_seed_{seed}.csv", "w") as fh:
-            fh.write("epoch,fitted_temperature,kl_snapshot_fit,kl_final_fit\n")
-            for epoch, t_snap, a, b in rows:
-                fh.write(f"{epoch},{repr(t_snap)},{repr(a)},{repr(b)}\n")
+        write_table(layout["reports"] / f"dynamics_seed_{seed}.csv",
+                    ["epoch", "fitted_temperature", "kl_snapshot_fit", "kl_final_fit"],
+                    list(zip(*rows)))
 
 
 def _analyze_ood(layout, ood_run):
     if ood_run is None:
         raise FileNotFoundError(
             "ood analysis needs a second trace set; pass --ood-run <run_dir>")
-    ood_layout = run_layout(ood_run)
+    ood_traces = run_layout(ood_run)["traces"]
     results = {}
-    for seed_dir in _seed_dirs(layout):
-        seed = seed_dir.name.split("_")[1]
-        ood_dir = ood_layout["traces"] / seed_dir.name
+    for seed, epochs in _seed_traces(layout):
+        ood_dir = ood_traces / f"seed_{seed}"
         if not ood_dir.exists():
             raise FileNotFoundError(
                 f"missing OOD trace {ood_dir}; train the --ood-run with the same seeds")
-        (id_preds, _, _), _ = _final_trace(seed_dir)
-        (ood_preds, _, _), _ = _final_trace(ood_dir)
+        id_preds, _, _ = _final_trace(epochs)
+        ood_preds, _, _ = _final_trace(_trace_epochs(ood_dir))
         results[seed] = analysis.auroc(_class_reduce(np.maximum, id_preds),
                                        _class_reduce(np.maximum, ood_preds))
-    with open(layout["reports"] / "ood_auroc.json", "w") as fh:
-        json.dump(results, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(layout["reports"] / "ood_auroc.json", results)
     return results
 
 
 def _analyze_flip(layout):
     results = {}
-    for seed_dir in _seed_dirs(layout):
-        seed = seed_dir.name.split("_")[1]
-        epochs = _trace_epochs(seed_dir)
+    for seed, epochs in _seed_traces(layout):
         if len(epochs) < 2:
             raise ValueError(
-                f"flip analysis needs >= 2 eval traces in {seed_dir}; "
+                f"flip analysis needs >= 2 eval traces for seed {seed}; "
                 "lower train.eval_every")
         frames = [read_trace_csv(path)[0].argmax(axis=1) for path in epochs.values()]
         stacked = np.stack(frames, axis=1)  # (n, frames)
         results[seed] = analysis.mean_flip_probability(stacked)
-    with open(layout["reports"] / "flip.json", "w") as fh:
-        json.dump(results, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    write_json(layout["reports"] / "flip.json", results)
     return results
 
 
@@ -272,11 +274,9 @@ def _collect_run(run_dir):
         metrics = _final_metrics(rec)
         if metrics is not None:
             per_seed[seed] = metrics
-    if classes is None and per_seed:
-        trace_dirs = sorted(layout["traces"].glob("seed_*"))
-        if trace_dirs:
-            (_preds, _labels, k), _ = _final_trace(trace_dirs[0])
-            classes = k
+    if classes is None and per_seed and any(layout["traces"].glob("seed_*")):
+        _, epochs = next(_seed_traces(layout))
+        classes = _final_trace(epochs)[2]
     return {"dir": str(run_dir), "name": name, "mode": mode, "classes": classes,
             "per_seed": per_seed}
 
@@ -321,10 +321,7 @@ def cmd_compare(args):
     lines += ["  ".join(c.ljust(widths[j]) for j, c in enumerate(row)) for row in table]
     print("\n".join(lines))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(",".join(header) + "\n")
-            for row in table:
-                fh.write(",".join(row) + "\n")
+        write_table(args.out, header, list(zip(*table)))
         print(f"csv written to {args.out}")
     return 0
 
@@ -340,7 +337,6 @@ def cmd_export_dataset(args):
         write_idx(out.with_suffix(".labels.idx"), dataset.labels.astype(np.uint8))
         print(f"wrote {out.with_suffix('.images.idx')} and {out.with_suffix('.labels.idx')}")
     else:
-        from .data import export_csv
         export_csv(dataset, out)
         print(f"wrote {out}")
     return 0

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 
 from .data import NoiseSpec
+from .fileio import json_text
 from .models import ModelSpec
 from .settings import check_error
 from .training import TrainConfig
@@ -56,7 +57,7 @@ _BLOBS = {
     "dim": (2, lambda v: v >= 2, ">= 2 (class centers sit on a ring)"),
     "spacing": (3.0, None, None),
     "cov_scale": (1.0, lambda v: v > 0.0, "> 0"),
-    "seed": (0, None, None),
+    "seed": (0, lambda v: v >= 0, ">= 0"),
 }
 
 _DATASET_KEYS = {
@@ -165,13 +166,15 @@ def parse_config(path) -> ExperimentConfig:
     _reject_unknown("top level", raw, _TOP_KEYS)
     seeds = raw.get("seeds", [0])
     if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) for s in seeds)):
-        raise ConfigError("seeds must be a nonempty list of integers")
+            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
+        raise ConfigError("seeds must be a nonempty list of non-negative integers")
     if len(set(seeds)) != len(seeds):
         raise ConfigError("seeds must be distinct")
     name = raw.get("name", path.stem)
-    if not isinstance(name, str) or not name:
-        raise ConfigError("name must be a nonempty string")
+    # the run directory is <output_dir>/<name>, so a name may not leave output_dir
+    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
+        raise ConfigError("name must be a nonempty single path component "
+                          f"(no '/', '\\', '.' or '..'), got {name!r}")
     resolved = {
         "name": name,
         "dataset": _resolve_dataset(raw.get("dataset", {}), path.parent),
@@ -188,4 +191,4 @@ def parse_config(path) -> ExperimentConfig:
 
 
 def resolved_json(cfg: ExperimentConfig) -> str:
-    return json.dumps(cfg.resolved, sort_keys=True, indent=2) + "\n"
+    return json_text(cfg.resolved)

@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .fileio import write_table
 from .settings import Settings, setting
 
 __all__ = [
@@ -74,7 +75,7 @@ class NoiseSpec(Settings):
     kind: str = setting("none", lambda v: v in ("none", "symmetric", "asymmetric"),
                         "'none', 'symmetric' or 'asymmetric'")
     rate: float = setting(0.0, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
-    seed: int = setting(0)
+    seed: int = setting(0, lambda v: v >= 0, ">= 0")
     mapping: dict | None = None  # asymmetric only; None selects the cyclic successor map
 
 
@@ -191,11 +192,8 @@ def export_csv(dataset: Dataset, path, label_column="label"):
     """Write a vector dataset to CSV; floats use repr so re-import is exact."""
     if dataset.is_grid:
         raise ValueError("CSV export handles vector datasets only; use write_idx for grids")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{j}" for j in range(dataset.samples.shape[1])] + [label_column])
-        for i in range(dataset.n):
-            writer.writerow([repr(float(v)) for v in dataset.samples[i]] + [int(dataset.labels[i])])
+    header = [f"x{j}" for j in range(dataset.samples.shape[1])] + [label_column]
+    write_table(path, header, [dataset.samples, dataset.labels], newline="\r\n")
 
 
 def inject_symmetric(labels, rate, k, seed):

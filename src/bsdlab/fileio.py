@@ -1,5 +1,5 @@
 """Crash-safe file replacement, the binary block format of checkpoints and states,
-and the float-table CSV writer of traces and store snapshots."""
+and the text-table and JSON codec of every other artifact; every writer is atomic."""
 
 import json
 import math
@@ -62,24 +62,61 @@ def read_blocks(path, magic):
     return header, blocks
 
 
-def write_float_table(fh, header, values, labels=None, newline="\n"):
-    """Write a header line, then row i as ``i[,labels[i]],repr(v) for v in values[i]``.
+def write_table(path, header, columns, newline="\n"):
+    """Atomically write a comma-joined header line, then one row per index of ``columns``.
 
-    ``repr`` is the shortest string that parses back to the same double, so
-    the table reads back bit for bit. Rows are formatted in chunks of
-    ``ROWS_PER_WRITE``, one ``fh.write`` per chunk.
+    A column is a length-n sequence (one cell per row) or an (n, m) block (m
+    cells per row). A number is written as its Python ``repr``, for a float
+    the shortest string that parses back to the same double, so
+    ``read_table`` gets the bits back; a string is written as it is. Rows
+    are formatted in chunks of ``ROWS_PER_WRITE``, one ``fh.write`` per chunk.
     """
-    values = np.asarray(values, dtype=np.float64)
-    if labels is not None and len(labels) != values.shape[0]:
-        raise ValueError(f"{len(labels)} labels for {values.shape[0]} rows")
-    fh.write(",".join(header) + newline)
-    for start in range(0, values.shape[0], ROWS_PER_WRITE):
-        rows = values[start:start + ROWS_PER_WRITE].tolist()
-        ids = range(start, start + len(rows))
-        if labels is None:
-            lines = (f"{i},{','.join(map(repr, row))}{newline}" for i, row in zip(ids, rows))
+    columns = [np.asarray(c) for c in columns]
+    n = len(columns[0])
+    width = sum(1 if c.ndim == 1 else c.shape[1] for c in columns)
+    if width != len(header) or any(len(c) != n for c in columns):
+        raise ValueError(f"{path}: columns of {[len(c) for c in columns]} rows and "
+                         f"{width} cells do not fill a {len(header)}-column table")
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + newline)
+        for start in range(0, n, ROWS_PER_WRITE):
+            cells = [_cells(c[start:start + ROWS_PER_WRITE]) for c in columns]
+            fh.write(newline.join(map(",".join, zip(*cells))) + newline)
+
+
+def _cells(column):
+    """One string per row: the row's cell, or its block's cells joined by commas."""
+    rows = column.tolist()
+    # repr equals str on numbers and is the cheaper call; a string stays itself
+    cell = str if column.dtype.kind == "U" else repr
+    return map(cell, rows) if column.ndim == 1 else (",".join(map(cell, r)) for r in rows)
+
+
+def read_table(path):
+    """Read a ``write_table`` file of numbers; returns (header, (n, columns) float64 array).
+
+    A header-only file gives n = 0; a row whose width differs from the
+    header's raises ``ValueError``.
+    """
+    with open(path) as fh:
+        header = fh.readline().strip().split(",")
+        body = fh.tell()
+        if fh.read(1):
+            fh.seek(body)
+            table = np.loadtxt(fh, delimiter=",", ndmin=2)
         else:
-            tags = np.asarray(labels[start:start + len(rows)]).astype(np.int64).tolist()
-            lines = (f"{i},{tag},{','.join(map(repr, row))}{newline}"
-                     for i, tag, row in zip(ids, tags, rows))
-        fh.write("".join(lines))
+            table = np.empty((0, len(header)))
+    if table.shape[1] != len(header):
+        raise ValueError(f"{path}: rows have {table.shape[1]} columns, header has {len(header)}")
+    return header, table
+
+
+def write_json(path, obj):
+    """Atomically write ``obj`` as JSON: sorted keys, indent 2, trailing newline."""
+    with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(json_text(obj))
+
+
+def json_text(obj):
+    """The text ``write_json`` writes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"

@@ -24,12 +24,11 @@ the one-hot start with the improper prior A0 = 0 and gamma = te_momentum.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import atomic_open, write_float_table
+from .fileio import read_table, write_table
 from .numerics import _class_reduce, one_hot
 from .settings import Settings, setting
 
@@ -118,22 +117,18 @@ class EvidenceStore:
     def save_csv(self, path):
         """``sample_id,A,y_0..y_{k-1}`` rows, floats as ``repr``, ``\\r\\n`` line ends."""
         header = ["sample_id", "A"] + [f"y_{j}" for j in range(self.k)]
-        with atomic_open(path, "w", newline="") as fh:
-            write_float_table(fh, header, np.column_stack([self.A, self.y]), newline="\r\n")
+        write_table(path, header, [np.arange(self.n), self.A, self.y], newline="\r\n")
 
     @classmethod
     def load_csv(cls, path, gamma):
-        with open(path, newline="") as fh:
-            rows = list(csv.reader(fh))
-        header, body = rows[0], rows[1:]
-        k = len(header) - 2
-        y = np.empty((len(body), k))
-        A = np.empty(len(body))
-        for row in body:
-            i = int(row[0])
-            A[i] = float(row[1])
-            y[i] = [float(v) for v in row[2:]]
-        return cls(y=y, A=A, gamma=gamma)
+        """Read a ``save_csv`` file bit for bit; its sample ids must be 0..n-1, in any order."""
+        _, table = read_table(path)
+        ids = table[:, 0]
+        order = np.argsort(ids)
+        if not np.array_equal(ids[order], np.arange(len(ids))):
+            raise ValueError(f"{path}: sample ids are not exactly 0..{len(ids) - 1}")
+        table = table[order]
+        return cls(y=np.ascontiguousarray(table[:, 2:]), A=table[:, 1].copy(), gamma=gamma)
 
 
 def update_weight(gamma, A):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import read_blocks, write_blocks, write_float_table
+from .fileio import atomic_open, read_blocks, read_table, write_blocks, write_table
 from .models import Model, backward, forward, init_model, save_checkpoint
 from .numerics import (PROB_FLOOR, _class_reduce, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
@@ -271,6 +271,7 @@ def run_layout(run_dir):
         "checkpoints": run_dir / "checkpoints",
         "traces": run_dir / "traces",
         "reports": run_dir / "reports",
+        "timing": run_dir / "timing.txt",
     }
 
 
@@ -319,24 +320,16 @@ def _load_train_state(path, model, opt_state, strategy):
 def write_trace_csv(path, preds, labels):
     """One row per test sample: ``sample_id,label,p_0..p_{k-1}``, floats as ``repr``."""
     preds = np.asarray(preds)
+    if len(labels) != preds.shape[0]:
+        raise ValueError(f"{len(labels)} labels for {preds.shape[0]} rows")
     header = ["sample_id", "label"] + [f"p_{j}" for j in range(preds.shape[1])]
-    with open(path, "w", newline="") as fh:
-        write_float_table(fh, header, preds, labels=labels)
+    write_table(path, header, [np.arange(len(preds)), np.asarray(labels).astype(np.int64), preds])
 
 
 def read_trace_csv(path):
     """Read a ``write_trace_csv`` file bit for bit; returns (preds (n, k), labels, k)."""
-    with open(path) as fh:
-        k = len(fh.readline().strip().split(",")) - 2
-        body = fh.tell()
-        if fh.read(1):
-            fh.seek(body)
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        else:
-            table = np.empty((0, k + 2))
-    if table.shape[1] != k + 2:
-        raise ValueError(f"{path}: rows have {table.shape[1]} columns, header has {k + 2}")
-    return np.ascontiguousarray(table[:, 2:]), table[:, 1].astype(np.int64), k
+    header, table = read_table(path)
+    return np.ascontiguousarray(table[:, 2:]), table[:, 1].astype(np.int64), len(header) - 2
 
 
 def _record_line(row):
@@ -437,6 +430,6 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
         record, _ = run_single_seed(model_spec, train_set, test_set, cfg, seed,
                                     layout, snapshot, progress=progress)
         records.append(record)
-    with open(layout["root"] / "timing.txt", "w") as fh:
+    with atomic_open(layout["timing"], "w") as fh:
         fh.writelines(record.timing_line() for record in records)
     return records

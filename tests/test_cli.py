@@ -84,6 +84,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(path)
 
+    @pytest.mark.parametrize("seeds", [[-1], [0, -2]])
+    def test_negative_seeds_rejected(self, tmp_path, seeds):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps({"seeds": seeds}))
+        with pytest.raises(ConfigError, match="seeds must be a nonempty list of non-negative"):
+            parse_config(path)
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", ".", "..", ""])
+    def test_name_is_one_path_component(self, tmp_path, name):
+        path = tmp_path / "named.json"
+        path.write_text(json.dumps({"name": name}))
+        with pytest.raises(ConfigError, match="name must be a nonempty single path component"):
+            parse_config(path)
+
 
 # (dotted section, config key, invalid value) for every checked setting
 INVALID_SETTINGS = [
@@ -118,6 +132,7 @@ INVALID_SETTINGS = [
     ("train.bsd_plus", "erase_frac", 2.0),
     ("noise", "kind", "uniform"),
     ("noise", "rate", 1.5),
+    ("noise", "seed", -3),
 ]
 
 SECTION_CLASSES = {"model": ModelSpec, "train": TrainConfig, "train.strategy": StrategyConfig,
@@ -195,6 +210,61 @@ class TestTrainCommand:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["train"]["strategy"]["gamma"] == 0.9
         assert not (tmp_path / "runs").exists()
+
+    @pytest.mark.parametrize("overrides", [
+        {"seeds": [-1]},
+        {"dataset": {"kind": "blobs", "seed": -1}},
+        {"noise": {"kind": "symmetric", "rate": 0.2, "seed": -3}},
+    ], ids=["seeds", "dataset.seed", "noise.seed"])
+    def test_negative_seed_fails_dry_run(self, tmp_path, capsys, overrides):
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"),
+                                **overrides)
+        assert main(["train", str(cfg_path), "--dry-run"]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert main(["train", str(cfg_path), "--quiet"]) == 2
+        assert not (tmp_path / "runs").exists()
+
+    def test_name_cannot_leave_output_dir(self, tmp_path, capsys):
+        victim = tmp_path / "out" / "escaped"
+        victim.mkdir(parents=True)
+        (victim / "config.resolved").write_text("{}\n")
+        cfg_path = write_config(tmp_path / "exp.json", name="../escaped",
+                                output_dir=str(tmp_path / "out" / "runs"))
+        assert main(["train", str(cfg_path), "--force", "--quiet"]) == 2
+        assert "name must be" in capsys.readouterr().err
+        assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["escaped"]
+        assert (victim / "config.resolved").read_text() == "{}\n"
+
+    def test_force_removes_the_previous_run(self, tmp_path, capsys):
+        runs = tmp_path / "runs"
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(runs))
+        assert main(["train", str(cfg_path), "--quiet"]) == 0
+        run_dir = runs / "tiny"
+        assert main(["analyze", str(run_dir), "--what", "flip"]) == 0
+        (run_dir / "notes.txt").write_text("kept\n")
+        capsys.readouterr()
+
+        # a config that fails to parse leaves the old run as it was
+        bad = write_config(tmp_path / "bad.json", output_dir=str(runs),
+                           train={"strategy": {"gamma": 2.0}})
+        assert main(["train", str(bad), "--force"]) == 2
+        assert (run_dir / "traces" / "seed_2" / "epoch_1.csv").exists()
+
+        smaller = write_config(tmp_path / "exp.json", output_dir=str(runs), seeds=[1],
+                               train={"epochs": 4, "batch_size": 16, "lr": 0.05,
+                                      "eval_every": 4, "strategy": {"mode": "bsd"}})
+        assert main(["train", str(smaller), "--force", "--quiet"]) == 0
+        layout = run_layout(run_dir)
+        files = sorted(str(p.relative_to(run_dir)) for p in run_dir.rglob("*") if p.is_file())
+        assert files == ["checkpoints/seed_1.state", "checkpoints/seed_1_final.ckpt",
+                         "config.resolved", "notes.txt", "records/seed_1.jsonl",
+                         "records/store_seed_1.csv", "timing.txt",
+                         "traces/seed_1/epoch_4.csv"]
+        assert not layout["reports"].exists()
+        assert main(["analyze", str(run_dir), "--what", "flip"]) == 1
+        assert "needs >= 2 eval traces for seed 1" in capsys.readouterr().err
+        assert main(["compare", str(run_dir), str(run_dir)]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split()[2] == "1"
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -324,6 +325,32 @@ class TestStoreCsv:
         loaded = EvidenceStore.load_csv(path, gamma=0.8)
         np.testing.assert_array_equal(loaded.y.view(np.int64), y.view(np.int64))
         np.testing.assert_array_equal(loaded.A.view(np.int64), A.view(np.int64))
+
+    @pytest.mark.parametrize("edit", ["duplicate", "dropped"])
+    def test_ids_must_be_each_row_once(self, tmp_path, edit):
+        store = init_prior(np.array([0, 1, 2, 0]), k=3, c=10.0, epsilon=0.1, gamma=0.8)
+        path = tmp_path / "store.csv"
+        store.save_csv(path)
+        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+        if edit == "duplicate":
+            rows[2] = b"1" + rows[2][1:]
+        else:
+            del rows[1]
+        path.write_bytes(b"".join(line + b"\r\n" for line in [header, *rows]))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: sample ids are not exactly 0..{len(rows) - 1}")):
+            EvidenceStore.load_csv(path, gamma=0.8)
+
+    def test_rows_in_any_order_load_by_id(self, tmp_path):
+        rng = np.random.default_rng(5)
+        store = EvidenceStore(y=random_simplex(rng, 4, 3), A=rng.uniform(1, 9, 4), gamma=0.8)
+        path = tmp_path / "store.csv"
+        store.save_csv(path)
+        header, *rows = path.read_bytes().split(b"\r\n")[:-1]
+        path.write_bytes(b"\r\n".join([header, *rows[::-1]]) + b"\r\n")
+        loaded = EvidenceStore.load_csv(path, gamma=0.8)
+        np.testing.assert_array_equal(loaded.y, store.y)
+        np.testing.assert_array_equal(loaded.A, store.A)
 
 
 def test_update_rows_matches_update_weight_formula():
