@@ -6,7 +6,8 @@ Commands are batch processes over a fixed run-directory layout:
         config.resolved      resolved config echo (byte-stable)
         records/             per-seed epoch logs (jsonl) + final store snapshots
         checkpoints/         final model checkpoints + rolling training state
-        traces/seed_<s>/     per-eval-epoch test-set prediction CSVs
+        traces/seed_<s>/     per-eval-epoch test-set prediction CSVs, each with
+                             the binary .trace sidecar that analyze reads
         reports/             analyze outputs
         timing.txt           wall-clock sidecar
 

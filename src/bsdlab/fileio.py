@@ -68,7 +68,8 @@ def write_table(path, header, columns, newline="\n"):
     A column is a length-n sequence (one cell per row) or an (n, m) block (m
     cells per row). A number is written as its Python ``repr``, for a float
     the shortest string that parses back to the same double, so
-    ``read_table`` gets the bits back; a string is written as it is. Rows
+    ``read_table`` gets the bits back; a string is written as it is unless
+    it holds a comma, quote or line break, which RFC 4180 quotes. Rows
     are formatted in chunks of ``ROWS_PER_WRITE``, one ``fh.write`` per chunk.
     """
     columns = [np.asarray(c) for c in columns]
@@ -87,9 +88,17 @@ def write_table(path, header, columns, newline="\n"):
 def _cells(column):
     """One string per row: the row's cell, or its block's cells joined by commas."""
     rows = column.tolist()
-    # repr equals str on numbers and is the cheaper call; a string stays itself
-    cell = str if column.dtype.kind == "U" else repr
+    # repr equals str on numbers and is the cheaper call
+    cell = _quoted if column.dtype.kind == "U" else repr
     return map(cell, rows) if column.ndim == 1 else (",".join(map(cell, r)) for r in rows)
+
+
+def _quoted(text):
+    """``text`` as one CSV cell: in double quotes, inner quotes doubled, when it
+    holds a comma, quote or line break (RFC 4180); otherwise as it is."""
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def read_table(path):

@@ -37,6 +37,7 @@ from .targets import StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
 STATE_MAGIC = "BSDLAB-STATE v1"
+TRACE_MAGIC = "BSDLAB-TRACE v1"
 
 # rng stream tags
 _SHUFFLE, _DROPOUT, _WEAK, _STRONG_BASE = 0, 1, 2, 3
@@ -318,18 +319,45 @@ def _load_train_state(path, model, opt_state, strategy):
 
 
 def write_trace_csv(path, preds, labels):
-    """One row per test sample: ``sample_id,label,p_0..p_{k-1}``, floats as ``repr``."""
+    """One row per test sample: ``sample_id,label,p_0..p_{k-1}``, floats as ``repr``.
+
+    The same numbers are first written to the binary ``.trace`` sidecar beside
+    ``path`` (blocks ``labels`` (n,) and ``probs`` (n, k)), which
+    ``read_trace_csv`` reads in place of the text.
+    """
     preds = np.asarray(preds)
     if len(labels) != preds.shape[0]:
         raise ValueError(f"{len(labels)} labels for {preds.shape[0]} rows")
+    labels = np.asarray(labels).astype(np.int64)
+    write_blocks(_trace_sidecar(path), TRACE_MAGIC, {}, {"labels": labels, "probs": preds})
     header = ["sample_id", "label"] + [f"p_{j}" for j in range(preds.shape[1])]
-    write_table(path, header, [np.arange(len(preds)), np.asarray(labels).astype(np.int64), preds])
+    write_table(path, header, [np.arange(len(preds)), labels, preds])
 
 
 def read_trace_csv(path):
-    """Read a ``write_trace_csv`` file bit for bit; returns (preds (n, k), labels, k)."""
-    header, table = read_table(path)
-    return np.ascontiguousarray(table[:, 2:]), table[:, 1].astype(np.int64), len(header) - 2
+    """Read a ``write_trace_csv`` trace bit for bit; returns (preds (n, k), labels, k).
+
+    Reads the binary sidecar when there is one; otherwise parses the CSV, as
+    for traces written without a sidecar and hand-written ones.
+    """
+    sidecar = _trace_sidecar(path)
+    if not sidecar.exists():
+        header, table = read_table(path)
+        return np.ascontiguousarray(table[:, 2:]), table[:, 1].astype(np.int64), len(header) - 2
+    _, blocks = read_blocks(sidecar, TRACE_MAGIC)
+    for name in ("labels", "probs"):
+        if name not in blocks:
+            raise ValueError(f"{sidecar}: missing block {name!r}")
+    probs, labels = blocks["probs"], blocks["labels"]
+    if probs.ndim != 2 or labels.shape != probs.shape[:1]:
+        raise ValueError(f"{sidecar}: blocks 'labels' of shape {labels.shape} and 'probs' "
+                         f"of shape {probs.shape} are not (n,) and (n, k)")
+    return probs, labels.astype(np.int64), probs.shape[1]
+
+
+def _trace_sidecar(path):
+    """The sidecar of a trace CSV: the same path with the suffix ``.trace``."""
+    return Path(path).with_suffix(".trace")
 
 
 def _record_line(row):

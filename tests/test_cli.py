@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import re
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -259,7 +261,7 @@ class TestTrainCommand:
         assert files == ["checkpoints/seed_1.state", "checkpoints/seed_1_final.ckpt",
                          "config.resolved", "notes.txt", "records/seed_1.jsonl",
                          "records/store_seed_1.csv", "timing.txt",
-                         "traces/seed_1/epoch_4.csv"]
+                         "traces/seed_1/epoch_4.csv", "traces/seed_1/epoch_4.trace"]
         assert not layout["reports"].exists()
         assert main(["analyze", str(run_dir), "--what", "flip"]) == 1
         assert "needs >= 2 eval traces for seed 1" in capsys.readouterr().err
@@ -358,7 +360,11 @@ class TestAnalyzeCommand:
         assert len(rows) == 3  # eval_every=1, epochs=3
         assert float(rows[-1].split(",")[2]) == 0.0  # final vs itself
 
-    def test_dynamics_reads_and_fits_each_trace_once(self, trained_run, monkeypatch):
+    # 2 seeds x 3 eval epochs; ood reads each seed's final trace in both runs
+    @pytest.mark.parametrize("what, reads, fits", [
+        ("calibration", 2, 0), ("dark-knowledge", 2, 0), ("dynamics", 6, 6),
+        ("ood", 4, 0), ("flip", 6, 0)])
+    def test_reads_and_fits_each_trace_once(self, trained_run, monkeypatch, what, reads, fits):
         calls = {"read": 0, "fit": 0}
 
         def counted(key, fn):
@@ -370,8 +376,26 @@ class TestAnalyzeCommand:
         monkeypatch.setattr(cli, "read_trace_csv", counted("read", cli.read_trace_csv))
         monkeypatch.setattr(analysis, "fit_temperature",
                             counted("fit", analysis.fit_temperature))
-        assert main(["analyze", str(trained_run), "--what", "dynamics"]) == 0
-        assert calls == {"read": 6, "fit": 6}  # 2 seeds x 3 eval epochs
+        extra = ["--ood-run", str(trained_run)] if what == "ood" else []
+        assert main(["analyze", str(trained_run), "--what", what, *extra]) == 0
+        assert calls == {"read": reads, "fit": fits}
+
+    def test_sidecar_and_csv_reads_give_same_reports(self, trained_run, tmp_path):
+        runs = {}
+        for name in ("sidecar", "csv"):
+            runs[name] = tmp_path / name
+            shutil.copytree(trained_run / "traces", runs[name] / "traces")
+        for path in runs["csv"].rglob("*.trace"):
+            path.unlink()
+        assert any(runs["sidecar"].rglob("*.trace"))
+        reports = {}
+        for name, run in runs.items():
+            for what in cli.ANALYSES:
+                extra = ["--ood-run", str(run)] if what == "ood" else []
+                assert main(["analyze", str(run), "--what", what, *extra]) == 0
+            reports[name] = {p.name: p.read_bytes() for p in (run / "reports").iterdir()}
+        assert len(reports["sidecar"]) == 14
+        assert reports["sidecar"] == reports["csv"]
 
     def test_dynamics_rescales_final_trace_once_per_seed(self, trained_run, monkeypatch):
         calls = []
@@ -428,6 +452,20 @@ class TestCompareCommand:
         lines = out_csv.read_text().strip().splitlines()
         assert lines[0] == "run,mode,seeds,acc,ece,nll"
         assert len(lines) == 3
+
+    def test_run_name_with_comma_is_quoted(self, tmp_path):
+        runs = tmp_path / "runs"
+        cfg_path = write_config(tmp_path / "ab.json", name="a,b", output_dir=str(runs),
+                                train={"epochs": 1, "batch_size": 16, "lr": 0.05,
+                                       "strategy": {"mode": "bsd"}})
+        assert main(["train", str(cfg_path), "--quiet"]) == 0
+        out_csv = tmp_path / "cmp.csv"
+        assert main(["compare", str(runs / "a,b"), str(runs / "a,b"),
+                     "--out", str(out_csv)]) == 0
+        with open(out_csv, newline="") as fh:
+            rows = list(csv.reader(fh))
+        assert [len(row) for row in rows] == [6, 6, 6]
+        assert [row[0] for row in rows] == ["run", "a,b", "a,b"]
 
     def test_identical_runs_identical_columns(self, trained_run, capsys):
         assert main(["compare", str(trained_run), str(trained_run)]) == 0

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -19,6 +20,15 @@ class TestTable:
                      [1e16, -0.0]], newline="\r\n")
         assert path.read_bytes() == ("name,id,x0,x1,w\r\na,3,0.1,1e-05,1e+16\r\n"
                                      "b±,4,5e-324,2.0,-0.0\r\n").encode()
+
+    def test_string_cells_quoted_as_rfc4180(self, tmp_path):
+        path = tmp_path / "t.csv"
+        names = ["a,b", 'say "hi"', "two\nlines", "cr\r", "plain±"]
+        write_table(path, ["name", "x"], [names, np.arange(5)])
+        assert path.read_text(encoding="utf-8").splitlines(keepends=True)[1] == '"a,b",0\n'
+        with open(path, newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert rows == [["name", "x"]] + [[name, str(i)] for i, name in enumerate(names)]
 
     @pytest.mark.parametrize("n", [0, 1, ROWS_PER_WRITE, 2 * ROWS_PER_WRITE + 3])
     def test_read_returns_written_bits(self, n, tmp_path):

@@ -1,10 +1,12 @@
 """Golden digests: tiny fixed runs must keep writing the same artifact bytes.
 
 Each case trains a fixed ``run_experiment`` job and hashes every artifact it
-leaves except ``timing.txt``: records, traces, the ``.state`` files, the final
-checkpoints and the store CSVs. One more case drives the CLI end to end and
-hashes what the analyses read back from the traces: every report of the five
-``analyze --what`` commands and the ``compare --out`` table. A digest is SHA-256 over each file's relative
+leaves except ``timing.txt`` and the binary ``.trace`` sidecars: records,
+trace CSVs, the ``.state`` files, the final checkpoints and the store CSVs.
+Each sidecar is checked instead against its trace CSV, number for number.
+One more case drives the CLI end to end and hashes what the analyses read
+back from the traces: every report of the five ``analyze --what`` commands
+and the ``compare --out`` table. A digest is SHA-256 over each file's relative
 path and bytes, in sorted path order. A change that is meant to keep every
 number must keep every digest; one that changes artifacts on purpose updates
 the digest here and says why in CHANGES.md. The digests were recorded with
@@ -22,18 +24,21 @@ import pytest
 from bsdlab.cli import ANALYSES, main
 from bsdlab.config import parse_config, resolved_json
 from bsdlab.data import Dataset, NoiseSpec, apply_noise, make_blobs
+from bsdlab.fileio import read_table
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
-from bsdlab.training import BsdPlusConfig, TrainConfig, run_experiment
+from bsdlab.training import BsdPlusConfig, TrainConfig, read_trace_csv, run_experiment
 
 SEEDS = [1, 2]
 
 
 def digest_files(root):
-    """(relative path, SHA-256) of every artifact under ``root``, sorted by path."""
+    """(relative path, SHA-256) of every artifact under ``root`` but ``timing.txt``
+    and the ``.trace`` sidecars, sorted by path."""
     root = Path(root)
     return [(str(p.relative_to(root)), hashlib.sha256(p.read_bytes()).hexdigest())
-            for p in sorted(root.rglob("*")) if p.is_file() and p.name != "timing.txt"]
+            for p in sorted(root.rglob("*"))
+            if p.is_file() and p.name != "timing.txt" and p.suffix != ".trace"]
 
 
 def digest_tree(root):
@@ -138,6 +143,19 @@ def test_artifact_digest(case, tmp_path):
     run_experiment(spec, train, test, cfg, SEEDS, tmp_path / "run")
     files = "\n".join(f"{rel} {sha}" for rel, sha in digest_files(tmp_path / "run"))
     assert digest_tree(tmp_path / "run") == GOLDEN[case], files
+    check_trace_sidecars(tmp_path / "run")
+
+
+def check_trace_sidecars(run):
+    """One ``.trace`` per trace CSV, read back bit for bit as the CSV parses."""
+    csvs = sorted(run.glob("traces/seed_*/epoch_*.csv"))
+    assert csvs and sorted(run.rglob("*.trace")) == [p.with_suffix(".trace") for p in csvs]
+    for path in csvs:
+        preds, labels, k = read_trace_csv(path)
+        header, table = read_table(path)
+        assert k == len(header) - 2 and labels.dtype == np.int64
+        np.testing.assert_array_equal(labels, table[:, 1].astype(np.int64))
+        np.testing.assert_array_equal(preds.view(np.int64), table[:, 2:].copy().view(np.int64))
 
 
 # Per-file SHA-256 of the dlb and ps-kd traces and final checkpoints, recorded

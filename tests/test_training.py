@@ -597,15 +597,23 @@ class TestTraceCsv:
         training.write_trace_csv(path, preds, labels)
         assert path.read_bytes() == reference_trace_bytes(preds, labels)
 
-    def test_read_returns_written_bits(self, tmp_path):
+    @staticmethod
+    def written(path, preds, labels, sidecar):
+        """Write a trace; without ``sidecar``, delete it so the CSV parser reads."""
+        training.write_trace_csv(path, preds, labels)
+        if not sidecar:
+            path.with_suffix(".trace").unlink()
+        return path
+
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "csv"])
+    def test_read_returns_written_bits(self, tmp_path, sidecar):
         rng = np.random.default_rng(4)
         preds = rng.dirichlet(np.ones(4), size=2 * self.CHUNK + 3)
         preds[:5] = [[5e-324, 1e-310, 0.0, 1.0], [1e-05, 0.0, 1.0, 5e-324],
                      [1.0, 0.0, 0.0, 0.0], [1e-310, 1e-05, 0.1, 0.7],
                      [0.25, 0.25, 0.25, 0.25]]
         labels = rng.integers(0, 4, size=preds.shape[0])
-        path = tmp_path / "trace.csv"
-        training.write_trace_csv(path, preds, labels)
+        path = self.written(tmp_path / "trace.csv", preds, labels, sidecar)
         got, got_labels, k = training.read_trace_csv(path)
         assert k == 4
         assert got.dtype == np.float64 and got.flags.c_contiguous
@@ -613,11 +621,48 @@ class TestTraceCsv:
         assert got_labels.dtype == np.int64
         np.testing.assert_array_equal(got_labels, labels)
 
-    def test_header_only_file_reads_empty(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        training.write_trace_csv(path, np.empty((0, 5)), np.empty(0, dtype=np.int64))
+    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "csv"])
+    def test_header_only_file_reads_empty(self, tmp_path, sidecar):
+        path = self.written(tmp_path / "trace.csv", np.empty((0, 5)),
+                            np.empty(0, dtype=np.int64), sidecar)
         preds, labels, k = training.read_trace_csv(path)
         assert preds.shape == (0, 5) and labels.shape == (0,) and k == 5
+        assert preds.dtype == np.float64 and labels.dtype == np.int64
+
+    def test_sidecar_holds_labels_and_probs(self, tmp_path):
+        preds = np.full((3, 2), 0.5)
+        training.write_trace_csv(tmp_path / "epoch_4.csv", preds, [1, 0, 1])
+        header, blocks = read_blocks(tmp_path / "epoch_4.trace", training.TRACE_MAGIC)
+        assert [b["name"] for b in header["blocks"]] == ["labels", "probs"]
+        np.testing.assert_array_equal(blocks["labels"], [1.0, 0.0, 1.0])
+        np.testing.assert_array_equal(blocks["probs"], preds)
+
+    @pytest.mark.parametrize("blocks, match", [
+        ({"probs": np.full((3, 2), 0.5)}, "missing block 'labels'"),
+        ({"labels": np.zeros(3)}, "missing block 'probs'"),
+        ({"labels": np.zeros(2), "probs": np.full((3, 2), 0.5)}, "not (n,) and (n, k)"),
+        ({"labels": np.zeros(3), "probs": np.full(3, 0.5)}, "not (n,) and (n, k)"),
+    ], ids=["no-labels", "no-probs", "row-counts", "flat-probs"])
+    def test_sidecar_without_trace_blocks_rejected(self, tmp_path, blocks, match):
+        path = tmp_path / "epoch_1.csv"
+        training.write_trace_csv(path, np.full((3, 2), 0.5), [0, 1, 0])
+        sidecar = tmp_path / "epoch_1.trace"
+        write_blocks(sidecar, training.TRACE_MAGIC, {}, blocks)
+        with pytest.raises(ValueError, match=re.escape(f"{sidecar}: ") + ".*" + re.escape(match)):
+            training.read_trace_csv(path)
+
+    @pytest.mark.parametrize("damage", ["magic", "truncated"])
+    def test_damaged_sidecar_rejected(self, tmp_path, damage):
+        path = tmp_path / "epoch_1.csv"
+        training.write_trace_csv(path, np.full((3, 2), 0.5), [0, 1, 0])
+        sidecar = tmp_path / "epoch_1.trace"
+        raw = sidecar.read_bytes()
+        if damage == "magic":
+            sidecar.write_bytes(raw.replace(training.TRACE_MAGIC.encode(), training.STATE_MAGIC.encode()))
+        else:
+            sidecar.write_bytes(raw[:-8])
+        with pytest.raises(ValueError, match=re.escape(str(sidecar))):
+            training.read_trace_csv(path)
 
     def test_column_count_mismatch_rejected(self, tmp_path):
         path = tmp_path / "trace.csv"
