@@ -46,17 +46,17 @@ def build_datasets(cfg: ExperimentConfig):
     d = cfg.resolved["dataset"]
     if d["kind"] == "blobs":
         train = make_blobs(d["classes"], d["per_class"], d["dim"], d["spacing"],
-                           d["cov_scale"], seed=[d["seed"], 0], split="train")
+                           d["cov_scale"], seed=[d["seed"], 0])
         test = make_blobs(d["classes"], d["test_per_class"], d["dim"], d["spacing"],
-                          d["cov_scale"], seed=[d["seed"], 1], split="test")
+                          d["cov_scale"], seed=[d["seed"], 1])
     elif d["kind"] == "csv":
-        train = load_csv(d["path"], d["label_column"], split="train")
-        test = load_csv(d["test_path"], d["label_column"], split="test")
+        train = load_csv(d["path"], d["label_column"])
+        test = load_csv(d["test_path"], d["label_column"])
         k = max(train.k, test.k)
         train, test = replace(train, k=k), replace(test, k=k)
     else:
-        train = load_idx(d["images"], d["labels"], split="train")
-        test = load_idx(d["test_images"], d["test_labels"], split="test")
+        train = load_idx(d["images"], d["labels"])
+        test = load_idx(d["test_images"], d["test_labels"])
         k = max(train.k, test.k)
         train, test = replace(train, k=k), replace(test, k=k)
     train = apply_noise(train, cfg.noise_spec())
@@ -94,8 +94,6 @@ def cmd_train(args):
     train_cfg = cfg.train_config()
     if args.force:
         _remove_run(layout)
-    layout["root"].mkdir(parents=True, exist_ok=True)
-    write_json(layout["config"], cfg.resolved)
 
     def progress(seed, row):
         if row["test_acc"] is None or args.quiet:

@@ -42,7 +42,6 @@ class Dataset:
     clean_labels: np.ndarray
     labels: np.ndarray           # active labels (post-noise); starts equal to clean
     k: int
-    split: str = "train"
 
     def __post_init__(self):
         self.clean_labels = np.asarray(self.clean_labels, dtype=np.int64)
@@ -80,7 +79,7 @@ class NoiseSpec(Settings):
 
 
 def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0,
-               centers=None, split="train"):
+               centers=None):
     """Gaussian class clusters with controllable overlap.
 
     Default centers sit on a ring of radius ``spacing`` in the first two
@@ -108,7 +107,7 @@ def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0,
     for j in range(k):
         block = rng.normal(0.0, np.sqrt(cov_scale), size=(per_class, dim))
         samples[j * per_class:(j + 1) * per_class] = centers[j] + block
-    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=k, split=split)
+    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=k)
 
 
 def read_idx(path):
@@ -143,7 +142,7 @@ def write_idx(path, array):
         fh.write(arr.tobytes())
 
 
-def load_idx(images_path, labels_path, split="train"):
+def load_idx(images_path, labels_path):
     """Load an IDX image file plus its IDX label file as one Dataset.
 
     Pixels are scaled to [0, 1]; images become (n, h, w, 1) grids.
@@ -160,10 +159,10 @@ def load_idx(images_path, labels_path, split="train"):
     labels = labels.astype(np.int64)
     k = int(labels.max()) + 1 if labels.size else 2
     return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(),
-                   k=max(k, 2), split=split)
+                   k=max(k, 2))
 
 
-def load_csv(path, label_column="label", k=None, split="train"):
+def load_csv(path, label_column="label", k=None):
     """Load a header-bearing CSV with one labeled sample per row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -185,7 +184,7 @@ def load_csv(path, label_column="label", k=None, split="train"):
     k = max(k or 0, inferred_k, 2)
     if labels.size and labels.min() < 0:
         raise ValueError("label out of range in CSV")
-    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=k, split=split)
+    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=k)
 
 
 def export_csv(dataset: Dataset, path, label_column="label"):

@@ -125,9 +125,6 @@ class Model:
     def block_names(self):
         return list(self.params)
 
-    def copy(self):
-        return Model(self.spec, self.flat.copy(), self.mode)
-
 
 def _init_limit(activation, fan_in, fan_out):
     # He-uniform for relu, Xavier-uniform for tanh.

@@ -51,29 +51,19 @@ __all__ = [
 ]
 
 
-def _check_pred(pred, block=None):
+def _check_pred(pred):
     """Validate prediction rows; renormalize tiny drift, reject real deviations.
 
-    Sums within 1e-12 of 1 are left untouched (dividing by a 1-ulp-off sum
-    would perturb every entry); larger drift up to the tolerance is
-    renormalized; beyond that is treated as a caller bug. A NaN entry is
-    passed through: it makes its row NaN but raises nothing, and it never
-    hides a negative entry, because ``fmin`` skips NaNs.
-
-    The leave-or-renormalize decision covers a whole block of rows: with
-    ``block`` set, each consecutive ``block`` rows (one training mini-batch)
-    decide on their own and are checked in order, so the first offending
-    block raises; ``None`` makes all rows one block.
+    Each row decides on its own: a row whose sum is within 1e-12 of 1 keeps
+    its bytes (dividing by a 1-ulp-off sum would perturb every entry), a row
+    that drifts by up to the tolerance is divided by its own sum, and a
+    negative entry or a larger drift in any row is treated as a caller bug.
+    A NaN entry is passed through: it makes its row NaN but raises nothing,
+    and it never hides a negative entry, because ``fmin`` skips NaNs. Rows
+    are summed in C order, so a row's sum does not depend on the array's
+    layout.
     """
-    pred = np.asarray(pred, dtype=np.float64)
-    if block is not None and pred.ndim == 2 and pred.shape[0] > block:
-        # row sums do not depend on the row count, so when every row is fine
-        # no block can decide otherwise
-        if (np.fmin.reduce(pred, axis=None) >= 0.0
-                and np.max(np.abs(_class_reduce(np.add, pred) - 1.0)) <= 1e-12):
-            return pred
-        return np.concatenate([_check_pred(pred[start:start + block])
-                               for start in range(0, pred.shape[0], block)])
+    pred = np.ascontiguousarray(pred, dtype=np.float64)
     if pred.size and np.fmin.reduce(pred, axis=None) < 0.0:
         raise ValueError("prediction has negative entries")
     s = _class_reduce(np.add, pred, keepdims=True)
@@ -84,7 +74,7 @@ def _check_pred(pred, block=None):
         raise ValueError(
             f"prediction off the simplex by {err.max():.3e} (> {SIMPLEX_RENORM_TOL})"
         )
-    return pred / s
+    return np.where(err <= 1e-12, pred, pred / s)
 
 
 @dataclass
@@ -103,16 +93,13 @@ class EvidenceStore:
     def k(self):
         return self.y.shape[1]
 
-    def update_rows(self, indices, preds, block=None):
-        """Discounted Bayesian update of the selected rows from their predictions.
-
-        ``block`` rows at a time are checked together; see ``_check_pred``.
-        """
-        preds = _check_pred(preds, block)
-        gA = self.gamma * self.A[indices]
-        w = gA / (gA + 1.0)  # update_weight, from the same gathered masses
+    def update_rows(self, indices, preds):
+        """Discounted Bayesian update of the selected rows from their predictions."""
+        preds = _check_pred(preds)
+        A = self.A[indices]
+        w = update_weight(self.gamma, A)
         self.y[indices] = w[:, None] * self.y[indices] + (1.0 - w)[:, None] * preds
-        self.A[indices] = gA + 1.0
+        self.A[indices] = self.gamma * A + 1.0
 
     def save_csv(self, path):
         """``sample_id,A,y_0..y_{k-1}`` rows, floats as ``repr``, ``\\r\\n`` line ends."""
@@ -242,8 +229,8 @@ class TargetStrategy:
     Served rows are ``(1 - a) * onehot + a * y`` with ``a = 1`` except for
     ps-kd, whose ``a`` ramps linearly to ``pskd_alpha``. The training loop
     calls ``targets(perm, epoch)`` once for the epoch's rows and, after the
-    epoch's last optimizer step, ``update(perm, preds, batch=...)`` once, so
-    every batch trains on the pre-update rows.
+    epoch's last optimizer step, ``update(perm, preds)`` once, so every batch
+    trains on the pre-update rows.
     """
 
     def __init__(self, cfg: StrategyConfig, labels, k, total_epochs):
@@ -281,14 +268,10 @@ class TargetStrategy:
     def target(self, i, epoch):
         return self.targets(np.asarray([i]), epoch)[0]
 
-    def update(self, indices, preds, batch=None):
-        """Fold predictions into the store (post-step); frozen stores ignore them.
-
-        ``batch`` is the mini-batch size when ``preds`` holds several
-        batches' rows in order, each checked on its own (see ``_check_pred``).
-        """
+    def update(self, indices, preds):
+        """Fold predictions into the store (post-step); frozen stores ignore them."""
         if not self.frozen:
-            self.store.update_rows(indices, preds, block=batch)
+            self.store.update_rows(indices, preds)
 
     def mean_evidence(self):
         return None if self.frozen else float(self.store.A.mean())

@@ -9,7 +9,7 @@ so a batch reads only its own rows, and no row is written before the next
 epoch. Targets consumed by a batch are therefore always the pre-update
 values; predictions fed to the state are the same forward outputs used for
 the loss, captured before the optimizer step, with no gradient connection.
-Each batch keeps its own leave-or-renormalize decision in the update.
+The update checks and renormalizes each prediction row on its own.
 
 Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
@@ -21,14 +21,14 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field, asdict, replace as dc_replace
+from dataclasses import dataclass, field, replace as dc_replace
 from pathlib import Path
 
 import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import atomic_open, read_blocks, read_table, write_blocks, write_table
+from .fileio import atomic_open, read_blocks, read_table, write_blocks, write_json, write_table
 from .models import Model, backward, forward, init_model, save_checkpoint
 from .numerics import (PROB_FLOOR, _class_reduce, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
@@ -96,7 +96,6 @@ PHASES = ("train_epoch", "evaluate", "trace_write", "state_write")
 @dataclass
 class RunRecord:
     seed: int
-    config: dict
     rows: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
@@ -165,17 +164,14 @@ def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_fl
     return loss
 
 
-def _augmented_views(samples, cfg: TrainConfig, seed, epoch):
-    """Weak view plus m strong views for a batch; identity when bsd_plus is off."""
-    plus = cfg.bsd_plus
+def _augmented_views(samples, plus: BsdPlusConfig, weak_rng, strong_rngs):
+    """Weak view plus one strong view per rng in ``strong_rngs``; identity when bsd_plus is off."""
     if not plus.enabled:
         return samples, []
-    weak = augment_weak(samples, _epoch_rng(seed, epoch, _WEAK), jitter_sigma=plus.weak_jitter)
-    strong = [
-        augment_strong(samples, _epoch_rng(seed, epoch, _STRONG_BASE + j),
-                       jitter_sigma=plus.strong_jitter, erase_frac=plus.erase_frac)
-        for j in range(plus.views)
-    ]
+    weak = augment_weak(samples, weak_rng, jitter_sigma=plus.weak_jitter)
+    strong = [augment_strong(samples, rng, jitter_sigma=plus.strong_jitter,
+                             erase_frac=plus.erase_frac)
+              for rng in strong_rngs]
     return weak, strong
 
 
@@ -189,6 +185,12 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
+    plus = cfg.bsd_plus
+    # one stream per view for the whole epoch, so each batch draws fresh augmentations
+    weak_rng, strong_rngs = None, []
+    if plus.enabled:
+        weak_rng = _epoch_rng(seed, epoch, _WEAK)
+        strong_rngs = [_epoch_rng(seed, epoch, _STRONG_BASE + j) for j in range(plus.views)]
     # gradient buffer laid out like model.flat; strong views add theirs in
     grad_flat = np.empty_like(model.flat)
     grads = model.views(grad_flat)
@@ -203,7 +205,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     for start in range(0, n, cfg.batch_size):
         stop = min(start + cfg.batch_size, n)
         bsz = stop - start
-        weak, strong_views = _augmented_views(samples[start:stop], cfg, seed, epoch)
+        weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
 
         try:
             probs, cache = forward(model, weak, dropout_rng)
@@ -219,7 +221,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
         backward(model, cache, dlogits, out=grads)
 
         if strong_views:
-            batch_loss = contrastive_term(model, strong_views, probs, cfg.bsd_plus.lam,
+            batch_loss = contrastive_term(model, strong_views, probs, plus.lam,
                                           dropout_rng, grad_flat, batch_loss)
 
         if not np.isfinite(batch_loss):
@@ -234,7 +236,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                 f"{start} (seed {seed})") from exc
         preds[start:stop] = probs
         loss_sum += batch_loss * bsz
-    strategy.update(perm, preds, batch=cfg.batch_size)
+    strategy.update(perm, preds)
 
     target_entropy = float(np.mean(entropy(strategy.current_targets(epoch))))
     return {
@@ -379,8 +381,7 @@ def _truncate_records(path, epoch):
 
 
 def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
-                    cfg: TrainConfig, seed, layout, config_snapshot,
-                    progress=None, stop_after=None, resume=False):
+                    cfg: TrainConfig, seed, layout, progress=None, stop_after=None, resume=False):
     """Train one seed end to end, persisting records, traces, and checkpoints.
 
     ``stop_after``/``resume`` exercise the checkpoint-resume path: stopping
@@ -408,7 +409,7 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     elif records_path.exists():
         records_path.unlink()
 
-    record = RunRecord(seed=seed, config=config_snapshot)
+    record = RunRecord(seed=seed)
     last_epoch = cfg.epochs if stop_after is None else min(stop_after, cfg.epochs)
     with open(records_path, "a") as rec_fh:
         for epoch in range(start_epoch + 1, last_epoch + 1):
@@ -445,18 +446,20 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
                    progress=None):
     """Train every seed with independent derived streams; returns RunRecords.
 
-    Wall-clock totals, with the per-seed phase totals of ``RunRecord.phase_s``,
-    go to a sidecar timing file so every other artifact in the run directory
-    is byte-reproducible from (config, seeds).
+    A ``config_snapshot`` (the resolved config) is written to the run's
+    ``config.resolved`` first. Wall-clock totals, with the per-seed phase
+    totals of ``RunRecord.phase_s``, go to a sidecar timing file so every
+    other artifact in the run directory is byte-reproducible from
+    (config, seeds).
     """
     layout = run_layout(run_dir)
     layout["root"].mkdir(parents=True, exist_ok=True)
-    snapshot = config_snapshot if config_snapshot is not None else {
-        "train": asdict(cfg), "seeds": list(seeds)}
+    if config_snapshot is not None:
+        write_json(layout["config"], config_snapshot)
     records = []
     for seed in seeds:
         record, _ = run_single_seed(model_spec, train_set, test_set, cfg, seed,
-                                    layout, snapshot, progress=progress)
+                                    layout, progress=progress)
         records.append(record)
     with atomic_open(layout["timing"], "w") as fh:
         fh.writelines(record.timing_line() for record in records)

@@ -26,9 +26,9 @@ BENCH_NOISE = NoiseSpec(kind="symmetric", rate=0.4, seed=7)
 
 def benchmark_datasets(noisy):
     train = make_blobs(4, 1000, 2, BENCH_SPACING, BENCH_COV,
-                       seed=[BENCH_DATA_SEED, 0], split="train")
+                       seed=[BENCH_DATA_SEED, 0])
     test = make_blobs(4, 250, 2, BENCH_SPACING, BENCH_COV,
-                      seed=[BENCH_DATA_SEED, 1], split="test")
+                      seed=[BENCH_DATA_SEED, 1])
     if noisy:
         train = apply_noise(train, BENCH_NOISE)
     return train, test

@@ -295,8 +295,8 @@ def test_c11_dark_knowledge_emergence(benchmark_runs):
 
 
 def test_c12_determinism(tmp_path):
-    train = make_blobs(3, 40, 2, 2.5, 1.0, seed=[5, 0], split="train")
-    test = make_blobs(3, 20, 2, 2.5, 1.0, seed=[5, 1], split="test")
+    train = make_blobs(3, 40, 2, 2.5, 1.0, seed=[5, 0])
+    test = make_blobs(3, 20, 2, 2.5, 1.0, seed=[5, 1])
     cfg = TrainConfig(epochs=6, batch_size=16, optimizer="adam", lr=0.02,
                       eval_every=2,
                       strategy=StrategyConfig(mode="bsd", gamma=0.9, c=100.0))

@@ -14,7 +14,7 @@ from bsdlab.config import ConfigError, parse_config, resolved_json
 from bsdlab.data import NoiseSpec, load_csv
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
-from bsdlab.training import BsdPlusConfig, TrainConfig, run_layout
+from bsdlab.training import BsdPlusConfig, TrainConfig, run_experiment, run_layout
 
 
 def write_config(path, **overrides):
@@ -212,6 +212,23 @@ class TestTrainCommand:
         resolved = json.loads(capsys.readouterr().out)
         assert resolved["train"]["strategy"]["gamma"] == 0.9
         assert not (tmp_path / "runs").exists()
+
+    def test_config_resolved_is_the_dry_run_output(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"),
+                                seeds=[1])
+        assert main(["train", str(cfg_path), "--dry-run"]) == 0
+        dry_run = capsys.readouterr().out.encode("utf-8")
+        assert main(["train", str(cfg_path), "--quiet"]) == 0
+        assert run_layout(tmp_path / "runs" / "tiny")["config"].read_bytes() == dry_run
+        # run_experiment writes the file from its snapshot, and only from one
+        cfg = parse_config(cfg_path)
+        train, test = cli.build_datasets(cfg)
+        spec = cfg.model_spec(train.d, train.k)
+        for name, snapshot in (("with", cfg.resolved), ("without", None)):
+            run_experiment(spec, train, test, cfg.train_config(), cfg.seeds, tmp_path / name,
+                           config_snapshot=snapshot)
+        assert run_layout(tmp_path / "with")["config"].read_bytes() == dry_run
+        assert not run_layout(tmp_path / "without")["config"].exists()
 
     @pytest.mark.parametrize("overrides", [
         {"seeds": [-1]},

@@ -21,7 +21,8 @@ replaced: one store update, sample gather and target gather per mini-batch,
 the allocating optimizer step and the backward pass that also formed the
 unused input gradient. Parameters, optimizer moments, the evidence store and
 every epoch row must match bit for bit, and the epoch-level store update
-must keep each mini-batch's own leave-or-renormalize decision and error.
+must check each prediction row on its own, exactly as the replaced check
+does on that row alone.
 """
 
 import math
@@ -40,9 +41,9 @@ from bsdlab.numerics import (PROB_FLOOR, _class_reduce, entropy, kl_div, one_hot
                              soft_cross_entropy, softmax)
 from bsdlab.targets import (SIMPLEX_RENORM_TOL, STRATEGY_MODES, EvidenceStore, StrategyConfig,
                             TargetStrategy, _check_pred, init_prior, sharpen)
-from bsdlab.training import (_DROPOUT, _SHUFFLE, BsdPlusConfig, TrainConfig, TrainingDiverged,
-                             _augmented_views, _epoch_rng, _kl_logit_grad, contrastive_term,
-                             evaluate, lr_at, make_optimizer, train_epoch)
+from bsdlab.training import (_DROPOUT, _SHUFFLE, _STRONG_BASE, _WEAK, BsdPlusConfig, TrainConfig,
+                             TrainingDiverged, _augmented_views, _epoch_rng, _kl_logit_grad,
+                             contrastive_term, evaluate, lr_at, make_optimizer, train_epoch)
 
 
 def old_conv_forward(model, batch):
@@ -350,15 +351,6 @@ class OldTargetStrategy:
         return self.targets(np.arange(self.labels.shape[0]), epoch)
 
 
-class PerBatchOldTargetStrategy(OldTargetStrategy):
-    """The reference strategy fed one mini-batch at a time, as the old loop fed it."""
-
-    def update(self, indices, preds, batch=None):
-        step = len(indices) if batch is None else batch
-        for start in range(0, len(indices), step):
-            super().update(indices[start:start + step], preds[start:start + step])
-
-
 STRATEGY_CASES = [("baseline", {}), ("label-smoothing", {"ls_alpha": 0.2}), ("bsd", {}),
                   ("dlb", {}), ("ps-kd", {"pskd_alpha": 0.8}), ("ps-kd", {"pskd_alpha": 1.0}),
                   ("te", {"te_momentum": 0.6})]
@@ -394,12 +386,12 @@ def test_target_strategy_matches_reference(mode, kw):
 @pytest.mark.parametrize("mode, kw", STRATEGY_CASES, ids=STRATEGY_IDS)
 def test_training_with_store_strategy_matches_reference(mode, kw):
     train = make_blobs(3, 10, spacing=2.0, cov_scale=0.8, seed=[5, 0])
-    test = make_blobs(3, 10, spacing=2.0, cov_scale=0.8, seed=[5, 1], split="test")
+    test = make_blobs(3, 10, spacing=2.0, cov_scale=0.8, seed=[5, 1])
     cfg = TrainConfig(epochs=4, batch_size=7, lr=0.05,
                       strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0, **kw))
     spec = ModelSpec(input_dim=2, classes=3, hidden=(6,), dropout=0.1, seed=3)
     runs = []
-    for cls in (TargetStrategy, PerBatchOldTargetStrategy):
+    for cls in (TargetStrategy, OldTargetStrategy):
         model, opt = init_model(spec), make_optimizer(cfg)
         strategy = cls(cfg.strategy, train.labels, train.k, cfg.epochs)
         losses = [train_epoch(model, train, strategy, opt, cfg, e, seed=9)["train_loss"]
@@ -494,6 +486,11 @@ def old_check_pred(pred):
             f"prediction off the simplex by {err.max():.3e} (> {SIMPLEX_RENORM_TOL})"
         )
     return pred / s
+
+
+def old_check_rows(pred):
+    """``old_check_pred`` applied to each row on its own."""
+    return np.concatenate([old_check_pred(pred[i:i + 1]) for i in range(pred.shape[0])])
 
 
 def old_sharpen(target, tau):
@@ -677,14 +674,14 @@ def test_check_pred_matches_reference(n, k):
     with_nan = p.copy()
     with_nan[n // 2, 0] = np.nan
     for case in (p, drifted, with_nan, np.asfortranarray(drifted)):
-        assert_bit_equal(_check_pred(case), old_check_pred(case))
+        assert_bit_equal(_check_pred(case), old_check_rows(case))
     off = p.copy()
     off[-1] *= 1.1
     for bad in (off, -p):
         with pytest.raises(ValueError) as got:
             _check_pred(bad)
         with pytest.raises(ValueError) as want:
-            old_check_pred(bad)
+            old_check_rows(bad)
         assert str(got.value) == str(want.value)
 
 
@@ -829,6 +826,8 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
+    weak_rng = _epoch_rng(seed, epoch, _WEAK)
+    strong_rngs = [_epoch_rng(seed, epoch, _STRONG_BASE + j) for j in range(cfg.bsd_plus.views)]
     # gradient buffer laid out like model.flat; strong views add theirs in
     grad_flat = np.empty_like(model.flat)
     grads = model.views(grad_flat)
@@ -837,7 +836,7 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
         idx = perm[start:start + cfg.batch_size]
         bsz = idx.shape[0]
         raw = dataset.samples[idx]
-        weak, strong_views = _augmented_views(raw, cfg, seed, epoch)
+        weak, strong_views = _augmented_views(raw, cfg.bsd_plus, weak_rng, strong_rngs)
 
         try:
             probs, cache = forward(model, weak, dropout_rng)
@@ -918,7 +917,7 @@ def test_train_epoch_matches_reference_every_mode(mode, tau, monkeypatch):
     # 23 samples in batches of 6: the last batch is short
     train = make_blobs(3, 8, spacing=1.5, cov_scale=0.8, seed=[7, 0])
     train = data.Dataset(samples=train.samples[:23], clean_labels=train.clean_labels[:23],
-                         labels=train.labels[:23], k=3, split="train")
+                         labels=train.labels[:23], k=3)
     cfg = TrainConfig(epochs=4, batch_size=6, lr=0.05, tau=tau,
                       strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0, epsilon=0.1))
     spec = ModelSpec(input_dim=2, classes=3, hidden=(6, 5), dropout=0.2, seed=3)
@@ -945,7 +944,7 @@ def test_train_epoch_matches_reference_bsd_plus(mode, monkeypatch):
     h, w, ch, n = 7, 6, 2, 13
     train = data.Dataset(samples=rng.uniform(0.0, 1.0, size=(n, h, w, ch)),
                          clean_labels=rng.integers(0, 3, size=n),
-                         labels=rng.integers(0, 3, size=n), k=3, split="train")
+                         labels=rng.integers(0, 3, size=n), k=3)
     cfg = TrainConfig(epochs=3, batch_size=4, lr=0.02, tau=0.5,
                       strategy=StrategyConfig(mode=mode, gamma=0.8, c=20.0),
                       bsd_plus=BsdPlusConfig(enabled=True, lam=0.7, views=2,
@@ -955,10 +954,10 @@ def test_train_epoch_matches_reference_bsd_plus(mode, monkeypatch):
     assert_same_run(*run_both(train, spec, cfg, monkeypatch))
 
 
-def per_batch_update(store, perm, preds, block):
-    """The old loop's store traffic: one update per consecutive ``block`` rows."""
-    for start in range(0, perm.shape[0], block):
-        store.update_rows(perm[start:start + block], preds[start:start + block])
+def per_row_update(store, perm, preds):
+    """One store update per row, each with its own check."""
+    for i in range(perm.shape[0]):
+        store.update_rows(perm[i:i + 1], preds[i:i + 1])
 
 
 def store_pair(rng, n, k):
@@ -970,34 +969,35 @@ def store_pair(rng, n, k):
 @pytest.mark.parametrize("k", [3, 10])
 def test_epoch_update_keeps_each_batch_renormalize_decision(k):
     rng = np.random.default_rng(k)
-    n, block = 70, 16
+    n = 70
     perm = rng.permutation(n)
     preds = rng.dirichlet(np.full(k, 0.7), size=n)
     preds /= preds.sum(axis=1, keepdims=True)
     clean = preds.copy()
-    preds[16:32] *= 1.0 + 1e-10  # the second batch drifted; its neighbours did not
+    preds[20] *= 1.0 + 1e-10  # drifted past 1e-12
+    preds[21] *= 1.0 + 1e-13  # in the same batch of 16, drifted by less
+    drift = np.abs(preds.sum(axis=1) - 1.0)
+    assert drift[20] > 1e-12 and 0.0 < drift[21] <= 1e-12
     nan_row = preds.copy()
     nan_row[40, 1] = np.nan
     for case in (clean, preds, nan_row):
         new, old = store_pair(rng, n, k)
-        new.update_rows(perm, case, block=block)
-        per_batch_update(old, perm, case, block)
+        new.update_rows(perm, case)
+        per_row_update(old, perm, case)
         assert_bit_equal(new.y, old.y)
         assert_bit_equal(new.A, old.A)
-    # a drifted batch is renormalized alone: its neighbours keep their exact bits
-    checked = _check_pred(preds, 16)
-    assert_bit_equal(checked[:16], preds[:16])
-    assert_bit_equal(checked[32:], preds[32:])
-    assert checked[16:32].tobytes() != preds[16:32].tobytes()
-    # one block for all rows, as before, when no block size is given
-    assert_bit_equal(_check_pred(preds), old_check_pred(preds))
+    # the drifted row is renormalized alone: every other row keeps its bits
+    checked = _check_pred(preds)
+    assert checked[20].tobytes() != preds[20].tobytes()
+    assert_bit_equal(checked[20], preds[20] / preds[20].sum())
+    assert_bit_equal(np.delete(checked, 20, axis=0), np.delete(preds, 20, axis=0))
 
 
 @pytest.mark.parametrize("first, second", [("off", "negative"), ("negative", "off"),
                                            ("off", "off")])
 def test_epoch_update_raises_first_offending_batch_message(first, second):
     rng = np.random.default_rng(3)
-    n, k, block = 40, 4, 8
+    n, k = 40, 4
     perm = rng.permutation(n)
     preds = rng.dirichlet(np.full(k, 0.7), size=n)
     preds /= preds.sum(axis=1, keepdims=True)
@@ -1006,13 +1006,15 @@ def test_epoch_update_raises_first_offending_batch_message(first, second):
             preds[rows] *= scale
         else:
             preds[rows, 0] = -1e-3
-    new, old = store_pair(rng, n, k)
-    y0, A0 = new.y.copy(), new.A.copy()
+    store, _ = store_pair(rng, n, k)
+    y0, A0 = store.y.copy(), store.A.copy()
     with pytest.raises(ValueError) as got:
-        new.update_rows(perm, preds, block=block)
+        store.update_rows(perm, preds)
+    # the message is the whole epoch's: a negative entry in any row, else the
+    # largest drift
     with pytest.raises(ValueError) as want:
-        per_batch_update(old, perm, preds, block)
+        old_check_pred(preds)
     assert str(got.value) == str(want.value)
-    # nothing is written when any batch is rejected
-    assert_bit_equal(new.y, y0)
-    assert_bit_equal(new.A, A0)
+    # nothing is written when any row is rejected
+    assert_bit_equal(store.y, y0)
+    assert_bit_equal(store.A, A0)

@@ -52,7 +52,7 @@ def digest_tree(root):
 def blob_data():
     train = make_blobs(3, 8, spacing=2.0, cov_scale=0.8, seed=[21, 0])
     train = apply_noise(train, NoiseSpec(kind="symmetric", rate=0.3, seed=4))
-    test = make_blobs(3, 4, spacing=2.0, cov_scale=0.8, seed=[21, 1], split="test")
+    test = make_blobs(3, 4, spacing=2.0, cov_scale=0.8, seed=[21, 1])
     return train, test
 
 
@@ -63,8 +63,7 @@ def grid_data():
     samples = rng.normal(0.0, 0.3, size=(16, 6, 6, 1))
     samples[labels == 1, 2:4, :, 0] += 1.0
     train = Dataset(samples=samples[:12], clean_labels=labels[:12], labels=labels[:12], k=2)
-    test = Dataset(samples=samples[12:], clean_labels=labels[12:], labels=labels[12:], k=2,
-                   split="test")
+    test = Dataset(samples=samples[12:], clean_labels=labels[12:], labels=labels[12:], k=2)
     return train, test
 
 
@@ -76,8 +75,7 @@ def grid_data_7x7x2():
     samples[labels == 1, 2:5, :, 0] += 1.0
     samples[labels == 2, :, 2:5, 1] += 1.0
     train = Dataset(samples=samples[:15], clean_labels=labels[:15], labels=labels[:15], k=3)
-    test = Dataset(samples=samples[15:], clean_labels=labels[15:], labels=labels[15:], k=3,
-                   split="test")
+    test = Dataset(samples=samples[15:], clean_labels=labels[15:], labels=labels[15:], k=3)
     return train, test
 
 
@@ -128,8 +126,8 @@ GOLDEN = {
     "bsd": "bb8252ac64d8e62ddf759d610b1ab36a80fe43e14fa6e2f2d5a7ebaa964d345c",
     "bsd-sgd-momentum": "14d54a900200a48c0fa989a2cfc5334f7b3929b80fa7230017c83cd52f9e98de",
     "bsd-sgd-plain": "769cbe09ac1d95305ff36be509e2301e951e3f63b739d707688aca7e7dc4a86f",
-    "bsd_plus-tiny-conv": "1d0b303787505b5ceaf96e0ada0db5cdc949f27f4df7facc9e79fd4bb74bbe7d",
-    "bsd_plus-tiny-conv-7x7x2": "8d4555033d6bbc02ced4c726d0638f2c19a01a6bd31bcb8875b52418219c3f67",
+    "bsd_plus-tiny-conv": "186a4b558435af6a3382b223cab03a6c9a3ed7a7f81be228eedcb1433404570f",
+    "bsd_plus-tiny-conv-7x7x2": "ba74abb5c50f375b609e8aee460282bc42e8a9a3a96dbd207332c54a08d9122f",
     "dlb": "afbee4b63de171841521757e9db7b61cc3642cf4172cf8361504c7f371f4300f",
     "label-smoothing": "e0c961ecb4cfdbac36db0eb16241adf03049a6b3819c9a67ff3fc4e67f800cd7",
     "ps-kd": "85a13915e0acafb9942e9b99d3923c73bf4160e7aae40b0817c32c97bd053947",

@@ -118,7 +118,7 @@ class TestTrainEpoch:
             model, _, strategy, opt, cfg = fresh_run("bsd", dataset=ds, seed=7,
                                                      batch_size=ds.n)
             if mutate:
-                strategy.update = lambda indices, preds, batch=None: None  # drop the write-back
+                strategy.update = lambda indices, preds: None  # drop the write-back
             train_epoch(model, ds, strategy, opt, cfg, 1, seed=0)
             runs.append(model)
         for name in runs[0].block_names():
@@ -235,15 +235,15 @@ class TestEpochUpdate:
         calls = []
         original = EvidenceStore.update_rows
 
-        def counted(self, indices, preds, block=None):
-            calls.append((indices.shape[0], preds.shape, block))
-            return original(self, indices, preds, block)
+        def counted(self, indices, preds):
+            calls.append((indices.shape[0], preds.shape))
+            return original(self, indices, preds)
 
         monkeypatch.setattr(EvidenceStore, "update_rows", counted)
         model, ds, strategy, opt, cfg = fresh_run("bsd", batch_size=6)  # 20 = 3 * 6 + 2
         for epoch in (1, 2, 3):
             train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
-        assert calls == [(ds.n, (ds.n, ds.k), 6)] * 3
+        assert calls == [(ds.n, (ds.n, ds.k))] * 3
 
     @pytest.mark.parametrize("shape", [(10, 3), (10, 6, 7, 2)])
     @pytest.mark.parametrize("jitter", [0.0, 0.1])
@@ -254,13 +254,39 @@ class TestEpochUpdate:
         before = gathered.tobytes()
         gathered.flags.writeable = False
         batch = gathered[2:7]
-        cfg = TrainConfig(bsd_plus=BsdPlusConfig(enabled=True, views=3, weak_jitter=jitter,
-                                                 strong_jitter=jitter))
-        weak, strong = training._augmented_views(batch, cfg, seed=1, epoch=2)
+        plus = BsdPlusConfig(enabled=True, views=3, weak_jitter=jitter, strong_jitter=jitter)
+        rngs = [np.random.default_rng(j) for j in range(1 + plus.views)]
+        weak, strong = training._augmented_views(batch, plus, rngs[0], rngs[1:])
         for view in [weak, *strong]:
             assert view.shape == batch.shape
             assert not np.shares_memory(view, gathered)
         assert gathered.tobytes() == before
+
+    @pytest.mark.parametrize("shape", [(3,), (6, 7, 2)])
+    def test_batches_of_one_epoch_get_different_views(self, shape, monkeypatch):
+        # every sample is the same, so two batches can differ only by their
+        # draws: each batch must take fresh numbers from the epoch's streams
+        n, k = 8, 2
+        sample = np.random.default_rng(0).uniform(size=shape)
+        labels = np.tile([0, 1], n // 2)
+        ds = Dataset(samples=np.stack([sample] * n), clean_labels=labels, labels=labels, k=k)
+        views = {"augment_weak": [], "augment_strong": []}
+        for name, seen in views.items():
+            def recorded(batch, rng, augment=getattr(training, name), seen=seen, **kw):
+                out = augment(batch, rng, **kw)
+                seen.append(out.tobytes())
+                return out
+            monkeypatch.setattr(training, name, recorded)
+        grid = {"architecture": "tiny-conv", "grid_shape": shape} if len(shape) == 3 else {}
+        spec = ModelSpec(input_dim=sample.size, classes=k, hidden=(4,), seed=2, **grid)
+        cfg = TrainConfig(epochs=1, batch_size=n // 2, strategy=StrategyConfig(mode="bsd"),
+                          bsd_plus=BsdPlusConfig(enabled=True, views=2))
+        strategy = TargetStrategy(cfg.strategy, labels, k, cfg.epochs)
+        train_epoch(init_model(spec), ds, strategy, make_optimizer(cfg), cfg, 1, seed=3)
+        weak, strong = views["augment_weak"], views["augment_strong"]
+        # one weak view per batch, then two strong views per batch, in order
+        assert len(weak) == 2 and len(set(weak)) == 2
+        assert len(strong) == 4 and len(set(strong)) == 4
 
 
 class TestContrastive:
@@ -392,13 +418,11 @@ class TestRunExperiment:
 
         part_layout = run_layout(tmp_path / "part")
         part_layout["root"].mkdir(parents=True)
-        run_single_seed(spec, ds, test, cfg, 5, part_layout, {"cfg": "x"},
-                        stop_after=2)
+        run_single_seed(spec, ds, test, cfg, 5, part_layout, stop_after=2)
         _, saved = read_blocks(part_layout["checkpoints"] / "seed_5.state",
                                training.STATE_MAGIC)
         assert {b.split("/")[1] for b in saved if b.startswith("opt/")} == set(moments)
-        run_single_seed(spec, ds, test, cfg, 5, part_layout, {"cfg": "x"},
-                        resume=True)
+        run_single_seed(spec, ds, test, cfg, 5, part_layout, resume=True)
 
         full = (full_layout["records"] / "seed_5.jsonl").read_bytes()
         part = (part_layout["records"] / "seed_5.jsonl").read_bytes()
@@ -429,11 +453,11 @@ class TestRunExperiment:
 
         monkeypatch.setattr(training, "_save_train_state", crash_at_epoch_3)
         with pytest.raises(KeyboardInterrupt):
-            run_single_seed(spec, ds, test, cfg, 5, layout, {})
+            run_single_seed(spec, ds, test, cfg, 5, layout)
         records = layout["records"] / "seed_5.jsonl"
         assert len(records.read_text().splitlines()) == 3  # one row past the state
         monkeypatch.setattr(training, "_save_train_state", save_state)
-        run_single_seed(spec, ds, test, cfg, 5, layout, {}, resume=True)
+        run_single_seed(spec, ds, test, cfg, 5, layout, resume=True)
 
         full = run_layout(tmp_path / "full")
         for rel in ("records/seed_5.jsonl", "records/store_seed_5.csv",
@@ -463,7 +487,7 @@ class TestRunExperiment:
                                        strategy=StrategyConfig(mode="bsd"))
             spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
             training.run_single_seed(spec, ds, test, cfg, 5,
-                                     training.run_layout(sys.argv[1]), {})
+                                     training.run_layout(sys.argv[1]))
         """)
         src = str(Path(training.__file__).resolve().parents[1])
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -477,9 +501,8 @@ class TestRunExperiment:
         cfg = TrainConfig(epochs=4, batch_size=8, eval_every=1,
                           strategy=StrategyConfig(mode="bsd"))
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
-        run_single_seed(spec, ds, test, cfg, 5, run_layout(tmp_path / "part"), {},
-                        resume=True)
-        run_single_seed(spec, ds, test, cfg, 5, run_layout(tmp_path / "full"), {})
+        run_single_seed(spec, ds, test, cfg, 5, run_layout(tmp_path / "part"), resume=True)
+        run_single_seed(spec, ds, test, cfg, 5, run_layout(tmp_path / "full"))
         rel = Path("records") / "seed_5.jsonl"
         assert (tmp_path / "part" / rel).read_bytes() == (tmp_path / "full" / rel).read_bytes()
 
@@ -489,12 +512,12 @@ class TestRunExperiment:
         cfg = small_config("bsd", epochs=4)
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
         layout = run_layout(tmp_path / "run")
-        run_single_seed(spec, ds, test, cfg, 5, layout, {}, stop_after=2)
+        run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
         records = layout["records"] / "seed_5.jsonl"
         first_row = records.read_text().splitlines(keepends=True)[0]
         records.write_text(first_row)
         with pytest.raises(ValueError, match="epochs 1..2"):
-            run_single_seed(spec, ds, test, cfg, 5, layout, {}, resume=True)
+            run_single_seed(spec, ds, test, cfg, 5, layout, resume=True)
         assert records.read_text() == first_row
 
     def test_interrupted_state_write_keeps_previous_state(self, tmp_path):
@@ -503,7 +526,7 @@ class TestRunExperiment:
         cfg = small_config("bsd", epochs=4, optimizer="adam", lr=0.05)
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
         layout = run_layout(tmp_path / "run")
-        run_single_seed(spec, ds, test, cfg, 5, layout, {}, stop_after=2)
+        run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
         state_path = layout["checkpoints"] / "seed_5.state"
         before = state_path.read_bytes()
 
@@ -542,7 +565,7 @@ class TestUnusableState:
         cfg = small_config(mode, epochs=4, optimizer="adam", lr=0.05)
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
         layout = run_layout(tmp_path / "run")
-        run_single_seed(spec, ds, test, cfg, 5, layout, {}, stop_after=2)
+        run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
         return spec, test, cfg, layout, layout["checkpoints"] / "seed_5.state"
 
     @pytest.mark.parametrize("mode, old_blocks", [
@@ -559,13 +582,13 @@ class TestUnusableState:
         del header["blocks"]
         write_blocks(path, training.STATE_MAGIC, header, blocks)
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing block 'strategy/y'")):
-            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, {}, resume=True)
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
 
     def test_block_of_wrong_shape(self, tmp_path):
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: block 'strategy/y' has shape (16, 2), this run needs (18, 2)")):
-            run_single_seed(spec, tiny_dataset(n_per=9), test, cfg, 5, layout, {}, resume=True)
+            run_single_seed(spec, tiny_dataset(n_per=9), test, cfg, 5, layout, resume=True)
 
     @pytest.mark.parametrize("header_line", [b'{"blocks": [{"name": "param/w0", ', b"not json\n"],
                              ids=["truncated", "non-json"])
@@ -573,7 +596,7 @@ class TestUnusableState:
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
         path.write_bytes(training.STATE_MAGIC.encode() + b"\n" + header_line)
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated or non-JSON header")):
-            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, {}, resume=True)
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
 
 
 def reference_trace_bytes(preds, labels):
