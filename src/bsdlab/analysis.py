@@ -161,12 +161,12 @@ def ace(preds, labels, bins=DEFAULT_BINS):
     return float(total / used)
 
 
-def nll(preds, labels, floor=PROB_FLOOR):
+def nll(preds, labels):
     """Mean negative log-likelihood of the true labels."""
     preds = _as_preds(preds)
     labels = _as_labels(labels, *preds.shape)
     p_true = preds[np.arange(preds.shape[0]), labels]
-    return float(-np.mean(np.log(np.maximum(p_true, floor))))
+    return float(-np.mean(np.log(np.maximum(p_true, PROB_FLOOR))))
 
 
 def reliability_bins(preds, labels, bins=DEFAULT_BINS):
@@ -190,15 +190,15 @@ def reliability_bins(preds, labels, bins=DEFAULT_BINS):
     return rows
 
 
-def calibration_report(preds, labels, bins=DEFAULT_BINS) -> CalibrationReport:
-    rows = reliability_bins(preds, labels, bins)
+def calibration_report(preds, labels) -> CalibrationReport:
+    rows = reliability_bins(preds, labels)
     return CalibrationReport(
         accuracy=accuracy(preds, labels),
         ece=_ece_from_bins(rows),
-        sce=sce(preds, labels, bins),
-        ace=ace(preds, labels, bins),
+        sce=sce(preds, labels),
+        ace=ace(preds, labels),
         nll=nll(preds, labels),
-        bins=bins,
+        bins=DEFAULT_BINS,
         bin_lo=[r["bin_lo"] for r in rows],
         bin_hi=[r["bin_hi"] for r in rows],
         bin_conf=[r["conf"] for r in rows],
@@ -310,9 +310,9 @@ def reconstruct_predictions(dk: DarkKnowledge, labels):
     return out
 
 
-def _logits_from_preds(preds, floor=PROB_FLOOR):
+def _logits_from_preds(preds):
     # Log-probabilities serve as surrogate logits; valid up to the shift degeneracy.
-    return np.log(np.maximum(_as_preds(preds), floor))
+    return np.log(np.maximum(_as_preds(preds), PROB_FLOOR))
 
 
 def _temperature_nll(logits, labels):
@@ -388,9 +388,9 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
     return float((a + b) / 2.0)
 
 
-def temperature_scale(preds, temperature, floor=PROB_FLOOR):
+def temperature_scale(preds, temperature):
     """Re-normalize predictions at the given temperature: softmax(log(p) / T)."""
-    return softmax(_logits_from_preds(preds, floor) / temperature)
+    return softmax(_logits_from_preds(preds) / temperature)
 
 
 def temp_adjusted_kl(snapshot_preds, final_preds, temperatures):

@@ -14,7 +14,8 @@ Commands are batch processes over a fixed run-directory layout:
 The output root can be overridden with the BSDLAB_OUT_ROOT environment
 variable. Everything except timing.txt is byte-reproducible from
 (config, seeds). ``train --force`` deletes these entries of the previous
-run before training.
+run before training. A bad input file ends a command with ``error: ...``
+and exit 1, a bad config with exit 2.
 """
 
 from __future__ import annotations
@@ -85,9 +86,7 @@ def cmd_train(args):
     run_dir = resolve_run_dir(cfg)
     layout = run_layout(run_dir)
     if layout["config"].exists() and not args.force:
-        print(f"error: {run_dir} already holds a run; pass --force to overwrite",
-              file=sys.stderr)
-        return 1
+        raise FileExistsError(f"{run_dir} already holds a run; pass --force to overwrite")
     train_set, test_set = build_datasets(cfg)
     grid_shape = train_set.samples.shape[1:] if train_set.is_grid else None
     model_spec = cfg.model_spec(train_set.d, train_set.k, grid_shape=grid_shape)
@@ -167,7 +166,7 @@ def _analyze_dynamics(layout):
     for seed, epochs in _seed_traces(layout):
         last = max(epochs)
         final_preds, labels, _ = read_trace_csv(epochs[last])
-        t_final = analysis.fit_temperature(np.log(np.maximum(final_preds, 1e-12)), labels)
+        t_final = analysis.fit_temperature(analysis._logits_from_preds(final_preds), labels)
         final_at_t = analysis.temperature_scale(final_preds, t_final)
         rows = []
         for epoch, path in epochs.items():
@@ -177,7 +176,7 @@ def _analyze_dynamics(layout):
                 t_snap, at_fit, at_final = t_final, final_at_t, final_at_t
             else:
                 snap_preds, _, _ = read_trace_csv(path)
-                t_snap = analysis.fit_temperature(np.log(np.maximum(snap_preds, 1e-12)), labels)
+                t_snap = analysis.fit_temperature(analysis._logits_from_preds(snap_preds), labels)
                 at_fit = analysis.temperature_scale(snap_preds, t_snap)
                 at_final = (at_fit if t_snap == t_final
                             else analysis.temperature_scale(snap_preds, t_final))
@@ -224,24 +223,20 @@ def _analyze_flip(layout):
 def cmd_analyze(args):
     layout = run_layout(args.run_dir)
     layout["reports"].mkdir(parents=True, exist_ok=True)
-    try:
-        if args.what == "calibration":
-            for seed, report in _analyze_calibration(layout):
-                print(f"seed {seed}: acc {report.accuracy:.4f}  ece {report.ece:.4f}  "
-                      f"sce {report.sce:.4f}  ace {report.ace:.4f}  nll {report.nll:.4f}")
-        elif args.what == "dark-knowledge":
-            _analyze_dark_knowledge(layout)
-        elif args.what == "dynamics":
-            _analyze_dynamics(layout)
-        elif args.what == "ood":
-            for seed, score in _analyze_ood(layout, args.ood_run).items():
-                print(f"seed {seed}: auroc {score:.4f}")
-        else:
-            for seed, rate in _analyze_flip(layout).items():
-                print(f"seed {seed}: mean flip probability {rate:.4f}")
-    except (FileNotFoundError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if args.what == "calibration":
+        for seed, report in _analyze_calibration(layout):
+            print(f"seed {seed}: acc {report.accuracy:.4f}  ece {report.ece:.4f}  "
+                  f"sce {report.sce:.4f}  ace {report.ace:.4f}  nll {report.nll:.4f}")
+    elif args.what == "dark-knowledge":
+        _analyze_dark_knowledge(layout)
+    elif args.what == "dynamics":
+        _analyze_dynamics(layout)
+    elif args.what == "ood":
+        for seed, score in _analyze_ood(layout, args.ood_run).items():
+            print(f"seed {seed}: auroc {score:.4f}")
+    else:
+        for seed, rate in _analyze_flip(layout).items():
+            print(f"seed {seed}: mean flip probability {rate:.4f}")
     print(f"reports written to {layout['reports']}")
     return 0
 
@@ -292,13 +287,10 @@ def cmd_compare(args):
     runs = [_collect_run(d) for d in args.run_dirs]
     for run in runs:
         if not run["per_seed"]:
-            print(f"error: no completed records under {run['dir']}", file=sys.stderr)
-            return 1
+            raise FileNotFoundError(f"no completed records under {run['dir']}")
     class_counts = {run["classes"] for run in runs if run["classes"] is not None}
     if len(class_counts) > 1:
-        print(f"error: incompatible class counts across runs: {sorted(class_counts)}",
-              file=sys.stderr)
-        return 1
+        raise ValueError(f"incompatible class counts across runs: {sorted(class_counts)}")
     header = ["run", "mode", "seeds", "acc", "ece", "nll"]
     table = []
     for run in runs:
@@ -384,6 +376,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except (OSError, ValueError) as exc:  # input a command cannot use: one line, no traceback
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

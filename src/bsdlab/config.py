@@ -130,11 +130,10 @@ def _build(cls, section, **extra):
 class ExperimentConfig:
     name: str
     resolved: dict
-    base_dir: Path
 
-    def model_spec(self, input_dim, classes, grid_shape=None, seed=0) -> ModelSpec:
+    def model_spec(self, input_dim, classes, grid_shape=None) -> ModelSpec:
         return _build(ModelSpec, self.resolved["model"], input_dim=input_dim,
-                      classes=classes, grid_shape=grid_shape, seed=seed)
+                      classes=classes, grid_shape=grid_shape)
 
     def train_config(self) -> TrainConfig:
         return _build(TrainConfig, self.resolved["train"])
@@ -187,7 +186,7 @@ def parse_config(path) -> ExperimentConfig:
     if resolved["model"]["architecture"] == "tiny-conv" and resolved["dataset"]["kind"] != "idx":
         raise ConfigError("model.architecture 'tiny-conv' needs image grids, "
                           "which only dataset.kind 'idx' gives")
-    return ExperimentConfig(name=name, resolved=resolved, base_dir=path.parent)
+    return ExperimentConfig(name=name, resolved=resolved)
 
 
 def resolved_json(cfg: ExperimentConfig) -> str:

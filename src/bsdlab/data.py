@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import write_table
+from .fileio import atomic_open, write_table
 from .settings import Settings, setting
 
 __all__ = [
@@ -75,7 +75,6 @@ class NoiseSpec(Settings):
                         "'none', 'symmetric' or 'asymmetric'")
     rate: float = setting(0.0, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
     seed: int = setting(0, lambda v: v >= 0, ">= 0")
-    mapping: dict | None = None  # asymmetric only; None selects the cyclic successor map
 
 
 def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0,
@@ -133,9 +132,9 @@ def read_idx(path):
 
 
 def write_idx(path, array):
-    """Write an unsigned-byte ndarray in IDX layout (big-endian dims)."""
+    """Atomically write an unsigned-byte ndarray in IDX layout (big-endian dims)."""
     arr = np.ascontiguousarray(array, dtype=np.uint8)
-    with open(path, "wb") as fh:
+    with atomic_open(path) as fh:
         fh.write(bytes([0, 0, IDX_UBYTE, arr.ndim]))
         for dim in arr.shape:
             fh.write(struct.pack(">I", dim))
@@ -162,7 +161,7 @@ def load_idx(images_path, labels_path):
                    k=max(k, 2))
 
 
-def load_csv(path, label_column="label", k=None):
+def load_csv(path, label_column="label"):
     """Load a header-bearing CSV with one labeled sample per row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
@@ -170,28 +169,27 @@ def load_csv(path, label_column="label", k=None):
         raise ValueError(f"empty CSV {path}")
     header = rows[0]
     if label_column not in header:
-        raise ValueError(f"label column {label_column!r} not in CSV header")
+        raise ValueError(f"{path}: label column {label_column!r} not in CSV header")
     label_idx = header.index(label_column)
     feat_idx = [j for j in range(len(header)) if j != label_idx]
     samples = np.empty((len(rows) - 1, len(feat_idx)))
     labels = np.empty(len(rows) - 1, dtype=np.int64)
     for i, row in enumerate(rows[1:]):
         if len(row) != len(header):
-            raise ValueError(f"CSV row {i + 2} has {len(row)} fields, header has {len(header)}")
+            raise ValueError(f"{path}: CSV row {i + 2} has {len(row)} fields, header has {len(header)}")
         labels[i] = int(row[label_idx])
         samples[i] = [float(row[j]) for j in feat_idx]
-    inferred_k = int(labels.max()) + 1 if labels.size else 2
-    k = max(k or 0, inferred_k, 2)
+    k = int(labels.max()) + 1 if labels.size else 2
     if labels.size and labels.min() < 0:
         raise ValueError("label out of range in CSV")
-    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=k)
+    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=max(k, 2))
 
 
-def export_csv(dataset: Dataset, path, label_column="label"):
+def export_csv(dataset: Dataset, path):
     """Write a vector dataset to CSV; floats use repr so re-import is exact."""
     if dataset.is_grid:
         raise ValueError("CSV export handles vector datasets only; use write_idx for grids")
-    header = [f"x{j}" for j in range(dataset.samples.shape[1])] + [label_column]
+    header = [f"x{j}" for j in range(dataset.samples.shape[1])] + ["label"]
     write_table(path, header, [dataset.samples, dataset.labels], newline="\r\n")
 
 
@@ -215,7 +213,7 @@ def inject_symmetric(labels, rate, k, seed):
 
 
 def cyclic_map(k):
-    """Default asymmetric map: each class flips to its successor mod k."""
+    """The asymmetric map of ``apply_noise``: each class flips to its successor mod k."""
     return {j: (j + 1) % k for j in range(k)}
 
 
@@ -244,8 +242,7 @@ def apply_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     if spec.kind == "symmetric":
         noisy = inject_symmetric(dataset.clean_labels, spec.rate, dataset.k, spec.seed)
     else:
-        mapping = spec.mapping if spec.mapping is not None else cyclic_map(dataset.k)
-        noisy = inject_asymmetric(dataset.clean_labels, spec.rate, mapping, spec.seed)
+        noisy = inject_asymmetric(dataset.clean_labels, spec.rate, cyclic_map(dataset.k), spec.seed)
     return dataset.with_labels(noisy)
 
 
@@ -255,8 +252,9 @@ def _jitter(batch, rng, sigma):
     return batch + rng.normal(0.0, sigma, size=batch.shape)
 
 
-def _crop_flip(batch, rng, pad=4):
-    """Pad-and-crop plus horizontal flip, drawn per sample."""
+def _crop_flip(batch, rng):
+    """Pad-4-and-crop plus horizontal flip, drawn per sample."""
+    pad = 4
     n, h, w, ch = batch.shape
     hp, wp = h + 2 * pad, w + 2 * pad
     padded = np.zeros((n, hp, wp, ch))

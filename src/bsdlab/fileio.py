@@ -41,7 +41,8 @@ def write_blocks(path, magic, header, blocks):
 
 
 def read_blocks(path, magic):
-    """Read a ``write_blocks`` file; returns (header, name -> float64 array)."""
+    """Read a ``write_blocks`` file; returns (header, name -> float64 array).
+    A file that does not match its magic line or its manifest raises ``ValueError``."""
     with open(path, "rb") as fh:
         found = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if found != magic:
@@ -53,12 +54,18 @@ def read_blocks(path, magic):
         if not isinstance(header, dict) or not isinstance(header.get("blocks"), list):
             raise ValueError(f"{path}: truncated or non-JSON header line")
         blocks = {}
-        for block in header["blocks"]:
-            shape = tuple(block["shape"])
+        for entry in header["blocks"]:
+            shape = entry.get("shape") if isinstance(entry, dict) else None
+            if (not isinstance(shape, list) or not isinstance(entry.get("name"), str)
+                    or not all(type(d) is int and d >= 0 for d in shape)):
+                raise ValueError(f"{path}: manifest entry {entry!r} is not "
+                                 "{name: str, shape: list of ints >= 0}")
             raw = fh.read(math.prod(shape) * 8)
             if len(raw) != math.prod(shape) * 8:
-                raise ValueError(f"truncated file {path}: block {block['name']!r}")
-            blocks[block["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+                raise ValueError(f"truncated file {path}: block {entry['name']!r}")
+            blocks[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise ValueError(f"{path}: bytes after the last block")
     return header, blocks
 
 

@@ -229,7 +229,6 @@ def forward(model: Model, batch, rng=None):
         if batch.ndim != 2 or batch.shape[1] != spec.input_dim:
             raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {batch.shape}")
         a = batch
-    cache["head_input"] = a
 
     n_hidden = len(spec.hidden)
     for i in range(n_hidden):
@@ -245,9 +244,7 @@ def forward(model: Model, batch, rng=None):
         a = out
     logits = a @ model.params[f"w{n_hidden}"] + model.params[f"b{n_hidden}"]
     cache["logits_input"] = a
-    probs = softmax(logits)
-    cache["probs"] = probs
-    return probs, cache
+    return softmax(logits), cache
 
 
 def backward(model: Model, cache, dlogits, out=None):

@@ -71,33 +71,33 @@ def softmax(logits):
     return e / _class_reduce(np.add, e, keepdims=True)
 
 
-def entropy(p, floor=PROB_FLOOR):
+def entropy(p):
     """Shannon entropy -sum p*ln(p) along the last axis, in nats."""
     p = np.asarray(p, dtype=np.float64)
-    return -_class_reduce(np.add, p * np.log(np.maximum(p, floor)))
+    return -_class_reduce(np.add, p * np.log(np.maximum(p, PROB_FLOOR)))
 
 
-def kl_div(p, q, floor=PROB_FLOOR):
-    """KL divergence sum p*ln(p/q) along the last axis, floor-clamped.
+def kl_div(p, q):
+    """KL divergence sum p*ln(p/q) along the last axis, clamped at ``PROB_FLOOR``.
 
     Both arguments are expected to lie on the simplex; the floor only guards
     exact zeros, so ``kl_div(p, p)`` is 0 and the result is nonnegative.
     """
     p = np.asarray(p, dtype=np.float64)
     q = np.asarray(q, dtype=np.float64)
-    logp = np.log(np.maximum(p, floor))
-    logq = np.log(np.maximum(q, floor))
+    logp = np.log(np.maximum(p, PROB_FLOOR))
+    logq = np.log(np.maximum(q, PROB_FLOOR))
     return _class_reduce(np.add, p * (logp - logq))
 
 
-def soft_cross_entropy(target, pred, floor=PROB_FLOOR):
+def soft_cross_entropy(target, pred):
     """Cross-entropy -sum target*ln(pred) along the last axis.
 
     Identity: soft_cross_entropy(t, p) == kl_div(t, p) + entropy(t).
     """
     t = np.asarray(target, dtype=np.float64)
     p = np.asarray(pred, dtype=np.float64)
-    return -_class_reduce(np.add, t * np.log(np.maximum(p, floor)))
+    return -_class_reduce(np.add, t * np.log(np.maximum(p, PROB_FLOOR)))
 
 
 def one_hot(labels, k):

@@ -236,7 +236,6 @@ class TargetStrategy:
     def __init__(self, cfg: StrategyConfig, labels, k, total_epochs):
         self.cfg = cfg
         self.labels = np.asarray(labels)
-        self.k = k
         self.total_epochs = total_epochs
         self.onehot = one_hot(self.labels, k)
         mode = cfg.mode

@@ -132,10 +132,10 @@ def _epoch_rng(seed, epoch, tag):
     return np.random.default_rng([seed, epoch, tag])
 
 
-def _kl_logit_grad(strong_probs, anchor_probs, floor=PROB_FLOOR):
+def _kl_logit_grad(strong_probs, anchor_probs):
     """d KL(p, q) / d logits(p) for constant q: p * (ln p - ln q - KL(p, q))."""
-    lp = np.log(np.maximum(strong_probs, floor))
-    lq = np.log(np.maximum(anchor_probs, floor))
+    lp = np.log(np.maximum(strong_probs, PROB_FLOOR))
+    lq = np.log(np.maximum(anchor_probs, PROB_FLOOR))
     diff = lp - lq
     row_kl = _class_reduce(np.add, strong_probs * diff, keepdims=True)
     return strong_probs * (diff - row_kl)
@@ -294,6 +294,9 @@ def _save_train_state(path, model, opt_state, strategy, epoch):
 
 def _load_train_state(path, model, opt_state, strategy):
     header, blocks = read_blocks(path, STATE_MAGIC)
+    for key in ("epoch", "opt_step"):
+        if type(header.get(key)) is not int or header[key] < 0:
+            raise ValueError(f"{path}: header has no non-negative integer {key!r}")
 
     def load(name, dest):
         block = blocks.get(name)
@@ -307,7 +310,7 @@ def _load_train_state(path, model, opt_state, strategy):
 
     for name, param in model.params.items():
         load(f"param/{name}", param)
-    opt_state.step = int(header["opt_step"])
+    opt_state.step = header["opt_step"]
     for key in ("m", "v", "buf"):
         if any(b.startswith(f"opt/{key}/") for b in blocks):
             if getattr(opt_state, key) is None:
@@ -317,7 +320,7 @@ def _load_train_state(path, model, opt_state, strategy):
     if not strategy.frozen:
         load("strategy/y", strategy.store.y)
         load("strategy/A", strategy.store.A)
-    return int(header["epoch"])
+    return header["epoch"]
 
 
 def write_trace_csv(path, preds, labels):

@@ -11,7 +11,7 @@ import pytest
 from bsdlab import analysis, cli
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
-from bsdlab.data import NoiseSpec, load_csv
+from bsdlab.data import NoiseSpec, load_csv, write_idx
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
 from bsdlab.training import BsdPlusConfig, TrainConfig, run_experiment, run_layout
@@ -447,6 +447,18 @@ class TestAnalyzeCommand:
         data = json.loads((run_layout(trained_run)["reports"] / "flip.json").read_text())
         assert all(0.0 <= v <= 1.0 for v in data.values())
 
+    def test_malformed_trace_manifest_is_an_error(self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "traces", run / "traces")
+        sidecar = run / "traces" / "seed_1" / "epoch_3.trace"
+        magic, header, payload = sidecar.read_bytes().split(b"\n", 2)
+        manifest = json.loads(header)
+        del manifest["blocks"][0]["name"]
+        sidecar.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+        assert main(["analyze", str(run), "--what", "calibration"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {sidecar}: manifest entry") and err.count("\n") == 1
+
     def test_missing_traces_named(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "empty"), "--what", "calibration"]) == 1
         err = capsys.readouterr().err
@@ -524,3 +536,53 @@ class TestExportDataset:
         assert main(["export-dataset", str(cfg_path), "--out", str(out),
                      "--split", "test"]) == 0
         assert load_csv(out).n == 30
+
+
+def dataset_config(tmp_path, kind):
+    """A 1-epoch config over small csv or idx files; returns (config path, train data file)."""
+    rng = np.random.default_rng(0)
+    labels = np.arange(12) % 3
+    if kind == "csv":
+        for name in ("train.csv", "test.csv"):
+            points = rng.normal(size=(12, 2)).tolist()
+            rows = "".join(f"{x!r},{y!r},{c}\n" for (x, y), c in zip(points, labels))
+            (tmp_path / name).write_text("x0,x1,label\n" + rows)
+        dataset = {"kind": "csv", "path": "train.csv", "test_path": "test.csv"}
+        model = {"hidden": [8], "dropout": 0.0}
+        data_file = tmp_path / "train.csv"
+    else:
+        for split in ("train", "test"):
+            write_idx(tmp_path / f"{split}.images.idx", rng.integers(0, 256, size=(12, 6, 6)))
+            write_idx(tmp_path / f"{split}.labels.idx", labels)
+        dataset = {"kind": "idx", "images": "train.images.idx", "labels": "train.labels.idx",
+                   "test_images": "test.images.idx", "test_labels": "test.labels.idx"}
+        model = {"architecture": "tiny-conv", "hidden": [8], "dropout": 0.0}
+        data_file = tmp_path / "train.images.idx"
+    cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"), seeds=[1],
+                            dataset=dataset, model=model,
+                            train={"epochs": 1, "batch_size": 4, "eval_every": 1})
+    return cfg_path, data_file
+
+
+class TestBadDatasetFile:
+    @pytest.mark.parametrize("kind, message", [
+        ("csv", "train.csv: CSV row 14 has 2 fields, header has 3"),
+        ("idx", "truncated IDX payload"),
+    ], ids=["csv-short-row", "idx-truncated"])
+    def test_train_and_export_exit_1(self, tmp_path, capsys, kind, message):
+        cfg_path, data_file = dataset_config(tmp_path, kind)
+        assert main(["train", str(cfg_path), "--quiet"]) == 0
+        run_dir = tmp_path / "runs" / "tiny"
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        raw = data_file.read_bytes()
+        data_file.write_bytes(raw + b"0.5,1\n" if kind == "csv" else raw[:-1])
+        capsys.readouterr()
+        out = tmp_path / "exported.csv"
+        for argv in (["train", str(cfg_path), "--force", "--quiet"],
+                     ["export-dataset", str(cfg_path), "--out", str(out)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err and err.count("\n") == 1
+        # the datasets are built before --force deletes anything
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        assert not any(tmp_path.glob("exported*"))

@@ -188,6 +188,14 @@ class TestApplyNoise:
         np.testing.assert_array_equal(noisy.clean_labels, before)
         assert int((noisy.labels != before).sum()) == int(round(0.4 * ds.n))
 
+    @pytest.mark.parametrize("k, seed", [(3, 0), (4, 5), (5, 17)])
+    def test_asymmetric_uses_cyclic_map(self, k, seed):
+        ds = make_blobs(k, 40, seed=seed)
+        noisy = apply_noise(ds, NoiseSpec(kind="asymmetric", rate=0.3, seed=seed))
+        want = inject_asymmetric(ds.clean_labels, 0.3, cyclic_map(k), seed)
+        np.testing.assert_array_equal(noisy.labels, want)
+        assert np.any(noisy.labels != ds.clean_labels)
+
 
 class TestAugment:
     def test_zero_jitter_identity(self):

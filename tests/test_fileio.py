@@ -1,10 +1,16 @@
 import csv
 import json
+import re
+import struct
 
 import numpy as np
 import pytest
 
-from bsdlab.fileio import ROWS_PER_WRITE, read_table, write_json, write_table
+from bsdlab.data import write_idx
+from bsdlab.fileio import (ROWS_PER_WRITE, read_blocks, read_table, write_blocks,
+                           write_json, write_table)
+
+MAGIC = "BSDLAB-TEST v1"
 
 
 class Unprintable:
@@ -57,6 +63,46 @@ class TestTable:
             read_table(path)
 
 
+def block_file(path, entries, payload):
+    """A block file with the given manifest entries and raw payload bytes."""
+    header = json.dumps({"blocks": entries}).encode()
+    path.write_bytes(MAGIC.encode() + b"\n" + header + b"\n" + payload)
+    return path
+
+
+class TestBlocks:
+    def test_empty_and_scalar_blocks_round_trip(self, tmp_path):
+        # a zero dimension and a shape of [] are well-formed manifest entries
+        blocks = {"a": np.arange(6.0).reshape(2, 3), "empty": np.empty((0, 4)), "s": 5e-324}
+        write_blocks(tmp_path / "b.bin", MAGIC, {"epoch": 2}, blocks)
+        header, got = read_blocks(tmp_path / "b.bin", MAGIC)
+        assert header["epoch"] == 2 and list(got) == ["a", "empty", "s"]
+        for name, block in blocks.items():
+            np.testing.assert_array_equal(got[name], block)
+            assert got[name].shape == np.shape(block)
+
+    @pytest.mark.parametrize("entries, payload", [
+        ([{"shape": [2]}], bytes(16)),
+        ([{"name": 3, "shape": [2]}], bytes(16)),
+        ([{"name": "a"}], bytes(16)),
+        ([{"name": "a", "shape": 2}], bytes(16)),
+        ([{"name": "a", "shape": [2, -1]}], b""),
+        ([{"name": "a", "shape": [2.0]}], bytes(16)),
+        ([{"name": "a", "shape": [True]}], bytes(8)),
+        (["a"], bytes(16)),
+    ], ids=["no-name", "name-not-str", "no-shape", "shape-not-list", "negative-dim",
+            "float-dim", "bool-dim", "entry-not-object"])
+    def test_malformed_manifest_entry_rejected(self, tmp_path, entries, payload):
+        path = block_file(tmp_path / "b.bin", entries, payload)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry")):
+            read_blocks(path, MAGIC)
+
+    def test_bytes_after_last_block_rejected(self, tmp_path):
+        path = block_file(tmp_path / "b.bin", [{"name": "a", "shape": [2]}], bytes(24))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: bytes after the last block")):
+            read_blocks(path, MAGIC)
+
+
 class TestAtomicWrites:
     """A writer that raises part-way leaves the previous file whole and no temp file."""
 
@@ -81,3 +127,14 @@ class TestAtomicWrites:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["r.json"]
         assert json.loads(before) == {"a": [0.1, 2], "b": 1}
+
+    def test_idx_writer_raising_mid_write(self, tmp_path):
+        path = tmp_path / "x.idx"
+        write_idx(path, np.arange(6).reshape(2, 3))
+        before = path.read_bytes()
+        # the magic and the first dimension are written before the second,
+        # which does not fit IDX's 32-bit field, is reached
+        with pytest.raises(struct.error):
+            write_idx(path, np.zeros((0, 2 ** 32), dtype=np.uint8))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["x.idx"]

@@ -598,6 +598,23 @@ class TestUnusableState:
         with pytest.raises(ValueError, match=re.escape(f"{path}: truncated or non-JSON header")):
             run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
 
+    @pytest.mark.parametrize("key, value", [
+        ("epoch", None), ("epoch", "2"), ("epoch", 2.0), ("epoch", -1),
+        ("opt_step", None), ("opt_step", 1.5), ("opt_step", True),
+    ])
+    def test_header_without_integer_counter(self, tmp_path, key, value):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        header, blocks = read_blocks(path, training.STATE_MAGIC)
+        del header["blocks"]
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+        write_blocks(path, training.STATE_MAGIC, header, blocks)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header has no non-negative integer {key!r}")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
+
 
 def reference_trace_bytes(preds, labels):
     """The trace format written one value at a time, as a byte-level reference."""
