@@ -6,8 +6,8 @@ Commands are batch processes over a fixed run-directory layout:
         config.resolved      resolved config echo (byte-stable)
         records/             per-seed epoch logs (jsonl) + final store snapshots
         checkpoints/         final model checkpoints + rolling training state
-        traces/seed_<s>/     per-eval-epoch test-set prediction CSVs, each with
-                             the binary .trace sidecar that analyze reads
+        traces/seed_<s>/     per-eval-epoch test-set predictions as binary .trace
+                             files (what analyze reads) + final-epoch CSV export
         reports/             analyze outputs
         timing.txt           wall-clock sidecar
 
@@ -53,13 +53,11 @@ def build_datasets(cfg: ExperimentConfig):
     elif d["kind"] == "csv":
         train = load_csv(d["path"], d["label_column"])
         test = load_csv(d["test_path"], d["label_column"])
-        k = max(train.k, test.k)
-        train, test = replace(train, k=k), replace(test, k=k)
     else:
         train = load_idx(d["images"], d["labels"])
         test = load_idx(d["test_images"], d["test_labels"])
-        k = max(train.k, test.k)
-        train, test = replace(train, k=k), replace(test, k=k)
+    k = max(train.k, test.k)  # a file's split may lack the top class
+    train, test = replace(train, k=k), replace(test, k=k)
     train = apply_noise(train, cfg.noise_spec())
     return train, test
 
@@ -111,18 +109,17 @@ def cmd_train(args):
 
 
 def _seed_traces(layout):
-    """Yield (seed, {epoch: trace path}) for each trained seed, epochs ascending."""
+    """[(seed, {epoch: trace path})] for each trained seed, epochs ascending."""
     seed_dirs = sorted(layout["traces"].glob("seed_*"))
     if not seed_dirs:
         raise FileNotFoundError(
             f"no traces under {layout['traces']}; run 'bsdlab train' first "
             "(eval traces are written every train.eval_every epochs)")
-    for seed_dir in seed_dirs:
-        yield seed_dir.name.split("_")[1], _trace_epochs(seed_dir)
+    return [(seed_dir.name.split("_")[1], _trace_epochs(seed_dir)) for seed_dir in seed_dirs]
 
 
 def _trace_epochs(seed_dir):
-    files = {int(path.stem.split("_")[1]): path for path in seed_dir.glob("epoch_*.csv")}
+    files = {int(path.stem.split("_")[1]): path for path in seed_dir.glob("epoch_*.trace")}
     if not files:
         raise FileNotFoundError(f"no epoch traces in {seed_dir}")
     return dict(sorted(files.items()))
@@ -132,9 +129,9 @@ def _final_trace(epochs):
     return read_trace_csv(epochs[max(epochs)])
 
 
-def _analyze_calibration(layout):
+def _analyze_calibration(layout, seeds):
     out = []
-    for seed, epochs in _seed_traces(layout):
+    for seed, epochs in seeds:
         preds, labels, _ = _final_trace(epochs)
         report = analysis.calibration_report(preds, labels)
         write_json(layout["reports"] / f"calibration_seed_{seed}.json", asdict(report))
@@ -146,8 +143,8 @@ def _analyze_calibration(layout):
     return out
 
 
-def _analyze_dark_knowledge(layout):
-    for seed, epochs in _seed_traces(layout):
+def _analyze_dark_knowledge(layout, seeds):
+    for seed, epochs in seeds:
         preds, labels, k = _final_trace(epochs)
         mu = analysis.mu_matrix(preds, labels, k)
         dk = analysis.delta_decomposition(preds, labels, mu)
@@ -162,8 +159,8 @@ def _analyze_dark_knowledge(layout):
         })
 
 
-def _analyze_dynamics(layout):
-    for seed, epochs in _seed_traces(layout):
+def _analyze_dynamics(layout, seeds):
+    for seed, epochs in seeds:
         last = max(epochs)
         final_preds, labels, _ = read_trace_csv(epochs[last])
         t_final = analysis.fit_temperature(analysis._logits_from_preds(final_preds), labels)
@@ -187,13 +184,13 @@ def _analyze_dynamics(layout):
                     list(zip(*rows)))
 
 
-def _analyze_ood(layout, ood_run):
+def _analyze_ood(layout, seeds, ood_run):
     if ood_run is None:
         raise FileNotFoundError(
             "ood analysis needs a second trace set; pass --ood-run <run_dir>")
     ood_traces = run_layout(ood_run)["traces"]
     results = {}
-    for seed, epochs in _seed_traces(layout):
+    for seed, epochs in seeds:
         ood_dir = ood_traces / f"seed_{seed}"
         if not ood_dir.exists():
             raise FileNotFoundError(
@@ -206,9 +203,9 @@ def _analyze_ood(layout, ood_run):
     return results
 
 
-def _analyze_flip(layout):
+def _analyze_flip(layout, seeds):
     results = {}
-    for seed, epochs in _seed_traces(layout):
+    for seed, epochs in seeds:
         if len(epochs) < 2:
             raise ValueError(
                 f"flip analysis needs >= 2 eval traces for seed {seed}; "
@@ -222,20 +219,21 @@ def _analyze_flip(layout):
 
 def cmd_analyze(args):
     layout = run_layout(args.run_dir)
-    layout["reports"].mkdir(parents=True, exist_ok=True)
+    seeds = _seed_traces(layout)  # first, so a run without traces gets no reports/
+    layout["reports"].mkdir(exist_ok=True)
     if args.what == "calibration":
-        for seed, report in _analyze_calibration(layout):
+        for seed, report in _analyze_calibration(layout, seeds):
             print(f"seed {seed}: acc {report.accuracy:.4f}  ece {report.ece:.4f}  "
                   f"sce {report.sce:.4f}  ace {report.ace:.4f}  nll {report.nll:.4f}")
     elif args.what == "dark-knowledge":
-        _analyze_dark_knowledge(layout)
+        _analyze_dark_knowledge(layout, seeds)
     elif args.what == "dynamics":
-        _analyze_dynamics(layout)
+        _analyze_dynamics(layout, seeds)
     elif args.what == "ood":
-        for seed, score in _analyze_ood(layout, args.ood_run).items():
+        for seed, score in _analyze_ood(layout, seeds, args.ood_run).items():
             print(f"seed {seed}: auroc {score:.4f}")
     else:
-        for seed, rate in _analyze_flip(layout).items():
+        for seed, rate in _analyze_flip(layout, seeds).items():
             print(f"seed {seed}: mean flip probability {rate:.4f}")
     print(f"reports written to {layout['reports']}")
     return 0
@@ -269,7 +267,7 @@ def _collect_run(run_dir):
         if metrics is not None:
             per_seed[seed] = metrics
     if classes is None and per_seed and any(layout["traces"].glob("seed_*")):
-        _, epochs = next(_seed_traces(layout))
+        _, epochs = _seed_traces(layout)[0]
         classes = _final_trace(epochs)[2]
     return {"dir": str(run_dir), "name": name, "mode": mode, "classes": classes,
             "per_seed": per_seed}

@@ -177,11 +177,18 @@ def load_csv(path, label_column="label"):
     for i, row in enumerate(rows[1:]):
         if len(row) != len(header):
             raise ValueError(f"{path}: CSV row {i + 2} has {len(row)} fields, header has {len(header)}")
-        labels[i] = int(row[label_idx])
-        samples[i] = [float(row[j]) for j in feat_idx]
+        j = label_idx
+        try:
+            labels[i] = int(row[j])
+            for c, j in enumerate(feat_idx):
+                samples[i, c] = float(row[j])
+        except ValueError:
+            raise ValueError(f"{path}: CSV row {i + 2}, column {header[j]!r}: {row[j]!r} is not "
+                             f"{'an integer label' if j == label_idx else 'a number'}") from None
+        if labels[i] < 0:
+            raise ValueError(f"{path}: CSV row {i + 2}, column {label_column!r}: "
+                             f"label out of range: {labels[i]} < 0")
     k = int(labels.max()) + 1 if labels.size else 2
-    if labels.size and labels.min() < 0:
-        raise ValueError("label out of range in CSV")
     return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=max(k, 2))
 
 

@@ -13,7 +13,9 @@ The update checks and renormalizes each prediction row on its own.
 
 Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
-a saved state at an epoch boundary replays the identical remainder.
+a saved state at an epoch boundary replays the identical remainder. Each
+eval epoch stores its test-set predictions as one binary ``.trace`` file;
+only the final epoch also exports them as CSV.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import atomic_open, read_blocks, read_table, write_blocks, write_json, write_table
+from .fileio import atomic_open, read_blocks, write_blocks, write_json, write_table
 from .models import Model, backward, forward, init_model, save_checkpoint
 from .numerics import (PROB_FLOOR, _class_reduce, adam_state, entropy, kl_div,
                        optimizer_step, sgd_state, soft_cross_entropy)
@@ -326,43 +328,33 @@ def _load_train_state(path, model, opt_state, strategy):
 def write_trace_csv(path, preds, labels):
     """One row per test sample: ``sample_id,label,p_0..p_{k-1}``, floats as ``repr``.
 
-    The same numbers are first written to the binary ``.trace`` sidecar beside
-    ``path`` (blocks ``labels`` (n,) and ``probs`` (n, k)), which
-    ``read_trace_csv`` reads in place of the text.
+    The text export of a trace; a run writes it for its final epoch only.
     """
     preds = np.asarray(preds)
     if len(labels) != preds.shape[0]:
         raise ValueError(f"{len(labels)} labels for {preds.shape[0]} rows")
-    labels = np.asarray(labels).astype(np.int64)
-    write_blocks(_trace_sidecar(path), TRACE_MAGIC, {}, {"labels": labels, "probs": preds})
     header = ["sample_id", "label"] + [f"p_{j}" for j in range(preds.shape[1])]
-    write_table(path, header, [np.arange(len(preds)), labels, preds])
+    write_table(path, header, [np.arange(len(preds)), np.asarray(labels).astype(np.int64), preds])
 
 
 def read_trace_csv(path):
-    """Read a ``write_trace_csv`` trace bit for bit; returns (preds (n, k), labels, k).
+    """Read a trace bit for bit; returns (preds (n, k), labels, k).
 
-    Reads the binary sidecar when there is one; otherwise parses the CSV, as
-    for traces written without a sidecar and hand-written ones.
+    ``path`` names the ``.trace`` file or its CSV export; either way only the
+    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read.
     """
-    sidecar = _trace_sidecar(path)
-    if not sidecar.exists():
-        header, table = read_table(path)
-        return np.ascontiguousarray(table[:, 2:]), table[:, 1].astype(np.int64), len(header) - 2
-    _, blocks = read_blocks(sidecar, TRACE_MAGIC)
+    trace = Path(path).with_suffix(".trace")
+    _, blocks = read_blocks(trace, TRACE_MAGIC)
     for name in ("labels", "probs"):
         if name not in blocks:
-            raise ValueError(f"{sidecar}: missing block {name!r}")
+            raise ValueError(f"{trace}: missing block {name!r}")
     probs, labels = blocks["probs"], blocks["labels"]
     if probs.ndim != 2 or labels.shape != probs.shape[:1]:
-        raise ValueError(f"{sidecar}: blocks 'labels' of shape {labels.shape} and 'probs' "
+        raise ValueError(f"{trace}: blocks 'labels' of shape {labels.shape} and 'probs' "
                          f"of shape {probs.shape} are not (n,) and (n, k)")
+    if not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
+        raise ValueError(f"{trace}: block 'labels' holds a value that is not a finite integer")
     return probs, labels.astype(np.int64), probs.shape[1]
-
-
-def _trace_sidecar(path):
-    """The sidecar of a trace CSV: the same path with the suffix ``.trace``."""
-    return Path(path).with_suffix(".trace")
 
 
 def _record_line(row):
@@ -391,10 +383,9 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     after epoch e and resuming later replays epochs e+1..T identically.
     """
     t0 = time.perf_counter()
-    for key in ("records", "checkpoints", "traces"):
-        layout[key].mkdir(parents=True, exist_ok=True)
     trace_dir = layout["traces"] / f"seed_{seed}"
-    trace_dir.mkdir(exist_ok=True)
+    for path in (layout["records"], layout["checkpoints"], trace_dir):
+        path.mkdir(parents=True, exist_ok=True)
     records_path = layout["records"] / f"seed_{seed}.jsonl"
     state_path = layout["checkpoints"] / f"seed_{seed}.state"
 
@@ -424,8 +415,11 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
                     ev = evaluate(model, test_set)
                 row.update(test_acc=ev["acc"], test_ece=ev["ece"], test_nll=ev["nll"])
                 with record.timed("trace_write"):
-                    write_trace_csv(trace_dir / f"epoch_{epoch}.csv", ev["preds"],
-                                    test_set.labels)
+                    trace = trace_dir / f"epoch_{epoch}.trace"
+                    write_blocks(trace, TRACE_MAGIC, {},
+                                 {"labels": test_set.labels, "probs": ev["preds"]})
+                    if epoch == cfg.epochs:
+                        write_trace_csv(trace.with_suffix(".csv"), ev["preds"], test_set.labels)
             else:
                 row.update(test_acc=None, test_ece=None, test_nll=None)
             rec_fh.write(_record_line(row))

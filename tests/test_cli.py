@@ -12,9 +12,17 @@ from bsdlab import analysis, cli
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
 from bsdlab.data import NoiseSpec, load_csv, write_idx
+from bsdlab.fileio import write_blocks
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
-from bsdlab.training import BsdPlusConfig, TrainConfig, run_experiment, run_layout
+from bsdlab.training import (TRACE_MAGIC, BsdPlusConfig, TrainConfig, run_experiment,
+                             run_layout)
+
+
+def write_trace(path, preds, labels):
+    """A hand-written ``.trace`` fixture: the blocks a run writes for one eval epoch."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_blocks(path, TRACE_MAGIC, {}, {"labels": labels, "probs": preds})
 
 
 def write_config(path, **overrides):
@@ -267,7 +275,7 @@ class TestTrainCommand:
         bad = write_config(tmp_path / "bad.json", output_dir=str(runs),
                            train={"strategy": {"gamma": 2.0}})
         assert main(["train", str(bad), "--force"]) == 2
-        assert (run_dir / "traces" / "seed_2" / "epoch_1.csv").exists()
+        assert (run_dir / "traces" / "seed_2" / "epoch_1.trace").exists()
 
         smaller = write_config(tmp_path / "exp.json", output_dir=str(runs), seeds=[1],
                                train={"epochs": 4, "batch_size": 16, "lr": 0.05,
@@ -338,15 +346,8 @@ class TestAnalyzeCommand:
 
     def test_perfect_prediction_fixture_all_zero(self, tmp_path, capsys):
         run_dir = tmp_path / "fixture"
-        tdir = run_dir / "traces" / "seed_0"
-        tdir.mkdir(parents=True)
-        lines = ["sample_id,label,p_0,p_1,p_2"]
-        for i in range(9):
-            label = i % 3
-            probs = ["0.0"] * 3
-            probs[label] = "1.0"
-            lines.append(f"{i},{label}," + ",".join(probs))
-        (tdir / "epoch_1.csv").write_text("\n".join(lines) + "\n")
+        labels = np.arange(9) % 3
+        write_trace(run_dir / "traces" / "seed_0" / "epoch_1.trace", np.eye(3)[labels], labels)
         assert main(["analyze", str(run_dir), "--what", "calibration"]) == 0
         report = json.loads((run_dir / "reports" / "calibration_seed_0.json").read_text())
         assert report["ece"] == 0.0 and report["sce"] == 0.0 and report["ace"] == 0.0
@@ -354,10 +355,9 @@ class TestAnalyzeCommand:
 
     @pytest.mark.parametrize("what", ["calibration", "dark-knowledge", "dynamics"])
     def test_out_of_range_label_is_an_error(self, tmp_path, capsys, what):
-        tdir = tmp_path / "bad" / "traces" / "seed_0"
-        tdir.mkdir(parents=True)
-        rows = [f"{i},{i % 3},0.5,0.25,0.25" for i in range(6)] + ["6,3,0.5,0.25,0.25"]
-        (tdir / "epoch_1.csv").write_text("sample_id,label,p_0,p_1,p_2\n" + "\n".join(rows) + "\n")
+        labels = np.array([0, 1, 2, 0, 1, 2, 3])
+        write_trace(tmp_path / "bad" / "traces" / "seed_0" / "epoch_1.trace",
+                    np.tile([0.5, 0.25, 0.25], (7, 1)), labels)
         assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
         assert capsys.readouterr().err == "error: label out of range [0, 3)\n"
 
@@ -396,23 +396,6 @@ class TestAnalyzeCommand:
         extra = ["--ood-run", str(trained_run)] if what == "ood" else []
         assert main(["analyze", str(trained_run), "--what", what, *extra]) == 0
         assert calls == {"read": reads, "fit": fits}
-
-    def test_sidecar_and_csv_reads_give_same_reports(self, trained_run, tmp_path):
-        runs = {}
-        for name in ("sidecar", "csv"):
-            runs[name] = tmp_path / name
-            shutil.copytree(trained_run / "traces", runs[name] / "traces")
-        for path in runs["csv"].rglob("*.trace"):
-            path.unlink()
-        assert any(runs["sidecar"].rglob("*.trace"))
-        reports = {}
-        for name, run in runs.items():
-            for what in cli.ANALYSES:
-                extra = ["--ood-run", str(run)] if what == "ood" else []
-                assert main(["analyze", str(run), "--what", what, *extra]) == 0
-            reports[name] = {p.name: p.read_bytes() for p in (run / "reports").iterdir()}
-        assert len(reports["sidecar"]) == 14
-        assert reports["sidecar"] == reports["csv"]
 
     def test_dynamics_rescales_final_trace_once_per_seed(self, trained_run, monkeypatch):
         calls = []
@@ -463,6 +446,7 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(tmp_path / "empty"), "--what", "calibration"]) == 1
         err = capsys.readouterr().err
         assert "traces" in err and "train" in err
+        assert not (tmp_path / "empty").exists()
 
 
 class TestCompareCommand:
@@ -565,17 +549,24 @@ def dataset_config(tmp_path, kind):
 
 
 class TestBadDatasetFile:
-    @pytest.mark.parametrize("kind, message", [
-        ("csv", "train.csv: CSV row 14 has 2 fields, header has 3"),
-        ("idx", "truncated IDX payload"),
-    ], ids=["csv-short-row", "idx-truncated"])
-    def test_train_and_export_exit_1(self, tmp_path, capsys, kind, message):
+    # (dataset kind, csv row appended, message); an idx file loses its last byte
+    @pytest.mark.parametrize("kind, row, message", [
+        ("csv", b"0.5,1\n", "train.csv: CSV row 14 has 2 fields, header has 3"),
+        ("csv", b"abc,0.5,1\n", "train.csv: CSV row 14, column 'x0': 'abc' is not a number"),
+        ("csv", b"0.5,0.5,1.5\n",
+         "train.csv: CSV row 14, column 'label': '1.5' is not an integer label"),
+        ("csv", b"0.5,0.5,-1\n",
+         "train.csv: CSV row 14, column 'label': label out of range: -1 < 0"),
+        ("idx", None, "truncated IDX payload"),
+    ], ids=["csv-short-row", "csv-bad-feature", "csv-fractional-label", "csv-negative-label",
+            "idx-truncated"])
+    def test_train_and_export_exit_1(self, tmp_path, capsys, kind, row, message):
         cfg_path, data_file = dataset_config(tmp_path, kind)
         assert main(["train", str(cfg_path), "--quiet"]) == 0
         run_dir = tmp_path / "runs" / "tiny"
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
         raw = data_file.read_bytes()
-        data_file.write_bytes(raw + b"0.5,1\n" if kind == "csv" else raw[:-1])
+        data_file.write_bytes(raw + row if kind == "csv" else raw[:-1])
         capsys.readouterr()
         out = tmp_path / "exported.csv"
         for argv in (["train", str(cfg_path), "--force", "--quiet"],

@@ -1,17 +1,19 @@
 """Golden digests: tiny fixed runs must keep writing the same artifact bytes.
 
 Each case trains a fixed ``run_experiment`` job and hashes every artifact it
-leaves except ``timing.txt`` and the binary ``.trace`` sidecars: records,
-trace CSVs, the ``.state`` files, the final checkpoints and the store CSVs.
-Each sidecar is checked instead against its trace CSV, number for number.
-One more case drives the CLI end to end and hashes what the analyses read
-back from the traces: every report of the five ``analyze --what`` commands
-and the ``compare --out`` table. A digest is SHA-256 over each file's relative
-path and bytes, in sorted path order. A change that is meant to keep every
-number must keep every digest; one that changes artifacts on purpose updates
-the digest here and says why in CHANGES.md. The digests were recorded with
-Python 3.11.7 and numpy 2.4.6 on x86-64 OpenBLAS; another BLAS build may
-round matmuls differently.
+leaves except ``timing.txt`` and the binary ``.trace`` files: records, trace
+CSVs, the ``.state`` files, the final checkpoints and the store CSVs. A run
+writes one ``.trace`` per eval epoch and exports only the final one as CSV,
+so before hashing, the test exports every other ``.trace`` with
+``write_trace_csv``; the digests, recorded when each eval epoch wrote its
+CSV, thereby check the ``.trace`` files too. One more case drives the CLI end
+to end and hashes what the analyses read back from the traces: every report
+of the five ``analyze --what`` commands and the ``compare --out`` table. A
+digest is SHA-256 over each file's relative path and bytes, in sorted path
+order. A change that is meant to keep every number must keep every digest;
+one that changes artifacts on purpose updates the digest here and says why
+in CHANGES.md. The digests were recorded with Python 3.11.7 and numpy 2.4.6
+on x86-64 OpenBLAS; another BLAS build may round matmuls differently.
 """
 
 import hashlib
@@ -27,14 +29,15 @@ from bsdlab.data import Dataset, NoiseSpec, apply_noise, make_blobs
 from bsdlab.fileio import read_table
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
-from bsdlab.training import BsdPlusConfig, TrainConfig, read_trace_csv, run_experiment
+from bsdlab.training import (BsdPlusConfig, TrainConfig, read_trace_csv, run_experiment,
+                             write_trace_csv)
 
 SEEDS = [1, 2]
 
 
 def digest_files(root):
     """(relative path, SHA-256) of every artifact under ``root`` but ``timing.txt``
-    and the ``.trace`` sidecars, sorted by path."""
+    and the ``.trace`` files, sorted by path."""
     root = Path(root)
     return [(str(p.relative_to(root)), hashlib.sha256(p.read_bytes()).hexdigest())
             for p in sorted(root.rglob("*"))
@@ -135,25 +138,33 @@ GOLDEN = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_artifact_digest(case, tmp_path):
+def trained_run(case, run):
+    """Train ``case`` into ``run``, check its trace files, then export every eval
+    epoch's ``.trace`` that has no CSV, so the tree holds what digests pin."""
     spec, (train, test), cfg = CASES[case]()
-    run_experiment(spec, train, test, cfg, SEEDS, tmp_path / "run")
-    files = "\n".join(f"{rel} {sha}" for rel, sha in digest_files(tmp_path / "run"))
-    assert digest_tree(tmp_path / "run") == GOLDEN[case], files
-    check_trace_sidecars(tmp_path / "run")
-
-
-def check_trace_sidecars(run):
-    """One ``.trace`` per trace CSV, read back bit for bit as the CSV parses."""
-    csvs = sorted(run.glob("traces/seed_*/epoch_*.csv"))
-    assert csvs and sorted(run.rglob("*.trace")) == [p.with_suffix(".trace") for p in csvs]
-    for path in csvs:
-        preds, labels, k = read_trace_csv(path)
-        header, table = read_table(path)
+    run_experiment(spec, train, test, cfg, SEEDS, run)
+    evals = [e for e in range(1, cfg.epochs + 1) if e % cfg.eval_every == 0 or e == cfg.epochs]
+    for seed in SEEDS:
+        trace_dir = run / "traces" / f"seed_{seed}"
+        assert sorted(p.name for p in trace_dir.iterdir()) == sorted(
+            [f"epoch_{e}.trace" for e in evals] + [f"epoch_{cfg.epochs}.csv"])
+        final = trace_dir / f"epoch_{cfg.epochs}.csv"
+        preds, labels, k = read_trace_csv(final)
+        header, table = read_table(final)
         assert k == len(header) - 2 and labels.dtype == np.int64
         np.testing.assert_array_equal(labels, table[:, 1].astype(np.int64))
         np.testing.assert_array_equal(preds.view(np.int64), table[:, 2:].copy().view(np.int64))
+        for e in evals[:-1]:
+            preds, labels, _ = read_trace_csv(trace_dir / f"epoch_{e}.trace")
+            write_trace_csv(trace_dir / f"epoch_{e}.csv", preds, labels)
+    return run
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_artifact_digest(case, tmp_path):
+    run = trained_run(case, tmp_path / "run")
+    files = "\n".join(f"{rel} {sha}" for rel, sha in digest_files(run))
+    assert digest_tree(run) == GOLDEN[case], files
 
 
 # Per-file SHA-256 of the dlb and ps-kd traces and final checkpoints, recorded
@@ -194,9 +205,7 @@ GOLDEN_FILES = {
 
 @pytest.mark.parametrize("case", sorted(GOLDEN_FILES))
 def test_last_prediction_store_keeps_traces_and_checkpoints(case, tmp_path):
-    spec, (train, test), cfg = CASES[case]()
-    run_experiment(spec, train, test, cfg, SEEDS, tmp_path / "run")
-    got = {rel: sha for rel, sha in digest_files(tmp_path / "run")
+    got = {rel: sha for rel, sha in digest_files(trained_run(case, tmp_path / "run"))
            if rel.startswith("traces/") or rel.endswith("_final.ckpt")}
     assert got == GOLDEN_FILES[case]
 

@@ -422,17 +422,19 @@ class TestRunExperiment:
         _, saved = read_blocks(part_layout["checkpoints"] / "seed_5.state",
                                training.STATE_MAGIC)
         assert {b.split("/")[1] for b in saved if b.startswith("opt/")} == set(moments)
+        assert sorted(p.name for p in (part_layout["traces"] / "seed_5").iterdir()) == [
+            "epoch_1.trace", "epoch_2.trace"]
         run_single_seed(spec, ds, test, cfg, 5, part_layout, resume=True)
 
-        full = (full_layout["records"] / "seed_5.jsonl").read_bytes()
-        part = (part_layout["records"] / "seed_5.jsonl").read_bytes()
-        assert full == part
-        full_ckpt = (full_layout["checkpoints"] / "seed_5_final.ckpt").read_bytes()
-        part_ckpt = (part_layout["checkpoints"] / "seed_5_final.ckpt").read_bytes()
-        assert full_ckpt == part_ckpt
-        full_state = (full_layout["checkpoints"] / "seed_5.state").read_bytes()
-        part_state = (part_layout["checkpoints"] / "seed_5.state").read_bytes()
-        assert full_state == part_state
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                    if p.is_file() and p.name != "timing.txt"}
+
+        full, part = tree(full_layout["root"]), tree(part_layout["root"])
+        assert "traces/seed_5/epoch_4.csv" in part and "records/store_seed_5.csv" in part
+        assert sorted(full) == sorted(part)
+        for rel in full:
+            assert full[rel] == part[rel], rel
 
     def test_crash_between_record_and_state_resumes_to_same_bytes(self, tmp_path,
                                                                    monkeypatch):
@@ -638,77 +640,80 @@ class TestTraceCsv:
         assert path.read_bytes() == reference_trace_bytes(preds, labels)
 
     @staticmethod
-    def written(path, preds, labels, sidecar):
-        """Write a trace; without ``sidecar``, delete it so the CSV parser reads."""
-        training.write_trace_csv(path, preds, labels)
-        if not sidecar:
-            path.with_suffix(".trace").unlink()
+    def written(path, preds, labels):
+        """Write a trace as a run does: its ``.trace`` file, and nothing at ``path``."""
+        labels = np.asarray(labels)
+        write_blocks(path.with_suffix(".trace"), training.TRACE_MAGIC, {},
+                     {"labels": labels, "probs": preds})
         return path
 
-    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "csv"])
-    def test_read_returns_written_bits(self, tmp_path, sidecar):
+    # the reader gets a .trace path, or the CSV name that analyses and
+    # acceptance criteria pass for an epoch with no CSV export
+    @pytest.mark.parametrize("suffix", [".trace", ".csv"], ids=["sidecar", "csv-name"])
+    def test_read_returns_written_bits(self, tmp_path, suffix):
         rng = np.random.default_rng(4)
         preds = rng.dirichlet(np.ones(4), size=2 * self.CHUNK + 3)
         preds[:5] = [[5e-324, 1e-310, 0.0, 1.0], [1e-05, 0.0, 1.0, 5e-324],
                      [1.0, 0.0, 0.0, 0.0], [1e-310, 1e-05, 0.1, 0.7],
                      [0.25, 0.25, 0.25, 0.25]]
         labels = rng.integers(0, 4, size=preds.shape[0])
-        path = self.written(tmp_path / "trace.csv", preds, labels, sidecar)
+        path = self.written(tmp_path / f"epoch_1{suffix}", preds, labels)
         got, got_labels, k = training.read_trace_csv(path)
         assert k == 4
         assert got.dtype == np.float64 and got.flags.c_contiguous
         np.testing.assert_array_equal(got.view(np.int64), preds.view(np.int64))
         assert got_labels.dtype == np.int64
         np.testing.assert_array_equal(got_labels, labels)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["epoch_1.trace"]
 
-    @pytest.mark.parametrize("sidecar", [True, False], ids=["sidecar", "csv"])
-    def test_header_only_file_reads_empty(self, tmp_path, sidecar):
-        path = self.written(tmp_path / "trace.csv", np.empty((0, 5)),
-                            np.empty(0, dtype=np.int64), sidecar)
+    @pytest.mark.parametrize("suffix", [".trace", ".csv"], ids=["sidecar", "csv-name"])
+    def test_header_only_file_reads_empty(self, tmp_path, suffix):
+        path = self.written(tmp_path / f"epoch_1{suffix}", np.empty((0, 5)), np.empty(0))
         preds, labels, k = training.read_trace_csv(path)
         assert preds.shape == (0, 5) and labels.shape == (0,) and k == 5
         assert preds.dtype == np.float64 and labels.dtype == np.int64
 
     def test_sidecar_holds_labels_and_probs(self, tmp_path):
-        preds = np.full((3, 2), 0.5)
-        training.write_trace_csv(tmp_path / "epoch_4.csv", preds, [1, 0, 1])
-        header, blocks = read_blocks(tmp_path / "epoch_4.trace", training.TRACE_MAGIC)
+        test = tiny_dataset(n_per=3, seed=1)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
+        run_experiment(spec, tiny_dataset(n_per=6), test, small_config(epochs=1), seeds=[1],
+                       run_dir=tmp_path / "run")
+        trace = run_layout(tmp_path / "run")["traces"] / "seed_1" / "epoch_1.trace"
+        header, blocks = read_blocks(trace, training.TRACE_MAGIC)
         assert [b["name"] for b in header["blocks"]] == ["labels", "probs"]
-        np.testing.assert_array_equal(blocks["labels"], [1.0, 0.0, 1.0])
-        np.testing.assert_array_equal(blocks["probs"], preds)
+        np.testing.assert_array_equal(blocks["labels"], test.labels)
+        assert blocks["probs"].shape == (6, 2)
+        np.testing.assert_allclose(blocks["probs"].sum(axis=1), 1.0)
 
     @pytest.mark.parametrize("blocks, match", [
         ({"probs": np.full((3, 2), 0.5)}, "missing block 'labels'"),
         ({"labels": np.zeros(3)}, "missing block 'probs'"),
         ({"labels": np.zeros(2), "probs": np.full((3, 2), 0.5)}, "not (n,) and (n, k)"),
         ({"labels": np.zeros(3), "probs": np.full(3, 0.5)}, "not (n,) and (n, k)"),
-    ], ids=["no-labels", "no-probs", "row-counts", "flat-probs"])
+        ({"labels": np.array([0.0, 1.5, 0.0]), "probs": np.full((3, 2), 0.5)},
+         "not a finite integer"),
+        ({"labels": np.array([0.0, np.nan, 0.0]), "probs": np.full((3, 2), 0.5)},
+         "not a finite integer"),
+        ({"labels": np.array([0.0, np.inf, 0.0]), "probs": np.full((3, 2), 0.5)},
+         "not a finite integer"),
+    ], ids=["no-labels", "no-probs", "row-counts", "flat-probs", "fractional-label",
+            "nan-label", "inf-label"])
     def test_sidecar_without_trace_blocks_rejected(self, tmp_path, blocks, match):
-        path = tmp_path / "epoch_1.csv"
-        training.write_trace_csv(path, np.full((3, 2), 0.5), [0, 1, 0])
         sidecar = tmp_path / "epoch_1.trace"
         write_blocks(sidecar, training.TRACE_MAGIC, {}, blocks)
         with pytest.raises(ValueError, match=re.escape(f"{sidecar}: ") + ".*" + re.escape(match)):
-            training.read_trace_csv(path)
+            training.read_trace_csv(tmp_path / "epoch_1.csv")
 
     @pytest.mark.parametrize("damage", ["magic", "truncated"])
     def test_damaged_sidecar_rejected(self, tmp_path, damage):
-        path = tmp_path / "epoch_1.csv"
-        training.write_trace_csv(path, np.full((3, 2), 0.5), [0, 1, 0])
-        sidecar = tmp_path / "epoch_1.trace"
+        sidecar = self.written(tmp_path / "epoch_1.trace", np.full((3, 2), 0.5), [0, 1, 0])
         raw = sidecar.read_bytes()
         if damage == "magic":
             sidecar.write_bytes(raw.replace(training.TRACE_MAGIC.encode(), training.STATE_MAGIC.encode()))
         else:
             sidecar.write_bytes(raw[:-8])
         with pytest.raises(ValueError, match=re.escape(str(sidecar))):
-            training.read_trace_csv(path)
-
-    def test_column_count_mismatch_rejected(self, tmp_path):
-        path = tmp_path / "trace.csv"
-        path.write_text("sample_id,label,p_0,p_1\n0,1,0.5\n1,0,1.0\n")
-        with pytest.raises(ValueError, match="columns"):
-            training.read_trace_csv(path)
+            training.read_trace_csv(sidecar)
 
     def test_label_count_mismatch_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="labels"):
