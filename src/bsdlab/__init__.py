@@ -10,9 +10,8 @@ from .data import (Dataset, NoiseSpec, apply_noise, augment_strong,
                    augment_weak, inject_asymmetric, inject_symmetric,
                    load_csv, load_idx, make_blobs)
 from .models import Model, ModelSpec, backward, forward, init_model, param_count
-from .numerics import (OptimizerState, adam_state, entropy, finite_diff_grad,
-                       kl_div, one_hot, optimizer_step, sgd_state, softmax,
-                       soft_cross_entropy)
+from .numerics import (OptimizerState, entropy, finite_diff_grad, kl_div, one_hot,
+                       optimizer_step, softmax, soft_cross_entropy)
 from .targets import (EvidenceStore, StrategyConfig, TargetStrategy,
                       bsd_update, conjugate_update_oracle,
                       evidence_mass_closed_form, fixed_point, init_prior,

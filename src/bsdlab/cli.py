@@ -242,8 +242,13 @@ def cmd_analyze(args):
 def _final_metrics(records_path):
     metrics = None
     with open(records_path) as fh:
-        for line in fh:
-            row = json.loads(line)
+        for line_no, line in enumerate(fh, start=1):
+            try:
+                row = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{records_path}: line {line_no} is not JSON: {exc}") from None
+            if not isinstance(row, dict):
+                raise ValueError(f"{records_path}: line {line_no} is not a JSON object")
             if row.get("test_acc") is not None:
                 metrics = row
     return metrics

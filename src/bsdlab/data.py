@@ -188,6 +188,11 @@ def load_csv(path, label_column="label"):
         if labels[i] < 0:
             raise ValueError(f"{path}: CSV row {i + 2}, column {label_column!r}: "
                              f"label out of range: {labels[i]} < 0")
+    bad = np.argwhere(~np.isfinite(samples))
+    if bad.size:
+        i, j = bad[0][0], feat_idx[bad[0][1]]
+        raise ValueError(f"{path}: CSV row {i + 2}, column {header[j]!r}: {rows[i + 1][j]!r} "
+                         "is not a finite number")
     k = int(labels.max()) + 1 if labels.size else 2
     return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=max(k, 2))
 
@@ -287,7 +292,7 @@ def _erase(batch, rng, frac):
     return out
 
 
-def augment_weak(batch, rng, jitter_sigma=0.05):
+def augment_weak(batch, rng, jitter_sigma):
     """Weak view: pad-4 crop + horizontal flip for grids, light jitter for vectors."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 4:
@@ -295,7 +300,7 @@ def augment_weak(batch, rng, jitter_sigma=0.05):
     return _jitter(batch, rng, jitter_sigma)
 
 
-def augment_strong(batch, rng, jitter_sigma=0.2, erase_frac=0.3):
+def augment_strong(batch, rng, jitter_sigma, erase_frac):
     """Strong view: the weak transform plus square erasure and amplified jitter."""
     batch = np.asarray(batch, dtype=np.float64)
     if batch.ndim == 4:

@@ -33,8 +33,6 @@ __all__ = [
     "soft_cross_entropy",
     "one_hot",
     "OptimizerState",
-    "sgd_state",
-    "adam_state",
     "optimizer_step",
     "finite_diff_grad",
 ]
@@ -110,56 +108,48 @@ def one_hot(labels, k):
 
 @dataclass
 class OptimizerState:
-    """First-order optimizer state: SGD with momentum or Adam.
+    """First-order optimizer state: SGD (with or without momentum) or Adam.
 
-    Flat moment vectors (``m``/``v`` for Adam, ``buf`` for momentum) are
-    allocated on the first step, so the state can be created before the
-    parameter count is known. ``step`` drives Adam's bias correction.
-    ``scratch`` is a pair of vectors for the step's intermediates; it is
-    working memory, not state, so it is neither saved nor compared.
+    ``cfg`` is the run's ``TrainConfig``, whose six fields ``optimizer``,
+    ``momentum``, ``beta1``, ``beta2``, ``adam_eps`` and ``weight_decay`` a
+    step reads; the other fields are what a step changes. Flat moment vectors
+    (``m``/``v`` for Adam, ``buf`` for momentum) are allocated on the first
+    step, so the state can be created before the parameter count is known.
+    ``step`` drives Adam's bias correction. ``scratch`` is a pair of vectors
+    for the step's intermediates; it is working memory, not state, so it is
+    neither saved nor compared.
     """
 
-    kind: str  # "sgd-momentum" | "adam"
-    lr: float
-    momentum: float = 0.0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
-    weight_decay: float = 0.0
+    cfg: object
     step: int = 0
     m: np.ndarray | None = None
     v: np.ndarray | None = None
     buf: np.ndarray | None = None
     scratch: tuple | None = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self):
-        if self.kind not in ("sgd-momentum", "adam"):
-            raise ValueError(f"unknown optimizer kind {self.kind!r}")
+    @property
+    def moment_names(self):
+        """The moment vectors a step keeps under ``cfg``: ``m`` and ``v``, ``buf`` or none."""
+        if self.cfg.optimizer == "adam":
+            return ("m", "v")
+        return ("buf",) if self.cfg.momentum != 0.0 else ()
 
 
-def sgd_state(lr, momentum=0.0, weight_decay=0.0):
-    return OptimizerState(kind="sgd-momentum", lr=lr, momentum=momentum,
-                          weight_decay=weight_decay)
-
-
-def adam_state(lr, beta1=0.9, beta2=0.999, eps=1e-8, weight_decay=0.0):
-    return OptimizerState(kind="adam", lr=lr, beta1=beta1, beta2=beta2, eps=eps,
-                          weight_decay=weight_decay)
-
-
-def optimizer_step(params, grads, state, lr=None):
+def optimizer_step(params, grads, state, lr):
     """Apply one in-place, element-wise update to a flat parameter vector.
 
     ``params`` and ``grads`` are same-shape float64 vectors (``Model.flat``
-    and its gradient). ``lr`` overrides the state's base learning rate for
-    this step (schedules). A non-finite gradient raises ValueError before
-    anything changes. Identical inputs give bit-identical outputs.
+    and its gradient); ``lr`` is this step's learning rate (the schedule's).
+    The other hyperparameters come from ``state.cfg``: ``optimizer``,
+    ``momentum``, ``beta1``, ``beta2``, ``adam_eps`` and ``weight_decay``.
+    A non-finite gradient raises ValueError before anything changes.
+    Identical inputs give bit-identical outputs.
     """
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: parameters {params.shape} vs gradients {grads.shape}")
     if not _all_finite(grads):
         raise ValueError("non-finite gradient")
-    step_lr = state.lr if lr is None else lr
+    cfg = state.cfg
     state.step += 1
     if state.scratch is None:
         state.scratch = (np.empty_like(params), np.empty_like(params))
@@ -168,32 +158,32 @@ def optimizer_step(params, grads, state, lr=None):
     # params -= lr * m_hat / (sqrt(v_hat) + eps) (adam); float + and * commute
     s1, s2 = state.scratch
     g = grads
-    if state.weight_decay != 0.0:
-        g = np.multiply(state.weight_decay, params, s1)
+    if cfg.weight_decay != 0.0:
+        g = np.multiply(cfg.weight_decay, params, s1)
         g += grads
-    if state.kind == "sgd-momentum":
-        if state.momentum != 0.0:
+    if cfg.optimizer == "sgd":
+        if cfg.momentum != 0.0:
             if state.buf is None:
                 state.buf = np.zeros_like(params)
-            state.buf *= state.momentum
+            state.buf *= cfg.momentum
             state.buf += g
             g = state.buf
-        params -= np.multiply(step_lr, g, s2)
+        params -= np.multiply(lr, g, s2)
         return params, state
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     m, v = state.m, state.v
-    m *= state.beta1
-    m += np.multiply(1.0 - state.beta1, g, s2)
-    v *= state.beta2
+    m *= cfg.beta1
+    m += np.multiply(1.0 - cfg.beta1, g, s2)
+    v *= cfg.beta2
     g2 = np.multiply(g, g, s2)
-    g2 *= 1.0 - state.beta2
+    g2 *= 1.0 - cfg.beta2
     v += g2
-    delta = np.divide(m, 1.0 - state.beta1 ** state.step, s1)  # m_hat, then lr * m_hat
-    delta *= step_lr
-    denom = np.divide(v, 1.0 - state.beta2 ** state.step, s2)  # v_hat, then sqrt(v_hat) + eps
+    delta = np.divide(m, 1.0 - cfg.beta1 ** state.step, s1)  # m_hat, then lr * m_hat
+    delta *= lr
+    denom = np.divide(v, 1.0 - cfg.beta2 ** state.step, s2)  # v_hat, then sqrt(v_hat) + eps
     np.sqrt(denom, denom)
-    denom += state.eps
+    denom += cfg.adam_eps
     delta /= denom
     params -= delta
     return params, state

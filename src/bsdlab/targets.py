@@ -128,7 +128,7 @@ def update_weight(gamma, A):
     return gA / (gA + 1.0)
 
 
-def init_prior(labels, k, c, epsilon=0.0, gamma=0.95) -> EvidenceStore:
+def init_prior(labels, k, c, epsilon, gamma) -> EvidenceStore:
     """Concentration ``c`` on the labeled class, ``epsilon`` elsewhere, normalized.
 
     The stored row is the prior mean ``alpha0 / A0`` with ``A0 = c + (k-1)*epsilon``.

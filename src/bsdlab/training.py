@@ -32,8 +32,8 @@ from . import analysis
 from .data import Dataset, augment_strong, augment_weak
 from .fileio import atomic_open, read_blocks, write_blocks, write_json, write_table
 from .models import Model, backward, forward, init_model, save_checkpoint
-from .numerics import (PROB_FLOOR, _class_reduce, adam_state, entropy, kl_div,
-                       optimizer_step, sgd_state, soft_cross_entropy)
+from .numerics import (PROB_FLOOR, OptimizerState, _class_reduce, entropy, kl_div,
+                       optimizer_step, soft_cross_entropy)
 from .settings import Settings, setting
 from .targets import StrategyConfig, TargetStrategy, sharpen
 
@@ -124,10 +124,7 @@ def lr_at(schedule, base_lr, epoch, total_epochs):
 
 
 def make_optimizer(cfg: TrainConfig):
-    if cfg.optimizer == "sgd":
-        return sgd_state(cfg.lr, momentum=cfg.momentum, weight_decay=cfg.weight_decay)
-    return adam_state(cfg.lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps,
-                      weight_decay=cfg.weight_decay)
+    return OptimizerState(cfg)
 
 
 def _epoch_rng(seed, epoch, tag):
@@ -282,8 +279,7 @@ def run_layout(run_dir):
 
 def _save_train_state(path, model, opt_state, strategy, epoch):
     blocks = {f"param/{n}": v for n, v in model.params.items()}
-    moments = [(key, model.views(vec)) for key, vec in
-               (("m", opt_state.m), ("v", opt_state.v), ("buf", opt_state.buf)) if vec is not None]
+    moments = [(key, model.views(getattr(opt_state, key))) for key in opt_state.moment_names]
     for name in model.params:
         for key, views in moments:
             blocks[f"opt/{key}/{name}"] = views[name]
@@ -313,12 +309,14 @@ def _load_train_state(path, model, opt_state, strategy):
     for name, param in model.params.items():
         load(f"param/{name}", param)
     opt_state.step = header["opt_step"]
-    for key in ("m", "v", "buf"):
-        if any(b.startswith(f"opt/{key}/") for b in blocks):
-            if getattr(opt_state, key) is None:
-                setattr(opt_state, key, np.zeros_like(model.flat))
-            for name, view in model.views(getattr(opt_state, key)).items():
-                load(f"opt/{key}/{name}", view)
+    stored = sorted({b.split("/")[1] for b in blocks if b.startswith("opt/")})
+    if stored != list(opt_state.moment_names):
+        raise ValueError(f"{path}: holds optimizer moments {stored}, this run's optimizer "
+                         f"keeps {list(opt_state.moment_names)}")
+    for key in stored:
+        setattr(opt_state, key, np.zeros_like(model.flat))
+        for name, view in model.views(getattr(opt_state, key)).items():
+            load(f"opt/{key}/{name}", view)
     if not strategy.frozen:
         load("strategy/y", strategy.store.y)
         load("strategy/A", strategy.store.A)

@@ -1,11 +1,18 @@
 """The bench wraps bsdlab functions by module attribute name (``bench/tracer.py``
-``LAYERS``), so renaming one in src breaks ``bench/run.py --trace 1``. Loading
-the tracer and installing it here makes such a rename fail in the test suite."""
+``LAYERS``) and calls some of them itself (``bench/run.py calls_per_step``), so
+renaming one in src, or changing how it is called, breaks ``bench/run.py
+--trace 1``. Installing the tracer here, and running one short traced bench,
+makes such a change fail in the test suite."""
 
 import importlib.util
+import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
-TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+ROOT = Path(__file__).resolve().parent.parent
+TRACER = ROOT / "bench" / "tracer.py"
 
 
 def load_tracer():
@@ -30,3 +37,17 @@ def test_tracer_installs_and_removes_every_layer():
     finally:
         tracer.remove()
     assert [owner.__dict__[attr] for owner, attr in owners] == before
+
+
+def test_traced_bench_run_is_correct(tmp_path):
+    # bench/run.py writes under its own root's .bench_runs/, so run a copy of it
+    # in tmp_path, with src/ linked to the repository's
+    shutil.copytree(ROOT / "bench", tmp_path / "bench")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "blobs_b16", "--seed", "1",
+         "--seconds", "1", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

@@ -505,6 +505,27 @@ class TestCompareCommand:
         assert main(["compare", str(trained_run), str(tmp_path / "runs" / "k4")]) == 1
         assert "class counts" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("last_row, message", [
+        (None, "is not JSON: "),  # the last row cut short, as by a crash mid-write
+        (b"[1]\n", "is not a JSON object"),
+    ], ids=["cut-mid-write", "not-an-object"])
+    def test_bad_records_row_named(self, trained_run, tmp_path, capsys, last_row, message):
+        run = tmp_path / "tiny"
+        shutil.copytree(trained_run, run)
+        records = run / "records" / "seed_1.jsonl"
+        raw = records.read_bytes()
+        lines = raw.count(b"\n")
+        if last_row is None:
+            records.write_bytes(raw[:raw.rindex(b",")])
+        else:
+            records.write_bytes(raw + last_row)
+            lines += 1
+        capsys.readouterr()
+        assert main(["compare", str(run), str(run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {records}: line {lines} {message}")
+        assert err.count("\n") == 1
+
 
 class TestExportDataset:
     def test_csv_round_trip(self, tmp_path, capsys):
@@ -557,9 +578,12 @@ class TestBadDatasetFile:
          "train.csv: CSV row 14, column 'label': '1.5' is not an integer label"),
         ("csv", b"0.5,0.5,-1\n",
          "train.csv: CSV row 14, column 'label': label out of range: -1 < 0"),
+        ("csv", b"nan,0.5,1\n", "train.csv: CSV row 14, column 'x0': 'nan' is not a finite number"),
+        ("csv", b"0.5,-inf,1\n",
+         "train.csv: CSV row 14, column 'x1': '-inf' is not a finite number"),
         ("idx", None, "truncated IDX payload"),
     ], ids=["csv-short-row", "csv-bad-feature", "csv-fractional-label", "csv-negative-label",
-            "idx-truncated"])
+            "csv-nan-feature", "csv-inf-feature", "idx-truncated"])
     def test_train_and_export_exit_1(self, tmp_path, capsys, kind, row, message):
         cfg_path, data_file = dataset_config(tmp_path, kind)
         assert main(["train", str(cfg_path), "--quiet"]) == 0

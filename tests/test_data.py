@@ -211,8 +211,8 @@ class TestAugment:
 
     def test_grid_shapes_preserved(self):
         x = np.random.default_rng(14).uniform(size=(3, 8, 8, 1))
-        weak = augment_weak(x, np.random.default_rng(1))
-        strong = augment_strong(x, np.random.default_rng(2))
+        weak = augment_weak(x, np.random.default_rng(1), jitter_sigma=0.05)
+        strong = augment_strong(x, np.random.default_rng(2), jitter_sigma=0.2, erase_frac=0.3)
         assert weak.shape == x.shape and strong.shape == x.shape
 
     def test_full_erasure_blanks_image(self):

@@ -762,35 +762,35 @@ class OldUpdateTargetStrategy(TargetStrategy):
             self.store.update_rows(indices, preds)
 
 
-def old_optimizer_step(params, grads, state, lr=None):
+def old_optimizer_step(params, grads, state, lr):
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: parameters {params.shape} vs gradients {grads.shape}")
     if not np.isfinite(grads).all():
         raise ValueError("non-finite gradient")
-    step_lr = state.lr if lr is None else lr
+    cfg = state.cfg
     state.step += 1
     g = grads
-    if state.weight_decay != 0.0:
-        g = g + state.weight_decay * params
-    if state.kind == "sgd-momentum":
-        if state.momentum != 0.0:
+    if cfg.weight_decay != 0.0:
+        g = g + cfg.weight_decay * params
+    if cfg.optimizer == "sgd":
+        if cfg.momentum != 0.0:
             if state.buf is None:
                 state.buf = np.zeros_like(params)
-            state.buf *= state.momentum
+            state.buf *= cfg.momentum
             state.buf += g
             g = state.buf
-        params -= step_lr * g
+        params -= lr * g
         return params, state
     if state.m is None:
         state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     m, v = state.m, state.v
-    m *= state.beta1
-    m += (1.0 - state.beta1) * g
-    v *= state.beta2
-    v += (1.0 - state.beta2) * (g * g)
-    m_hat = m / (1.0 - state.beta1 ** state.step)
-    v_hat = v / (1.0 - state.beta2 ** state.step)
-    params -= step_lr * m_hat / (np.sqrt(v_hat) + state.eps)
+    m *= cfg.beta1
+    m += (1.0 - cfg.beta1) * g
+    v *= cfg.beta2
+    v += (1.0 - cfg.beta2) * (g * g)
+    m_hat = m / (1.0 - cfg.beta1 ** state.step)
+    v_hat = v / (1.0 - cfg.beta2 ** state.step)
+    params -= lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
     return params, state
 
 

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from bsdlab.numerics import (adam_state, entropy, finite_diff_grad, kl_div,
-                             one_hot, optimizer_step, sgd_state, softmax,
-                             soft_cross_entropy)
+from bsdlab.numerics import (entropy, finite_diff_grad, kl_div, one_hot,
+                             optimizer_step, softmax, soft_cross_entropy)
+from bsdlab.training import TrainConfig, make_optimizer
 
 
 def random_simplex(rng, n, k):
@@ -82,21 +82,41 @@ class TestSoftCrossEntropy:
             np.testing.assert_allclose(lhs, entropy(t), atol=1e-9)
 
 
+def plain_sgd():
+    return make_optimizer(TrainConfig(optimizer="sgd", momentum=0.0))
+
+
+def reference_steps(cfg, params, grads_seq, lr):
+    """The update rules as plain expressions, reading every hyperparameter from ``cfg``."""
+    m = v = buf = np.zeros_like(params)
+    for t, grads in enumerate(grads_seq, start=1):
+        g = grads + cfg.weight_decay * params
+        if cfg.optimizer == "sgd":
+            buf = cfg.momentum * buf + g
+            params = params - lr * buf
+        else:
+            m = cfg.beta1 * m + (1.0 - cfg.beta1) * g
+            v = cfg.beta2 * v + (1.0 - cfg.beta2) * (g * g)
+            m_hat, v_hat = m / (1.0 - cfg.beta1 ** t), v / (1.0 - cfg.beta2 ** t)
+            params = params - lr * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+    return params
+
+
 class TestOptimizerStep:
     def test_plain_sgd_step(self):
         params = np.array([1.0])
-        optimizer_step(params, np.array([2.0]), sgd_state(lr=0.1))
+        optimizer_step(params, np.array([2.0]), plain_sgd(), 0.1)
         np.testing.assert_allclose(params, [0.8], rtol=1e-15)
 
     def test_adam_first_step_magnitude(self):
         # bias-corrected first step moves by lr / (1 + eps) for unit gradient
         params = np.array([0.5])
-        optimizer_step(params, np.array([1.0]), adam_state(lr=0.001))
+        optimizer_step(params, np.array([1.0]), make_optimizer(TrainConfig()), 0.001)
         np.testing.assert_allclose(params, [0.5 - 0.001], atol=1e-9)
 
     def test_zero_gradient_no_move(self):
         params = np.array([1.0, -2.0])
-        optimizer_step(params, np.zeros(2), sgd_state(lr=0.5))
+        optimizer_step(params, np.zeros(2), plain_sgd(), 0.5)
         np.testing.assert_array_equal(params, [1.0, -2.0])
 
     def test_bit_identical_determinism(self):
@@ -106,46 +126,67 @@ class TestOptimizerStep:
         runs = []
         for _ in range(2):
             params = p0.copy()
-            state = adam_state(lr=0.01)
+            state = make_optimizer(TrainConfig())
             for _ in range(5):
-                optimizer_step(params, g.copy(), state)
+                optimizer_step(params, g.copy(), state, 0.01)
             runs.append(params)
         np.testing.assert_array_equal(runs[0], runs[1])
 
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="shape mismatch"):
-            optimizer_step(np.zeros(2), np.zeros(3), sgd_state(lr=0.1))
+            optimizer_step(np.zeros(2), np.zeros(3), plain_sgd(), 0.1)
 
     def test_non_finite_gradient_rejected_before_any_change(self):
         params = np.zeros(2)
-        state = adam_state(lr=0.1)
+        state = make_optimizer(TrainConfig())
         with pytest.raises(ValueError, match="non-finite gradient"):
-            optimizer_step(params, np.array([np.nan, 1.0]), state)
+            optimizer_step(params, np.array([np.nan, 1.0]), state, 0.1)
         np.testing.assert_array_equal(params, [0.0, 0.0])
         assert state.step == 0 and state.m is None
 
-    @pytest.mark.parametrize("make_state", [
-        lambda: adam_state(lr=0.01, weight_decay=0.1),
-        lambda: sgd_state(lr=0.1, momentum=0.9, weight_decay=0.1),
-        lambda: sgd_state(lr=0.1),
+    @pytest.mark.parametrize("cfg, lr", [
+        (TrainConfig(optimizer="adam", weight_decay=0.1), 0.01),
+        (TrainConfig(optimizer="sgd", momentum=0.9, weight_decay=0.1), 0.1),
+        (TrainConfig(optimizer="sgd", momentum=0.0), 0.1),
     ], ids=["adam", "sgd-momentum", "sgd-plain"])
-    def test_flat_step_equals_per_block_steps(self, make_state):
+    def test_flat_step_equals_per_block_steps(self, cfg, lr):
         # every operation is element-wise, so one step over the whole vector
         # is bit-identical to separate steps over each block's slice
         rng = np.random.default_rng(4)
         p0, grads = rng.normal(size=10), rng.normal(size=(3, 10))
         whole, per_block = p0.copy(), p0.copy()
-        whole_state, block_states = make_state(), [make_state() for _ in range(2)]
+        whole_state, block_states = make_optimizer(cfg), [make_optimizer(cfg) for _ in range(2)]
         for g in grads:
-            optimizer_step(whole, g, whole_state)
+            optimizer_step(whole, g, whole_state, lr)
             for sl, state in zip((slice(0, 4), slice(4, 10)), block_states):
-                optimizer_step(per_block[sl], g[sl], state)
+                optimizer_step(per_block[sl], g[sl], state, lr)
         np.testing.assert_array_equal(whole, per_block)
+
+    @pytest.mark.parametrize("optimizer", ["adam", "sgd"])
+    @pytest.mark.parametrize("name, value", [
+        ("beta1", 0.5), ("beta2", 0.75), ("adam_eps", 0.25), ("weight_decay", 0.125),
+        ("momentum", 0.375),
+    ])
+    def test_every_hyperparameter_comes_from_cfg(self, optimizer, name, value):
+        # a constant written into the step in place of a cfg field breaks bit equality
+        cfg = TrainConfig(optimizer=optimizer, **{name: value})
+        rng = np.random.default_rng(5)
+        p0, grads = rng.normal(size=6), rng.normal(size=(2, 6))
+        params, state = p0.copy(), make_optimizer(cfg)
+        for g in grads:
+            optimizer_step(params, g, state, 0.05)
+        want = reference_steps(cfg, p0, grads, 0.05)
+        np.testing.assert_array_equal(params, want)
+        uses = {"adam": ("beta1", "beta2", "adam_eps", "weight_decay"),
+                "sgd": ("momentum", "weight_decay")}[optimizer]
+        default = reference_steps(TrainConfig(optimizer=optimizer), p0, grads, 0.05)
+        assert np.array_equal(want, default) == (name not in uses)
 
     def test_scratch_is_working_memory_not_state(self):
         params, grads = np.array([1.0, -2.0]), np.array([0.5, 0.25])
-        stepped, fresh = sgd_state(lr=0.1, weight_decay=0.1), sgd_state(lr=0.1, weight_decay=0.1)
-        optimizer_step(params, grads, stepped)
+        cfg = TrainConfig(optimizer="sgd", momentum=0.0, weight_decay=0.1)
+        stepped, fresh = make_optimizer(cfg), make_optimizer(cfg)
+        optimizer_step(params, grads, stepped, 0.1)
         fresh.step = 1
         assert stepped.scratch is not None and fresh.scratch is None
         assert stepped == fresh
@@ -157,9 +198,9 @@ class TestOptimizerStep:
 
     def test_momentum_accumulates(self):
         params = np.array([0.0])
-        state = sgd_state(lr=1.0, momentum=0.5)
-        optimizer_step(params, np.array([1.0]), state)  # buf=1, w=-1
-        optimizer_step(params, np.array([1.0]), state)  # buf=1.5, w=-2.5
+        state = make_optimizer(TrainConfig(optimizer="sgd", momentum=0.5))
+        optimizer_step(params, np.array([1.0]), state, 1.0)  # buf=1, w=-1
+        optimizer_step(params, np.array([1.0]), state, 1.0)  # buf=1.5, w=-2.5
         np.testing.assert_allclose(params, [-2.5], rtol=1e-15)
 
 

@@ -19,46 +19,46 @@ def random_simplex(rng, n, k):
 
 class TestInitPrior:
     def test_reference_hyperparameters(self):
-        store = init_prior(np.array([1]), k=3, c=1000.0, epsilon=0.0)
+        store = init_prior(np.array([1]), k=3, c=1000.0, epsilon=0.0, gamma=0.95)
         np.testing.assert_array_equal(store.y[0], [0.0, 1.0, 0.0])
         assert store.A[0] == 1000.0
 
     def test_degenerate_equal_weights(self):
-        store = init_prior(np.array([2]), k=4, c=2.0, epsilon=2.0)
+        store = init_prior(np.array([2]), k=4, c=2.0, epsilon=2.0, gamma=0.95)
         np.testing.assert_allclose(store.y[0], 0.25, rtol=1e-15)
         assert store.A[0] == 8.0
 
     def test_direct_normalization(self):
-        store = init_prior(np.array([0]), k=3, c=98.0, epsilon=1.0)
+        store = init_prior(np.array([0]), k=3, c=98.0, epsilon=1.0, gamma=0.95)
         np.testing.assert_allclose(store.y[0], [0.98, 0.01, 0.01], rtol=1e-12)
         assert store.A[0] == 100.0
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label out of range"):
-            init_prior(np.array([3]), k=3, c=1.0)
+            init_prior(np.array([3]), k=3, c=1.0, epsilon=0.0, gamma=0.95)
 
     def test_nonpositive_c(self):
         with pytest.raises(ValueError, match="c must be > 0"):
-            init_prior(np.array([0]), k=3, c=0.0)
+            init_prior(np.array([0]), k=3, c=0.0, epsilon=0.0, gamma=0.95)
 
 
 class TestBsdUpdate:
     def test_gamma_zero_returns_pred_bit_exact(self):
-        store = init_prior(np.array([0]), k=2, c=500.0, gamma=0.0)
+        store = init_prior(np.array([0]), k=2, c=500.0, epsilon=0.0, gamma=0.0)
         pred = np.array([0.3, 0.7])
         y, A = bsd_update(store, 0, pred)
         np.testing.assert_array_equal(y, pred)
         assert A == 1.0
 
     def test_ema_at_fixed_point(self):
-        store = init_prior(np.array([0]), k=2, c=1.0, gamma=0.5)
+        store = init_prior(np.array([0]), k=2, c=1.0, epsilon=0.0, gamma=0.5)
         store.A[0] = 2.0  # 1 / (1 - 0.5)
         y, A = bsd_update(store, 0, np.array([0.0, 1.0]))
         np.testing.assert_array_equal(y, [0.5, 0.5])
         assert A == 2.0
 
     def test_hand_evaluation(self):
-        store = init_prior(np.array([0]), k=2, c=1.0, gamma=0.9)
+        store = init_prior(np.array([0]), k=2, c=1.0, epsilon=0.0, gamma=0.9)
         store.y[0] = [0.8, 0.2]
         store.A[0] = 10.0
         y, A = bsd_update(store, 0, np.array([0.2, 0.8]))
@@ -67,12 +67,12 @@ class TestBsdUpdate:
         np.testing.assert_allclose(A, 10.0, rtol=1e-15)
 
     def test_near_simplex_drift_renormalized(self):
-        store = init_prior(np.array([0]), k=2, c=10.0, gamma=0.5)
+        store = init_prior(np.array([0]), k=2, c=10.0, epsilon=0.0, gamma=0.5)
         y, _ = bsd_update(store, 0, np.array([0.5, 0.5 + 1e-9]))
         np.testing.assert_allclose(y.sum(), 1.0, atol=1e-12)
 
     def test_far_off_simplex_rejected(self):
-        store = init_prior(np.array([0]), k=2, c=10.0, gamma=0.5)
+        store = init_prior(np.array([0]), k=2, c=10.0, epsilon=0.0, gamma=0.5)
         with pytest.raises(ValueError, match="off the simplex"):
             bsd_update(store, 0, np.array([0.5, 0.6]))
         with pytest.raises(ValueError, match="negative"):

@@ -561,10 +561,10 @@ class TestRunExperiment:
 class TestUnusableState:
     """A ``.state`` that does not fit the run is rejected with its path and block."""
 
-    def stopped_run(self, tmp_path, mode):
+    def stopped_run(self, tmp_path, mode, optimizer="adam", momentum=0.0):
         ds = tiny_dataset(n_per=8)
         test = tiny_dataset(n_per=4, seed=2)
-        cfg = small_config(mode, epochs=4, optimizer="adam", lr=0.05)
+        cfg = small_config(mode, epochs=4, optimizer=optimizer, momentum=momentum, lr=0.05)
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
         layout = run_layout(tmp_path / "run")
         run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
@@ -591,6 +591,18 @@ class TestUnusableState:
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: block 'strategy/y' has shape (16, 2), this run needs (18, 2)")):
             run_single_seed(spec, tiny_dataset(n_per=9), test, cfg, 5, layout, resume=True)
+
+    @pytest.mark.parametrize("saved, resumed, stored, kept", [
+        (("adam", 0.0), ("sgd", 0.9), ["m", "v"], ["buf"]),
+        (("sgd", 0.9), ("adam", 0.0), ["buf"], ["m", "v"]),
+        (("sgd", 0.9), ("sgd", 0.0), ["buf"], []),
+    ], ids=["adam-to-sgd-momentum", "sgd-momentum-to-adam", "sgd-momentum-to-sgd-plain"])
+    def test_moments_of_another_optimizer(self, tmp_path, saved, resumed, stored, kept):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd", *saved)
+        cfg = dc_replace(cfg, optimizer=resumed[0], momentum=resumed[1])
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: holds optimizer moments {stored}, this run's optimizer keeps {kept}")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
 
     @pytest.mark.parametrize("header_line", [b'{"blocks": [{"name": "param/w0", ', b"not json\n"],
                              ids=["truncated", "non-json"])
