@@ -9,7 +9,8 @@ from .analysis import (CalibrationReport, DarkKnowledge, ace, auroc,
 from .data import (Dataset, NoiseSpec, apply_noise, augment_strong,
                    augment_weak, inject_asymmetric, inject_symmetric,
                    load_csv, load_idx, make_blobs)
-from .models import Model, ModelSpec, backward, forward, init_model, param_count
+from .models import (Model, ModelSpec, backward, forward, init_model, param_count,
+                     predict)
 from .numerics import (OptimizerState, entropy, finite_diff_grad, kl_div, one_hot,
                        optimizer_step, softmax, soft_cross_entropy)
 from .targets import (EvidenceStore, StrategyConfig, TargetStrategy,

@@ -21,7 +21,6 @@ and exit 1, a bad config with exit 2.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import shutil
 import sys
@@ -33,7 +32,7 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
-from .fileio import write_json, write_table
+from .fileio import json_object, write_json, write_table
 from .numerics import _class_reduce
 from .training import read_trace_csv, run_experiment, run_layout
 
@@ -243,12 +242,7 @@ def _final_metrics(records_path):
     metrics = None
     with open(records_path) as fh:
         for line_no, line in enumerate(fh, start=1):
-            try:
-                row = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{records_path}: line {line_no} is not JSON: {exc}") from None
-            if not isinstance(row, dict):
-                raise ValueError(f"{records_path}: line {line_no} is not a JSON object")
+            row = json_object(line, f"{records_path}: line {line_no}")
             if row.get("test_acc") is not None:
                 metrics = row
     return metrics
@@ -261,10 +255,15 @@ def _collect_run(run_dir):
     mode = "?"
     classes = None
     if config_path.exists():
-        resolved = json.loads(config_path.read_text())
+        resolved = json_object(config_path.read_text(), f"{config_path}: the run config")
+        train, dataset = resolved.get("train"), resolved.get("dataset")
+        strategy = train.get("strategy") if isinstance(train, dict) else None
+        mode = strategy.get("mode") if isinstance(strategy, dict) else None
+        if not isinstance(mode, str) or not isinstance(dataset, dict):
+            raise ValueError(f"{config_path}: not a resolved run config (needs a "
+                             "train.strategy.mode string and a dataset object)")
         name = resolved.get("name", name)
-        mode = resolved["train"]["strategy"]["mode"]
-        classes = resolved["dataset"].get("classes")
+        classes = dataset.get("classes")
     per_seed = {}
     for rec in sorted(layout["records"].glob("seed_*.jsonl")):
         seed = int(rec.stem.split("_")[1])

@@ -136,3 +136,14 @@ def write_json(path, obj):
 def json_text(obj):
     """The text ``write_json`` writes."""
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
+def json_object(text, where):
+    """``text`` parsed as a JSON object; anything else raises a ``ValueError`` naming ``where``."""
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{where} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} is not a JSON object")
+    return obj

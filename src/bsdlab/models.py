@@ -8,6 +8,11 @@ activations in train mode only, with masks drawn from an explicit rng stream
 so every forward is reproducible. All parameters live in one contiguous
 float64 vector, ``Model.flat``; ``Model.params`` maps each block name to a
 reshaped view into it, in ``block_shapes`` order.
+
+``forward`` is the training pass: it keeps the activations ``backward``
+needs. ``predict`` is the eval-mode pass over a whole set: it keeps nothing,
+and its dense layers write into activation buffers the model holds between
+calls (``Model.scratch``), so repeated evaluations reuse one block of memory.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ __all__ = [
     "init_model",
     "param_count",
     "forward",
+    "predict",
     "backward",
     "save_checkpoint",
     "load_checkpoint",
@@ -99,6 +105,9 @@ class Model:
     flat: np.ndarray
     mode: str = "train"  # "train" | "eval"
     params: dict = field(init=False, repr=False)
+    # working memory of ``predict``: row count n -> one (n, width) buffer per
+    # dense layer; never saved or compared
+    scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.flat.shape != (param_count(self.spec),) or not self.flat.flags.c_contiguous:
@@ -144,8 +153,8 @@ def init_model(spec: ModelSpec) -> Model:
     return model
 
 
-def _activate(name, z):
-    return np.maximum(z, 0.0) if name == "relu" else np.tanh(z)
+def _activate(name, z, out=None):
+    return np.maximum(z, 0.0, out=out) if name == "relu" else np.tanh(z, out=out)
 
 
 def _activate_grad(name, z, a):
@@ -207,6 +216,16 @@ def _conv_backward(model, cache, dflat, grads):
     np.einsum("ij->j", dz, out=grads["conv_b"])
 
 
+def _head_input(model, batch):
+    """(input of the first dense layer, conv cache or None) for a float64 batch."""
+    if model.spec.architecture == "tiny-conv":
+        return _conv_forward(model, batch)
+    if batch.ndim != 2 or batch.shape[1] != model.spec.input_dim:
+        raise ValueError(f"expected batch of shape (n, {model.spec.input_dim}), "
+                         f"got {batch.shape}")
+    return batch, None
+
+
 def forward(model: Model, batch, rng=None):
     """Run the network on a batch; returns (probs, cache).
 
@@ -221,15 +240,8 @@ def forward(model: Model, batch, rng=None):
     if use_dropout and rng is None:
         raise ValueError("train-mode forward with dropout requires an rng stream")
 
-    cache = {"layers": [], "conv": None}
-    if spec.architecture == "tiny-conv":
-        a, conv_cache = _conv_forward(model, batch)
-        cache["conv"] = conv_cache
-    else:
-        if batch.ndim != 2 or batch.shape[1] != spec.input_dim:
-            raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {batch.shape}")
-        a = batch
-
+    a, conv_cache = _head_input(model, batch)
+    cache = {"layers": [], "conv": conv_cache}
     n_hidden = len(spec.hidden)
     for i in range(n_hidden):
         z = a @ model.params[f"w{i}"] + model.params[f"b{i}"]
@@ -245,6 +257,35 @@ def forward(model: Model, batch, rng=None):
     logits = a @ model.params[f"w{n_hidden}"] + model.params[f"b{n_hidden}"]
     cache["logits_input"] = a
     return softmax(logits), cache
+
+
+def predict(model: Model, batch):
+    """Eval-mode class probabilities for ``batch``, bit for bit those of ``forward``.
+
+    Builds no cache, draws no dropout and leaves ``model.mode`` as it is. The
+    dense layers run the same operations in the same order as ``forward``,
+    in place in ``model.scratch``: one (n, width) buffer per layer for the
+    latest row count n, at most n * (sum(hidden) + classes) floats. The
+    returned probabilities are a fresh array. The whole set goes through
+    each matmul in one call: how many rows BLAS gets at once can change the
+    last bits of a product, so splitting the rows would change the output.
+    """
+    batch = np.asarray(batch, dtype=np.float64)
+    spec = model.spec
+    a, _ = _head_input(model, batch)
+    n = batch.shape[0]
+    buffers = model.scratch.get(n)
+    if buffers is None:
+        model.scratch.clear()
+        buffers = model.scratch[n] = [np.empty((n, w)) for w in (*spec.hidden, spec.classes)]
+    n_hidden = len(spec.hidden)
+    for i, buf in enumerate(buffers):
+        np.matmul(a, model.params[f"w{i}"], out=buf)
+        buf += model.params[f"b{i}"]
+        if i < n_hidden:
+            _activate(spec.activation, buf, out=buf)
+        a = buf
+    return softmax(a)
 
 
 def backward(model: Model, cache, dlogits, out=None):

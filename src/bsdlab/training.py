@@ -30,8 +30,9 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import atomic_open, read_blocks, write_blocks, write_json, write_table
-from .models import Model, backward, forward, init_model, save_checkpoint
+from .fileio import (atomic_open, json_object, read_blocks, write_blocks, write_json,
+                     write_table)
+from .models import Model, backward, forward, init_model, predict, save_checkpoint
 from .numerics import (PROB_FLOOR, OptimizerState, _class_reduce, entropy, kl_div,
                        optimizer_step, soft_cross_entropy)
 from .settings import Settings, setting
@@ -248,11 +249,8 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
 
 
 def evaluate(model: Model, dataset: Dataset):
-    """Eval-mode predictions plus accuracy/ECE/NLL on the active labels."""
-    mode = model.mode
-    model.eval()
-    preds, _ = forward(model, dataset.samples)
-    model.mode = mode
+    """Eval-mode predictions (``predict``) plus accuracy/ECE/NLL on the active labels."""
+    preds = predict(model, dataset.samples)
     return {
         "preds": preds,
         "acc": analysis.accuracy(preds, dataset.labels),
@@ -368,7 +366,8 @@ def _truncate_records(path, epoch):
     with open(path, "rb+") as fh:
         for expected in range(1, epoch + 1):
             line = fh.readline()
-            if not line.endswith(b"\n") or json.loads(line).get("epoch") != expected:
+            if (not line.endswith(b"\n")
+                    or json_object(line, f"{path}: line {expected}").get("epoch") != expected):
                 raise ValueError(f"{path} does not hold complete rows for epochs 1..{epoch}")
         fh.truncate()
 

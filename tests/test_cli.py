@@ -526,6 +526,23 @@ class TestCompareCommand:
         assert err.startswith(f"error: {records}: line {lines} {message}")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("{}", "not a resolved run config"),
+        ('{"name": "tiny",', "the run config is not JSON: "),
+        ("[1]", "the run config is not a JSON object"),
+    ], ids=["empty-object", "not-json", "not-an-object"])
+    def test_bad_config_resolved_named(self, trained_run, tmp_path, capsys, text, message):
+        run = tmp_path / "tiny"
+        shutil.copytree(trained_run, run)
+        config = run_layout(run)["config"]
+        config.write_text(text)
+        capsys.readouterr()
+        assert main(["compare", str(run), str(trained_run)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {config}: ")
+        assert message in err
+        assert err.count("\n") == 1
+
 
 class TestExportDataset:
     def test_csv_round_trip(self, tmp_path, capsys):

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from bsdlab.models import (Model, ModelSpec, backward, forward, init_model,
-                           load_checkpoint, param_count, save_checkpoint)
+                           load_checkpoint, param_count, predict, save_checkpoint)
 from bsdlab.numerics import finite_diff_grad, soft_cross_entropy
 
 
@@ -116,6 +118,63 @@ class TestForward:
         model = init_model(ModelSpec(input_dim=4, classes=3))
         with pytest.raises(ValueError, match="shape"):
             forward(model.eval(), np.zeros((2, 5)))
+
+
+# 32-wide layers: at this width how many rows one matmul gets moves the last
+# bits of its product, so a predict that split the rows would fail here
+PREDICT_SPECS = {
+    "mlp-relu": ModelSpec(input_dim=3, classes=4, hidden=(32, 32), seed=5),
+    "mlp-tanh": ModelSpec(input_dim=3, classes=4, hidden=(32, 32), activation="tanh", seed=5),
+    "mlp-dropout": ModelSpec(input_dim=3, classes=4, hidden=(32, 32), dropout=0.1, seed=5),
+    "tiny-conv": ModelSpec(input_dim=72, classes=3, hidden=(32,), architecture="tiny-conv",
+                           grid_shape=(6, 6, 2), seed=5),
+}
+
+
+class TestPredict:
+    @pytest.mark.parametrize("name", PREDICT_SPECS)
+    def test_equals_eval_forward_bit_for_bit(self, name):
+        spec = PREDICT_SPECS[name]
+        model = init_model(spec)
+        shape = spec.grid_shape if spec.architecture == "tiny-conv" else (spec.input_dim,)
+        rng = np.random.default_rng(0)
+        for n in (7, 10_000, 7):
+            x = rng.normal(size=(n, *shape))
+            probs = predict(model, x)
+            assert model.mode == "train"  # predict neither needs nor sets eval mode
+            expected, _ = forward(model.eval(), x)
+            model.train()
+            assert probs.tobytes() == expected.tobytes()
+            for buf in model.scratch[n]:
+                assert not np.shares_memory(probs, buf)
+            again = predict(model, x)
+            assert probs.tobytes() == expected.tobytes()  # the first result survives
+            assert again.tobytes() == expected.tobytes()
+            assert list(model.scratch) == [n]
+
+    def test_scratch_holds_one_buffer_per_dense_layer(self):
+        model = init_model(PREDICT_SPECS["mlp-relu"])
+        predict(model, np.zeros((5, 3)))
+        assert [b.shape for b in model.scratch[5]] == [(5, 32), (5, 32), (5, 4)]
+
+    def test_dimension_mismatch(self):
+        model = init_model(ModelSpec(input_dim=4, classes=3))
+        with pytest.raises(ValueError, match="shape"):
+            predict(model, np.zeros((2, 5)))
+
+    def test_repeat_call_reuses_its_buffers(self):
+        # one hidden activation of this set is 10_000 * 32 * 8 B; a forward
+        # that allocates its activations afresh peaks at several of them
+        model = init_model(ModelSpec(input_dim=2, classes=4, hidden=(32, 32), seed=1))
+        x = np.random.default_rng(0).normal(size=(10_000, 2))
+        predict(model, x)
+        tracemalloc.start()
+        try:
+            predict(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000 * 32 * 8
 
 
 class TestBackward:

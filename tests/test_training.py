@@ -289,6 +289,18 @@ class TestEpochUpdate:
         assert len(strong) == 4 and len(set(strong)) == 4
 
 
+class TestEvaluate:
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    def test_leaves_the_model_mode_as_it_was(self, mode):
+        ds = tiny_dataset()
+        model = init_model(ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.5))
+        model.mode = mode
+        preds = evaluate(model, ds)["preds"]
+        assert model.mode == mode
+        expected, _ = forward(model.eval(), ds.samples)
+        assert preds.tobytes() == expected.tobytes()
+
+
 class TestContrastive:
     def test_identical_views_zero_loss(self):
         spec = ModelSpec(input_dim=3, classes=2, hidden=(4,), dropout=0.0, seed=10)
@@ -521,6 +533,23 @@ class TestRunExperiment:
         with pytest.raises(ValueError, match="epochs 1..2"):
             run_single_seed(spec, ds, test, cfg, 5, layout, resume=True)
         assert records.read_text() == first_row
+
+    @pytest.mark.parametrize("bad_row, message", [
+        (b'{"epoch": 1,\n', "line 1 is not JSON: "),
+        (b"[1]\n", "line 1 is not a JSON object"),
+    ], ids=["not-json", "not-an-object"])
+    def test_resume_names_a_bad_records_row(self, tmp_path, bad_row, message):
+        ds = tiny_dataset(n_per=8)
+        test = tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
+        records = layout["records"] / "seed_5.jsonl"
+        rows = records.read_bytes().splitlines(keepends=True)
+        records.write_bytes(bad_row + b"".join(rows[1:]))
+        with pytest.raises(ValueError, match=re.escape(f"{records}: {message}")):
+            run_single_seed(spec, ds, test, cfg, 5, layout, resume=True)
 
     def test_interrupted_state_write_keeps_previous_state(self, tmp_path):
         ds = tiny_dataset(n_per=8)
