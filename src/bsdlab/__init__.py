@@ -11,11 +11,9 @@ from .data import (Dataset, NoiseSpec, apply_noise, augment_strong,
                    load_csv, load_idx, make_blobs)
 from .models import (Model, ModelSpec, backward, forward, init_model, param_count,
                      predict)
-from .numerics import (OptimizerState, entropy, finite_diff_grad, kl_div, one_hot,
-                       optimizer_step, softmax, soft_cross_entropy)
-from .targets import (EvidenceStore, StrategyConfig, TargetStrategy,
-                      bsd_update, conjugate_update_oracle,
-                      evidence_mass_closed_form, fixed_point, init_prior,
+from .numerics import (OptimizerState, entropy, kl_div, one_hot, optimizer_step,
+                       softmax, soft_cross_entropy)
+from .targets import (EvidenceStore, StrategyConfig, TargetStrategy, init_prior,
                       sharpen)
 from .training import (BsdPlusConfig, RunRecord, TrainConfig, TrainingDiverged,
                        contrastive_term, evaluate, lr_at, run_experiment,

@@ -29,7 +29,6 @@ __all__ = [
     "mean_flip_probability",
     "mu_matrix",
     "delta_decomposition",
-    "reconstruct_predictions",
     "fit_temperature",
     "temperature_scale",
     "temp_adjusted_kl",
@@ -275,8 +274,9 @@ def delta_decomposition(preds, labels, mu) -> DarkKnowledge:
     A single float64 cannot always hold pred - mu exactly (the rounded
     difference re-added to mu can land one ulp off when an entry is far
     smaller than its class mean), so the subtraction residual is kept
-    alongside delta; delta + delta_comp equals pred - mu exactly and
-    ``reconstruct_predictions`` is bit-exact.
+    alongside delta; delta + delta_comp equals pred - mu exactly, so the
+    test oracle ``reconstruct_predictions`` in ``tests/oracles.py`` rebuilds
+    each prediction bit for bit.
     """
     preds = _as_preds(preds)
     mu = np.asarray(mu, dtype=np.float64)
@@ -292,22 +292,6 @@ def delta_decomposition(preds, labels, mu) -> DarkKnowledge:
     ])
     return DarkKnowledge(mu=mu, delta=delta, delta_comp=comp, delta_l1=mags,
                          class_mean_delta_l1=class_means, mu_row_sums=mu.sum(axis=1))
-
-
-def reconstruct_predictions(dk: DarkKnowledge, labels):
-    """Exact inverse of the decomposition: mu[label] + delta, bit for bit.
-
-    math.fsum rounds the exact three-term sum once; since the true sum is the
-    original prediction (a representable double), the result is identical.
-    """
-    labels = _as_labels(labels, dk.delta.shape[0], dk.mu.shape[0])
-    mu_rows = dk.mu[labels]
-    n, k = dk.delta.shape
-    out = np.empty((n, k), dtype=np.float64)
-    for i in range(n):
-        for j in range(k):
-            out[i, j] = math.fsum((mu_rows[i, j], dk.delta[i, j], dk.delta_comp[i, j]))
-    return out
 
 
 def _logits_from_preds(preds):

@@ -46,10 +46,11 @@ class Dataset:
     def __post_init__(self):
         self.clean_labels = np.asarray(self.clean_labels, dtype=np.int64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.samples.shape[0] != self.clean_labels.shape[0]:
-            raise ValueError("sample/label count mismatch")
-        if self.clean_labels.size and (self.clean_labels.min() < 0 or self.clean_labels.max() >= self.k):
-            raise ValueError(f"label out of range [0, {self.k})")
+        for labels in (self.clean_labels, self.labels):
+            if labels.shape != (self.samples.shape[0],):
+                raise ValueError("sample/label count mismatch")
+            if labels.size and (labels.min() < 0 or labels.max() >= self.k):
+                raise ValueError(f"label out of range [0, {self.k})")
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("non-finite sample values")
 

@@ -4,13 +4,13 @@ Two architectures: a plain MLP over feature vectors and a tiny convolutional
 net for image-grid inputs (one 3x3 conv with 8 channels, relu, 2x2 average
 pool, then an MLP head). The softmax head is shared. Gradients are derived
 per layer; there is no autodiff. Dropout applies to fully-connected hidden
-activations in train mode only, with masks drawn from an explicit rng stream
-so every forward is reproducible. All parameters live in one contiguous
+activations in the training pass only, with masks drawn from an explicit rng
+stream so every forward is reproducible. All parameters live in one contiguous
 float64 vector, ``Model.flat``; ``Model.params`` maps each block name to a
 reshaped view into it, in ``block_shapes`` order.
 
 ``forward`` is the training pass: it keeps the activations ``backward``
-needs. ``predict`` is the eval-mode pass over a whole set: it keeps nothing,
+needs. ``predict`` is the only eval pass, over a whole set: it keeps nothing,
 and its dense layers write into activation buffers the model holds between
 calls (``Model.scratch``), so repeated evaluations reuse one block of memory.
 """
@@ -103,7 +103,6 @@ def param_count(spec: ModelSpec) -> int:
 class Model:
     spec: ModelSpec
     flat: np.ndarray
-    mode: str = "train"  # "train" | "eval"
     params: dict = field(init=False, repr=False)
     # working memory of ``predict``: row count n -> one (n, width) buffer per
     # dense layer; never saved or compared
@@ -123,17 +122,6 @@ class Model:
             pos += size
         return out
 
-    def train(self):
-        self.mode = "train"
-        return self
-
-    def eval(self):
-        self.mode = "eval"
-        return self
-
-    def block_names(self):
-        return list(self.params)
-
 
 def _init_limit(activation, fan_in, fan_out):
     # He-uniform for relu, Xavier-uniform for tanh.
@@ -145,7 +133,7 @@ def _init_limit(activation, fan_in, fan_out):
 def init_model(spec: ModelSpec) -> Model:
     """Allocate and initialize parameter blocks, deterministic in spec.seed."""
     rng = np.random.default_rng(spec.seed)
-    model = Model(spec=spec, flat=np.zeros(param_count(spec)), mode="train")
+    model = Model(spec=spec, flat=np.zeros(param_count(spec)))
     for name, block in model.params.items():
         if block.ndim == 2:
             lim = _init_limit("relu" if name == "conv_w" else spec.activation, *block.shape)
@@ -227,18 +215,17 @@ def _head_input(model, batch):
 
 
 def forward(model: Model, batch, rng=None):
-    """Run the network on a batch; returns (probs, cache).
+    """The training pass on a batch; returns (probs, cache) for ``backward``.
 
-    ``batch`` is (n, d) for mlp or (n, h, w, ch) for tiny-conv. In train mode
-    with dropout enabled, ``rng`` must be provided; eval mode is a pure
-    function of (parameters, input).
+    ``batch`` is (n, d) for mlp or (n, h, w, ch) for tiny-conv. Dropout runs
+    whenever ``spec.dropout > 0``, with masks drawn from ``rng``, which is
+    needed only then. Evaluation goes through ``predict``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     spec = model.spec
-    train = model.mode == "train"
-    use_dropout = train and spec.dropout > 0.0
+    use_dropout = spec.dropout > 0.0
     if use_dropout and rng is None:
-        raise ValueError("train-mode forward with dropout requires an rng stream")
+        raise ValueError("forward with dropout requires an rng stream")
 
     a, conv_cache = _head_input(model, batch)
     cache = {"layers": [], "conv": conv_cache}
@@ -246,29 +233,27 @@ def forward(model: Model, batch, rng=None):
     for i in range(n_hidden):
         z = a @ model.params[f"w{i}"] + model.params[f"b{i}"]
         act = _activate(spec.activation, z)
+        mask = None
         if use_dropout:
             mask = (rng.uniform(size=act.shape) >= spec.dropout) / (1.0 - spec.dropout)
-            out = act * mask
-        else:
-            mask = None
-            out = act
         cache["layers"].append({"input": a, "z": z, "act": act, "mask": mask})
-        a = out
+        a = act if mask is None else act * mask
     logits = a @ model.params[f"w{n_hidden}"] + model.params[f"b{n_hidden}"]
     cache["logits_input"] = a
     return softmax(logits), cache
 
 
 def predict(model: Model, batch):
-    """Eval-mode class probabilities for ``batch``, bit for bit those of ``forward``.
+    """The eval pass: class probabilities for ``batch``, with no dropout.
 
-    Builds no cache, draws no dropout and leaves ``model.mode`` as it is. The
-    dense layers run the same operations in the same order as ``forward``,
-    in place in ``model.scratch``: one (n, width) buffer per layer for the
-    latest row count n, at most n * (sum(hidden) + classes) floats. The
-    returned probabilities are a fresh array. The whole set goes through
-    each matmul in one call: how many rows BLAS gets at once can change the
-    last bits of a product, so splitting the rows would change the output.
+    Builds no cache and draws nothing; the output is bit for bit that of
+    ``forward`` on the same parameters with dropout 0. The dense layers run
+    the same operations in the same order as ``forward``, in place in
+    ``model.scratch``: one (n, width) buffer per layer for the latest row
+    count n, at most n * (sum(hidden) + classes) floats. The returned
+    probabilities are a fresh array. The whole set goes through each matmul
+    in one call: how many rows BLAS gets at once can change the last bits
+    of a product, so splitting the rows would change the output.
     """
     batch = np.asarray(batch, dtype=np.float64)
     spec = model.spec
@@ -329,14 +314,18 @@ def save_checkpoint(model: Model, path):
 
 
 def load_checkpoint(path) -> Model:
+    """Read a ``save_checkpoint`` file; a header or blocks that do not make a
+    model raise ``ValueError("<path>: ...")``."""
     header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
     if header.get("format_version") != 1:
-        raise ValueError(f"unsupported checkpoint version {header.get('format_version')}")
-    spec_dict = dict(header["spec"])
-    if spec_dict.get("grid_shape") is not None:
-        spec_dict["grid_shape"] = tuple(spec_dict["grid_shape"])
-    spec_dict["hidden"] = tuple(spec_dict["hidden"])
-    spec = ModelSpec(**spec_dict)
+        raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    spec_dict = header.get("spec")
+    if not isinstance(spec_dict, dict):
+        raise ValueError(f"{path}: header holds no model spec")
+    try:
+        spec = ModelSpec(**spec_dict)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model spec: {exc}") from None
     if [(n, b.shape) for n, b in blocks.items()] != block_shapes(spec):
-        raise ValueError("checkpoint blocks do not match its model spec")
-    return Model(spec, np.concatenate([b.ravel() for b in blocks.values()]), mode="eval")
+        raise ValueError(f"{path}: checkpoint blocks do not match its model spec")
+    return Model(spec, np.concatenate([b.ravel() for b in blocks.values()]))

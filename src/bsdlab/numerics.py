@@ -34,7 +34,6 @@ __all__ = [
     "one_hot",
     "OptimizerState",
     "optimizer_step",
-    "finite_diff_grad",
 ]
 
 
@@ -187,23 +186,3 @@ def optimizer_step(params, grads, state, lr):
     delta /= denom
     params -= delta
     return params, state
-
-
-def finite_diff_grad(f, x, h=1e-5):
-    """Central-difference gradient estimate of a scalar function, per coordinate.
-
-    Test oracle only; O(2n) evaluations of ``f``.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
-    flat = x.reshape(-1)
-    gflat = grad.reshape(-1)
-    for j in range(flat.size):
-        orig = flat[j]
-        flat[j] = orig + h
-        fp = f(x)
-        flat[j] = orig - h
-        fm = f(x)
-        flat[j] = orig
-        gflat[j] = (fp - fm) / (2.0 * h)
-    return grad

@@ -9,9 +9,7 @@ parameters). One observation of a prediction ``p`` performs
     A <- gamma * A + 1
 
 which is the normalized form of discounting the concentration vector by
-``gamma`` and adding ``p`` as fractional evidence. ``conjugate_update_oracle``
-implements that raw concentration-space update and exists only so tests can
-check the factorization against it.
+``gamma`` and adding ``p`` as fractional evidence.
 
 The strategy layer runs the related target-construction schemes as stores of
 the same recursion: plain one-hot training and label smoothing are frozen
@@ -40,10 +38,6 @@ __all__ = [
     "EvidenceStore",
     "init_prior",
     "update_weight",
-    "bsd_update",
-    "conjugate_update_oracle",
-    "evidence_mass_closed_form",
-    "fixed_point",
     "sharpen",
     "StrategyConfig",
     "TargetStrategy",
@@ -150,46 +144,6 @@ def init_prior(labels, k, c, epsilon, gamma) -> EvidenceStore:
     return EvidenceStore(y=y, A=A, gamma=gamma)
 
 
-def bsd_update(store: EvidenceStore, i, pred):
-    """Single-row discounted update; returns the new (y_i, A_i)."""
-    store.update_rows(np.asarray([i]), np.asarray(pred, dtype=np.float64)[None, :])
-    return store.y[i], store.A[i]
-
-
-def conjugate_update_oracle(alpha, pred, gamma):
-    """Raw concentration-space reference: alpha' = gamma * alpha + pred.
-
-    Test oracle for the (y, A) factorization; not used by training. An
-    all-zero ``alpha`` is permitted only for the improper-prior (te-style)
-    path, where the first observation defines the state.
-    """
-    alpha = np.asarray(alpha, dtype=np.float64)
-    pred = np.asarray(pred, dtype=np.float64)
-    if np.any(alpha < 0.0):
-        raise ValueError("concentration entries must be nonnegative")
-    return gamma * alpha + pred
-
-
-def evidence_mass_closed_form(A0, gamma, t):
-    """Evidence mass after t updates: gamma^t * A0 + (1 - gamma^t) / (1 - gamma).
-
-    At gamma = 1 the limit form A0 + t applies.
-    """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    if gamma == 1.0:
-        return A0 + float(t)
-    gt = gamma ** t
-    return gt * A0 + (1.0 - gt) / (1.0 - gamma)
-
-
-def fixed_point(gamma):
-    """Stationary evidence mass 1 / (1 - gamma); undefined at gamma = 1."""
-    if not (0.0 <= gamma < 1.0):
-        raise ValueError("fixed point requires gamma in [0, 1)")
-    return 1.0 / (1.0 - gamma)
-
-
 def sharpen(target, tau):
     """Power transform target^(1/tau) renormalized to the simplex.
 
@@ -263,9 +217,6 @@ class TargetStrategy:
         if a == 1.0:
             return self.store.y[indices]  # fancy indexing copies
         return (1.0 - a) * self.onehot[indices] + a * self.store.y[indices]
-
-    def target(self, i, epoch):
-        return self.targets(np.asarray([i]), epoch)[0]
 
     def update(self, indices, preds):
         """Fold predictions into the store (post-step); frozen stores ignore them."""

@@ -147,8 +147,8 @@ def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_fl
     ``strong_views`` holds m batches of the n samples whose anchor
     probabilities (constants) are ``anchor_probs``. Each view's parameter
     gradient is added into ``grad_flat``, laid out like ``model.flat``.
-    Returns ``loss`` plus each view's term, added view by view. The model runs
-    in its current mode; ``rng`` drives train-mode dropout.
+    Returns ``loss`` plus each view's term, added view by view. Each view
+    goes through the training pass ``forward``; ``rng`` drives its dropout.
     """
     m = len(strong_views)
     if m == 0:
@@ -181,7 +181,6 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     if strategy.labels.shape[0] != dataset.n:
         raise ValueError("target state and dataset sizes are misaligned")
     n, k = dataset.n, dataset.k
-    model.train()
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)

@@ -5,10 +5,11 @@ import pytest
 
 from bsdlab.analysis import (_temperature_nll, accuracy, ace, auroc, calibration_report,
                              delta_decomposition, ece, fit_temperature,
-                             mean_flip_probability, mu_matrix, nll,
-                             reconstruct_predictions, reliability_bins, sce,
-                             temp_adjusted_kl, temperature_scale)
+                             mean_flip_probability, mu_matrix, nll, reliability_bins,
+                             sce, temp_adjusted_kl, temperature_scale)
 from bsdlab.numerics import one_hot, softmax
+
+from oracles import reconstruct_predictions
 
 
 def perfect_preds(labels, k):

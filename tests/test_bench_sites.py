@@ -2,7 +2,8 @@
 ``LAYERS``) and calls some of them itself (``bench/run.py calls_per_step``), so
 renaming one in src, or changing how it is called, breaks ``bench/run.py
 --trace 1``. Installing the tracer here, and running one short traced bench,
-makes such a change fail in the test suite."""
+makes such a change fail in the test suite, as does a call that moves out of the
+module whose name the tracer patches, since its layer then counts fewer calls."""
 
 import importlib.util
 import json
@@ -50,4 +51,11 @@ def test_traced_bench_run_is_correct(tmp_path):
          "--seconds", "1", "--trace", "1"],
         cwd=tmp_path, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["correct"] is True
+    calls = {name[:-len(".calls")]: m["value"] for name, m in result["metrics"].items()
+             if name.endswith(".calls")}
+    assert (calls["models.forward"] == calls["models.backward"] == calls["numerics.optimizer_step"]
+            == calls["numerics.soft_cross_entropy"] > 0), calls
+    assert calls["training.train_epoch"] == calls["training._save_train_state"] > 0, calls
+    assert calls["training.evaluate"] > 0, calls

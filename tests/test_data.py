@@ -232,3 +232,18 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError, match="non-finite"):
             Dataset(samples=np.array([[np.nan, 0.0]]), clean_labels=np.array([0]),
                     labels=np.array([0]), k=2)
+
+    def test_active_label_out_of_range_rejected(self):
+        # a map that sends class 0 to -1 would have served row 3 the one-hot of class 3
+        ds = make_blobs(4, 5, seed=0)
+        noisy = inject_asymmetric(ds.labels, 0.5, {0: -1}, 0)
+        with pytest.raises(ValueError, match=r"label out of range \[0, 4\)"):
+            ds.with_labels(noisy)
+
+    def test_active_label_count_checked(self):
+        ds = make_blobs(4, 5, seed=0)
+        with pytest.raises(ValueError, match="count mismatch"):
+            ds.with_labels(np.array([0, 1]))
+        with pytest.raises(ValueError, match="count mismatch"):
+            Dataset(samples=np.zeros((2, 2)), clean_labels=np.array([0, 1]),
+                    labels=np.array([[0, 1]]), k=2)

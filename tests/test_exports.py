@@ -1,0 +1,47 @@
+"""The public names of ``bsdlab``: what each module's ``__all__`` lists exists, what
+the package root re-exports is listed there, and test-only code stays out."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import bsdlab
+from bsdlab.models import Model, ModelSpec, init_model
+from bsdlab.targets import TargetStrategy
+
+MODULES = sorted(m.name for m in pkgutil.iter_modules(bsdlab.__path__)
+                 if m.name != "__main__")  # importing __main__ runs the CLI
+# reference implementations that live in tests/oracles.py
+ORACLES = ["conjugate_update_oracle", "bsd_update", "evidence_mass_closed_form", "fixed_point",
+           "finite_diff_grad", "reconstruct_predictions"]
+
+
+def root_imports():
+    """(module, name) for every ``from .module import name`` in ``bsdlab/__init__.py``."""
+    tree = ast.parse(Path(bsdlab.__file__).read_text())
+    return [(node.module, alias.name) for node in tree.body
+            if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def test_exports_resolve_and_root_exports_are_listed():
+    for name in MODULES:
+        module = importlib.import_module(f"bsdlab.{name}")
+        missing = [n for n in getattr(module, "__all__", []) if not hasattr(module, n)]
+        assert missing == [], f"bsdlab.{name}"
+    imports = root_imports()
+    assert imports
+    for module_name, name in imports:
+        module = importlib.import_module(f"bsdlab.{module_name}")
+        assert name in module.__all__, f"bsdlab.{module_name}.{name}"
+        assert getattr(bsdlab, name) is getattr(module, name)
+
+
+def test_test_only_names_are_gone():
+    modules = [bsdlab] + [importlib.import_module(f"bsdlab.{n}") for n in MODULES]
+    for name in ORACLES:
+        assert not any(hasattr(m, name) for m in modules), name
+    model = init_model(ModelSpec(input_dim=2, classes=2))
+    for name in ("block_names", "train", "eval", "mode"):
+        assert not hasattr(Model, name) and not hasattr(model, name), name
+    assert not hasattr(TargetStrategy, "target")

@@ -822,7 +822,6 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
     if strategy.labels.shape[0] != dataset.n:
         raise ValueError("target state and dataset sizes are misaligned")
     n, k = dataset.n, dataset.k
-    model.train()
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)

@@ -1,20 +1,25 @@
+import dataclasses
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from bsdlab.models import (Model, ModelSpec, backward, forward, init_model,
+from bsdlab.fileio import read_blocks, write_blocks
+from bsdlab.models import (CHECKPOINT_MAGIC, Model, ModelSpec, backward, forward, init_model,
                            load_checkpoint, param_count, predict, save_checkpoint)
-from bsdlab.numerics import finite_diff_grad, soft_cross_entropy
+from bsdlab.numerics import soft_cross_entropy
+
+from oracles import finite_diff_grad
 
 
 def pack_params(model):
-    return np.concatenate([model.params[n].ravel() for n in model.block_names()])
+    return np.concatenate([model.params[n].ravel() for n in model.params])
 
 
 def unpack_params(model, flat):
     pos = 0
-    for name in model.block_names():
+    for name in model.params:
         block = model.params[name]
         block[...] = flat[pos:pos + block.size].reshape(block.shape)
         pos += block.size
@@ -31,7 +36,7 @@ def relative_grad_error(model, batch, targets):
     probs, cache = forward(model, batch)
     n, k = probs.shape
     grads = backward(model, cache, (probs - targets) / (n * k))
-    analytic = np.concatenate([grads[name].ravel() for name in model.block_names()])
+    analytic = np.concatenate([grads[name].ravel() for name in model.params])
     x0 = pack_params(model)
 
     def f(flat):
@@ -52,12 +57,12 @@ class TestInit:
         model = init_model(ModelSpec(input_dim=2, classes=2))
         assert model.params["w0"].shape == (2, 2)
         assert model.params["b0"].shape == (2,)
-        assert model.block_names() == ["w0", "b0"]
+        assert list(model.params) == ["w0", "b0"]
 
     def test_same_seed_bit_identical(self):
         spec = ModelSpec(input_dim=5, classes=3, hidden=(8,), seed=11)
         a, b = init_model(spec), init_model(spec)
-        for name in a.block_names():
+        for name in a.params:
             np.testing.assert_array_equal(a.params[name], b.params[name])
 
     def test_param_count_arithmetic(self):
@@ -83,41 +88,34 @@ class TestForward:
         model = init_model(ModelSpec(input_dim=3, classes=4))
         for name in model.params:
             model.params[name][...] = 0.0
-        probs, _ = forward(model.eval(), np.random.default_rng(0).normal(size=(6, 3)))
+        probs, _ = forward(model, np.random.default_rng(0).normal(size=(6, 3)))
         np.testing.assert_allclose(probs, 0.25, atol=1e-15)
-
-    def test_eval_mode_is_pure(self):
-        model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,), dropout=0.5, seed=2))
-        x = np.random.default_rng(1).normal(size=(5, 4))
-        p1, _ = forward(model.eval(), x)
-        p2, _ = forward(model.eval(), x)
-        np.testing.assert_array_equal(p1, p2)
 
     def test_train_dropout_reproducible(self):
         model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,), dropout=0.5, seed=2))
         x = np.random.default_rng(1).normal(size=(5, 4))
-        p1, _ = forward(model.train(), x, np.random.default_rng(42))
-        p2, _ = forward(model.train(), x, np.random.default_rng(42))
+        p1, _ = forward(model, x, np.random.default_rng(42))
+        p2, _ = forward(model, x, np.random.default_rng(42))
         np.testing.assert_array_equal(p1, p2)
-        p3, _ = forward(model.train(), x, np.random.default_rng(43))
+        p3, _ = forward(model, x, np.random.default_rng(43))
         assert not np.array_equal(p1, p3)
 
     def test_dropout_requires_rng(self):
         model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,), dropout=0.5))
         with pytest.raises(ValueError, match="rng"):
-            forward(model.train(), np.zeros((2, 4)))
+            forward(model, np.zeros((2, 4)))
 
     def test_rows_on_simplex(self):
         model = init_model(ModelSpec(input_dim=6, classes=5, hidden=(10,), seed=3))
         x = np.random.default_rng(4).normal(0, 30, size=(40, 6))
-        probs, _ = forward(model.eval(), x)
+        probs, _ = forward(model, x)
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
         assert np.all(probs >= 0.0)
 
     def test_dimension_mismatch(self):
         model = init_model(ModelSpec(input_dim=4, classes=3))
         with pytest.raises(ValueError, match="shape"):
-            forward(model.eval(), np.zeros((2, 5)))
+            forward(model, np.zeros((2, 5)))
 
 
 # 32-wide layers: at this width how many rows one matmul gets moves the last
@@ -136,14 +134,14 @@ class TestPredict:
     def test_equals_eval_forward_bit_for_bit(self, name):
         spec = PREDICT_SPECS[name]
         model = init_model(spec)
+        # forward with dropout 0 runs the same operations as predict
+        no_dropout = Model(dataclasses.replace(spec, dropout=0.0), model.flat)
         shape = spec.grid_shape if spec.architecture == "tiny-conv" else (spec.input_dim,)
         rng = np.random.default_rng(0)
         for n in (7, 10_000, 7):
             x = rng.normal(size=(n, *shape))
             probs = predict(model, x)
-            assert model.mode == "train"  # predict neither needs nor sets eval mode
-            expected, _ = forward(model.eval(), x)
-            model.train()
+            expected, _ = forward(no_dropout, x)
             assert probs.tobytes() == expected.tobytes()
             for buf in model.scratch[n]:
                 assert not np.shares_memory(probs, buf)
@@ -151,6 +149,13 @@ class TestPredict:
             assert probs.tobytes() == expected.tobytes()  # the first result survives
             assert again.tobytes() == expected.tobytes()
             assert list(model.scratch) == [n]
+
+    def test_is_pure_with_dropout(self):
+        model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,), dropout=0.5, seed=2))
+        x = np.random.default_rng(1).normal(size=(5, 4))
+        p1 = predict(model, x)
+        p2 = predict(model, x)
+        np.testing.assert_array_equal(p1, p2)
 
     def test_scratch_holds_one_buffer_per_dense_layer(self):
         model = init_model(PREDICT_SPECS["mlp-relu"])
@@ -179,7 +184,7 @@ class TestPredict:
 
 class TestBackward:
     def test_target_equals_probs_zero_gradient(self):
-        model = init_model(ModelSpec(input_dim=3, classes=3, seed=5)).eval()
+        model = init_model(ModelSpec(input_dim=3, classes=3, seed=5))
         x = np.random.default_rng(6).normal(size=(4, 3))
         probs, cache = forward(model, x)
         grads = backward(model, cache, (probs - probs) / (4 * 3))
@@ -202,7 +207,7 @@ class TestBackward:
     def test_mlp_gradient_check(self, activation):
         rng = np.random.default_rng(7)
         model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,),
-                                     activation=activation, seed=8)).eval()
+                                     activation=activation, seed=8))
         batch = rng.normal(size=(5, 4))
         targets = random_targets(rng, 5, 3)
         assert relative_grad_error(model, batch, targets) < 1e-4
@@ -213,7 +218,7 @@ class TestBackward:
         spec = ModelSpec(input_dim=8 * 8 * 1, classes=3, hidden=(6,),
                          activation=activation, architecture="tiny-conv",
                          grid_shape=(8, 8, 1), seed=10)
-        model = init_model(spec).eval()
+        model = init_model(spec)
         batch = rng.uniform(size=(3, 8, 8, 1))
         targets = random_targets(rng, 3, 3)
         assert relative_grad_error(model, batch, targets) < 1e-4
@@ -221,7 +226,7 @@ class TestBackward:
     def test_deep_mlp_gradient_check(self):
         rng = np.random.default_rng(11)
         model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8, 6),
-                                     activation="tanh", seed=12)).eval()
+                                     activation="tanh", seed=12))
         batch = rng.normal(size=(5, 4))
         targets = random_targets(rng, 5, 3)
         assert relative_grad_error(model, batch, targets) < 1e-4
@@ -236,8 +241,8 @@ class TestCheckpoint:
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
         assert loaded.spec == spec
-        assert loaded.block_names() == model.block_names()
-        for name in model.block_names():
+        assert list(loaded.params) == list(model.params)
+        for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
     def test_conv_round_trip(self, tmp_path):
@@ -247,8 +252,31 @@ class TestCheckpoint:
         path = tmp_path / "conv.ckpt"
         save_checkpoint(model, path)
         loaded = load_checkpoint(path)
-        for name in model.block_names():
+        for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
+
+    @pytest.mark.parametrize("case", ["no spec", "no hidden", "unknown key", "null hidden",
+                                      "blocks differ"])
+    def test_bad_spec_names_the_file(self, tmp_path, case):
+        model = init_model(ModelSpec(input_dim=3, classes=2, hidden=(4,)))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
+        del header["blocks"]
+        spec = header["spec"]
+        if case == "no spec":
+            del header["spec"]
+        elif case == "no hidden":
+            del spec["hidden"]
+        elif case == "unknown key":
+            spec["width"] = 4
+        elif case == "null hidden":
+            spec["hidden"] = None
+        else:
+            spec["hidden"] = [5]
+        write_blocks(path, CHECKPOINT_MAGIC, header, blocks)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
+            load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"

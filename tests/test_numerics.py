@@ -3,9 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from bsdlab.numerics import (entropy, finite_diff_grad, kl_div, one_hot,
-                             optimizer_step, softmax, soft_cross_entropy)
+from bsdlab.numerics import (entropy, kl_div, one_hot, optimizer_step, softmax,
+                             soft_cross_entropy)
 from bsdlab.training import TrainConfig, make_optimizer
+
+from oracles import finite_diff_grad
 
 
 def random_simplex(rng, n, k):

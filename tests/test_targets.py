@@ -8,9 +8,9 @@ import pytest
 from bsdlab.fileio import ROWS_PER_WRITE
 from bsdlab.numerics import one_hot
 from bsdlab.targets import (SIMPLEX_RENORM_TOL, EvidenceStore, StrategyConfig,
-                            TargetStrategy, _check_pred, bsd_update, conjugate_update_oracle,
-                            evidence_mass_closed_form, fixed_point, init_prior,
-                            sharpen, update_weight)
+                            TargetStrategy, _check_pred, init_prior, sharpen, update_weight)
+
+from oracles import bsd_update, conjugate_update_oracle, evidence_mass_closed_form, fixed_point
 
 
 def random_simplex(rng, n, k):
@@ -231,18 +231,18 @@ class TestTargetStrategy:
     def test_label_smoothing_row(self):
         cfg = StrategyConfig(mode="label-smoothing", ls_alpha=0.1)
         strat = TargetStrategy(cfg, np.array([0]), 2, 10)
-        np.testing.assert_allclose(strat.target(0, 1), [0.95, 0.05], rtol=1e-12)
+        np.testing.assert_allclose(strat.targets(np.array([0]), 1)[0], [0.95, 0.05], rtol=1e-12)
 
     def test_pskd_terminal_ramp(self):
         cfg = StrategyConfig(mode="ps-kd", pskd_alpha=0.8)
         strat = TargetStrategy(cfg, np.array([0]), 2, 10)
         strat.update(np.array([0]), np.array([[0.6, 0.4]]))
-        np.testing.assert_allclose(strat.target(0, 10), [0.68, 0.32], rtol=1e-12)
+        np.testing.assert_allclose(strat.targets(np.array([0]), 10)[0], [0.68, 0.32], rtol=1e-12)
 
     def test_pskd_first_epoch_pure_onehot(self):
         cfg = StrategyConfig(mode="ps-kd", pskd_alpha=0.8)
         strat = TargetStrategy(cfg, np.array([0]), 2, 10)
-        np.testing.assert_array_equal(strat.target(0, 1), [1.0, 0.0])
+        np.testing.assert_array_equal(strat.targets(np.array([0]), 1)[0], [1.0, 0.0])
 
     def test_dlb_serves_previous_pass_prediction(self):
         strat = self.make("dlb")

@@ -14,13 +14,15 @@ import pytest
 from bsdlab import training
 from bsdlab.data import Dataset, make_blobs
 from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks
-from bsdlab.models import ModelSpec, forward, init_model
-from bsdlab.numerics import finite_diff_grad, kl_div, soft_cross_entropy
+from bsdlab.models import Model, ModelSpec, forward, init_model
+from bsdlab.numerics import kl_div, soft_cross_entropy
 from bsdlab.targets import EvidenceStore, StrategyConfig, TargetStrategy, update_weight
 from bsdlab.training import (BsdPlusConfig, TrainConfig, TrainingDiverged,
                              contrastive_term, evaluate, lr_at, make_optimizer,
                              run_experiment, run_layout, run_single_seed,
                              train_epoch)
+
+from oracles import finite_diff_grad
 
 
 def tiny_dataset(n_per=10, k=2, seed=0, spacing=4.0):
@@ -121,7 +123,7 @@ class TestTrainEpoch:
                 strategy.update = lambda indices, preds: None  # drop the write-back
             train_epoch(model, ds, strategy, opt, cfg, 1, seed=0)
             runs.append(model)
-        for name in runs[0].block_names():
+        for name in runs[0].params:
             np.testing.assert_array_equal(runs[0].params[name], runs[1].params[name])
 
     def test_baseline_never_modifies_targets(self):
@@ -170,7 +172,7 @@ class TestTrainEpoch:
                     for e in (1, 2)]
             results.append((rows, model))
         assert results[0][0] == results[1][0]
-        for name in results[0][1].block_names():
+        for name in results[0][1].params:
             np.testing.assert_array_equal(results[0][1].params[name],
                                           results[1][1].params[name])
 
@@ -290,21 +292,19 @@ class TestEpochUpdate:
 
 
 class TestEvaluate:
-    @pytest.mark.parametrize("mode", ["train", "eval"])
-    def test_leaves_the_model_mode_as_it_was(self, mode):
+    def test_equals_dropout_free_forward(self):
         ds = tiny_dataset()
-        model = init_model(ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.5))
-        model.mode = mode
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.5)
+        model = init_model(spec)
         preds = evaluate(model, ds)["preds"]
-        assert model.mode == mode
-        expected, _ = forward(model.eval(), ds.samples)
+        expected, _ = forward(Model(dc_replace(spec, dropout=0.0), model.flat), ds.samples)
         assert preds.tobytes() == expected.tobytes()
 
 
 class TestContrastive:
     def test_identical_views_zero_loss(self):
         spec = ModelSpec(input_dim=3, classes=2, hidden=(4,), dropout=0.0, seed=10)
-        model = init_model(spec).eval()
+        model = init_model(spec)
         x = np.array([[0.2, -0.4, 1.0], [1.5, 0.3, -0.7]])
         pred, _ = forward(model, x)
         grad_flat = np.zeros_like(model.flat)
@@ -314,7 +314,7 @@ class TestContrastive:
 
     def test_lambda_scaling(self):
         spec = ModelSpec(input_dim=3, classes=2, hidden=(4,), dropout=0.0, seed=11)
-        model = init_model(spec).eval()
+        model = init_model(spec)
         rng = np.random.default_rng(12)
         x = rng.normal(size=(1, 3))
         views = [rng.normal(size=(1, 3))]
@@ -325,7 +325,7 @@ class TestContrastive:
 
     def test_batch_is_mean_of_single_samples(self):
         spec = ModelSpec(input_dim=3, classes=3, hidden=(5,), dropout=0.0, seed=17)
-        model = init_model(spec).eval()
+        model = init_model(spec)
         rng = np.random.default_rng(18)
         x = rng.normal(size=(4, 3))
         views = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
@@ -340,7 +340,7 @@ class TestContrastive:
 
     def test_gradient_matches_finite_differences(self):
         spec = ModelSpec(input_dim=3, classes=3, hidden=(5,), dropout=0.0, seed=13)
-        model = init_model(spec).eval()
+        model = init_model(spec)
         rng = np.random.default_rng(14)
         x = rng.normal(size=(3, 3))
         views = [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))]
@@ -363,7 +363,7 @@ class TestContrastive:
 
     def test_no_views_rejected(self):
         spec = ModelSpec(input_dim=2, classes=2, seed=15)
-        model = init_model(spec).eval()
+        model = init_model(spec)
         with pytest.raises(ValueError, match="view"):
             contrastive_term(model, [], np.array([[0.5, 0.5]]), 1.0, None,
                              np.zeros_like(model.flat))
