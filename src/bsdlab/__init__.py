@@ -15,7 +15,7 @@ from .numerics import (OptimizerState, entropy, kl_div, one_hot, optimizer_step,
                        softmax, soft_cross_entropy)
 from .targets import (EvidenceStore, StrategyConfig, TargetStrategy, init_prior,
                       sharpen)
-from .training import (BsdPlusConfig, RunRecord, TrainConfig, TrainingDiverged,
+from .training import (BsdPlusConfig, SeedRun, TrainConfig, TrainingDiverged,
                        contrastive_term, evaluate, lr_at, run_experiment,
                        train_epoch)
 

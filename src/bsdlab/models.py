@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -322,6 +322,9 @@ def load_checkpoint(path) -> Model:
     spec_dict = header.get("spec")
     if not isinstance(spec_dict, dict):
         raise ValueError(f"{path}: header holds no model spec")
+    missing = [f.name for f in fields(ModelSpec) if f.name not in spec_dict]
+    if missing:
+        raise ValueError(f"{path}: model spec lacks {', '.join(missing)}")
     try:
         spec = ModelSpec(**spec_dict)
     except (TypeError, ValueError) as exc:

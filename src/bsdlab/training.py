@@ -13,9 +13,10 @@ The update checks and renormalizes each prediction row on its own.
 
 Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
-a saved state at an epoch boundary replays the identical remainder. Each
-eval epoch stores its test-set predictions as one binary ``.trace`` file;
-only the final epoch also exports them as CSV.
+a saved state at an epoch boundary replays the identical remainder. A
+``SeedRun``'s ``step`` trains, and on eval epochs evaluates, one epoch without
+opening a file; ``run_single_seed`` writes each epoch's record row, ``.state``
+and eval ``.trace`` (the last also as CSV), then the seed's checkpoint and store.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ _SHUFFLE, _DROPOUT, _WEAK, _STRONG_BASE = 0, 1, 2, 3
 __all__ = [
     "BsdPlusConfig",
     "TrainConfig",
-    "RunRecord",
+    "SeedRun",
     "TrainingDiverged",
     "lr_at",
     "train_epoch",
@@ -97,8 +98,13 @@ PHASES = ("train_epoch", "evaluate", "trace_write", "state_write")
 
 
 @dataclass
-class RunRecord:
+class SeedRun:
+    """One seed's model, optimizer and strategy after ``epoch`` epochs, and its record."""
     seed: int
+    model: Model
+    opt_state: OptimizerState
+    strategy: TargetStrategy
+    epoch: int = 0
     rows: list = field(default_factory=list)
     wall_clock_s: float = 0.0
     phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
@@ -115,6 +121,25 @@ class RunRecord:
     def timing_line(self):
         phases = ", ".join(f"{name} {secs:.3f} s" for name, secs in self.phase_s.items())
         return f"seed {self.seed}: {self.wall_clock_s:.3f} s ({phases})\n"
+
+    def step(self, train_set: Dataset, test_set: Dataset, cfg: TrainConfig):
+        """Train the next epoch, and evaluate it on eval epochs; opens no file. Appends
+        its record row and returns ``(row, ev)``, with ``ev`` None off eval epochs."""
+        epoch = self.epoch + 1
+        with self.timed("train_epoch"):
+            row = train_epoch(self.model, train_set, self.strategy, self.opt_state, cfg, epoch,
+                              self.seed)
+        self.epoch = epoch
+        row["schema_version"] = RECORD_SCHEMA_VERSION
+        ev = None
+        if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
+            with self.timed("evaluate"):
+                ev = evaluate(self.model, test_set)
+            row.update(test_acc=ev["acc"], test_ece=ev["ece"], test_nll=ev["nll"])
+        else:
+            row.update(test_acc=None, test_ece=None, test_nll=None)
+        self.rows.append(row)
+        return row, ev
 
 
 def lr_at(schedule, base_lr, epoch, total_epochs):
@@ -274,17 +299,19 @@ def run_layout(run_dir):
     }
 
 
-def _save_train_state(path, model, opt_state, strategy, epoch):
-    blocks = {f"param/{n}": v for n, v in model.params.items()}
+def _state_blocks(model, opt_state, strategy):
+    """The ``.state`` blocks, name to array, in file order."""
     moments = [(key, model.views(getattr(opt_state, key))) for key in opt_state.moment_names]
-    for name in model.params:
-        for key, views in moments:
-            blocks[f"opt/{key}/{name}"] = views[name]
+    blocks = {f"param/{n}": v for n, v in model.params.items()}
+    blocks.update((f"opt/{key}/{n}", views[n]) for n in model.params for key, views in moments)
     if not strategy.frozen:
-        blocks["strategy/y"] = strategy.store.y
-        blocks["strategy/A"] = strategy.store.A
+        blocks.update({"strategy/y": strategy.store.y, "strategy/A": strategy.store.A})
+    return blocks
+
+
+def _save_train_state(path, model, opt_state, strategy, epoch):
     header = {"epoch": epoch, "opt_step": opt_state.step}
-    write_blocks(path, STATE_MAGIC, header, blocks)
+    write_blocks(path, STATE_MAGIC, header, _state_blocks(model, opt_state, strategy))
 
 
 def _load_train_state(path, model, opt_state, strategy):
@@ -292,8 +319,14 @@ def _load_train_state(path, model, opt_state, strategy):
     for key in ("epoch", "opt_step"):
         if type(header.get(key)) is not int or header[key] < 0:
             raise ValueError(f"{path}: header has no non-negative integer {key!r}")
-
-    def load(name, dest):
+    stored = sorted({b.split("/")[1] for b in blocks if b.startswith("opt/")})
+    if stored != list(opt_state.moment_names):
+        raise ValueError(f"{path}: holds optimizer moments {stored}, this run's optimizer "
+                         f"keeps {list(opt_state.moment_names)}")
+    opt_state.step = header["opt_step"]
+    for key in stored:
+        setattr(opt_state, key, np.zeros_like(model.flat))
+    for name, dest in _state_blocks(model, opt_state, strategy).items():
         block = blocks.get(name)
         if block is None:
             raise ValueError(f"{path}: missing block {name!r}; the state does not match "
@@ -302,21 +335,6 @@ def _load_train_state(path, model, opt_state, strategy):
             raise ValueError(f"{path}: block {name!r} has shape {block.shape}, "
                              f"this run needs {dest.shape}")
         dest[...] = block
-
-    for name, param in model.params.items():
-        load(f"param/{name}", param)
-    opt_state.step = header["opt_step"]
-    stored = sorted({b.split("/")[1] for b in blocks if b.startswith("opt/")})
-    if stored != list(opt_state.moment_names):
-        raise ValueError(f"{path}: holds optimizer moments {stored}, this run's optimizer "
-                         f"keeps {list(opt_state.moment_names)}")
-    for key in stored:
-        setattr(opt_state, key, np.zeros_like(model.flat))
-        for name, view in model.views(getattr(opt_state, key)).items():
-            load(f"opt/{key}/{name}", view)
-    if not strategy.frozen:
-        load("strategy/y", strategy.store.y)
-        load("strategy/A", strategy.store.A)
     return header["epoch"]
 
 
@@ -352,10 +370,6 @@ def read_trace_csv(path):
     return probs, labels.astype(np.int64), probs.shape[1]
 
 
-def _record_line(row):
-    return json.dumps(row, sort_keys=True) + "\n"
-
-
 def _truncate_records(path, epoch):
     """Cut a records file back to its rows for epochs 1..``epoch``.
 
@@ -373,7 +387,7 @@ def _truncate_records(path, epoch):
 
 def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
                     cfg: TrainConfig, seed, layout, progress=None, stop_after=None, resume=False):
-    """Train one seed end to end, persisting records, traces, and checkpoints.
+    """Train one seed, writing all its files; returns its ``SeedRun``, eval buffers freed.
 
     ``stop_after``/``resume`` exercise the checkpoint-resume path: stopping
     after epoch e and resuming later replays epochs e+1..T identically.
@@ -385,75 +399,58 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     records_path = layout["records"] / f"seed_{seed}.jsonl"
     state_path = layout["checkpoints"] / f"seed_{seed}.state"
 
-    spec = dc_replace(model_spec, seed=seed)
-    model = init_model(spec)
-    opt_state = make_optimizer(cfg)
-    strategy = TargetStrategy(cfg.strategy, train_set.labels, train_set.k, cfg.epochs)
-
-    start_epoch = 0
+    run = SeedRun(seed, init_model(dc_replace(model_spec, seed=seed)), make_optimizer(cfg),
+                  TargetStrategy(cfg.strategy, train_set.labels, train_set.k, cfg.epochs))
     if resume:
         if not state_path.exists():
             raise FileNotFoundError(f"no training state to resume at {state_path}")
-        start_epoch = _load_train_state(state_path, model, opt_state, strategy)
-        _truncate_records(records_path, start_epoch)
+        run.epoch = _load_train_state(state_path, run.model, run.opt_state, run.strategy)
+        _truncate_records(records_path, run.epoch)
     elif records_path.exists():
         records_path.unlink()
 
-    record = RunRecord(seed=seed)
     last_epoch = cfg.epochs if stop_after is None else min(stop_after, cfg.epochs)
     with open(records_path, "a") as rec_fh:
-        for epoch in range(start_epoch + 1, last_epoch + 1):
-            with record.timed("train_epoch"):
-                row = train_epoch(model, train_set, strategy, opt_state, cfg, epoch, seed)
-            row["schema_version"] = RECORD_SCHEMA_VERSION
-            if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
-                with record.timed("evaluate"):
-                    ev = evaluate(model, test_set)
-                row.update(test_acc=ev["acc"], test_ece=ev["ece"], test_nll=ev["nll"])
-                with record.timed("trace_write"):
-                    trace = trace_dir / f"epoch_{epoch}.trace"
+        while run.epoch < last_epoch:
+            row, ev = run.step(train_set, test_set, cfg)
+            if ev is not None:
+                with run.timed("trace_write"):
+                    trace = trace_dir / f"epoch_{run.epoch}.trace"
                     write_blocks(trace, TRACE_MAGIC, {},
                                  {"labels": test_set.labels, "probs": ev["preds"]})
-                    if epoch == cfg.epochs:
+                    if run.epoch == cfg.epochs:
                         write_trace_csv(trace.with_suffix(".csv"), ev["preds"], test_set.labels)
-            else:
-                row.update(test_acc=None, test_ece=None, test_nll=None)
-            rec_fh.write(_record_line(row))
+            rec_fh.write(json.dumps(row, sort_keys=True) + "\n")
             rec_fh.flush()
-            record.rows.append(row)
-            with record.timed("state_write"):
-                _save_train_state(state_path, model, opt_state, strategy, epoch)
+            with run.timed("state_write"):
+                _save_train_state(state_path, run.model, run.opt_state, run.strategy, run.epoch)
             if progress is not None:
                 progress(seed, row)
 
     if last_epoch == cfg.epochs:
-        save_checkpoint(model, layout["checkpoints"] / f"seed_{seed}_final.ckpt")
-        if not strategy.frozen:
-            strategy.store.save_csv(layout["records"] / f"store_seed_{seed}.csv")
-    record.wall_clock_s = time.perf_counter() - t0
-    return record, model
+        save_checkpoint(run.model, layout["checkpoints"] / f"seed_{seed}_final.ckpt")
+        if not run.strategy.frozen:
+            run.strategy.store.save_csv(layout["records"] / f"store_seed_{seed}.csv")
+    run.model.scratch.clear()
+    run.wall_clock_s = time.perf_counter() - t0
+    return run
 
 
 def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
                    cfg: TrainConfig, seeds, run_dir, config_snapshot=None,
                    progress=None):
-    """Train every seed with independent derived streams; returns RunRecords.
+    """Train every seed with independent derived streams; returns their SeedRuns.
 
     A ``config_snapshot`` (the resolved config) is written to the run's
-    ``config.resolved`` first. Wall-clock totals, with the per-seed phase
-    totals of ``RunRecord.phase_s``, go to a sidecar timing file so every
-    other artifact in the run directory is byte-reproducible from
-    (config, seeds).
+    ``config.resolved`` first. Each seed's wall-clock total and ``phase_s`` go to
+    ``timing.txt``, so every other artifact is byte-reproducible from (config, seeds).
     """
     layout = run_layout(run_dir)
     layout["root"].mkdir(parents=True, exist_ok=True)
     if config_snapshot is not None:
         write_json(layout["config"], config_snapshot)
-    records = []
-    for seed in seeds:
-        record, _ = run_single_seed(model_spec, train_set, test_set, cfg, seed,
-                                    layout, progress=progress)
-        records.append(record)
+    runs = [run_single_seed(model_spec, train_set, test_set, cfg, seed, layout,
+                            progress=progress) for seed in seeds]
     with atomic_open(layout["timing"], "w") as fh:
-        fh.writelines(record.timing_line() for record in records)
-    return records
+        fh.writelines(run.timing_line() for run in runs)
+    return runs

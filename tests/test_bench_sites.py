@@ -59,3 +59,6 @@ def test_traced_bench_run_is_correct(tmp_path):
             == calls["numerics.soft_cross_entropy"] > 0), calls
     assert calls["training.train_epoch"] == calls["training._save_train_state"] > 0, calls
     assert calls["training.evaluate"] > 0, calls
+    # the end-of-epoch and end-of-seed writes run_single_seed makes
+    assert calls["models.save_checkpoint"] == calls["training.write_trace_csv"] > 0, calls
+    assert calls["targets.EvidenceStore.save_csv"] > 0, calls

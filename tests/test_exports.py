@@ -7,6 +7,7 @@ import pkgutil
 from pathlib import Path
 
 import bsdlab
+from bsdlab import training
 from bsdlab.models import Model, ModelSpec, init_model
 from bsdlab.targets import TargetStrategy
 
@@ -45,3 +46,8 @@ def test_test_only_names_are_gone():
     for name in ("block_names", "train", "eval", "mode"):
         assert not hasattr(Model, name) and not hasattr(model, name), name
     assert not hasattr(TargetStrategy, "target")
+
+
+def test_seed_run_replaces_run_record():
+    assert not hasattr(bsdlab, "RunRecord") and not hasattr(training, "RunRecord")
+    assert "SeedRun" in training.__all__ and bsdlab.SeedRun is training.SeedRun

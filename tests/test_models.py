@@ -278,6 +278,20 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: "):
             load_checkpoint(path)
 
+    @pytest.mark.parametrize("missing", [f.name for f in dataclasses.fields(ModelSpec)])
+    def test_spec_without_a_field_names_it(self, tmp_path, missing):
+        # every field is required: a default would load a different model silently
+        model = init_model(ModelSpec(input_dim=3, classes=2, hidden=(4,), activation="tanh",
+                                     dropout=0.3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
+        del header["blocks"], header["spec"][missing]
+        write_blocks(path, CHECKPOINT_MAGIC, header, blocks)
+        with pytest.raises(ValueError,
+                           match=f"^{re.escape(str(path))}: model spec lacks {missing}$"):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint\n")

@@ -1,4 +1,6 @@
+import builtins
 import copy
+import json
 import math
 import os
 import re
@@ -17,7 +19,7 @@ from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import Model, ModelSpec, forward, init_model
 from bsdlab.numerics import kl_div, soft_cross_entropy
 from bsdlab.targets import EvidenceStore, StrategyConfig, TargetStrategy, update_weight
-from bsdlab.training import (BsdPlusConfig, TrainConfig, TrainingDiverged,
+from bsdlab.training import (BsdPlusConfig, SeedRun, TrainConfig, TrainingDiverged,
                              contrastive_term, evaluate, lr_at, make_optimizer,
                              run_experiment, run_layout, run_single_seed,
                              train_epoch)
@@ -387,6 +389,45 @@ class TestBsdPlusEpoch:
         np.testing.assert_allclose(strategy.store.y.sum(axis=1), 1.0, atol=1e-9)
 
 
+def new_seed_run(spec, dataset, cfg, seed):
+    """A ``SeedRun`` as ``run_single_seed`` starts one, before any epoch."""
+    return SeedRun(seed, init_model(dc_replace(spec, seed=seed)), make_optimizer(cfg),
+                   TargetStrategy(cfg.strategy, dataset.labels, dataset.k, cfg.epochs))
+
+
+class TestSeedRun:
+    SPEC = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.2)
+
+    def test_step_opens_no_file(self, tmp_path, monkeypatch):
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=3, eval_every=2, strategy_kw={"gamma": 0.8, "c": 20.0})
+        run = new_seed_run(self.SPEC, ds, cfg, 5)
+        monkeypatch.chdir(tmp_path)
+
+        def no_open(*args, **kwargs):
+            raise AssertionError(f"SeedRun.step opened {args[0]!r}")
+
+        monkeypatch.setattr(builtins, "open", no_open)
+        evs = [run.step(ds, test, cfg)[1] for _ in range(cfg.epochs)]
+        monkeypatch.undo()
+        assert [ev is not None for ev in evs] == [False, True, True]
+        assert run.epoch == 3 and len(run.rows) == 3
+        assert list(tmp_path.iterdir()) == []
+
+    def test_stepped_rows_are_the_records(self, tmp_path):
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, eval_every=3, optimizer="adam", lr=0.05,
+                           strategy_kw={"gamma": 0.8, "c": 20.0})
+        layout = run_layout(tmp_path / "run")
+        written = run_single_seed(self.SPEC, ds, test, cfg, 5, layout)
+        run = new_seed_run(self.SPEC, ds, cfg, 5)
+        rows = [run.step(ds, test, cfg)[0] for _ in range(cfg.epochs)]
+        lines = (layout["records"] / "seed_5.jsonl").read_text().splitlines()
+        assert [json.dumps(row, sort_keys=True) for row in rows] == lines
+        assert rows == run.rows == written.rows
+        assert [row["test_acc"] is not None for row in rows] == [False, False, True, True]
+
+
 class TestRunExperiment:
     def test_three_seeds_three_records(self, tmp_path):
         ds = tiny_dataset(n_per=6)
@@ -402,6 +443,34 @@ class TestRunExperiment:
         assert (layout["checkpoints"] / "seed_2_final.ckpt").exists()
         assert (layout["traces"] / "seed_1" / "epoch_2.csv").exists()
         assert (layout["records"] / "store_seed_1.csv").exists()
+
+    def test_timing_file_has_one_line_per_seed(self, tmp_path):
+        ds, test = tiny_dataset(n_per=6), tiny_dataset(n_per=4, seed=1)
+        cfg = small_config("bsd", epochs=3, eval_every=2, strategy_kw={"gamma": 0.9, "c": 10.0})
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.1)
+        runs = run_experiment(spec, ds, test, cfg, seeds=[2, 10], run_dir=tmp_path / "run")
+        for run in runs:
+            assert min(run.phase_s.values()) >= 0.0
+            assert sum(run.phase_s.values()) <= run.wall_clock_s
+        secs = r"(\d+\.\d{3}) s"
+        line_re = re.compile(rf"seed (\d+): {secs} \(train_epoch {secs}, evaluate {secs}, "
+                             rf"trace_write {secs}, state_write {secs}\)")
+        lines = run_layout(tmp_path / "run")["timing"].read_text().splitlines()
+        matches = [line_re.fullmatch(line) for line in lines]
+        assert all(matches), lines
+        assert [m[1] for m in matches] == ["2", "10"]
+        for m in matches:
+            total, *phases = (float(v) for v in m.groups()[1:])
+            assert min(phases) >= 0.0
+            # each printed value is rounded to the millisecond
+            assert sum(phases) <= total + 5 * 0.0005, m[0]
+
+    def test_finished_seeds_hold_no_eval_buffers(self, tmp_path):
+        ds, test = tiny_dataset(n_per=6), tiny_dataset(n_per=4, seed=1)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.1)
+        runs = run_experiment(spec, ds, test, small_config("bsd", epochs=2), seeds=[1, 2],
+                              run_dir=tmp_path / "run")
+        assert [run.model.scratch for run in runs] == [{}, {}]
 
     def test_seeds_differ(self, tmp_path):
         ds = tiny_dataset(n_per=6)
