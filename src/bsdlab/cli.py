@@ -16,6 +16,11 @@ variable. Everything except timing.txt is byte-reproducible from
 (config, seeds). ``train --force`` deletes these entries of the previous
 run before training. A bad input file ends a command with ``error: ...``
 and exit 1, a bad config with exit 2.
+
+To add an analysis, write a function ``(layout, seed, epochs, args)`` that
+writes one seed's reports and returns its result, and give it an ``ANALYSES``
+row: the function, the summary JSON of ``{seed: result}`` (or None) and the
+line printed per seed from ``(seed, result)`` (or None).
 """
 
 from __future__ import annotations
@@ -37,8 +42,6 @@ from .numerics import _class_reduce
 from .training import read_trace_csv, run_experiment, run_layout
 
 OUT_ROOT_ENV = "BSDLAB_OUT_ROOT"
-
-ANALYSES = ("calibration", "dark-knowledge", "dynamics", "ood", "flip")
 
 
 def build_datasets(cfg: ExperimentConfig):
@@ -128,112 +131,98 @@ def _final_trace(epochs):
     return read_trace_csv(epochs[max(epochs)])
 
 
-def _analyze_calibration(layout, seeds):
-    out = []
-    for seed, epochs in seeds:
-        preds, labels, _ = _final_trace(epochs)
-        report = analysis.calibration_report(preds, labels)
-        write_json(layout["reports"] / f"calibration_seed_{seed}.json", asdict(report))
-        write_table(layout["reports"] / f"reliability_seed_{seed}.csv",
-                    ["bin_lo", "bin_hi", "conf", "acc", "count"],
-                    [report.bin_lo, report.bin_hi, report.bin_conf, report.bin_acc,
-                     report.bin_count], newline="\r\n")
-        out.append((seed, report))
-    return out
+def _analyze_calibration(layout, seed, epochs, args):
+    preds, labels, _ = _final_trace(epochs)
+    report = analysis.calibration_report(preds, labels)
+    write_json(layout["reports"] / f"calibration_seed_{seed}.json", asdict(report))
+    write_table(layout["reports"] / f"reliability_seed_{seed}.csv",
+                ["bin_lo", "bin_hi", "conf", "acc", "count"],
+                [report.bin_lo, report.bin_hi, report.bin_conf, report.bin_acc,
+                 report.bin_count], newline="\r\n")
+    return report
 
 
-def _analyze_dark_knowledge(layout, seeds):
-    for seed, epochs in seeds:
-        preds, labels, k = _final_trace(epochs)
-        mu = analysis.mu_matrix(preds, labels, k)
-        dk = analysis.delta_decomposition(preds, labels, mu)
-        header = [f"class_{j}" for j in range(k)]
-        write_table(layout["reports"] / f"mu_seed_{seed}.csv", header, [mu], newline="\r\n")
-        # plot-ready log-scale heatmap data, floored to keep zeros finite
-        write_table(layout["reports"] / f"mu_log10_seed_{seed}.csv", header,
-                    [np.log10(np.maximum(mu, 1e-12))], newline="\r\n")
-        write_json(layout["reports"] / f"dark_knowledge_seed_{seed}.json", {
-            "class_mean_delta_l1": [float(v) for v in dk.class_mean_delta_l1],
-            "mu_row_sums": [float(v) for v in dk.mu_row_sums],
-        })
+def _analyze_dark_knowledge(layout, seed, epochs, args):
+    preds, labels, k = _final_trace(epochs)
+    mu = analysis.mu_matrix(preds, labels, k)
+    dk = analysis.delta_decomposition(preds, labels, mu)
+    header = [f"class_{j}" for j in range(k)]
+    write_table(layout["reports"] / f"mu_seed_{seed}.csv", header, [mu], newline="\r\n")
+    # plot-ready log-scale heatmap data, floored to keep zeros finite
+    write_table(layout["reports"] / f"mu_log10_seed_{seed}.csv", header,
+                [np.log10(np.maximum(mu, 1e-12))], newline="\r\n")
+    write_json(layout["reports"] / f"dark_knowledge_seed_{seed}.json",
+               {"class_mean_delta_l1": dk.class_mean_delta_l1.tolist(),
+                "mu_row_sums": dk.mu_row_sums.tolist()})
 
 
-def _analyze_dynamics(layout, seeds):
-    for seed, epochs in seeds:
-        last = max(epochs)
-        final_preds, labels, _ = read_trace_csv(epochs[last])
-        t_final = analysis.fit_temperature(analysis._logits_from_preds(final_preds), labels)
-        final_at_t = analysis.temperature_scale(final_preds, t_final)
-        rows = []
-        for epoch, path in epochs.items():
-            # each KL is temp_adjusted_kl(snapshot, final, (t, t_final)), with the
-            # rescaled final trace shared by every epoch of the seed
-            if epoch == last:
-                t_snap, at_fit, at_final = t_final, final_at_t, final_at_t
-            else:
-                snap_preds, _, _ = read_trace_csv(path)
-                t_snap = analysis.fit_temperature(analysis._logits_from_preds(snap_preds), labels)
-                at_fit = analysis.temperature_scale(snap_preds, t_snap)
-                at_final = (at_fit if t_snap == t_final
-                            else analysis.temperature_scale(snap_preds, t_final))
-            rows.append((epoch, t_snap, analysis.mean_kl(final_at_t, at_fit),
-                         analysis.mean_kl(final_at_t, at_final)))
-        write_table(layout["reports"] / f"dynamics_seed_{seed}.csv",
-                    ["epoch", "fitted_temperature", "kl_snapshot_fit", "kl_final_fit"],
-                    list(zip(*rows)))
+def _analyze_dynamics(layout, seed, epochs, args):
+    last = max(epochs)
+    final_preds, labels, _ = read_trace_csv(epochs[last])
+    t_final = analysis.fit_temperature(analysis._logits_from_preds(final_preds), labels)
+    final_at_t = analysis.temperature_scale(final_preds, t_final)
+    rows = []
+    for epoch, path in epochs.items():
+        # each KL is temp_adjusted_kl(snapshot, final, (t, t_final)), with the
+        # rescaled final trace shared by every epoch of the seed
+        if epoch == last:
+            t_snap, at_fit, at_final = t_final, final_at_t, final_at_t
+        else:
+            snap_preds, _, _ = read_trace_csv(path)
+            t_snap = analysis.fit_temperature(analysis._logits_from_preds(snap_preds), labels)
+            at_fit = analysis.temperature_scale(snap_preds, t_snap)
+            at_final = (at_fit if t_snap == t_final
+                        else analysis.temperature_scale(snap_preds, t_final))
+        rows.append((epoch, t_snap, analysis.mean_kl(final_at_t, at_fit),
+                     analysis.mean_kl(final_at_t, at_final)))
+    write_table(layout["reports"] / f"dynamics_seed_{seed}.csv",
+                ["epoch", "fitted_temperature", "kl_snapshot_fit", "kl_final_fit"],
+                list(zip(*rows)))
 
 
-def _analyze_ood(layout, seeds, ood_run):
-    if ood_run is None:
+def _analyze_ood(layout, seed, epochs, args):
+    if args.ood_run is None:
+        raise FileNotFoundError("ood analysis needs a second trace set; pass --ood-run <run_dir>")
+    ood_dir = run_layout(args.ood_run)["traces"] / f"seed_{seed}"
+    if not ood_dir.exists():
         raise FileNotFoundError(
-            "ood analysis needs a second trace set; pass --ood-run <run_dir>")
-    ood_traces = run_layout(ood_run)["traces"]
-    results = {}
-    for seed, epochs in seeds:
-        ood_dir = ood_traces / f"seed_{seed}"
-        if not ood_dir.exists():
-            raise FileNotFoundError(
-                f"missing OOD trace {ood_dir}; train the --ood-run with the same seeds")
-        id_preds, _, _ = _final_trace(epochs)
-        ood_preds, _, _ = _final_trace(_trace_epochs(ood_dir))
-        results[seed] = analysis.auroc(_class_reduce(np.maximum, id_preds),
-                                       _class_reduce(np.maximum, ood_preds))
-    write_json(layout["reports"] / "ood_auroc.json", results)
-    return results
+            f"missing OOD trace {ood_dir}; train the --ood-run with the same seeds")
+    id_preds, _, _ = _final_trace(epochs)
+    ood_preds, _, _ = _final_trace(_trace_epochs(ood_dir))
+    return analysis.auroc(_class_reduce(np.maximum, id_preds),
+                          _class_reduce(np.maximum, ood_preds))
 
 
-def _analyze_flip(layout, seeds):
-    results = {}
-    for seed, epochs in seeds:
-        if len(epochs) < 2:
-            raise ValueError(
-                f"flip analysis needs >= 2 eval traces for seed {seed}; "
-                "lower train.eval_every")
-        frames = [read_trace_csv(path)[0].argmax(axis=1) for path in epochs.values()]
-        stacked = np.stack(frames, axis=1)  # (n, frames)
-        results[seed] = analysis.mean_flip_probability(stacked)
-    write_json(layout["reports"] / "flip.json", results)
-    return results
+def _analyze_flip(layout, seed, epochs, args):
+    if len(epochs) < 2:
+        raise ValueError(f"flip analysis needs >= 2 eval traces for seed {seed}; "
+                         "lower train.eval_every")
+    frames = [read_trace_csv(path)[0].argmax(axis=1) for path in epochs.values()]
+    return analysis.mean_flip_probability(np.stack(frames, axis=1))  # (n, frames)
+
+
+ANALYSES = {
+    "calibration": (_analyze_calibration, None,
+                    "seed {0}: acc {1.accuracy:.4f}  ece {1.ece:.4f}  sce {1.sce:.4f}  "
+                    "ace {1.ace:.4f}  nll {1.nll:.4f}"),
+    "dark-knowledge": (_analyze_dark_knowledge, None, None),
+    "dynamics": (_analyze_dynamics, None, None),
+    "ood": (_analyze_ood, "ood_auroc.json", "seed {0}: auroc {1:.4f}"),
+    "flip": (_analyze_flip, "flip.json", "seed {0}: mean flip probability {1:.4f}"),
+}
 
 
 def cmd_analyze(args):
+    analyze, summary, line = ANALYSES[args.what]
     layout = run_layout(args.run_dir)
     seeds = _seed_traces(layout)  # first, so a run without traces gets no reports/
     layout["reports"].mkdir(exist_ok=True)
-    if args.what == "calibration":
-        for seed, report in _analyze_calibration(layout, seeds):
-            print(f"seed {seed}: acc {report.accuracy:.4f}  ece {report.ece:.4f}  "
-                  f"sce {report.sce:.4f}  ace {report.ace:.4f}  nll {report.nll:.4f}")
-    elif args.what == "dark-knowledge":
-        _analyze_dark_knowledge(layout, seeds)
-    elif args.what == "dynamics":
-        _analyze_dynamics(layout, seeds)
-    elif args.what == "ood":
-        for seed, score in _analyze_ood(layout, seeds, args.ood_run).items():
-            print(f"seed {seed}: auroc {score:.4f}")
-    else:
-        for seed, rate in _analyze_flip(layout, seeds).items():
-            print(f"seed {seed}: mean flip probability {rate:.4f}")
+    results = [(seed, analyze(layout, seed, epochs, args)) for seed, epochs in seeds]
+    if summary:
+        write_json(layout["reports"] / summary, dict(results))
+    if line:
+        for seed, result in results:
+            print(line.format(seed, result))
     print(f"reports written to {layout['reports']}")
     return 0
 
@@ -277,11 +266,6 @@ def _collect_run(run_dir):
             "per_seed": per_seed}
 
 
-def _mean_std(values):
-    arr = np.asarray(values, dtype=np.float64)
-    return float(arr.mean()), float(arr.std())
-
-
 def cmd_compare(args):
     if len(args.run_dirs) < 2:
         print("error: compare needs at least two run directories", file=sys.stderr)
@@ -302,12 +286,9 @@ def cmd_compare(args):
                   file=sys.stderr)
         cells = [run["name"], run["mode"], str(len(seeds))]
         for key in ("test_acc", "test_ece", "test_nll"):
-            vals = [run["per_seed"][s][key] for s in seeds if run["per_seed"][s].get(key) is not None]
-            if not vals:
-                cells.append("absent")
-            else:
-                mean, std = _mean_std(vals)
-                cells.append(f"{mean:.4f}±{std:.4f}")
+            vals = np.array([run["per_seed"][s][key] for s in seeds
+                             if run["per_seed"][s].get(key) is not None], dtype=np.float64)
+            cells.append(f"{vals.mean():.4f}±{vals.std():.4f}" if vals.size else "absent")
         table.append(cells)
     widths = [max(len(header[j]), *(len(row[j]) for row in table)) for j in range(len(header))]
     lines = ["  ".join(h.ljust(widths[j]) for j, h in enumerate(header))]

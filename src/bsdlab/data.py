@@ -8,12 +8,13 @@ generators and noise protocols are pure functions of their spec and seed.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fileio import atomic_open, write_table
+from .fileio import atomic_open, read_declared, write_table
 from .settings import Settings, setting
 
 __all__ = [
@@ -125,10 +126,7 @@ def read_idx(path):
             if len(raw) != 4:
                 raise ValueError(f"truncated IDX header in {path}")
             dims.append(struct.unpack(">I", raw)[0])
-        count = int(np.prod(dims)) if dims else 0
-        payload = fh.read(count)
-        if len(payload) != count:
-            raise ValueError(f"truncated IDX payload in {path}: expected {count} bytes, got {len(payload)}")
+        payload = read_declared(fh, math.prod(dims), f"truncated IDX payload in {path}")
     return np.frombuffer(payload, dtype=np.uint8).reshape(dims)
 
 
@@ -155,19 +153,20 @@ def load_idx(images_path, labels_path):
         raise ValueError(f"expected 1-dimensional IDX label file, got {labels.ndim} dims")
     if labels.shape[0] != images.shape[0]:
         raise ValueError("IDX image/label counts differ")
+    if not labels.size:
+        raise ValueError(f"{images_path}: no samples")
     samples = images.astype(np.float64)[..., None] / 255.0
     labels = labels.astype(np.int64)
-    k = int(labels.max()) + 1 if labels.size else 2
     return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(),
-                   k=max(k, 2))
+                   k=max(int(labels.max()) + 1, 2))
 
 
 def load_csv(path, label_column="label"):
     """Load a header-bearing CSV with one labeled sample per row."""
     with open(path, newline="") as fh:
         rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError(f"empty CSV {path}")
+    if len(rows) < 2:
+        raise ValueError(f"{path}: no samples")
     header = rows[0]
     if label_column not in header:
         raise ValueError(f"{path}: label column {label_column!r} not in CSV header")
@@ -194,8 +193,8 @@ def load_csv(path, label_column="label"):
         i, j = bad[0][0], feat_idx[bad[0][1]]
         raise ValueError(f"{path}: CSV row {i + 2}, column {header[j]!r}: {rows[i + 1][j]!r} "
                          "is not a finite number")
-    k = int(labels.max()) + 1 if labels.size else 2
-    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(), k=max(k, 2))
+    return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(),
+                   k=max(int(labels.max()) + 1, 2))
 
 
 def export_csv(dataset: Dataset, path):

@@ -60,13 +60,22 @@ def read_blocks(path, magic):
                     or not all(type(d) is int and d >= 0 for d in shape)):
                 raise ValueError(f"{path}: manifest entry {entry!r} is not "
                                  "{name: str, shape: list of ints >= 0}")
-            raw = fh.read(math.prod(shape) * 8)
-            if len(raw) != math.prod(shape) * 8:
-                raise ValueError(f"truncated file {path}: block {entry['name']!r}")
+            raw = read_declared(fh, math.prod(shape) * 8,
+                                f"truncated file {path}: block {entry['name']!r}")
             blocks[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the last block")
     return header, blocks
+
+
+def read_declared(fh, size, what):
+    """The next ``size`` bytes of binary ``fh``, checked against the bytes left before
+    any is read: a header that claims more than the file holds raises
+    ``ValueError("<what>: expected <size> bytes, got <left>")``, allocating nothing."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if size > left:
+        raise ValueError(f"{what}: expected {size} bytes, got {left}")
+    return fh.read(size)
 
 
 def write_table(path, header, columns, newline="\n"):

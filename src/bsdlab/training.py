@@ -326,7 +326,8 @@ def _load_train_state(path, model, opt_state, strategy):
     opt_state.step = header["opt_step"]
     for key in stored:
         setattr(opt_state, key, np.zeros_like(model.flat))
-    for name, dest in _state_blocks(model, opt_state, strategy).items():
+    used = _state_blocks(model, opt_state, strategy)
+    for name, dest in used.items():
         block = blocks.get(name)
         if block is None:
             raise ValueError(f"{path}: missing block {name!r}; the state does not match "
@@ -335,6 +336,10 @@ def _load_train_state(path, model, opt_state, strategy):
             raise ValueError(f"{path}: block {name!r} has shape {block.shape}, "
                              f"this run needs {dest.shape}")
         dest[...] = block
+    unused = [name for name in blocks if name not in used]
+    if unused:
+        raise ValueError(f"{path}: holds blocks {unused} that this run does not use; the "
+                         "state does not match this run's model, optimizer or strategy")
     return header["epoch"]
 
 

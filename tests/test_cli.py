@@ -199,6 +199,11 @@ def test_readme_schema_matches_resolved_defaults(tmp_path):
     assert schema == resolved
 
 
+def test_readme_lists_every_analysis():
+    usage = re.search(r"bsdlab analyze <run_dir> --what \{([^}]*)\}", README.read_text())
+    assert usage.group(1).split(",") == list(cli.ANALYSES)
+
+
 class TestTrainCommand:
     def test_records_per_seed_and_refusal(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"))
@@ -431,16 +436,49 @@ class TestAnalyzeCommand:
         assert all(0.0 <= v <= 1.0 for v in data.values())
 
     def test_malformed_trace_manifest_is_an_error(self, trained_run, tmp_path, capsys):
+        def no_name(blocks):
+            del blocks[0]["name"]
+
+        def oversize(blocks):  # far more bytes than any machine could allocate
+            blocks[-1]["shape"] = [10 ** 12, 3]
+
         run = tmp_path / "run"
         shutil.copytree(trained_run / "traces", run / "traces")
         sidecar = run / "traces" / "seed_1" / "epoch_3.trace"
-        magic, header, payload = sidecar.read_bytes().split(b"\n", 2)
-        manifest = json.loads(header)
-        del manifest["blocks"][0]["name"]
-        sidecar.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
-        assert main(["analyze", str(run), "--what", "calibration"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {sidecar}: manifest entry") and err.count("\n") == 1
+        raw = sidecar.read_bytes()
+        for edit, message in ((no_name, f"{sidecar}: manifest entry"),
+                              (oversize, f"truncated file {sidecar}: block 'probs'")):
+            magic, header, payload = raw.split(b"\n", 2)
+            manifest = json.loads(header)
+            assert manifest["blocks"][-1]["name"] == "probs"
+            edit(manifest["blocks"])
+            sidecar.write_bytes(magic + b"\n" + json.dumps(manifest).encode() + b"\n" + payload)
+            assert main(["analyze", str(run), "--what", "calibration"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("what", list(cli.ANALYSES))
+    def test_printed_lines(self, trained_run, capsys, what):
+        """One line per seed in trace-directory order, from the reports just
+        written, for the analyses that print one; then the reports line."""
+        extra = ["--ood-run", str(trained_run)] if what == "ood" else []
+        capsys.readouterr()
+        assert main(["analyze", str(trained_run), "--what", what, *extra]) == 0
+        reports = run_layout(trained_run)["reports"]
+        lines = []
+        for seed in ("1", "2"):
+            if what == "calibration":
+                r = json.loads((reports / f"calibration_seed_{seed}.json").read_text())
+                lines.append(f"seed {seed}: acc {r['accuracy']:.4f}  ece {r['ece']:.4f}  "
+                             f"sce {r['sce']:.4f}  ace {r['ace']:.4f}  nll {r['nll']:.4f}")
+            elif what == "ood":
+                auroc = json.loads((reports / "ood_auroc.json").read_text())[seed]
+                lines.append(f"seed {seed}: auroc {auroc:.4f}")
+            elif what == "flip":
+                rate = json.loads((reports / "flip.json").read_text())[seed]
+                lines.append(f"seed {seed}: mean flip probability {rate:.4f}")
+        lines.append(f"reports written to {reports}")
+        assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
     def test_missing_traces_named(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "empty"), "--what", "calibration"]) == 1
@@ -616,5 +654,25 @@ class TestBadDatasetFile:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1
         # the datasets are built before --force deletes anything
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        assert not any(tmp_path.glob("exported*"))
+
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_empty_split_exits_1(self, tmp_path, capsys, kind):
+        cfg_path, data_file = dataset_config(tmp_path, kind)
+        assert main(["train", str(cfg_path), "--quiet"]) == 0
+        run_dir = tmp_path / "runs" / "tiny"
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        if kind == "csv":
+            data_file.write_text("x0,x1,label\n")
+        else:
+            write_idx(data_file, np.zeros((0, 6, 6)))
+            write_idx(tmp_path / "train.labels.idx", np.zeros(0))
+        capsys.readouterr()
+        out = tmp_path / "exported.csv"
+        for argv in (["train", str(cfg_path), "--force", "--quiet"],
+                     ["export-dataset", str(cfg_path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == f"error: {data_file}: no samples\n"
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
         assert not any(tmp_path.glob("exported*"))

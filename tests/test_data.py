@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -77,6 +78,18 @@ class TestIdx:
         path = tmp_path / "short.idx"
         path.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, 1) + struct.pack(">I", 10) + b"\x00" * 4)
         with pytest.raises(ValueError, match="truncated"):
+            read_idx(path)
+
+    # the first header's size wraps to 0 in int64; neither may be allocated
+    @pytest.mark.parametrize("dims", [(2 ** 31, 2 ** 31, 4), (60000, 2 ** 20, 2 ** 20)],
+                             ids=["wraps-int64", "too-large"])
+    def test_header_claiming_more_than_the_file(self, tmp_path, dims):
+        path = tmp_path / "huge.idx"
+        path.write_bytes(struct.pack(">BBBB", 0, 0, 0x08, 3) + struct.pack(">III", *dims)
+                         + bytes(16))
+        size = dims[0] * dims[1] * dims[2]
+        with pytest.raises(ValueError, match=re.escape(
+                f"truncated IDX payload in {path}: expected {size} bytes, got 16")):
             read_idx(path)
 
     def test_unsupported_type(self, tmp_path):

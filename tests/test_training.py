@@ -690,6 +690,13 @@ class TestUnusableState:
                 f"{path}: block 'strategy/y' has shape (16, 2), this run needs (18, 2)")):
             run_single_seed(spec, tiny_dataset(n_per=9), test, cfg, 5, layout, resume=True)
 
+    def test_blocks_the_run_does_not_use(self, tmp_path):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        baseline = dc_replace(cfg, strategy=dc_replace(cfg.strategy, mode="baseline"))
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: holds blocks ['strategy/y', 'strategy/A'] that this run does not use")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, baseline, 5, layout, resume=True)
+
     @pytest.mark.parametrize("saved, resumed, stored, kept", [
         (("adam", 0.0), ("sgd", 0.9), ["m", "v"], ["buf"]),
         (("sgd", 0.9), ("adam", 0.0), ["buf"], ["m", "v"]),
