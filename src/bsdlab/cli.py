@@ -11,11 +11,10 @@ Commands are batch processes over a fixed run-directory layout:
         reports/             analyze outputs
         timing.txt           wall-clock sidecar
 
-The output root can be overridden with the BSDLAB_OUT_ROOT environment
-variable. Everything except timing.txt is byte-reproducible from
-(config, seeds). ``train --force`` deletes these entries of the previous
-run before training. A bad input file ends a command with ``error: ...``
-and exit 1, a bad config with exit 2.
+The output root can be overridden with the BSDLAB_OUT_ROOT environment variable.
+Everything except timing.txt is byte-reproducible from (config, seeds). Training first
+deletes these entries of a previous run, which ``train`` refuses to do without ``--force``.
+A bad input file ends a command with ``error: ...`` and exit 1, a bad config with exit 2.
 
 To add an analysis, write a function ``(layout, seed, epochs, args)`` that
 writes one seed's reports and returns its result, and give it an ``ANALYSES``
@@ -27,7 +26,6 @@ from __future__ import annotations
 
 import argparse
 import os
-import shutil
 import sys
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -37,7 +35,7 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
-from .fileio import json_object, write_json, write_table
+from .fileio import json_object, numbered_files, write_json, write_table
 from .numerics import _class_reduce
 from .training import read_trace_csv, run_experiment, run_layout
 
@@ -69,15 +67,6 @@ def resolve_run_dir(cfg: ExperimentConfig):
     return Path(root) / cfg.name
 
 
-def _remove_run(layout):
-    """Delete the ``run_layout`` entries of a previous run; other files in its directory stay."""
-    for path in (p for key, p in layout.items() if key != "root"):
-        if path.is_dir():
-            shutil.rmtree(path)
-        else:
-            path.unlink(missing_ok=True)
-
-
 def cmd_train(args):
     cfg = parse_config(args.config)
     if args.dry_run:
@@ -85,14 +74,12 @@ def cmd_train(args):
         return 0
     run_dir = resolve_run_dir(cfg)
     layout = run_layout(run_dir)
-    if layout["config"].exists() and not args.force:
+    if not args.force and any(p.exists() for key, p in layout.items() if key != "root"):
         raise FileExistsError(f"{run_dir} already holds a run; pass --force to overwrite")
     train_set, test_set = build_datasets(cfg)
     grid_shape = train_set.samples.shape[1:] if train_set.is_grid else None
     model_spec = cfg.model_spec(train_set.d, train_set.k, grid_shape=grid_shape)
     train_cfg = cfg.train_config()
-    if args.force:
-        _remove_run(layout)
 
     def progress(seed, row):
         if row["test_acc"] is None or args.quiet:
@@ -121,10 +108,10 @@ def _seed_traces(layout):
 
 
 def _trace_epochs(seed_dir):
-    files = {int(path.stem.split("_")[1]): path for path in seed_dir.glob("epoch_*.trace")}
+    files = numbered_files(seed_dir.glob("epoch_*.trace"))
     if not files:
         raise FileNotFoundError(f"no epoch traces in {seed_dir}")
-    return dict(sorted(files.items()))
+    return files
 
 
 def _final_trace(epochs):
@@ -254,8 +241,7 @@ def _collect_run(run_dir):
         name = resolved.get("name", name)
         classes = dataset.get("classes")
     per_seed = {}
-    for rec in sorted(layout["records"].glob("seed_*.jsonl")):
-        seed = int(rec.stem.split("_")[1])
+    for seed, rec in numbered_files(layout["records"].glob("seed_*.jsonl")).items():
         metrics = _final_metrics(rec)
         if metrics is not None:
             per_seed[seed] = metrics

@@ -71,7 +71,7 @@ def _resolve_dataset(section, base_dir):
     if not isinstance(section, dict):
         raise ConfigError("dataset must be an object")
     kind = section.get("kind", "blobs")
-    if kind not in _DATASET_KEYS:
+    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
         raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
     _reject_unknown("dataset", section, _DATASET_KEYS[kind])
     out = {"kind": kind}

@@ -147,12 +147,12 @@ def load_idx(images_path, labels_path):
     """
     images = read_idx(images_path)
     if images.ndim != 3:
-        raise ValueError(f"expected 3-dimensional IDX image file, got {images.ndim} dims")
+        raise ValueError(f"{images_path}: expected 3-dimensional IDX image file, got {images.ndim} dims")
     labels = read_idx(labels_path)
     if labels.ndim != 1:
-        raise ValueError(f"expected 1-dimensional IDX label file, got {labels.ndim} dims")
+        raise ValueError(f"{labels_path}: expected 1-dimensional IDX label file, got {labels.ndim} dims")
     if labels.shape[0] != images.shape[0]:
-        raise ValueError("IDX image/label counts differ")
+        raise ValueError(f"{labels_path}: IDX image/label counts differ")
     if not labels.size:
         raise ValueError(f"{images_path}: no samples")
     samples = images.astype(np.float64)[..., None] / 255.0

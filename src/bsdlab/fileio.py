@@ -156,3 +156,11 @@ def json_object(text, where):
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
     return obj
+
+
+def numbered_files(paths):
+    """{n: path}, n ascending, for files named ``<prefix>_<n>.<suffix>``; others raise."""
+    numbers = {path: path.stem.split("_", 1)[1] for path in paths}
+    for path in (p for p, n in numbers.items() if not n.isdecimal()):
+        raise ValueError(f"{path}: name does not end in _<digits>")
+    return dict(sorted((int(n), p) for p, n in numbers.items()))

@@ -22,6 +22,7 @@ and eval ``.trace`` (the last also as CSV), then the seed's checkpoint and store
 from __future__ import annotations
 
 import json
+import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
@@ -376,18 +377,21 @@ def read_trace_csv(path):
 
 
 def _truncate_records(path, epoch):
-    """Cut a records file back to its rows for epochs 1..``epoch``.
+    """Cut a records file back to its rows for epochs 1..``epoch``; returns those rows.
 
     Each row is flushed before its epoch's state is saved, so a crash in
     between leaves one row more than the state covers; resuming drops it.
     """
+    rows = []
     with open(path, "rb+") as fh:
         for expected in range(1, epoch + 1):
             line = fh.readline()
-            if (not line.endswith(b"\n")
-                    or json_object(line, f"{path}: line {expected}").get("epoch") != expected):
+            row = json_object(line, f"{path}: line {expected}") if line.endswith(b"\n") else {}
+            if row.get("epoch") != expected:
                 raise ValueError(f"{path} does not hold complete rows for epochs 1..{epoch}")
+            rows.append(row)
         fh.truncate()
+    return rows
 
 
 def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
@@ -410,12 +414,10 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
         if not state_path.exists():
             raise FileNotFoundError(f"no training state to resume at {state_path}")
         run.epoch = _load_train_state(state_path, run.model, run.opt_state, run.strategy)
-        _truncate_records(records_path, run.epoch)
-    elif records_path.exists():
-        records_path.unlink()
+        run.rows = _truncate_records(records_path, run.epoch)
 
     last_epoch = cfg.epochs if stop_after is None else min(stop_after, cfg.epochs)
-    with open(records_path, "a") as rec_fh:
+    with open(records_path, "a" if resume else "w") as rec_fh:
         while run.epoch < last_epoch:
             row, ev = run.step(train_set, test_set, cfg)
             if ev is not None:
@@ -441,16 +443,26 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     return run
 
 
+def _remove_run(layout):
+    """Delete the ``run_layout`` entries of a previous run; other files in its directory stay."""
+    for path in (p for key, p in layout.items() if key != "root"):
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink(missing_ok=True)
+
+
 def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
                    cfg: TrainConfig, seeds, run_dir, config_snapshot=None,
                    progress=None):
     """Train every seed with independent derived streams; returns their SeedRuns.
 
-    A ``config_snapshot`` (the resolved config) is written to the run's
-    ``config.resolved`` first. Each seed's wall-clock total and ``phase_s`` go to
-    ``timing.txt``, so every other artifact is byte-reproducible from (config, seeds).
+    Deletes a previous run's ``run_layout`` entries, then writes ``config_snapshot`` (the
+    resolved config) to ``config.resolved``. Per-seed wall-clock totals and ``phase_s`` go
+    to ``timing.txt``, so every other artifact is byte-reproducible from (config, seeds).
     """
     layout = run_layout(run_dir)
+    _remove_run(layout)
     layout["root"].mkdir(parents=True, exist_ok=True)
     if config_snapshot is not None:
         write_json(layout["config"], config_snapshot)

@@ -11,7 +11,7 @@ import pytest
 from bsdlab import analysis, cli
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
-from bsdlab.data import NoiseSpec, load_csv, write_idx
+from bsdlab.data import NoiseSpec, load_csv, make_blobs, write_idx
 from bsdlab.fileio import write_blocks
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
@@ -298,6 +298,33 @@ class TestTrainCommand:
         assert main(["compare", str(run_dir), str(run_dir)]) == 0
         assert capsys.readouterr().out.splitlines()[1].split()[2] == "1"
 
+    def test_any_layout_entry_needs_force(self, tmp_path, capsys):
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"))
+        run_dir = tmp_path / "runs" / "tiny"
+        trace = run_dir / "traces" / "seed_1" / "epoch_1.trace"
+        write_trace(trace, np.full((2, 3), 1 / 3), np.array([0, 1]))
+        raw = trace.read_bytes()
+        assert main(["train", str(cfg_path), "--quiet"]) == 1
+        assert "--force" in capsys.readouterr().err
+        assert [p.name for p in run_dir.iterdir()] == ["traces"]
+        assert trace.read_bytes() == raw
+
+    def test_library_rerun_replaces_the_previous_run(self, tmp_path, capsys):
+        train, test = make_blobs(3, 30, seed=0), make_blobs(3, 30, seed=1)
+        spec = ModelSpec(input_dim=2, classes=3, hidden=(8,), dropout=0.0)
+        run_dir = tmp_path / "run"
+        for epochs in (6, 2):
+            cfg = TrainConfig(epochs=epochs, batch_size=16, lr=0.05, eval_every=1,
+                              strategy=StrategyConfig(mode="bsd"))
+            run_experiment(spec, train, test, cfg, [1], run_dir)
+            assert not run_layout(run_dir)["reports"].exists()
+            assert main(["analyze", str(run_dir), "--what", "calibration"]) == 0
+        assert sorted(p.name for p in (run_dir / "traces" / "seed_1").iterdir()) == [
+            "epoch_1.trace", "epoch_2.csv", "epoch_2.trace"]
+        report = json.loads((run_dir / "reports" / "calibration_seed_1.json").read_text())
+        final = json.loads((run_dir / "records" / "seed_1.jsonl").read_text().splitlines()[-1])
+        assert final["epoch"] == 2 and report["accuracy"] == final["test_acc"]
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"strategy": {"gamma": 2.0}}}))
@@ -306,7 +333,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("case,key", [
         ("dim", "dataset.dim"), ("cov_scale", "dataset.cov_scale"),
-        ("conv_blobs", "model.architecture"), ("conv_csv", "model.architecture")])
+        ("conv_blobs", "model.architecture"), ("conv_csv", "model.architecture"),
+        ("kind_list", "dataset.kind must be one of ['blobs', 'csv', 'idx'], got ['blobs']")])
     def test_dry_run_rejects_what_training_cannot_build(self, tmp_path, capsys, case, key):
         for name in ("train.csv", "test.csv"):
             (tmp_path / name).write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.4,1\n")
@@ -317,6 +345,7 @@ class TestTrainCommand:
             "conv_csv": {"model": {"architecture": "tiny-conv"},
                          "dataset": {"kind": "csv", "path": "train.csv",
                                      "test_path": "test.csv"}},
+            "kind_list": {"dataset": {"kind": ["blobs"]}},
         }[case]
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"),
                                 **overrides)
@@ -582,6 +611,19 @@ class TestCompareCommand:
         assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("stray, argv", [
+    ("traces/seed_1/epoch_2 (copy).trace", ["analyze", "RUN", "--what", "calibration"]),
+    ("records/seed_1 (copy).jsonl", ["compare", "RUN", "RUN"]),
+], ids=["analyze-trace", "compare-records"])
+def test_stray_file_name_named(trained_run, tmp_path, capsys, stray, argv):
+    run = tmp_path / "tiny"
+    shutil.copytree(trained_run, run)
+    shutil.copy(run / stray.replace(" (copy)", ""), run / stray)
+    capsys.readouterr()
+    assert main([str(run) if arg == "RUN" else arg for arg in argv]) == 1
+    assert capsys.readouterr().err == f"error: {run / stray}: name does not end in _<digits>\n"
+
+
 class TestExportDataset:
     def test_csv_round_trip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"))
@@ -625,7 +667,8 @@ def dataset_config(tmp_path, kind):
 
 
 class TestBadDatasetFile:
-    # (dataset kind, csv row appended, message); an idx file loses its last byte
+    # (dataset kind, csv row appended, message); an idx case's row is None (the
+    # images file loses its last byte) or (file, shape) rewritten as zeros
     @pytest.mark.parametrize("kind, row, message", [
         ("csv", b"0.5,1\n", "train.csv: CSV row 14 has 2 fields, header has 3"),
         ("csv", b"abc,0.5,1\n", "train.csv: CSV row 14, column 'x0': 'abc' is not a number"),
@@ -637,15 +680,24 @@ class TestBadDatasetFile:
         ("csv", b"0.5,-inf,1\n",
          "train.csv: CSV row 14, column 'x1': '-inf' is not a finite number"),
         ("idx", None, "truncated IDX payload"),
+        ("idx", ("train.images.idx", (12, 36)),
+         "train.images.idx: expected 3-dimensional IDX image file, got 2 dims"),
+        ("idx", ("train.labels.idx", (12, 1)),
+         "train.labels.idx: expected 1-dimensional IDX label file, got 2 dims"),
+        ("idx", ("train.labels.idx", (11,)), "train.labels.idx: IDX image/label counts differ"),
     ], ids=["csv-short-row", "csv-bad-feature", "csv-fractional-label", "csv-negative-label",
-            "csv-nan-feature", "csv-inf-feature", "idx-truncated"])
+            "csv-nan-feature", "csv-inf-feature", "idx-truncated", "idx-images-2d",
+            "idx-labels-2d", "idx-count-mismatch"])
     def test_train_and_export_exit_1(self, tmp_path, capsys, kind, row, message):
         cfg_path, data_file = dataset_config(tmp_path, kind)
         assert main(["train", str(cfg_path), "--quiet"]) == 0
         run_dir = tmp_path / "runs" / "tiny"
         before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
-        raw = data_file.read_bytes()
-        data_file.write_bytes(raw + row if kind == "csv" else raw[:-1])
+        if kind == "idx" and row is not None:
+            write_idx(tmp_path / row[0], np.zeros(row[1]))
+        else:
+            raw = data_file.read_bytes()
+            data_file.write_bytes(raw + row if kind == "csv" else raw[:-1])
         capsys.readouterr()
         out = tmp_path / "exported.csv"
         for argv in (["train", str(cfg_path), "--force", "--quiet"],

@@ -427,6 +427,16 @@ class TestSeedRun:
         assert rows == run.rows == written.rows
         assert [row["test_acc"] is not None for row in rows] == [False, False, True, True]
 
+    def test_resumed_rows_are_the_records(self, tmp_path):
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, eval_every=3, strategy_kw={"gamma": 0.8, "c": 20.0})
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(self.SPEC, ds, test, cfg, 5, layout, stop_after=2)
+        run = run_single_seed(self.SPEC, ds, test, cfg, 5, layout, resume=True)
+        lines = (layout["records"] / "seed_5.jsonl").read_text().splitlines()
+        assert [json.dumps(row, sort_keys=True) for row in run.rows] == lines
+        assert [row["epoch"] for row in run.rows] == [1, 2, 3, 4]
+
 
 class TestRunExperiment:
     def test_three_seeds_three_records(self, tmp_path):
