@@ -4,12 +4,16 @@ Commands are batch processes over a fixed run-directory layout:
 
     <output_dir>/<name>/
         config.resolved      resolved config echo (byte-stable)
-        records/             per-seed epoch logs (jsonl) + final store snapshots
+        records/             per-seed epoch logs (jsonl, what compare reads) + final
+                             store CSV export
         checkpoints/         final model checkpoints + rolling training state
         traces/seed_<s>/     per-eval-epoch test-set predictions as binary .trace
                              files (what analyze reads) + final-epoch CSV export
         reports/             analyze outputs
         timing.txt           wall-clock sidecar
+
+The CSV exports are for other tools; no command reads them back. Seeds and
+epochs come from the ``_<n>`` ending of the file names, in numeric order.
 
 The output root can be overridden with the BSDLAB_OUT_ROOT environment variable.
 Everything except timing.txt is byte-reproducible from (config, seeds). Training first
@@ -37,7 +41,7 @@ from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
 from .fileio import json_object, numbered_files, write_json, write_table
 from .numerics import _class_reduce
-from .training import read_trace_csv, run_experiment, run_layout
+from .training import read_records, read_trace_csv, run_experiment, run_layout
 
 OUT_ROOT_ENV = "BSDLAB_OUT_ROOT"
 
@@ -98,13 +102,13 @@ def cmd_train(args):
 
 
 def _seed_traces(layout):
-    """[(seed, {epoch: trace path})] for each trained seed, epochs ascending."""
-    seed_dirs = sorted(layout["traces"].glob("seed_*"))
-    if not seed_dirs:
+    """{seed: {epoch: trace path}} for each trained seed, seeds and epochs ascending."""
+    seeds = numbered_files(layout["traces"].glob("seed_*"))
+    if not seeds:
         raise FileNotFoundError(
             f"no traces under {layout['traces']}; run 'bsdlab train' first "
             "(eval traces are written every train.eval_every epochs)")
-    return [(seed_dir.name.split("_")[1], _trace_epochs(seed_dir)) for seed_dir in seed_dirs]
+    return {seed: _trace_epochs(seed_dir) for seed, seed_dir in seeds.items()}
 
 
 def _trace_epochs(seed_dir):
@@ -170,12 +174,12 @@ def _analyze_dynamics(layout, seed, epochs, args):
 def _analyze_ood(layout, seed, epochs, args):
     if args.ood_run is None:
         raise FileNotFoundError("ood analysis needs a second trace set; pass --ood-run <run_dir>")
-    ood_dir = run_layout(args.ood_run)["traces"] / f"seed_{seed}"
-    if not ood_dir.exists():
-        raise FileNotFoundError(
-            f"missing OOD trace {ood_dir}; train the --ood-run with the same seeds")
+    ood_epochs = _seed_traces(run_layout(args.ood_run)).get(seed)
+    if ood_epochs is None:
+        raise FileNotFoundError(f"missing OOD traces for seed {seed} in {args.ood_run}; "
+                                "train the --ood-run with the same seeds")
     id_preds, _, _ = _final_trace(epochs)
-    ood_preds, _, _ = _final_trace(_trace_epochs(ood_dir))
+    ood_preds, _, _ = _final_trace(ood_epochs)
     return analysis.auroc(_class_reduce(np.maximum, id_preds),
                           _class_reduce(np.maximum, ood_preds))
 
@@ -204,7 +208,7 @@ def cmd_analyze(args):
     layout = run_layout(args.run_dir)
     seeds = _seed_traces(layout)  # first, so a run without traces gets no reports/
     layout["reports"].mkdir(exist_ok=True)
-    results = [(seed, analyze(layout, seed, epochs, args)) for seed, epochs in seeds]
+    results = [(seed, analyze(layout, seed, epochs, args)) for seed, epochs in seeds.items()]
     if summary:
         write_json(layout["reports"] / summary, dict(results))
     if line:
@@ -212,16 +216,6 @@ def cmd_analyze(args):
             print(line.format(seed, result))
     print(f"reports written to {layout['reports']}")
     return 0
-
-
-def _final_metrics(records_path):
-    metrics = None
-    with open(records_path) as fh:
-        for line_no, line in enumerate(fh, start=1):
-            row = json_object(line, f"{records_path}: line {line_no}")
-            if row.get("test_acc") is not None:
-                metrics = row
-    return metrics
 
 
 def _collect_run(run_dir):
@@ -241,12 +235,13 @@ def _collect_run(run_dir):
         name = resolved.get("name", name)
         classes = dataset.get("classes")
     per_seed = {}
-    for seed, rec in numbered_files(layout["records"].glob("seed_*.jsonl")).items():
-        metrics = _final_metrics(rec)
-        if metrics is not None:
-            per_seed[seed] = metrics
+    for seed, path in numbered_files(layout["records"].glob("seed_*.jsonl")).items():
+        with open(path, "rb") as fh:
+            evaluated = [row for row in read_records(fh) if row.get("test_acc") is not None]
+        if evaluated:
+            per_seed[seed] = evaluated[-1]
     if classes is None and per_seed and any(layout["traces"].glob("seed_*")):
-        _, epochs = _seed_traces(layout)[0]
+        epochs = next(iter(_seed_traces(layout).values()))  # the lowest seed's
         classes = _final_trace(epochs)[2]
     return {"dir": str(run_dir), "name": name, "mode": mode, "classes": classes,
             "per_seed": per_seed}

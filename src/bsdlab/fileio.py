@@ -1,5 +1,5 @@
 """Crash-safe file replacement, the binary block format of checkpoints and states,
-and the text-table and JSON codec of every other artifact; every writer is atomic."""
+the text-table writer and the JSON codec of every other artifact; every writer is atomic."""
 
 import json
 import math
@@ -84,7 +84,7 @@ def write_table(path, header, columns, newline="\n"):
     A column is a length-n sequence (one cell per row) or an (n, m) block (m
     cells per row). A number is written as its Python ``repr``, for a float
     the shortest string that parses back to the same double, so
-    ``read_table`` gets the bits back; a string is written as it is unless
+    ``np.loadtxt`` gets the bits back; a string is written as it is unless
     it holds a comma, quote or line break, which RFC 4180 quotes. Rows
     are formatted in chunks of ``ROWS_PER_WRITE``, one ``fh.write`` per chunk.
     """
@@ -117,25 +117,6 @@ def _quoted(text):
     return text
 
 
-def read_table(path):
-    """Read a ``write_table`` file of numbers; returns (header, (n, columns) float64 array).
-
-    A header-only file gives n = 0; a row whose width differs from the
-    header's raises ``ValueError``.
-    """
-    with open(path) as fh:
-        header = fh.readline().strip().split(",")
-        body = fh.tell()
-        if fh.read(1):
-            fh.seek(body)
-            table = np.loadtxt(fh, delimiter=",", ndmin=2)
-        else:
-            table = np.empty((0, len(header)))
-    if table.shape[1] != len(header):
-        raise ValueError(f"{path}: rows have {table.shape[1]} columns, header has {len(header)}")
-    return header, table
-
-
 def write_json(path, obj):
     """Atomically write ``obj`` as JSON: sorted keys, indent 2, trailing newline."""
     with atomic_open(path, "w", encoding="utf-8", newline="") as fh:
@@ -159,8 +140,15 @@ def json_object(text, where):
 
 
 def numbered_files(paths):
-    """{n: path}, n ascending, for files named ``<prefix>_<n>.<suffix>``; others raise."""
-    numbers = {path: path.stem.split("_", 1)[1] for path in paths}
-    for path in (p for p, n in numbers.items() if not n.isdecimal()):
-        raise ValueError(f"{path}: name does not end in _<digits>")
-    return dict(sorted((int(n), p) for p, n in numbers.items()))
+    """{n: path}, n ascending, for files named ``<prefix>_<n>.<suffix>``; a name without
+    that form, or a second name for one n (``epoch_03`` beside ``epoch_3``), raises."""
+    files = {}
+    for path in sorted(paths):
+        digits = path.stem.split("_", 1)[1]
+        if not digits.isdecimal():
+            raise ValueError(f"{path}: name does not end in _<digits>")
+        n = int(digits)
+        if n in files:
+            raise ValueError(f"{path}: {files[n].name} has the same number")
+        files[n] = path
+    return dict(sorted(files.items()))

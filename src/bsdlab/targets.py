@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import read_table, write_table
+from .fileio import write_table
 from .numerics import _class_reduce, one_hot
 from .settings import Settings, setting
 
@@ -96,20 +96,10 @@ class EvidenceStore:
         self.A[indices] = self.gamma * A + 1.0
 
     def save_csv(self, path):
-        """``sample_id,A,y_0..y_{k-1}`` rows, floats as ``repr``, ``\\r\\n`` line ends."""
+        """``sample_id,A,y_0..y_{k-1}`` rows, floats as ``repr``, ``\\r\\n`` line ends: an
+        export that bsdlab never reads back (a run's ``.state`` holds the store)."""
         header = ["sample_id", "A"] + [f"y_{j}" for j in range(self.k)]
         write_table(path, header, [np.arange(self.n), self.A, self.y], newline="\r\n")
-
-    @classmethod
-    def load_csv(cls, path, gamma):
-        """Read a ``save_csv`` file bit for bit; its sample ids must be 0..n-1, in any order."""
-        _, table = read_table(path)
-        ids = table[:, 0]
-        order = np.argsort(ids)
-        if not np.array_equal(ids[order], np.arange(len(ids))):
-            raise ValueError(f"{path}: sample ids are not exactly 0..{len(ids) - 1}")
-        table = table[order]
-        return cls(y=np.ascontiguousarray(table[:, 2:]), A=table[:, 1].copy(), gamma=gamma)
 
 
 def update_weight(gamma, A):

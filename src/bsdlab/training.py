@@ -26,6 +26,7 @@ import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -360,7 +361,8 @@ def read_trace_csv(path):
     """Read a trace bit for bit; returns (preds (n, k), labels, k).
 
     ``path`` names the ``.trace`` file or its CSV export; either way only the
-    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read.
+    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read;
+    each label must be an integer in [0, k).
     """
     trace = Path(path).with_suffix(".trace")
     _, blocks = read_blocks(trace, TRACE_MAGIC)
@@ -371,9 +373,26 @@ def read_trace_csv(path):
     if probs.ndim != 2 or labels.shape != probs.shape[:1]:
         raise ValueError(f"{trace}: blocks 'labels' of shape {labels.shape} and 'probs' "
                          f"of shape {probs.shape} are not (n,) and (n, k)")
-    if not (np.isfinite(labels) & (labels == np.trunc(labels))).all():
-        raise ValueError(f"{trace}: block 'labels' holds a value that is not a finite integer")
-    return probs, labels.astype(np.int64), probs.shape[1]
+    k = probs.shape[1]
+    if not ((labels >= 0) & (labels < k) & (labels == np.trunc(labels))).all():  # False on NaN
+        raise ValueError(f"{trace}: block 'labels' holds a value that is not a finite "
+                         f"integer in [0, {k})")
+    return probs, labels.astype(np.int64), k
+
+
+def read_records(fh, last=None):
+    """Rows 1..``last`` (every row when None) of a records file open as binary ``fh``.
+
+    Line e must be a whole line holding a JSON object whose ``epoch`` is e;
+    another raises ``ValueError`` naming the file and the line.
+    """
+    rows = []
+    for epoch, line in enumerate(islice(fh, last), start=1):
+        row = json_object(line, f"{fh.name}: line {epoch}")
+        if row.get("epoch") != epoch or not line.endswith(b"\n"):
+            raise ValueError(f"{fh.name}: line {epoch} is not a complete row for epoch {epoch}")
+        rows.append(row)
+    return rows
 
 
 def _truncate_records(path, epoch):
@@ -382,14 +401,10 @@ def _truncate_records(path, epoch):
     Each row is flushed before its epoch's state is saved, so a crash in
     between leaves one row more than the state covers; resuming drops it.
     """
-    rows = []
     with open(path, "rb+") as fh:
-        for expected in range(1, epoch + 1):
-            line = fh.readline()
-            row = json_object(line, f"{path}: line {expected}") if line.endswith(b"\n") else {}
-            if row.get("epoch") != expected:
-                raise ValueError(f"{path} does not hold complete rows for epochs 1..{epoch}")
-            rows.append(row)
+        rows = read_records(fh, epoch)
+        if len(rows) < epoch:
+            raise ValueError(f"{path} does not hold complete rows for epochs 1..{epoch}")
         fh.truncate()
     return rows
 

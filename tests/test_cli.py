@@ -390,10 +390,11 @@ class TestAnalyzeCommand:
     @pytest.mark.parametrize("what", ["calibration", "dark-knowledge", "dynamics"])
     def test_out_of_range_label_is_an_error(self, tmp_path, capsys, what):
         labels = np.array([0, 1, 2, 0, 1, 2, 3])
-        write_trace(tmp_path / "bad" / "traces" / "seed_0" / "epoch_1.trace",
-                    np.tile([0.5, 0.25, 0.25], (7, 1)), labels)
+        trace = tmp_path / "bad" / "traces" / "seed_0" / "epoch_1.trace"
+        write_trace(trace, np.tile([0.5, 0.25, 0.25], (7, 1)), labels)
         assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
-        assert capsys.readouterr().err == "error: label out of range [0, 3)\n"
+        assert capsys.readouterr().err == (f"error: {trace}: block 'labels' holds a value "
+                                           "that is not a finite integer in [0, 3)\n")
 
     def test_dark_knowledge_symmetric_csv(self, trained_run):
         assert main(["analyze", str(trained_run), "--what", "dark-knowledge"]) == 0
@@ -575,7 +576,8 @@ class TestCompareCommand:
     @pytest.mark.parametrize("last_row, message", [
         (None, "is not JSON: "),  # the last row cut short, as by a crash mid-write
         (b"[1]\n", "is not a JSON object"),
-    ], ids=["cut-mid-write", "not-an-object"])
+        (b'{"epoch": 1, "test_acc": 1.0}\n', "is not a complete row for epoch "),
+    ], ids=["cut-mid-write", "not-an-object", "epoch-out-of-order"])
     def test_bad_records_row_named(self, trained_run, tmp_path, capsys, last_row, message):
         run = tmp_path / "tiny"
         shutil.copytree(trained_run, run)
@@ -611,17 +613,30 @@ class TestCompareCommand:
         assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("stray, argv", [
-    ("traces/seed_1/epoch_2 (copy).trace", ["analyze", "RUN", "--what", "calibration"]),
-    ("records/seed_1 (copy).jsonl", ["compare", "RUN", "RUN"]),
-], ids=["analyze-trace", "compare-records"])
-def test_stray_file_name_named(trained_run, tmp_path, capsys, stray, argv):
+STRAY = "{run}/{copy}: name does not end in _<digits>"
+TWICE = "{run}/{source}: {name} has the same number"
+
+
+@pytest.mark.parametrize("source, copy, what, message", [
+    ("traces/seed_1/epoch_2.trace", "traces/seed_1/epoch_2 (copy).trace", "calibration", STRAY),
+    ("traces/seed_1", "traces/seed_1 (copy)", "calibration", STRAY),
+    ("records/seed_1.jsonl", "records/seed_1 (copy).jsonl", None, STRAY),
+    ("traces/seed_1/epoch_3.trace", "traces/seed_1/epoch_03.trace", "flip", TWICE),
+    ("traces/seed_1", "traces/seed_01", "flip", TWICE),
+], ids=["analyze-trace", "analyze-seed", "compare-records", "analyze-epoch-twice",
+        "analyze-seed-twice"])
+def test_stray_file_name_named(trained_run, tmp_path, capsys, source, copy, what, message):
+    """A copied file or directory under a run ends ``analyze`` (``compare`` when
+    ``what`` is None) with one line naming it."""
     run = tmp_path / "tiny"
     shutil.copytree(trained_run, run)
-    shutil.copy(run / stray.replace(" (copy)", ""), run / stray)
+    (shutil.copytree if (run / source).is_dir() else shutil.copy)(run / source, run / copy)
     capsys.readouterr()
-    assert main([str(run) if arg == "RUN" else arg for arg in argv]) == 1
-    assert capsys.readouterr().err == f"error: {run / stray}: name does not end in _<digits>\n"
+    argv = (["compare", str(run), str(run)] if what is None
+            else ["analyze", str(run), "--what", what])
+    assert main(argv) == 1
+    message = message.format(run=run, source=source, copy=copy, name=Path(copy).name)
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 class TestExportDataset:

@@ -26,7 +26,6 @@ import pytest
 from bsdlab.cli import ANALYSES, main
 from bsdlab.config import parse_config, resolved_json
 from bsdlab.data import Dataset, NoiseSpec, apply_noise, make_blobs
-from bsdlab.fileio import read_table
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
 from bsdlab.training import (BsdPlusConfig, TrainConfig, read_trace_csv, run_experiment,
@@ -150,7 +149,8 @@ def trained_run(case, run):
             [f"epoch_{e}.trace" for e in evals] + [f"epoch_{cfg.epochs}.csv"])
         final = trace_dir / f"epoch_{cfg.epochs}.csv"
         preds, labels, k = read_trace_csv(final)
-        header, table = read_table(final)
+        header = final.read_text().splitlines()[0].split(",")
+        table = np.loadtxt(final, delimiter=",", skiprows=1, ndmin=2)
         assert k == len(header) - 2 and labels.dtype == np.int64
         np.testing.assert_array_equal(labels, table[:, 1].astype(np.int64))
         np.testing.assert_array_equal(preds.view(np.int64), table[:, 2:].copy().view(np.int64))

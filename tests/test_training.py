@@ -616,7 +616,8 @@ class TestRunExperiment:
     @pytest.mark.parametrize("bad_row, message", [
         (b'{"epoch": 1,\n', "line 1 is not JSON: "),
         (b"[1]\n", "line 1 is not a JSON object"),
-    ], ids=["not-json", "not-an-object"])
+        (b'{"epoch": 2}\n', "line 1 is not a complete row for epoch 1"),
+    ], ids=["not-json", "not-an-object", "wrong-epoch"])
     def test_resume_names_a_bad_records_row(self, tmp_path, bad_row, message):
         ds = tiny_dataset(n_per=8)
         test = tiny_dataset(n_per=4, seed=2)
@@ -823,8 +824,15 @@ class TestTraceCsv:
          "not a finite integer"),
         ({"labels": np.array([0.0, np.inf, 0.0]), "probs": np.full((3, 2), 0.5)},
          "not a finite integer"),
+        ({"labels": np.array([0.0, 2.0, 0.0]), "probs": np.full((3, 2), 0.5)},
+         "not a finite integer in [0, 2)"),
+        ({"labels": np.array([0.0, -1.0, 0.0]), "probs": np.full((3, 2), 0.5)},
+         "not a finite integer in [0, 2)"),
+        # finite, but too large for int64: a cast would wrap it with a RuntimeWarning
+        ({"labels": np.array([0.0, 1e19, 0.0]), "probs": np.full((3, 2), 0.5)},
+         "not a finite integer in [0, 2)"),
     ], ids=["no-labels", "no-probs", "row-counts", "flat-probs", "fractional-label",
-            "nan-label", "inf-label"])
+            "nan-label", "inf-label", "label-k", "negative-label", "huge-label"])
     def test_sidecar_without_trace_blocks_rejected(self, tmp_path, blocks, match):
         sidecar = tmp_path / "epoch_1.trace"
         write_blocks(sidecar, training.TRACE_MAGIC, {}, blocks)
