@@ -225,15 +225,16 @@ def _collect_run(run_dir):
     mode = "?"
     classes = None
     if config_path.exists():
-        resolved = json_object(config_path.read_text(), f"{config_path}: the run config")
+        resolved = json_object(config_path.read_bytes(), f"{config_path}: the run config")
         train, dataset = resolved.get("train"), resolved.get("dataset")
         strategy = train.get("strategy") if isinstance(train, dict) else None
         mode = strategy.get("mode") if isinstance(strategy, dict) else None
-        if not isinstance(mode, str) or not isinstance(dataset, dict):
-            raise ValueError(f"{config_path}: not a resolved run config (needs a "
-                             "train.strategy.mode string and a dataset object)")
         name = resolved.get("name", name)
-        classes = dataset.get("classes")
+        classes = dataset.get("classes") if isinstance(dataset, dict) else None
+        if not (isinstance(mode, str) and isinstance(name, str) and isinstance(dataset, dict)
+                and (classes is None or type(classes) is int)):
+            raise ValueError(f"{config_path}: not a resolved run config (needs a string name and "
+                             "train.strategy.mode, and a dataset object with int or no classes)")
     per_seed = {}
     for seed, path in numbered_files(layout["records"].glob("seed_*.jsonl")).items():
         with open(path, "rb") as fh:

@@ -157,8 +157,8 @@ def parse_config(path) -> ExperimentConfig:
     """Read, validate, and fully resolve an experiment config file."""
     path = Path(path)
     try:
-        raw = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
+        raw = json.loads(path.read_bytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")

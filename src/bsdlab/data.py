@@ -152,7 +152,7 @@ def load_idx(images_path, labels_path):
     if labels.ndim != 1:
         raise ValueError(f"{labels_path}: expected 1-dimensional IDX label file, got {labels.ndim} dims")
     if labels.shape[0] != images.shape[0]:
-        raise ValueError(f"{labels_path}: IDX image/label counts differ")
+        raise ValueError(f"{labels_path}: IDX image/label counts differ from {images_path}")
     if not labels.size:
         raise ValueError(f"{images_path}: no samples")
     samples = images.astype(np.float64)[..., None] / 255.0
@@ -162,8 +162,8 @@ def load_idx(images_path, labels_path):
 
 
 def load_csv(path, label_column="label"):
-    """Load a header-bearing CSV with one labeled sample per row."""
-    with open(path, newline="") as fh:
+    """Load a header-bearing UTF-8 CSV, one labeled sample per row; a bad byte reads as U+FFFD."""
+    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError(f"{path}: no samples")
@@ -182,7 +182,7 @@ def load_csv(path, label_column="label"):
             labels[i] = int(row[j])
             for c, j in enumerate(feat_idx):
                 samples[i, c] = float(row[j])
-        except ValueError:
+        except (ValueError, OverflowError):  # an integer label beyond int64 overflows
             raise ValueError(f"{path}: CSV row {i + 2}, column {header[j]!r}: {row[j]!r} is not "
                              f"{'an integer label' if j == label_idx else 'a number'}") from None
         if labels[i] < 0:

@@ -41,8 +41,8 @@ def write_blocks(path, magic, header, blocks):
 
 
 def read_blocks(path, magic):
-    """Read a ``write_blocks`` file; returns (header, name -> float64 array).
-    A file that does not match its magic line or its manifest raises ``ValueError``."""
+    """Read a ``write_blocks`` file; returns (header, name -> float64 array). A file that
+    does not match its magic line or its manifest, or repeats a name, raises ``ValueError``."""
     with open(path, "rb") as fh:
         found = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
         if found != magic:
@@ -60,6 +60,8 @@ def read_blocks(path, magic):
                     or not all(type(d) is int and d >= 0 for d in shape)):
                 raise ValueError(f"{path}: manifest entry {entry!r} is not "
                                  "{name: str, shape: list of ints >= 0}")
+            if entry["name"] in blocks:
+                raise ValueError(f"{path}: manifest names block {entry['name']!r} twice")
             raw = read_declared(fh, math.prod(shape) * 8,
                                 f"truncated file {path}: block {entry['name']!r}")
             blocks[entry["name"]] = np.frombuffer(raw, dtype="<f8").reshape(shape).copy()
@@ -132,7 +134,7 @@ def json_object(text, where):
     """``text`` parsed as a JSON object; anything else raises a ``ValueError`` naming ``where``."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, and UnicodeDecodeError on bytes
         raise ValueError(f"{where} is not JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ValueError(f"{where} is not a JSON object")
@@ -140,12 +142,12 @@ def json_object(text, where):
 
 
 def numbered_files(paths):
-    """{n: path}, n ascending, for files named ``<prefix>_<n>.<suffix>``; a name without
-    that form, or a second name for one n (``epoch_03`` beside ``epoch_3``), raises."""
+    """{n: path}, n ascending, for files named ``<prefix>_<n>.<suffix>``, n in ASCII digits; a
+    name without that form, or a second name for one n (``epoch_03`` beside ``epoch_3``), raises."""
     files = {}
     for path in sorted(paths):
-        digits = path.stem.split("_", 1)[1]
-        if not digits.isdecimal():
+        digits = path.stem.partition("_")[2]
+        if not (digits.isascii() and digits.isdecimal()):
             raise ValueError(f"{path}: name does not end in _<digits>")
         n = int(digits)
         if n in files:

@@ -27,6 +27,7 @@ CHAIN_MIN_ROWS = 64  # below this, one reduce call is cheaper than k column call
 
 __all__ = [
     "PROB_FLOOR",
+    "NonFinite",
     "softmax",
     "entropy",
     "kl_div",
@@ -54,15 +55,24 @@ def _all_finite(x):
     return np.logical_and.reduce(np.isfinite(x), axis=None)
 
 
+class NonFinite(ValueError):
+    """A value that must be finite is not; ``what`` names it, as in ``non-finite <what>``."""
+
+    def __init__(self, what):
+        super().__init__(f"non-finite {what}")
+        self.what = what
+
+
 def softmax(logits):
     """Map logits to the probability simplex along the last axis.
 
     Subtracts the row maximum before exponentiating, so adding a constant to
-    all logits leaves the output unchanged (up to float64 rounding).
+    all logits leaves the output unchanged (up to float64 rounding). A
+    non-finite logit raises ``NonFinite("logits")``.
     """
     z = np.asarray(logits, dtype=np.float64)
     if not _all_finite(z):
-        raise ValueError("non-finite logits")
+        raise NonFinite("logits")
     shifted = z - _class_reduce(np.maximum, z, keepdims=True)
     e = np.exp(shifted)
     return e / _class_reduce(np.add, e, keepdims=True)
@@ -141,13 +151,14 @@ def optimizer_step(params, grads, state, lr):
     and its gradient); ``lr`` is this step's learning rate (the schedule's).
     The other hyperparameters come from ``state.cfg``: ``optimizer``,
     ``momentum``, ``beta1``, ``beta2``, ``adam_eps`` and ``weight_decay``.
-    A non-finite gradient raises ValueError before anything changes.
+    A non-finite gradient raises ``NonFinite("gradient")`` before anything changes;
+    a shape mismatch raises a plain ``ValueError``.
     Identical inputs give bit-identical outputs.
     """
     if params.shape != grads.shape:
         raise ValueError(f"shape mismatch: parameters {params.shape} vs gradients {grads.shape}")
     if not _all_finite(grads):
-        raise ValueError("non-finite gradient")
+        raise NonFinite("gradient")
     cfg = state.cfg
     state.step += 1
     if state.scratch is None:

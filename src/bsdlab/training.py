@@ -22,6 +22,7 @@ and eval ``.trace`` (the last also as CSV), then the seed's checkpoint and store
 from __future__ import annotations
 
 import json
+import math
 import shutil
 import time
 from contextlib import contextmanager
@@ -36,10 +37,10 @@ from .data import Dataset, augment_strong, augment_weak
 from .fileio import (atomic_open, json_object, read_blocks, write_blocks, write_json,
                      write_table)
 from .models import Model, backward, forward, init_model, predict, save_checkpoint
-from .numerics import (PROB_FLOOR, OptimizerState, _class_reduce, entropy, kl_div,
-                       optimizer_step, soft_cross_entropy)
+from .numerics import (PROB_FLOOR, NonFinite, OptimizerState, _all_finite, _class_reduce,
+                       entropy, kl_div, optimizer_step, soft_cross_entropy)
 from .settings import Settings, setting
-from .targets import StrategyConfig, TargetStrategy, sharpen
+from .targets import SIMPLEX_RENORM_TOL, StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
 STATE_MAGIC = "BSDLAB-STATE v1"
@@ -63,7 +64,7 @@ __all__ = [
 
 
 class TrainingDiverged(RuntimeError):
-    pass
+    """A seed met a non-finite value; the message says in which step or evaluation."""
 
 
 @dataclass
@@ -132,14 +133,17 @@ class SeedRun:
             row = train_epoch(self.model, train_set, self.strategy, self.opt_state, cfg, epoch,
                               self.seed)
         self.epoch = epoch
-        row["schema_version"] = RECORD_SCHEMA_VERSION
+        row.update(schema_version=RECORD_SCHEMA_VERSION, test_acc=None, test_ece=None,
+                   test_nll=None)
         ev = None
         if epoch % cfg.eval_every == 0 or epoch == cfg.epochs:
             with self.timed("evaluate"):
-                ev = evaluate(self.model, test_set)
+                try:
+                    ev = evaluate(self.model, test_set)
+                except NonFinite as exc:
+                    raise TrainingDiverged(f"{exc} on the test set at epoch {epoch} "
+                                           f"(seed {self.seed})") from exc
             row.update(test_acc=ev["acc"], test_ece=ev["ece"], test_nll=ev["nll"])
-        else:
-            row.update(test_acc=None, test_ece=None, test_nll=None)
         self.rows.append(row)
         return row, ev
 
@@ -204,7 +208,9 @@ def _augmented_views(samples, plus: BsdPlusConfig, weak_rng, strong_rngs):
 
 def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                 opt_state, cfg: TrainConfig, epoch, seed):
-    """Run one epoch (1-based ``epoch``); returns epoch metrics."""
+    """Run one epoch (1-based ``epoch``); returns epoch metrics. A ``NonFinite`` in a batch
+    step (weak view, loss, backward, strong views, optimizer step) stops it before the update
+    and raises ``TrainingDiverged`` naming epoch, batch start, seed and a gradient's block."""
     if strategy.labels.shape[0] != dataset.n:
         raise ValueError("target state and dataset sizes are misaligned")
     n, k = dataset.n, dataset.k
@@ -218,7 +224,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
         weak_rng = _epoch_rng(seed, epoch, _WEAK)
         strong_rngs = [_epoch_rng(seed, epoch, _STRONG_BASE + j) for j in range(plus.views)]
     # gradient buffer laid out like model.flat; strong views add theirs in
-    grad_flat = np.empty_like(model.flat)
+    grad_flat = np.zeros_like(model.flat)
     grads = model.views(grad_flat)
     # one gather and one store update per epoch; exact because perm visits
     # each sample once (see the module docstring)
@@ -232,34 +238,23 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
         stop = min(start + cfg.batch_size, n)
         bsz = stop - start
         weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
-
+        sharp = served[start:stop]
         try:
             probs, cache = forward(model, weak, dropout_rng)
-        except ValueError as exc:
-            if "non-finite" in str(exc):
-                raise TrainingDiverged(
-                    f"non-finite activations at epoch {epoch}, batch starting {start} "
-                    f"(seed {seed}): {exc}") from exc
-            raise
-        sharp = served[start:stop]
-        batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
-        dlogits = (probs - sharp) / (bsz * k)
-        backward(model, cache, dlogits, out=grads)
-
-        if strong_views:
-            batch_loss = contrastive_term(model, strong_views, probs, plus.lam,
-                                          dropout_rng, grad_flat, batch_loss)
-
-        if not np.isfinite(batch_loss):
-            raise TrainingDiverged(
-                f"non-finite loss at epoch {epoch}, batch starting {start} (seed {seed})")
-        try:
+            batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
+            dlogits = (probs - sharp) / (bsz * k)
+            backward(model, cache, dlogits, out=grads)
+            if strong_views:
+                batch_loss = contrastive_term(model, strong_views, probs, plus.lam,
+                                              dropout_rng, grad_flat, batch_loss)
+            if not math.isfinite(batch_loss):
+                raise NonFinite("loss")
             optimizer_step(model.flat, grad_flat, opt_state, lr=lr)
-        except ValueError as exc:  # grad_flat matches model.flat, so only a non-finite entry
-            bad = next(name for name, g in grads.items() if not np.isfinite(g).all())
-            raise TrainingDiverged(
-                f"non-finite gradient in block {bad!r} at epoch {epoch}, batch starting "
-                f"{start} (seed {seed})") from exc
+        except NonFinite as exc:  # grads view all of grad_flat, so one block holds a bad entry
+            block = (f" in block {next(b for b, g in grads.items() if not _all_finite(g))!r}"
+                     if exc.what == "gradient" else "")
+            raise TrainingDiverged(f"{exc}{block} at epoch {epoch}, batch starting {start} "
+                                   f"(seed {seed})") from exc
         preds[start:stop] = probs
         loss_sum += batch_loss * bsz
     strategy.update(perm, preds)
@@ -361,8 +356,9 @@ def read_trace_csv(path):
     """Read a trace bit for bit; returns (preds (n, k), labels, k).
 
     ``path`` names the ``.trace`` file or its CSV export; either way only the
-    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read;
-    each label must be an integer in [0, k).
+    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read. Each
+    label must be an integer in [0, k), and each ``probs`` row entries >= 0 that sum
+    to 1 within ``SIMPLEX_RENORM_TOL``.
     """
     trace = Path(path).with_suffix(".trace")
     _, blocks = read_blocks(trace, TRACE_MAGIC)
@@ -377,19 +373,24 @@ def read_trace_csv(path):
     if not ((labels >= 0) & (labels < k) & (labels == np.trunc(labels))).all():  # False on NaN
         raise ValueError(f"{trace}: block 'labels' holds a value that is not a finite "
                          f"integer in [0, {k})")
+    with np.errstate(over="ignore"):  # a sum that overflows fails the check, it does not warn
+        if not ((probs >= 0.0).all()  # False on NaN, so no -inf reaches the sum
+                and (abs(_class_reduce(np.add, probs) - 1.0) <= SIMPLEX_RENORM_TOL).all()):
+            raise ValueError(f"{trace}: block 'probs' holds a row that is not finite entries "
+                             f">= 0 summing to 1 within {SIMPLEX_RENORM_TOL}")
     return probs, labels.astype(np.int64), k
 
 
 def read_records(fh, last=None):
     """Rows 1..``last`` (every row when None) of a records file open as binary ``fh``.
 
-    Line e must be a whole line holding a JSON object whose ``epoch`` is e;
+    Line e must be a whole line holding a JSON object whose ``epoch`` is the int e;
     another raises ``ValueError`` naming the file and the line.
     """
     rows = []
     for epoch, line in enumerate(islice(fh, last), start=1):
         row = json_object(line, f"{fh.name}: line {epoch}")
-        if row.get("epoch") != epoch or not line.endswith(b"\n"):
+        if type(row.get("epoch")) is not int or row["epoch"] != epoch or not line.endswith(b"\n"):
             raise ValueError(f"{fh.name}: line {epoch} is not a complete row for epoch {epoch}")
         rows.append(row)
     return rows

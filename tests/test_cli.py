@@ -352,6 +352,20 @@ class TestTrainCommand:
         assert main(["train", str(cfg_path), "--dry-run"]) == 2
         assert f"error: {key}" in capsys.readouterr().err
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    @pytest.mark.parametrize("train, message", [
+        ({"bsd_plus": {"enabled": True, "strong_jitter": 1e308}},
+         "non-finite logits at epoch 1, batch starting 0 (seed 3)"),
+        ({"optimizer": "sgd", "lr": 1e200, "batch_size": 64},
+         "non-finite logits on the test set at epoch 1 (seed 3)"),
+    ], ids=["strong-view", "evaluation"])
+    def test_diverging_seed_is_one_error_line(self, tmp_path, capsys, train, message):
+        train = {"epochs": 2, "eval_every": 1, "strategy": {"mode": "bsd"}, **train}
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"),
+                                train=train, seeds=[3])
+        assert main(["train", str(cfg_path), "--quiet"]) == 1
+        assert capsys.readouterr().err == f"error: training failed: {message}\n"
+
     def test_out_root_env_override(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "ignored"))
         monkeypatch.setenv("BSDLAB_OUT_ROOT", str(tmp_path / "envroot"))
@@ -395,6 +409,16 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
         assert capsys.readouterr().err == (f"error: {trace}: block 'labels' holds a value "
                                            "that is not a finite integer in [0, 3)\n")
+
+    @pytest.mark.parametrize("what", ["calibration", "dark-knowledge", "dynamics"])
+    def test_probs_off_the_simplex_is_an_error(self, tmp_path, capsys, what):
+        probs = np.tile([0.5, 0.25, 0.25], (6, 1))
+        probs[2], probs[4] = np.nan, [2.0, -1.0, 0.0]
+        trace = tmp_path / "bad" / "traces" / "seed_0" / "epoch_1.trace"
+        write_trace(trace, probs, np.arange(6) % 3)
+        assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
+        assert capsys.readouterr().err == (f"error: {trace}: block 'probs' holds a row that is "
+                                           "not finite entries >= 0 summing to 1 within 1e-06\n")
 
     def test_dark_knowledge_symmetric_csv(self, trained_run):
         assert main(["analyze", str(trained_run), "--what", "dark-knowledge"]) == 0
@@ -599,12 +623,18 @@ class TestCompareCommand:
         ("{}", "not a resolved run config"),
         ('{"name": "tiny",', "the run config is not JSON: "),
         ("[1]", "the run config is not a JSON object"),
-    ], ids=["empty-object", "not-json", "not-an-object"])
+        ('{"name": 3, "train": {"strategy": {"mode": "bsd"}}, "dataset": {}}',
+         "not a resolved run config"),
+        ('{"train": {"strategy": {"mode": "bsd"}}, "dataset": {"classes": [3]}}',
+         "not a resolved run config"),
+        (b'{"name": "tiny\xff"}', "the run config is not JSON: "),
+    ], ids=["empty-object", "not-json", "not-an-object", "name-not-a-string", "classes-a-list",
+            "not-utf8"])
     def test_bad_config_resolved_named(self, trained_run, tmp_path, capsys, text, message):
         run = tmp_path / "tiny"
         shutil.copytree(trained_run, run)
         config = run_layout(run)["config"]
-        config.write_text(text)
+        (config.write_bytes if isinstance(text, bytes) else config.write_text)(text)
         capsys.readouterr()
         assert main(["compare", str(run), str(trained_run)]) == 1
         err = capsys.readouterr().err

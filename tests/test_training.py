@@ -209,6 +209,35 @@ class TestTrainEpoch:
             for epoch in range(1, 10):
                 train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
 
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_strong_view_raises_diverged_with_context(self):
+        plus = BsdPlusConfig(enabled=True, views=2, strong_jitter=1e308)
+        model, ds, strategy, opt, cfg = fresh_run("bsd", bsd_plus=plus)
+        before = model.flat.copy()
+        with pytest.raises(TrainingDiverged, match=r"^non-finite logits at epoch 1, "
+                           r"batch starting 0 \(seed 3\)$"):
+            train_epoch(model, ds, strategy, opt, cfg, 1, seed=3)
+        np.testing.assert_array_equal(model.flat, before)
+        assert opt.step == 0
+
+    @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+    def test_non_finite_evaluation_raises_diverged_with_context(self):
+        model, ds, strategy, opt, cfg = fresh_run("baseline", lr=1e200, epochs=1,
+                                                  batch_size=20)
+        run = SeedRun(3, model, opt, strategy)
+        with pytest.raises(TrainingDiverged, match=r"^non-finite logits on the test set "
+                           r"at epoch 1 \(seed 3\)$"):
+            run.step(ds, ds, cfg)
+        assert opt.step == 1
+
+    def test_value_error_not_about_finiteness_propagates(self):
+        model, ds, strategy, opt, cfg = fresh_run("baseline")
+        wide = Dataset(samples=np.zeros((ds.n, 3)), clean_labels=ds.labels,
+                       labels=ds.labels.copy(), k=ds.k)
+        with pytest.raises(ValueError, match=r"^expected batch of shape \(n, 2\), got") as info:
+            train_epoch(model, wide, strategy, opt, cfg, 1, seed=3)
+        assert type(info.value) is ValueError
+
 
 class TestEpochUpdate:
     """The store is updated once per epoch, after the epoch's last step."""
@@ -781,8 +810,9 @@ class TestTraceCsv:
     def test_read_returns_written_bits(self, tmp_path, suffix):
         rng = np.random.default_rng(4)
         preds = rng.dirichlet(np.ones(4), size=2 * self.CHUNK + 3)
-        preds[:5] = [[5e-324, 1e-310, 0.0, 1.0], [1e-05, 0.0, 1.0, 5e-324],
-                     [1.0, 0.0, 0.0, 0.0], [1e-310, 1e-05, 0.1, 0.7],
+        # edge values (subnormals, exact zeros) in rows that sum to 1
+        preds[:5] = [[5e-324, 1e-310, 0.0, 1.0], [1e-05, 0.0, 0.99999, 5e-324],
+                     [1.0, 0.0, 0.0, 0.0], [1e-310, 1e-05, 0.29999, 0.7],
                      [0.25, 0.25, 0.25, 0.25]]
         labels = rng.integers(0, 4, size=preds.shape[0])
         path = self.written(tmp_path / f"epoch_1{suffix}", preds, labels)
@@ -831,8 +861,21 @@ class TestTraceCsv:
         # finite, but too large for int64: a cast would wrap it with a RuntimeWarning
         ({"labels": np.array([0.0, 1e19, 0.0]), "probs": np.full((3, 2), 0.5)},
          "not a finite integer in [0, 2)"),
+        # each probs row must hold finite entries >= 0 that sum to 1 within 1e-6
+        ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [np.nan, 1.0], [1.0, 0.0]])},
+         "block 'probs' holds a row that is not finite entries >= 0 summing to 1 within 1e-06"),
+        ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [2.0, -1.0], [1.0, 0.0]])},
+         "block 'probs' holds a row"),
+        ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [0.5, 0.5 + 2e-6], [1.0, 0]])},
+         "block 'probs' holds a row"),
+        ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [np.inf, 0.0], [1.0, 0.0]])},
+         "block 'probs' holds a row"),
+        # a sum that overflows fails the check without a RuntimeWarning
+        ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [1e308, 1e308], [1.0, 0.0]])},
+         "block 'probs' holds a row"),
     ], ids=["no-labels", "no-probs", "row-counts", "flat-probs", "fractional-label",
-            "nan-label", "inf-label", "label-k", "negative-label", "huge-label"])
+            "nan-label", "inf-label", "label-k", "negative-label", "huge-label", "nan-probs",
+            "negative-probs", "probs-sum-off", "inf-probs", "huge-probs"])
     def test_sidecar_without_trace_blocks_rejected(self, tmp_path, blocks, match):
         sidecar = tmp_path / "epoch_1.trace"
         write_blocks(sidecar, training.TRACE_MAGIC, {}, blocks)
