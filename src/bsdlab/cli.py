@@ -103,7 +103,7 @@ def cmd_train(args):
 
 def _seed_traces(layout):
     """{seed: {epoch: trace path}} for each trained seed, seeds and epochs ascending."""
-    seeds = numbered_files(layout["traces"].glob("seed_*"))
+    seeds = numbered_files(layout["traces"].glob("seed_*"), "")
     if not seeds:
         raise FileNotFoundError(
             f"no traces under {layout['traces']}; run 'bsdlab train' first "
@@ -112,7 +112,7 @@ def _seed_traces(layout):
 
 
 def _trace_epochs(seed_dir):
-    files = numbered_files(seed_dir.glob("epoch_*.trace"))
+    files = numbered_files(seed_dir.glob("epoch_*.trace"), ".trace")
     if not files:
         raise FileNotFoundError(f"no epoch traces in {seed_dir}")
     return files
@@ -236,7 +236,7 @@ def _collect_run(run_dir):
             raise ValueError(f"{config_path}: not a resolved run config (needs a string name and "
                              "train.strategy.mode, and a dataset object with int or no classes)")
     per_seed = {}
-    for seed, path in numbered_files(layout["records"].glob("seed_*.jsonl")).items():
+    for seed, path in numbered_files(layout["records"].glob("seed_*.jsonl"), ".jsonl").items():
         with open(path, "rb") as fh:
             evaluated = [row for row in read_records(fh) if row.get("test_acc") is not None]
         if evaluated:

@@ -141,12 +141,13 @@ def json_object(text, where):
     return obj
 
 
-def numbered_files(paths):
-    """{n: path}, n ascending, for files named ``<prefix>_<n>.<suffix>``, n in ASCII digits; a
-    name without that form, or a second name for one n (``epoch_03`` beside ``epoch_3``), raises."""
+def numbered_files(paths, suffix):
+    """{n: path}, n ascending, for paths named ``<prefix>_<n><suffix>``, n in ASCII digits; a
+    name without that form (``seed_2.bak`` for suffix ``""``), or a second name for one n
+    (``epoch_03`` beside ``epoch_3``), raises."""
     files = {}
     for path in sorted(paths):
-        digits = path.stem.partition("_")[2]
+        digits = path.name.partition("_")[2].removesuffix(suffix)
         if not (digits.isascii() and digits.isdecimal()):
             raise ValueError(f"{path}: name does not end in _<digits>")
         n = int(digits)

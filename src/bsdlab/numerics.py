@@ -23,11 +23,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PROB_FLOOR = 1e-12
+SIMPLEX_TOL = 1e-6  # how far a probability row's sum may drift from 1
 CHAIN_MIN_ROWS = 64  # below this, one reduce call is cheaper than k column calls
 
 __all__ = [
     "PROB_FLOOR",
+    "SIMPLEX_TOL",
     "NonFinite",
+    "on_simplex",
     "softmax",
     "entropy",
     "kl_div",
@@ -53,6 +56,15 @@ def _class_reduce(ufunc, x, keepdims=False):
 def _all_finite(x):
     """``np.isfinite(x).all()`` as one ufunc reduce, without the Python-level wrapper."""
     return np.logical_and.reduce(np.isfinite(x), axis=None)
+
+
+def on_simplex(p):
+    """True when every entry of the float array ``p`` is finite and >= 0 and every row
+    (last axis) sums to 1 within ``SIMPLEX_TOL``; an empty batch passes. The one rule
+    for a probability row that bsdlab takes in, from a prediction or from a file."""
+    with np.errstate(over="ignore"):  # a sum that overflows fails the check, it does not warn
+        return bool((p >= 0.0).all()  # False on NaN, so no -inf reaches the sum
+                    and (abs(_class_reduce(np.add, p) - 1.0) <= SIMPLEX_TOL).all())
 
 
 class NonFinite(ValueError):

@@ -27,10 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_table
-from .numerics import _class_reduce, one_hot
+from .numerics import SIMPLEX_TOL, _class_reduce, on_simplex, one_hot
 from .settings import Settings, setting
-
-SIMPLEX_RENORM_TOL = 1e-6
 
 STRATEGY_MODES = ("bsd", "baseline", "label-smoothing", "ps-kd", "dlb", "te")
 
@@ -43,32 +41,6 @@ __all__ = [
     "TargetStrategy",
     "STRATEGY_MODES",
 ]
-
-
-def _check_pred(pred):
-    """Validate prediction rows; renormalize tiny drift, reject real deviations.
-
-    Each row decides on its own: a row whose sum is within 1e-12 of 1 keeps
-    its bytes (dividing by a 1-ulp-off sum would perturb every entry), a row
-    that drifts by up to the tolerance is divided by its own sum, and a
-    negative entry or a larger drift in any row is treated as a caller bug.
-    A NaN entry is passed through: it makes its row NaN but raises nothing,
-    and it never hides a negative entry, because ``fmin`` skips NaNs. Rows
-    are summed in C order, so a row's sum does not depend on the array's
-    layout.
-    """
-    pred = np.ascontiguousarray(pred, dtype=np.float64)
-    if pred.size and np.fmin.reduce(pred, axis=None) < 0.0:
-        raise ValueError("prediction has negative entries")
-    s = _class_reduce(np.add, pred, keepdims=True)
-    err = np.abs(s - 1.0)
-    if np.max(err, initial=0.0) <= 1e-12:  # NaN-propagating, so False for a NaN row
-        return pred
-    if np.any(err > SIMPLEX_RENORM_TOL):
-        raise ValueError(
-            f"prediction off the simplex by {err.max():.3e} (> {SIMPLEX_RENORM_TOL})"
-        )
-    return np.where(err <= 1e-12, pred, pred / s)
 
 
 @dataclass
@@ -88,8 +60,11 @@ class EvidenceStore:
         return self.y.shape[1]
 
     def update_rows(self, indices, preds):
-        """Discounted Bayesian update of the selected rows from their predictions."""
-        preds = _check_pred(preds)
+        """Discounted Bayesian update of the selected rows from their predictions, which
+        must pass ``on_simplex``: a failing batch raises and writes nothing."""
+        if not on_simplex(preds):
+            raise ValueError("prediction off the simplex: a negative or non-finite entry, "
+                             f"or a row sum off 1 by more than {SIMPLEX_TOL}")
         A = self.A[indices]
         w = update_weight(self.gamma, A)
         self.y[indices] = w[:, None] * self.y[indices] + (1.0 - w)[:, None] * preds

@@ -9,7 +9,7 @@ so a batch reads only its own rows, and no row is written before the next
 epoch. Targets consumed by a batch are therefore always the pre-update
 values; predictions fed to the state are the same forward outputs used for
 the loss, captured before the optimizer step, with no gradient connection.
-The update checks and renormalizes each prediction row on its own.
+The update refuses a batch with a row off the simplex and never rewrites a row.
 
 Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
@@ -37,14 +37,16 @@ from .data import Dataset, augment_strong, augment_weak
 from .fileio import (atomic_open, json_object, read_blocks, write_blocks, write_json,
                      write_table)
 from .models import Model, backward, forward, init_model, predict, save_checkpoint
-from .numerics import (PROB_FLOOR, NonFinite, OptimizerState, _all_finite, _class_reduce,
-                       entropy, kl_div, optimizer_step, soft_cross_entropy)
+from .numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, OptimizerState, _all_finite,
+                       _class_reduce, entropy, kl_div, on_simplex, optimizer_step,
+                       soft_cross_entropy)
 from .settings import Settings, setting
-from .targets import SIMPLEX_RENORM_TOL, StrategyConfig, TargetStrategy, sharpen
+from .targets import StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
 STATE_MAGIC = "BSDLAB-STATE v1"
 TRACE_MAGIC = "BSDLAB-TRACE v1"
+ON_SIMPLEX = f"finite entries >= 0 summing to 1 within {SIMPLEX_TOL}"  # on_simplex, in words
 
 # rng stream tags
 _SHUFFLE, _DROPOUT, _WEAK, _STRONG_BASE = 0, 1, 2, 3
@@ -332,6 +334,14 @@ def _load_train_state(path, model, opt_state, strategy):
         if block.shape != dest.shape:
             raise ValueError(f"{path}: block {name!r} has shape {block.shape}, "
                              f"this run needs {dest.shape}")
+        if name == "strategy/y":
+            ok, rule = on_simplex(block), f"rows of {ON_SIMPLEX}"
+        elif name == "strategy/A":
+            ok, rule = _all_finite(block) and (block >= 0.0).all(), "finite values >= 0"
+        else:
+            ok, rule = _all_finite(block), "finite values"
+        if not ok:
+            raise ValueError(f"{path}: block {name!r} does not hold {rule}")
         dest[...] = block
     unused = [name for name in blocks if name not in used]
     if unused:
@@ -357,8 +367,7 @@ def read_trace_csv(path):
 
     ``path`` names the ``.trace`` file or its CSV export; either way only the
     ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read. Each
-    label must be an integer in [0, k), and each ``probs`` row entries >= 0 that sum
-    to 1 within ``SIMPLEX_RENORM_TOL``.
+    label must be an integer in [0, k), and ``probs`` must pass ``on_simplex``.
     """
     trace = Path(path).with_suffix(".trace")
     _, blocks = read_blocks(trace, TRACE_MAGIC)
@@ -373,25 +382,27 @@ def read_trace_csv(path):
     if not ((labels >= 0) & (labels < k) & (labels == np.trunc(labels))).all():  # False on NaN
         raise ValueError(f"{trace}: block 'labels' holds a value that is not a finite "
                          f"integer in [0, {k})")
-    with np.errstate(over="ignore"):  # a sum that overflows fails the check, it does not warn
-        if not ((probs >= 0.0).all()  # False on NaN, so no -inf reaches the sum
-                and (abs(_class_reduce(np.add, probs) - 1.0) <= SIMPLEX_RENORM_TOL).all()):
-            raise ValueError(f"{trace}: block 'probs' holds a row that is not finite entries "
-                             f">= 0 summing to 1 within {SIMPLEX_RENORM_TOL}")
+    if not on_simplex(probs):
+        raise ValueError(f"{trace}: block 'probs' holds a row that is not {ON_SIMPLEX}")
     return probs, labels.astype(np.int64), k
 
 
 def read_records(fh, last=None):
     """Rows 1..``last`` (every row when None) of a records file open as binary ``fh``.
 
-    Line e must be a whole line holding a JSON object whose ``epoch`` is the int e;
-    another raises ``ValueError`` naming the file and the line.
+    Line e must be a whole line holding a JSON object whose ``epoch`` is the int e and
+    whose ``test_acc``, ``test_ece`` and ``test_nll`` are JSON floats or null; another
+    raises ``ValueError`` naming the file and the line.
     """
     rows = []
     for epoch, line in enumerate(islice(fh, last), start=1):
         row = json_object(line, f"{fh.name}: line {epoch}")
         if type(row.get("epoch")) is not int or row["epoch"] != epoch or not line.endswith(b"\n"):
             raise ValueError(f"{fh.name}: line {epoch} is not a complete row for epoch {epoch}")
+        for key in ("test_acc", "test_ece", "test_nll"):
+            if not (row.get(key) is None or type(row[key]) is float):
+                raise ValueError(f"{fh.name}: line {epoch} has {key} {json.dumps(row[key])}, "
+                                 "not a float or null")
         rows.append(row)
     return rows
 

@@ -653,8 +653,9 @@ TWICE = "{run}/{source}: {name} has the same number"
     ("records/seed_1.jsonl", "records/seed_1 (copy).jsonl", None, STRAY),
     ("traces/seed_1/epoch_3.trace", "traces/seed_1/epoch_03.trace", "flip", TWICE),
     ("traces/seed_1", "traces/seed_01", "flip", TWICE),
+    ("traces/seed_1", "traces/seed_1.bak", "flip", STRAY),
 ], ids=["analyze-trace", "analyze-seed", "compare-records", "analyze-epoch-twice",
-        "analyze-seed-twice"])
+        "analyze-seed-twice", "analyze-seed-bak"])
 def test_stray_file_name_named(trained_run, tmp_path, capsys, source, copy, what, message):
     """A copied file or directory under a run ends ``analyze`` (``compare`` when
     ``what`` is None) with one line naming it."""

@@ -11,6 +11,8 @@ file that showed it.
 
 import io
 import json
+import math
+import re
 from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -63,7 +65,7 @@ def numbered_names(listing, parent):
     """``numbered_files`` over the names in ``listing`` (one a line); a name it accepts
     must end in ``_<n>`` with n in ASCII digits."""
     names = listing.read_bytes().decode("utf-8", "surrogateescape").split("\n")
-    files = numbered_files(parent / name for name in names if name)
+    files = numbered_files((parent / name for name in names if name), ".trace")
     for n, path in files.items():
         digits = path.stem.partition("_")[2]
         assert digits.isascii() and digits.isdecimal() and int(digits) == n, (n, path)
@@ -194,6 +196,29 @@ def probs_row(row):
     return block_file([("labels", np.array([0.0, 1.0])), ("probs", np.array([P[0], row]))])
 
 
+def block_set(name, index, value):
+    """An edit of a block file's bytes that sets entry ``index`` of block ``name``."""
+    def edit(raw):
+        start = raw.index(b"\n", raw.index(b"\n") + 1) + 1  # after the header line
+        for entry in json.loads(raw[raw.index(b"\n") + 1:start])["blocks"]:
+            size = 8 * math.prod(entry["shape"])
+            if entry["name"] == name:
+                block = np.frombuffer(raw[start:start + size], "<f8").reshape(entry["shape"])
+                block = block.copy()
+                block[index] = value
+                return raw[:start] + block.tobytes() + raw[start + size:]
+            start += size
+        raise KeyError(name)
+    return edit
+
+
+def metric_set(text):
+    """An edit of a records file's bytes that sets line 1's ``test_acc`` to ``text``."""
+    return lambda raw: re.sub(rb'"test_acc": [^,}]+', b'"test_acc": ' + text, raw, count=1)
+
+
+OFF_SIMPLEX = "does not hold rows of finite entries >= 0 summing to 1 within 1e-06"
+
 # (reader, edit of the valid file's bytes, message); each case was accepted, or
 # escaped as another exception type, before its check was added
 NAMED = {
@@ -203,6 +228,20 @@ NAMED = {
     "trace-nan-row": ("trace", lambda raw: probs_row([np.nan] * 3), "block 'probs' holds a row"),
     "trace-negative-entry": ("trace", lambda raw: probs_row([2.0, -1.0, 0.0]),
                              "block 'probs' holds a row"),
+    "state-y-off-simplex": ("state", block_set("strategy/y", 0, [2.0, -1.0, 0.0]),
+                            f"block 'strategy/y' {OFF_SIMPLEX}"),
+    "state-y-nan-row": ("state", block_set("strategy/y", 0, np.nan),
+                        f"block 'strategy/y' {OFF_SIMPLEX}"),
+    "state-A-negative": ("state", block_set("strategy/A", 0, -1.0),
+                         "block 'strategy/A' does not hold finite values >= 0"),
+    "state-param-inf": ("state", block_set("param/w0", (0, 0), np.inf),
+                        "block 'param/w0' does not hold finite values"),
+    "state-moment-nan": ("state", block_set("opt/v/b1", 0, np.nan),
+                         "block 'opt/v/b1' does not hold finite values"),
+    "records-metric-true": ("records", metric_set(b"true"),
+                            "line 1 has test_acc true, not a float or null"),
+    "records-metric-string": ("records", metric_set(b'"x"'),
+                              'line 1 has test_acc "x", not a float or null'),
     "epoch-arabic-indic-digit": ("names", lambda raw: raw + "epoch_٣.trace\n".encode(),
                                  "epoch_٣.trace: name does not end in _<digits>"),
     "epoch-true": ("records", lambda raw: raw.replace(b'"epoch": 1,', b'"epoch": true,'),

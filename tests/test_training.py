@@ -897,3 +897,34 @@ class TestTraceCsv:
         with pytest.raises(ValueError, match="labels"):
             training.write_trace_csv(tmp_path / "trace.csv", np.full((3, 2), 0.5),
                                      np.array([0, 1]))
+
+
+@pytest.mark.parametrize("row, taken", [
+    ([0.2, 0.3, 0.5], True),
+    ([0.2, 0.3, 0.5 + 1e-9], True),
+    ([0.2, 0.3, 0.5 + 1e-5], False),
+    ([np.nan, 0.5, 0.5], False),
+    ([np.inf, 0.0, 0.0], False),
+    ([1.5, -0.5, 0.0], False),
+    (None, True),
+], ids=["exact", "drift-1e-9", "drift-1e-5", "nan", "inf", "negative", "empty-batch"])
+def test_store_update_and_trace_reader_share_one_simplex_rule(tmp_path, row, taken):
+    """A batch whose second row is ``row`` (no rows for None) is taken by both
+    ``TargetStrategy.update`` and ``read_trace_csv`` or refused by both, and a refused
+    update leaves the store's bytes as they were."""
+    probs = np.empty((0, 3)) if row is None else np.array([[0.25, 0.25, 0.5], row])
+    strategy = TargetStrategy(StrategyConfig(), np.array([0, 1]), 3, total_epochs=1)
+    before = strategy.store.y.tobytes() + strategy.store.A.tobytes()
+    trace = tmp_path / "epoch_1.trace"
+    write_blocks(trace, training.TRACE_MAGIC, {}, {"labels": np.zeros(len(probs)), "probs": probs})
+    outcomes = []
+    for take in (lambda: strategy.update(np.arange(len(probs)), probs),
+                 lambda: training.read_trace_csv(trace)):
+        try:
+            take()
+            outcomes.append(True)
+        except ValueError:
+            outcomes.append(False)
+    assert outcomes == [taken, taken]
+    if not taken:
+        assert strategy.store.y.tobytes() + strategy.store.A.tobytes() == before
