@@ -10,9 +10,13 @@ float64 vector, ``Model.flat``; ``Model.params`` maps each block name to a
 reshaped view into it, in ``block_shapes`` order.
 
 ``forward`` is the training pass: it keeps the activations ``backward``
-needs. ``predict`` is the only eval pass, over a whole set: it keeps nothing,
-and its dense layers write into activation buffers the model holds between
-calls (``Model.scratch``), so repeated evaluations reuse one block of memory.
+needs. ``predict`` is the only eval pass, over a whole set: it keeps nothing.
+Both write their dense layers into buffers the model holds between calls
+(``Model.scratch``), so repeated steps and evaluations reuse memory instead of
+allocating it: ``predict`` one buffer set for the latest eval row count,
+``forward`` and ``backward`` one set per batch row count. A ``forward`` cache
+views its set, so it is valid only until the next ``forward`` on the model at
+that row count; ``backward`` refuses a cache a later pass has overwritten.
 """
 
 from __future__ import annotations
@@ -104,8 +108,9 @@ class Model:
     spec: ModelSpec
     flat: np.ndarray
     params: dict = field(init=False, repr=False)
-    # working memory of ``predict``: row count n -> one (n, width) buffer per
-    # dense layer; never saved or compared
+    # working memory, never saved or compared: an int row count n -> ``predict``'s
+    # (n, width) buffer per dense layer; ("forward", n) -> ``_pass_buffers``;
+    # "view_grad" -> ``training.contrastive_term``'s gradient vector
     scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -145,10 +150,17 @@ def _activate(name, z, out=None):
     return np.maximum(z, 0.0, out=out) if name == "relu" else np.tanh(z, out=out)
 
 
-def _activate_grad(name, z, a):
+def _activate_grad(name, z, a, out=None):
     if name == "relu":
-        return z > 0.0  # a bool mask multiplies exactly like its 0.0/1.0 cast
-    return 1.0 - a * a
+        return np.greater(z, 0.0, out=out)  # a bool or 0.0/1.0 gate multiplies alike
+    g = np.multiply(a, a, out=out)
+    return np.subtract(1.0, g, out=g)
+
+
+@functools.lru_cache(maxsize=None)
+def _dense_names(n_hidden):
+    """(weight, bias) block names of every dense layer, the logits layer last."""
+    return tuple((f"w{i}", f"b{i}") for i in range(n_hidden + 1))
 
 
 @functools.lru_cache(maxsize=None)
@@ -214,33 +226,66 @@ def _head_input(model, batch):
     return batch, None
 
 
-def forward(model: Model, batch, rng=None):
+def _pass_buffers(model, n):
+    """The training pass's memory for n rows, kept in ``model.scratch``: per hidden
+    layer ``z``, ``act``, with dropout the ``mask`` and the ``masked`` act, and for
+    ``backward`` the output gradient ``da`` (``dz`` overwrites it) and the float
+    activation ``gate`` (a bool one would be cast through a fresh buffer); then the
+    ``logits`` and the ``stamp`` of the latest ``forward``."""
+    bufs = model.scratch.get(("forward", n))
+    if bufs is None:
+        spec = model.spec
+        drop = spec.dropout > 0.0
+        layers = [{"z": np.empty((n, w)), "act": np.empty((n, w)),
+                   "mask": np.empty((n, w)) if drop else None,
+                   "masked": np.empty((n, w)) if drop else None,
+                   "da": np.empty((n, w)), "gate": np.empty((n, w))}
+                  for w in spec.hidden]
+        bufs = model.scratch["forward", n] = {"layers": layers, "stamp": 0,
+                                              "logits": np.empty((n, spec.classes))}
+    return bufs
+
+
+def forward(model: Model, batch, rng=None, out=None):
     """The training pass on a batch; returns (probs, cache) for ``backward``.
 
     ``batch`` is (n, d) for mlp or (n, h, w, ch) for tiny-conv. Dropout runs
     whenever ``spec.dropout > 0``, with masks drawn from ``rng``, which is
-    needed only then. Evaluation goes through ``predict``.
+    needed only then. The probabilities go into ``out``, an (n, classes)
+    array, when given, and into a fresh array otherwise. The dense layers
+    write into the model's buffers for n rows (``_pass_buffers``), which the
+    cache views: the next ``forward`` on this model at n rows overwrites
+    them, and ``backward`` then refuses this cache. Evaluation goes through
+    ``predict``.
     """
     batch = np.asarray(batch, dtype=np.float64)
     spec = model.spec
-    use_dropout = spec.dropout > 0.0
-    if use_dropout and rng is None:
+    if spec.dropout > 0.0 and rng is None:
         raise ValueError("forward with dropout requires an rng stream")
 
     a, conv_cache = _head_input(model, batch)
-    cache = {"layers": [], "conv": conv_cache}
-    n_hidden = len(spec.hidden)
-    for i in range(n_hidden):
-        z = a @ model.params[f"w{i}"] + model.params[f"b{i}"]
-        act = _activate(spec.activation, z)
-        mask = None
-        if use_dropout:
-            mask = (rng.uniform(size=act.shape) >= spec.dropout) / (1.0 - spec.dropout)
+    bufs = _pass_buffers(model, batch.shape[0])
+    bufs["stamp"] += 1
+    cache = {"layers": [], "conv": conv_cache, "buffers": bufs, "stamp": bufs["stamp"]}
+    names = _dense_names(len(spec.hidden))
+    for (w, b), buf in zip(names, bufs["layers"]):
+        z, act, mask = buf["z"], buf["act"], buf["mask"]
+        np.matmul(a, model.params[w], out=z)
+        # z += b through b tiled into act: numpy buffers a broadcast operand afresh per call
+        np.copyto(act, model.params[b])
+        z += act
+        _activate(spec.activation, z, out=act)
+        if mask is not None:  # (rng.uniform(size=...) >= p) / (1 - p), bit for bit
+            rng.random(out=mask)
+            np.greater_equal(mask, spec.dropout, out=mask)
+            mask /= 1.0 - spec.dropout
         cache["layers"].append({"input": a, "z": z, "act": act, "mask": mask})
-        a = act if mask is None else act * mask
-    logits = a @ model.params[f"w{n_hidden}"] + model.params[f"b{n_hidden}"]
+        a = act if mask is None else np.multiply(act, mask, out=buf["masked"])
+    w, b = names[-1]
+    logits = np.matmul(a, model.params[w], out=bufs["logits"])
+    logits += model.params[b]
     cache["logits_input"] = a
-    return softmax(logits), cache
+    return softmax(logits, out=out), cache
 
 
 def predict(model: Model, batch):
@@ -261,7 +306,8 @@ def predict(model: Model, batch):
     n = batch.shape[0]
     buffers = model.scratch.get(n)
     if buffers is None:
-        model.scratch.clear()
+        for key in [key for key in model.scratch if type(key) is int]:
+            del model.scratch[key]
         buffers = model.scratch[n] = [np.empty((n, w)) for w in (*spec.hidden, spec.classes)]
     n_hidden = len(spec.hidden)
     for i, buf in enumerate(buffers):
@@ -280,28 +326,34 @@ def backward(model: Model, cache, dlogits, out=None):
     the loss normalization directly; the fused form avoids differentiating
     through the probabilities. Blocks are written into ``out`` (by default
     a fresh ``model.views(...)``); pass ``model.views(grad_flat)`` to get
-    the whole gradient in the flat vector ``grad_flat``.
+    the whole gradient in the flat vector ``grad_flat``. The hidden layers'
+    gradients go through the cache's buffers. A cache whose buffers a later
+    ``forward`` has overwritten raises ``ValueError``.
     """
-    if "logits_input" not in cache:
+    if "logits_input" not in cache or cache["stamp"] != cache["buffers"]["stamp"]:
         raise ValueError("stale or incomplete forward cache")
     spec = model.spec
+    bufs = cache["buffers"]["layers"]
     n_hidden = len(spec.hidden)
     grads = model.views(np.empty_like(model.flat)) if out is None else out
     conv = spec.architecture == "tiny-conv"
-    a = cache["logits_input"]
-    np.matmul(a.T, dlogits, out=grads[f"w{n_hidden}"])
-    np.add.reduce(dlogits, axis=0, out=grads[f"b{n_hidden}"])
-    if n_hidden or conv:  # an MLP's input gradient is never used
-        da = dlogits @ model.params[f"w{n_hidden}"].T
-    for i in range(n_hidden - 1, -1, -1):
-        layer = cache["layers"][i]
-        if layer["mask"] is not None:
-            da = da * layer["mask"]
-        dz = da * _activate_grad(spec.activation, layer["z"], layer["act"])
-        np.matmul(layer["input"].T, dz, out=grads[f"w{i}"])
-        np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
-        if i or conv:
-            da = dz @ model.params[f"w{i}"].T
+    names = _dense_names(n_hidden)
+    da = dlogits  # the gradient w.r.t. dense layer i's output
+    for i in range(n_hidden, -1, -1):
+        w, b = names[i]
+        if i < n_hidden:  # back through hidden layer i's dropout and activation
+            layer = cache["layers"][i]
+            if layer["mask"] is not None:
+                da *= layer["mask"]
+            da *= _activate_grad(spec.activation, layer["z"], layer["act"], out=bufs[i]["gate"])
+            np.matmul(layer["input"].T, da, out=grads[w])
+        else:
+            np.matmul(cache["logits_input"].T, da, out=grads[w])
+        np.add.reduce(da, axis=0, out=grads[b])
+        if i:
+            da = np.matmul(da, model.params[w].T, out=bufs[i - 1]["da"])
+        elif conv:  # an MLP's input gradient is never used; the conv front end's is fresh
+            da = da @ model.params[w].T
     if conv:
         _conv_backward(model, cache["conv"], da, grads)
     return grads

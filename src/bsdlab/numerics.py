@@ -75,19 +75,22 @@ class NonFinite(ValueError):
         self.what = what
 
 
-def softmax(logits):
+def softmax(logits, out=None):
     """Map logits to the probability simplex along the last axis.
 
     Subtracts the row maximum before exponentiating, so adding a constant to
     all logits leaves the output unchanged (up to float64 rounding). A
-    non-finite logit raises ``NonFinite("logits")``.
+    non-finite logit raises ``NonFinite("logits")``. The result goes into
+    ``out`` (which may be ``logits`` itself) when given, and into a fresh
+    array otherwise; the shift, ``exp`` and division run in place there.
     """
     z = np.asarray(logits, dtype=np.float64)
     if not _all_finite(z):
         raise NonFinite("logits")
-    shifted = z - _class_reduce(np.maximum, z, keepdims=True)
-    e = np.exp(shifted)
-    return e / _class_reduce(np.add, e, keepdims=True)
+    e = np.subtract(z, _class_reduce(np.maximum, z, keepdims=True), out=out)
+    np.exp(e, out=e)
+    e /= _class_reduce(np.add, e, keepdims=True)
+    return e
 
 
 def entropy(p):

@@ -182,13 +182,17 @@ def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_fl
     gradient is added into ``grad_flat``, laid out like ``model.flat``.
     Returns ``loss`` plus each view's term, added view by view. Each view
     goes through the training pass ``forward``; ``rng`` drives its dropout.
+    Its gradient goes through a vector kept in ``model.scratch``.
     """
     m = len(strong_views)
     if m == 0:
         raise ValueError("need at least one strong view")
     scale = lam / (m * anchor_probs.shape[0])
-    view_flat = np.empty_like(model.flat)
-    view_grads = model.views(view_flat)
+    kept = model.scratch.get("view_grad")
+    if kept is None:
+        view_flat = np.empty_like(model.flat)
+        kept = model.scratch["view_grad"] = (view_flat, model.views(view_flat))
+    view_flat, view_grads = kept
     for view in strong_views:
         probs, cache = forward(model, view, rng)
         loss += float(scale * kl_div(probs, anchor_probs).sum())
@@ -212,7 +216,8 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                 opt_state, cfg: TrainConfig, epoch, seed):
     """Run one epoch (1-based ``epoch``); returns epoch metrics. A ``NonFinite`` in a batch
     step (weak view, loss, backward, strong views, optimizer step) stops it before the update
-    and raises ``TrainingDiverged`` naming epoch, batch start, seed and a gradient's block."""
+    and raises ``TrainingDiverged`` naming epoch, batch start, seed and a gradient's block.
+    ``forward`` writes each batch's probabilities straight into the epoch predictions."""
     if strategy.labels.shape[0] != dataset.n:
         raise ValueError("target state and dataset sizes are misaligned")
     n, k = dataset.n, dataset.k
@@ -235,6 +240,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     if cfg.tau != 1.0:
         served = sharpen(served, cfg.tau)
     preds = np.empty((n, k))
+    dlogits_buf = np.empty((min(cfg.batch_size, n), k))
     loss_sum = 0.0
     for start in range(0, n, cfg.batch_size):
         stop = min(start + cfg.batch_size, n)
@@ -242,9 +248,10 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
         weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
         sharp = served[start:stop]
         try:
-            probs, cache = forward(model, weak, dropout_rng)
+            probs, cache = forward(model, weak, dropout_rng, out=preds[start:stop])
             batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
-            dlogits = (probs - sharp) / (bsz * k)
+            dlogits = np.subtract(probs, sharp, out=dlogits_buf[:bsz])
+            dlogits /= bsz * k
             backward(model, cache, dlogits, out=grads)
             if strong_views:
                 batch_loss = contrastive_term(model, strong_views, probs, plus.lam,
@@ -257,7 +264,6 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                      if exc.what == "gradient" else "")
             raise TrainingDiverged(f"{exc}{block} at epoch {epoch}, batch starting {start} "
                                    f"(seed {seed})") from exc
-        preds[start:stop] = probs
         loss_sum += batch_loss * bsz
     strategy.update(perm, preds)
 

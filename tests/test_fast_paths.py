@@ -23,6 +23,12 @@ unused input gradient. Parameters, optimizer moments, the evidence store and
 every epoch row must match bit for bit, and the epoch-level store update
 must check each prediction row on its own, exactly as the replaced check
 does on that row alone.
+
+The training pass that writes into the model's kept buffers is checked
+against verbatim copies of the allocating softmax, forward, backward,
+strong-view term and epoch loop it replaced (``old_alloc_*``): three epochs
+over both architectures, both activations, dropout on and off and bsd_plus
+on and off, with two batch row counts and an evaluation between epochs.
 """
 
 import math
@@ -37,8 +43,9 @@ from bsdlab.analysis import (DarkKnowledge, _as_preds, _bin_index, _midranks,
 from bsdlab.data import augment_strong, make_blobs
 from bsdlab.models import (CONV_CHANNELS, ModelSpec, _activate_grad, _conv_backward, backward,
                            forward, init_model)
-from bsdlab.numerics import (PROB_FLOOR, SIMPLEX_TOL, _class_reduce, entropy, kl_div,
-                             on_simplex, one_hot, soft_cross_entropy, softmax)
+from bsdlab.numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, _all_finite, _class_reduce,
+                             entropy, kl_div, on_simplex, one_hot, optimizer_step,
+                             soft_cross_entropy, softmax)
 from bsdlab.targets import (STRATEGY_MODES, EvidenceStore, StrategyConfig, TargetStrategy,
                             init_prior, sharpen)
 from bsdlab.training import (_DROPOUT, _SHUFFLE, _STRONG_BASE, _WEAK, BsdPlusConfig, TrainConfig,
@@ -190,7 +197,7 @@ def test_relu_mask_gradient_matches_float_mask(monkeypatch):
     dlogits = (probs - rng.dirichlet(np.ones(3), size=9)) / 27.0
     got = backward(model, cache, dlogits)
 
-    def float_mask(name, z, a):
+    def float_mask(name, z, a, out=None):
         if name == "relu":
             return (z > 0.0).astype(np.float64)
         return 1.0 - a * a
@@ -983,3 +990,203 @@ def test_epoch_update_raises_first_offending_batch_message(first, second):
     # nothing is written when any row is rejected
     assert_bit_equal(store.y, y0)
     assert_bit_equal(store.A, A0)
+
+
+# ---------------------------------------------------------------------------
+# The training pass in kept buffers: verbatim copies of the allocating
+# softmax, forward, backward, strong-view term and epoch loop it replaced
+
+def old_alloc_softmax(logits):
+    z = np.asarray(logits, dtype=np.float64)
+    if not _all_finite(z):
+        raise NonFinite("logits")
+    shifted = z - _class_reduce(np.maximum, z, keepdims=True)
+    e = np.exp(shifted)
+    return e / _class_reduce(np.add, e, keepdims=True)
+
+
+def old_alloc_activate_grad(name, z, a):
+    if name == "relu":
+        return z > 0.0  # a bool mask multiplies exactly like its 0.0/1.0 cast
+    return 1.0 - a * a
+
+
+def old_alloc_forward(model, batch, rng=None):
+    batch = np.asarray(batch, dtype=np.float64)
+    spec = model.spec
+    use_dropout = spec.dropout > 0.0
+    if use_dropout and rng is None:
+        raise ValueError("forward with dropout requires an rng stream")
+
+    a, conv_cache = models._head_input(model, batch)
+    cache = {"layers": [], "conv": conv_cache}
+    n_hidden = len(spec.hidden)
+    for i in range(n_hidden):
+        z = a @ model.params[f"w{i}"] + model.params[f"b{i}"]
+        act = models._activate(spec.activation, z)
+        mask = None
+        if use_dropout:
+            mask = (rng.uniform(size=act.shape) >= spec.dropout) / (1.0 - spec.dropout)
+        cache["layers"].append({"input": a, "z": z, "act": act, "mask": mask})
+        a = act if mask is None else act * mask
+    logits = a @ model.params[f"w{n_hidden}"] + model.params[f"b{n_hidden}"]
+    cache["logits_input"] = a
+    return old_alloc_softmax(logits), cache
+
+
+def old_alloc_backward(model, cache, dlogits, out=None):
+    if "logits_input" not in cache:
+        raise ValueError("stale or incomplete forward cache")
+    spec = model.spec
+    n_hidden = len(spec.hidden)
+    grads = model.views(np.empty_like(model.flat)) if out is None else out
+    conv = spec.architecture == "tiny-conv"
+    a = cache["logits_input"]
+    np.matmul(a.T, dlogits, out=grads[f"w{n_hidden}"])
+    np.add.reduce(dlogits, axis=0, out=grads[f"b{n_hidden}"])
+    if n_hidden or conv:  # an MLP's input gradient is never used
+        da = dlogits @ model.params[f"w{n_hidden}"].T
+    for i in range(n_hidden - 1, -1, -1):
+        layer = cache["layers"][i]
+        if layer["mask"] is not None:
+            da = da * layer["mask"]
+        dz = da * old_alloc_activate_grad(spec.activation, layer["z"], layer["act"])
+        np.matmul(layer["input"].T, dz, out=grads[f"w{i}"])
+        np.add.reduce(dz, axis=0, out=grads[f"b{i}"])
+        if i or conv:
+            da = dz @ model.params[f"w{i}"].T
+    if conv:
+        _conv_backward(model, cache["conv"], da, grads)
+    return grads
+
+
+def old_alloc_contrastive_term(model, strong_views, anchor_probs, lam, rng, grad_flat,
+                               loss=0.0):
+    m = len(strong_views)
+    if m == 0:
+        raise ValueError("need at least one strong view")
+    scale = lam / (m * anchor_probs.shape[0])
+    view_flat = np.empty_like(model.flat)
+    view_grads = model.views(view_flat)
+    for view in strong_views:
+        probs, cache = old_alloc_forward(model, view, rng)
+        loss += float(scale * kl_div(probs, anchor_probs).sum())
+        old_alloc_backward(model, cache, scale * _kl_logit_grad(probs, anchor_probs),
+                           out=view_grads)
+        grad_flat += view_flat
+    return loss
+
+
+def old_alloc_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
+    if strategy.labels.shape[0] != dataset.n:
+        raise ValueError("target state and dataset sizes are misaligned")
+    n, k = dataset.n, dataset.k
+    lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
+    perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
+    dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
+    plus = cfg.bsd_plus
+    # one stream per view for the whole epoch, so each batch draws fresh augmentations
+    weak_rng, strong_rngs = None, []
+    if plus.enabled:
+        weak_rng = _epoch_rng(seed, epoch, _WEAK)
+        strong_rngs = [_epoch_rng(seed, epoch, _STRONG_BASE + j) for j in range(plus.views)]
+    # gradient buffer laid out like model.flat; strong views add theirs in
+    grad_flat = np.zeros_like(model.flat)
+    grads = model.views(grad_flat)
+    # one gather and one store update per epoch; exact because perm visits
+    # each sample once (see the module docstring)
+    samples = dataset.samples[perm]
+    served = strategy.targets(perm, epoch)
+    if cfg.tau != 1.0:
+        served = sharpen(served, cfg.tau)
+    preds = np.empty((n, k))
+    loss_sum = 0.0
+    for start in range(0, n, cfg.batch_size):
+        stop = min(start + cfg.batch_size, n)
+        bsz = stop - start
+        weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
+        sharp = served[start:stop]
+        try:
+            probs, cache = old_alloc_forward(model, weak, dropout_rng)
+            batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
+            dlogits = (probs - sharp) / (bsz * k)
+            old_alloc_backward(model, cache, dlogits, out=grads)
+            if strong_views:
+                batch_loss = old_alloc_contrastive_term(model, strong_views, probs, plus.lam,
+                                                        dropout_rng, grad_flat, batch_loss)
+            if not math.isfinite(batch_loss):
+                raise NonFinite("loss")
+            optimizer_step(model.flat, grad_flat, opt_state, lr=lr)
+        except NonFinite as exc:  # grads view all of grad_flat, so one block holds a bad entry
+            block = (f" in block {next(b for b, g in grads.items() if not _all_finite(g))!r}"
+                     if exc.what == "gradient" else "")
+            raise TrainingDiverged(f"{exc}{block} at epoch {epoch}, batch starting {start} "
+                                   f"(seed {seed})") from exc
+        preds[start:stop] = probs
+        loss_sum += batch_loss * bsz
+    strategy.update(perm, preds)
+
+    target_entropy = float(np.mean(entropy(strategy.current_targets(epoch))))
+    return {
+        "epoch": epoch,
+        "lr": float(lr),
+        "train_loss": loss_sum / n,
+        "mean_target_entropy": target_entropy,
+        "mean_evidence": strategy.mean_evidence(),
+    }
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (16, 4), (63, 3), (64, 4), (300, 7), (50, 9)])
+def test_softmax_out_matches_reference(n, k):
+    # ties (all -0.0 rows) and rows whose other entries underflow after the shift
+    logits = np.random.default_rng([n, k]).normal(0.0, 30.0, size=(n, k))
+    logits[::5] = -0.0
+    logits[1::7, 0] = 745.0
+    want = old_alloc_softmax(logits)
+    assert_bit_equal(softmax(logits), want)
+    out = np.full((n, k), np.nan)
+    assert softmax(logits, out=out) is out
+    assert_bit_equal(out, want)
+    in_place = logits.copy()
+    assert_bit_equal(softmax(in_place, out=in_place), want)
+
+
+@pytest.mark.parametrize("arch", ["mlp", "tiny-conv"])
+@pytest.mark.parametrize("hidden", [(), (6, 5)])
+@pytest.mark.parametrize("activation", ["relu", "tanh"])
+@pytest.mark.parametrize("dropout", [0.0, 0.3])
+@pytest.mark.parametrize("plus", [False, True])
+def test_train_epoch_in_kept_buffers_matches_allocating_pass(arch, hidden, activation,
+                                                            dropout, plus):
+    # 23 samples in batches of 6, so row counts 6 and 5 alternate, with an
+    # evaluate (predict's own buffers) between epochs
+    rng = np.random.default_rng(21)
+    h, w, ch, n, k = 6, 7, 2, 23, 3
+    shape = (h, w, ch) if arch == "tiny-conv" else (h * w * ch,)
+    train, test = (data.Dataset(samples=rng.normal(0.0, 1.0, size=(m, *shape)),
+                                clean_labels=rng.integers(0, k, size=m),
+                                labels=rng.integers(0, k, size=m), k=k) for m in (n, 11))
+    cfg = TrainConfig(epochs=3, batch_size=6, lr=0.05, tau=0.5,
+                      strategy=StrategyConfig(mode="bsd", gamma=0.8, c=20.0),
+                      bsd_plus=BsdPlusConfig(enabled=plus, lam=0.7, views=2,
+                                             strong_jitter=0.1, erase_frac=0.3))
+    spec = ModelSpec(input_dim=h * w * ch, classes=k, hidden=hidden, activation=activation,
+                     architecture=arch, grid_shape=shape if arch == "tiny-conv" else None,
+                     dropout=dropout, seed=6)
+
+    def run(epoch_fn):
+        model, opt = init_model(spec), make_optimizer(cfg)
+        strategy = TargetStrategy(cfg.strategy, train.labels, k, cfg.epochs)
+        rows, evals = [], []
+        for epoch in range(1, cfg.epochs + 1):
+            rows.append(epoch_fn(model, train, strategy, opt, cfg, epoch, 9))
+            evals.append(evaluate(model, test)["preds"])
+        return (model, opt, strategy, rows), evals
+
+    new, new_evals = run(train_epoch)
+    old, old_evals = run(old_alloc_train_epoch)
+    assert_same_run(new, old)
+    for got, want in zip(new_evals, old_evals):
+        assert_bit_equal(got, want)
+    # two pass buffer sets (6 and 5 rows) beside the eval set; none per step
+    assert sorted(key[1] for key in new[0].scratch if isinstance(key, tuple)) == [5, 6]

@@ -182,6 +182,36 @@ class TestPredict:
         assert peak < 10_000 * 32 * 8
 
 
+class TestTrainingPassMemory:
+    @pytest.mark.parametrize("activation, dropout", [("relu", 0.0), ("tanh", 0.3)])
+    def test_repeat_step_reuses_its_buffers(self, activation, dropout):
+        # one hidden activation of this batch is 256 * 32 * 8 B; a pass that
+        # allocates its intermediates afresh peaks at several of them
+        n, k = 256, 4
+        model = init_model(ModelSpec(input_dim=2, classes=k, hidden=(32, 32),
+                                     activation=activation, dropout=dropout, seed=1))
+        data_rng = np.random.default_rng(0)
+        x, targets = data_rng.normal(size=(n, 2)), random_targets(data_rng, n, k)
+        probs, dlogits = np.empty((n, k)), np.empty((n, k))
+        grads = model.views(np.empty_like(model.flat))
+        rng = np.random.default_rng(3)
+
+        def step():
+            _, cache = forward(model, x, rng, out=probs)
+            soft_cross_entropy(targets, probs).sum()
+            np.divide(np.subtract(probs, targets, out=dlogits), n * k, out=dlogits)
+            backward(model, cache, dlogits, out=grads)
+
+        step()
+        tracemalloc.start()
+        try:
+            step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < n * 32 * 8
+
+
 class TestBackward:
     def test_target_equals_probs_zero_gradient(self):
         model = init_model(ModelSpec(input_dim=3, classes=3, seed=5))
@@ -202,6 +232,27 @@ class TestBackward:
         model = init_model(ModelSpec(input_dim=3, classes=3))
         with pytest.raises(ValueError, match="cache"):
             backward(model, {}, np.zeros((1, 3)))
+
+    def test_cache_overwritten_by_a_later_forward_rejected(self):
+        model = init_model(ModelSpec(input_dim=3, classes=3, hidden=(4,), seed=1))
+        rng = np.random.default_rng(2)
+        probs, cache = forward(model, rng.normal(size=(5, 3)))
+        forward(model, rng.normal(size=(5, 3)))  # same row count: same buffers
+        with pytest.raises(ValueError, match="^stale or incomplete forward cache$"):
+            backward(model, cache, probs / 15.0)
+
+    def test_cache_survives_other_row_counts_and_predict(self):
+        model = init_model(ModelSpec(input_dim=3, classes=3, hidden=(4, 4), dropout=0.2,
+                                     seed=1))
+        rng = np.random.default_rng(2)
+        probs, cache = forward(model, rng.normal(size=(5, 3)), np.random.default_rng(3))
+        dlogits = (probs - random_targets(rng, 5, 3)) / 15.0
+        want = backward(model, cache, dlogits)
+        forward(model, rng.normal(size=(6, 3)), np.random.default_rng(4))
+        predict(model, rng.normal(size=(5, 3)))
+        got = backward(model, cache, dlogits)  # a cache also serves more than one backward
+        for name in want:
+            assert got[name].tobytes() == want[name].tobytes()
 
     @pytest.mark.parametrize("activation", ["relu", "tanh"])
     def test_mlp_gradient_check(self, activation):

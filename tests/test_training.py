@@ -443,6 +443,32 @@ class TestSeedRun:
         assert run.epoch == 3 and len(run.rows) == 3
         assert list(tmp_path.iterdir()) == []
 
+    def test_epochs_reuse_the_pass_and_eval_buffers(self):
+        # 16 samples in batches of 6: row counts 6 and 4, plus the eval set's
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=5, seed=2)
+        cfg = small_config("bsd", epochs=3, batch_size=6, strategy_kw={"gamma": 0.8, "c": 20.0})
+        run = new_seed_run(self.SPEC, ds, cfg, 5)
+
+        def arrays_in(value):
+            if isinstance(value, np.ndarray):
+                return [value]
+            if isinstance(value, dict):
+                value = value.values()
+            elif not isinstance(value, (list, tuple)):
+                return []
+            return [a for v in value for a in arrays_in(v)]
+
+        def held():
+            return {key: [id(a) for a in arrays_in(value)]
+                    for key, value in run.model.scratch.items()}
+
+        run.step(ds, test, cfg)
+        first = held()
+        run.step(ds, test, cfg)
+        run.step(ds, test, cfg)
+        assert held() == first
+        assert sorted(map(str, first)) == ["('forward', 4)", "('forward', 6)", "10"]
+
     def test_stepped_rows_are_the_records(self, tmp_path):
         ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
         cfg = small_config("bsd", epochs=4, eval_every=3, optimizer="adam", lr=0.05,
