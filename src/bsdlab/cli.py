@@ -41,7 +41,8 @@ from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
 from .fileio import json_object, numbered_files, write_json, write_table
 from .numerics import _class_reduce
-from .training import read_records, read_trace_csv, run_experiment, run_layout
+from .training import (TrainingDiverged, read_records, read_trace_csv, run_experiment,
+                       run_layout)
 
 OUT_ROOT_ENV = "BSDLAB_OUT_ROOT"
 
@@ -94,7 +95,7 @@ def cmd_train(args):
     try:
         run_experiment(model_spec, train_set, test_set, train_cfg, cfg.seeds,
                        run_dir, config_snapshot=cfg.resolved, progress=progress)
-    except Exception as exc:
+    except TrainingDiverged as exc:
         print(f"error: training failed: {exc}", file=sys.stderr)
         return 1
     print(f"run complete: {run_dir}")

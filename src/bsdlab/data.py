@@ -280,9 +280,10 @@ def _crop_flip(batch, rng):
 
 
 def _erase(batch, rng, frac):
-    """Zero out one random square patch per sample (side = frac * min(h, w))."""
+    """Zero out one random square patch per sample (side = round(frac * min(h, w)); a
+    side of 0 erases nothing, though the patch corners are still drawn)."""
     n, h, w, _ = batch.shape
-    side = max(1, int(round(frac * min(h, w))))
+    side = int(round(frac * min(h, w)))
     ys = rng.integers(0, h - side + 1, size=n)
     xs = rng.integers(0, w - side + 1, size=n)
     in_rows = (np.arange(h) >= ys[:, None]) & (np.arange(h) < ys[:, None] + side)

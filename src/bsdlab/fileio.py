@@ -44,7 +44,8 @@ def read_blocks(path, magic):
     """Read a ``write_blocks`` file; returns (header, name -> float64 array). A file that
     does not match its magic line or its manifest, or repeats a name, raises ``ValueError``."""
     with open(path, "rb") as fh:
-        found = fh.readline().rstrip(b"\n").decode("ascii", errors="replace")
+        # at most the magic and its newline: a file without one is not read whole
+        found = fh.readline(len(magic) + 1).rstrip(b"\n").decode("ascii", errors="replace")
         if found != magic:
             raise ValueError(f"{path}: expected magic {magic!r}, found {found!r}")
         try:

@@ -11,12 +11,12 @@ reshaped view into it, in ``block_shapes`` order.
 
 ``forward`` is the training pass: it keeps the activations ``backward``
 needs. ``predict`` is the only eval pass, over a whole set: it keeps nothing.
-Both write their dense layers into buffers the model holds between calls
-(``Model.scratch``), so repeated steps and evaluations reuse memory instead of
-allocating it: ``predict`` one buffer set for the latest eval row count,
-``forward`` and ``backward`` one set per batch row count. A ``forward`` cache
-views its set, so it is valid only until the next ``forward`` on the model at
-that row count; ``backward`` refuses a cache a later pass has overwritten.
+Both run one dense-layer loop in a buffer set the model keeps between calls
+(``Model.scratch``), so repeated steps and evaluations reuse memory: ``predict``
+one eval set for the latest row count, ``forward`` and ``backward`` one
+training set per batch row count. A ``forward`` cache is its set, valid only
+until the next ``forward`` on the model at that row count; ``backward``
+refuses a cache a later pass has overwritten.
 """
 
 from __future__ import annotations
@@ -108,8 +108,8 @@ class Model:
     spec: ModelSpec
     flat: np.ndarray
     params: dict = field(init=False, repr=False)
-    # working memory, never saved or compared: an int row count n -> ``predict``'s
-    # (n, width) buffer per dense layer; ("forward", n) -> ``_pass_buffers``;
+    # working memory, never saved or compared: ("forward", n) -> the training pass's
+    # set for n rows, "predict" -> the eval pass's set (both ``_buffers``);
     # "view_grad" -> ``training.contrastive_term``'s gradient vector
     scratch: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -150,9 +150,9 @@ def _activate(name, z, out=None):
     return np.maximum(z, 0.0, out=out) if name == "relu" else np.tanh(z, out=out)
 
 
-def _activate_grad(name, z, a, out=None):
-    if name == "relu":
-        return np.greater(z, 0.0, out=out)  # a bool or 0.0/1.0 gate multiplies alike
+def _activate_grad(name, a, out):
+    if name == "relu":  # a > 0 equals z > 0, -0.0 and NaN included
+        return np.greater(a, 0.0, out=out)  # a bool or 0.0/1.0 gate multiplies alike
     g = np.multiply(a, a, out=out)
     return np.subtract(1.0, g, out=g)
 
@@ -195,14 +195,14 @@ def _conv_forward(model, batch):
     pooled += a[:, 1:2 * ph:2, 1:2 * pw:2]
     pooled /= 4.0
     flat = pooled.reshape(n, ph * pw * CONV_CHANNELS)
-    cache = {"patches": patches, "relu_open": relu_open,
-             "oh": oh, "ow": ow, "ph": ph, "pw": pw, "n": n}
-    return flat, cache
+    return flat, {"patches": patches, "relu_open": relu_open}
 
 
 def _conv_backward(model, cache, dflat, grads):
-    n, oh, ow = cache["n"], cache["oh"], cache["ow"]
-    ph, pw = cache["ph"], cache["pw"]
+    h, w, _ = model.spec.grid_shape
+    oh, ow = h - 2, w - 2
+    ph, pw = oh // 2, ow // 2
+    n = cache["patches"].shape[0] // (oh * ow)
     # Each pooled cell spreads its gradient evenly over its 2x2 source block;
     # rows/cols truncated by the pool get zero gradient.
     da = (np.zeros if oh % 2 or ow % 2 else np.empty)((n, oh, ow, CONV_CHANNELS))
@@ -226,24 +226,51 @@ def _head_input(model, batch):
     return batch, None
 
 
-def _pass_buffers(model, n):
-    """The training pass's memory for n rows, kept in ``model.scratch``: per hidden
-    layer ``z``, ``act``, with dropout the ``mask`` and the ``masked`` act, and for
-    ``backward`` the output gradient ``da`` (``dz`` overwrites it) and the float
-    activation ``gate`` (a bool one would be cast through a fresh buffer); then the
-    ``logits`` and the ``stamp`` of the latest ``forward``."""
-    bufs = model.scratch.get(("forward", n))
-    if bufs is None:
+def _buffers(model, n, train):
+    """A pass's memory for n rows in ``model.scratch``: per hidden layer ``h`` (matmul,
+    bias and activation in place), the ``logits`` and a ``stamp`` counting forwards.
+    A training set (``("forward", n)``, one per batch row count) adds per layer
+    ``backward``'s output gradient ``da`` and float ``gate`` (a bool one is cast
+    through a fresh buffer), with dropout the ``mask`` and ``masked`` activation.
+    The eval set (``"predict"``) is kept for the latest row count only."""
+    key = ("forward", n) if train else "predict"
+    bufs = model.scratch.get(key)
+    if bufs is None or bufs["logits"].shape[0] != n:
+        model.scratch.pop(key, None)  # free the old eval set before building the new one
         spec = model.spec
-        drop = spec.dropout > 0.0
-        layers = [{"z": np.empty((n, w)), "act": np.empty((n, w)),
-                   "mask": np.empty((n, w)) if drop else None,
-                   "masked": np.empty((n, w)) if drop else None,
-                   "da": np.empty((n, w)), "gate": np.empty((n, w))}
-                  for w in spec.hidden]
-        bufs = model.scratch["forward", n] = {"layers": layers, "stamp": 0,
-                                              "logits": np.empty((n, spec.classes))}
+        per_layer = ("h",)
+        if train:
+            per_layer += ("da", "gate") + (("mask", "masked") if spec.dropout > 0.0 else ())
+        layers = [{name: np.empty((n, w)) for name in per_layer} for w in spec.hidden]
+        bufs = model.scratch[key] = {"layers": layers, "logits": np.empty((n, spec.classes)),
+                                     "stamp": 0}
     return bufs
+
+
+def _dense(model, a, bufs, rng):
+    """The dense layers on head input ``a`` in the set ``bufs``; returns the logits."""
+    spec = model.spec
+    names = _dense_names(len(spec.hidden))
+    for (w, b), layer in zip(names, bufs["layers"]):
+        h = np.matmul(a, model.params[w], out=layer["h"])
+        if "gate" in layer:
+            # numpy buffers a broadcast operand afresh per call, so a training set adds
+            # b tiled into the gate, which backward overwrites before it reads it
+            np.copyto(layer["gate"], model.params[b])
+            h += layer["gate"]
+        else:  # an eval set's tile would cost n * width more floats
+            h += model.params[b]
+        _activate(spec.activation, h, out=h)
+        a = h
+        if "mask" in layer:  # (rng.uniform(size=...) >= p) / (1 - p), bit for bit
+            mask = rng.random(out=layer["mask"])
+            np.greater_equal(mask, spec.dropout, out=mask)
+            mask /= 1.0 - spec.dropout
+            a = np.multiply(h, mask, out=layer["masked"])
+    w, b = names[-1]
+    logits = np.matmul(a, model.params[w], out=bufs["logits"])
+    logits += model.params[b]
+    return logits
 
 
 def forward(model: Model, batch, rng=None, out=None):
@@ -253,70 +280,35 @@ def forward(model: Model, batch, rng=None, out=None):
     whenever ``spec.dropout > 0``, with masks drawn from ``rng``, which is
     needed only then. The probabilities go into ``out``, an (n, classes)
     array, when given, and into a fresh array otherwise. The dense layers
-    write into the model's buffers for n rows (``_pass_buffers``), which the
-    cache views: the next ``forward`` on this model at n rows overwrites
-    them, and ``backward`` then refuses this cache. Evaluation goes through
-    ``predict``.
+    run in the model's training set for n rows (``_buffers``). The cache is
+    that set with the head input, the conv cache and the set's stamp: the
+    next ``forward`` on this model at n rows overwrites the set, and
+    ``backward`` then refuses this cache. Evaluation goes through ``predict``.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    spec = model.spec
-    if spec.dropout > 0.0 and rng is None:
+    if model.spec.dropout > 0.0 and rng is None:
         raise ValueError("forward with dropout requires an rng stream")
-
     a, conv_cache = _head_input(model, batch)
-    bufs = _pass_buffers(model, batch.shape[0])
+    bufs = _buffers(model, batch.shape[0], train=True)
     bufs["stamp"] += 1
-    cache = {"layers": [], "conv": conv_cache, "buffers": bufs, "stamp": bufs["stamp"]}
-    names = _dense_names(len(spec.hidden))
-    for (w, b), buf in zip(names, bufs["layers"]):
-        z, act, mask = buf["z"], buf["act"], buf["mask"]
-        np.matmul(a, model.params[w], out=z)
-        # z += b through b tiled into act: numpy buffers a broadcast operand afresh per call
-        np.copyto(act, model.params[b])
-        z += act
-        _activate(spec.activation, z, out=act)
-        if mask is not None:  # (rng.uniform(size=...) >= p) / (1 - p), bit for bit
-            rng.random(out=mask)
-            np.greater_equal(mask, spec.dropout, out=mask)
-            mask /= 1.0 - spec.dropout
-        cache["layers"].append({"input": a, "z": z, "act": act, "mask": mask})
-        a = act if mask is None else np.multiply(act, mask, out=buf["masked"])
-    w, b = names[-1]
-    logits = np.matmul(a, model.params[w], out=bufs["logits"])
-    logits += model.params[b]
-    cache["logits_input"] = a
-    return softmax(logits, out=out), cache
+    cache = {"input": a, "conv": conv_cache, "buffers": bufs, "stamp": bufs["stamp"]}
+    return softmax(_dense(model, a, bufs, rng), out=out), cache
 
 
 def predict(model: Model, batch):
     """The eval pass: class probabilities for ``batch``, with no dropout.
 
     Builds no cache and draws nothing; the output is bit for bit that of
-    ``forward`` on the same parameters with dropout 0. The dense layers run
-    the same operations in the same order as ``forward``, in place in
-    ``model.scratch``: one (n, width) buffer per layer for the latest row
-    count n, at most n * (sum(hidden) + classes) floats. The returned
-    probabilities are a fresh array. The whole set goes through each matmul
-    in one call: how many rows BLAS gets at once can change the last bits
-    of a product, so splitting the rows would change the output.
+    ``forward`` on the same parameters with dropout 0: the same dense loop
+    (``_dense``) in the model's eval set for the latest row count n, which
+    holds n * (sum(hidden) + classes) floats. The returned probabilities
+    are a fresh array. The whole set goes through each matmul in one call:
+    how many rows BLAS gets at once can change the last bits of a product,
+    so splitting the rows would change the output.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    spec = model.spec
     a, _ = _head_input(model, batch)
-    n = batch.shape[0]
-    buffers = model.scratch.get(n)
-    if buffers is None:
-        for key in [key for key in model.scratch if type(key) is int]:
-            del model.scratch[key]
-        buffers = model.scratch[n] = [np.empty((n, w)) for w in (*spec.hidden, spec.classes)]
-    n_hidden = len(spec.hidden)
-    for i, buf in enumerate(buffers):
-        np.matmul(a, model.params[f"w{i}"], out=buf)
-        buf += model.params[f"b{i}"]
-        if i < n_hidden:
-            _activate(spec.activation, buf, out=buf)
-        a = buf
-    return softmax(a)
+    return softmax(_dense(model, a, _buffers(model, batch.shape[0], train=False), None))
 
 
 def backward(model: Model, cache, dlogits, out=None):
@@ -326,14 +318,14 @@ def backward(model: Model, cache, dlogits, out=None):
     the loss normalization directly; the fused form avoids differentiating
     through the probabilities. Blocks are written into ``out`` (by default
     a fresh ``model.views(...)``); pass ``model.views(grad_flat)`` to get
-    the whole gradient in the flat vector ``grad_flat``. The hidden layers'
-    gradients go through the cache's buffers. A cache whose buffers a later
+    the whole gradient in the flat vector ``grad_flat``. The layer inputs
+    and hidden gradients live in the cache's set; a cache whose set a later
     ``forward`` has overwritten raises ``ValueError``.
     """
-    if "logits_input" not in cache or cache["stamp"] != cache["buffers"]["stamp"]:
+    if "stamp" not in cache or cache["stamp"] != cache["buffers"]["stamp"]:
         raise ValueError("stale or incomplete forward cache")
     spec = model.spec
-    bufs = cache["buffers"]["layers"]
+    layers = cache["buffers"]["layers"]
     n_hidden = len(spec.hidden)
     grads = model.views(np.empty_like(model.flat)) if out is None else out
     conv = spec.architecture == "tiny-conv"
@@ -342,16 +334,16 @@ def backward(model: Model, cache, dlogits, out=None):
     for i in range(n_hidden, -1, -1):
         w, b = names[i]
         if i < n_hidden:  # back through hidden layer i's dropout and activation
-            layer = cache["layers"][i]
-            if layer["mask"] is not None:
+            layer = layers[i]
+            if "mask" in layer:
                 da *= layer["mask"]
-            da *= _activate_grad(spec.activation, layer["z"], layer["act"], out=bufs[i]["gate"])
-            np.matmul(layer["input"].T, da, out=grads[w])
-        else:
-            np.matmul(cache["logits_input"].T, da, out=grads[w])
+            da *= _activate_grad(spec.activation, layer["h"], out=layer["gate"])
+        below = layers[i - 1] if i else None
+        a = cache["input"] if below is None else below.get("masked", below["h"])
+        np.matmul(a.T, da, out=grads[w])
         np.add.reduce(da, axis=0, out=grads[b])
-        if i:
-            da = np.matmul(da, model.params[w].T, out=bufs[i - 1]["da"])
+        if below is not None:
+            da = np.matmul(da, model.params[w].T, out=below["da"])
         elif conv:  # an MLP's input gradient is never used; the conv front end's is fresh
             da = da @ model.params[w].T
     if conv:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsdlab import analysis, cli
+from bsdlab import analysis, cli, training
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
 from bsdlab.data import NoiseSpec, load_csv, make_blobs, write_idx
@@ -365,6 +365,16 @@ class TestTrainCommand:
                                 train=train, seeds=[3])
         assert main(["train", str(cfg_path), "--quiet"]) == 1
         assert capsys.readouterr().err == f"error: training failed: {message}\n"
+
+    def test_programming_error_keeps_its_traceback(self, tmp_path, monkeypatch):
+        # only a diverging seed is a one-line training failure
+        def broken_epoch(*args, **kwargs):
+            raise KeyError("w0")
+
+        monkeypatch.setattr(training, "train_epoch", broken_epoch)
+        cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"))
+        with pytest.raises(KeyError, match="w0"):
+            main(["train", str(cfg_path), "--quiet"])
 
     def test_out_root_env_override(self, tmp_path, capsys, monkeypatch):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "ignored"))

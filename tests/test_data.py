@@ -4,7 +4,7 @@ import struct
 import numpy as np
 import pytest
 
-from bsdlab.data import (Dataset, NoiseSpec, apply_noise, augment_strong,
+from bsdlab.data import (Dataset, NoiseSpec, _erase, apply_noise, augment_strong,
                          augment_weak, cyclic_map, export_csv,
                          inject_asymmetric, inject_symmetric, load_csv,
                          load_idx, make_blobs, read_idx, write_idx)
@@ -233,6 +233,12 @@ class TestAugment:
         out = augment_strong(x, np.random.default_rng(3), jitter_sigma=0.0,
                              erase_frac=1.0)
         np.testing.assert_array_equal(out, np.zeros_like(x))
+
+    @pytest.mark.parametrize("frac", [0.0, 0.05, 1 / 12])
+    def test_zero_side_erases_nothing(self, frac):
+        # round(frac * 6) is 0: "in [0, 1]" admits these, and no pixel may go
+        x = np.ones((2, 6, 6, 1))
+        np.testing.assert_array_equal(_erase(x, np.random.default_rng(4), frac), x)
 
 
 class TestDatasetInvariants:

@@ -19,10 +19,11 @@ the vectorized midranks against copies of the versions they replaced.
 The training loop is checked against a copy of the per-batch loop it
 replaced: one store update, sample gather and target gather per mini-batch,
 the allocating optimizer step and the backward pass that also formed the
-unused input gradient. Parameters, optimizer moments, the evidence store and
-every epoch row must match bit for bit, and the epoch-level store update
-must check each prediction row on its own, exactly as the replaced check
-does on that row alone.
+unused input gradient, run on the allocating forward (``old_alloc_forward``),
+so no production pass stands in its own reference. Parameters, optimizer
+moments, the evidence store and every epoch row must match bit for bit, and
+the epoch-level store update must check each prediction row on its own,
+exactly as the replaced check does on that row alone.
 
 The training pass that writes into the model's kept buffers is checked
 against verbatim copies of the allocating softmax, forward, backward,
@@ -41,8 +42,8 @@ from bsdlab.analysis import (DarkKnowledge, _as_preds, _bin_index, _midranks,
                              _temperature_nll, ace, auroc, delta_decomposition,
                              reliability_bins, sce)
 from bsdlab.data import augment_strong, make_blobs
-from bsdlab.models import (CONV_CHANNELS, ModelSpec, _activate_grad, _conv_backward, backward,
-                           forward, init_model)
+from bsdlab.models import (CONV_CHANNELS, ModelSpec, _conv_backward, backward, forward,
+                           init_model)
 from bsdlab.numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, _all_finite, _class_reduce,
                              entropy, kl_div, on_simplex, one_hot, optimizer_step,
                              soft_cross_entropy, softmax)
@@ -197,9 +198,9 @@ def test_relu_mask_gradient_matches_float_mask(monkeypatch):
     dlogits = (probs - rng.dirichlet(np.ones(3), size=9)) / 27.0
     got = backward(model, cache, dlogits)
 
-    def float_mask(name, z, a, out=None):
+    def float_mask(name, a, out=None):
         if name == "relu":
-            return (z > 0.0).astype(np.float64)
+            return (a > 0.0).astype(np.float64)
         return 1.0 - a * a
 
     monkeypatch.setattr(models, "_activate_grad", float_mask)
@@ -819,7 +820,7 @@ def old_backward(model, cache, dlogits, out=None):
         layer = cache["layers"][i]
         if layer["mask"] is not None:
             da = da * layer["mask"]
-        dz = da * _activate_grad(spec.activation, layer["z"], layer["act"])
+        dz = da * old_alloc_activate_grad(spec.activation, layer["z"], layer["act"])
         np.matmul(layer["input"].T, dz, out=grads[f"w{i}"])
         dz.sum(axis=0, out=grads[f"b{i}"])
         da = dz @ model.params[f"w{i}"].T
@@ -849,7 +850,7 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
         weak, strong_views = _augmented_views(raw, cfg.bsd_plus, weak_rng, strong_rngs)
 
         try:
-            probs, cache = forward(model, weak, dropout_rng)
+            probs, cache = old_alloc_forward(model, weak, dropout_rng)
         except ValueError as exc:
             if "non-finite" in str(exc):
                 raise TrainingDiverged(
@@ -917,7 +918,9 @@ def run_both(dataset, spec, cfg, monkeypatch, seed=5):
     old_strategy = OldUpdateTargetStrategy(cfg.strategy, dataset.labels, dataset.k, cfg.epochs)
     store = old_strategy.store
     old_strategy.store = OldEvidenceStore(store.y, store.A, store.gamma)
-    monkeypatch.setattr(training, "backward", old_backward)  # the strong views' backward too
+    # the strong views' pass too
+    monkeypatch.setattr(training, "forward", old_alloc_forward)
+    monkeypatch.setattr(training, "backward", old_backward)
     return new, run(old_train_epoch, old_strategy)
 
 
@@ -1188,5 +1191,8 @@ def test_train_epoch_in_kept_buffers_matches_allocating_pass(arch, hidden, activ
     assert_same_run(new, old)
     for got, want in zip(new_evals, old_evals):
         assert_bit_equal(got, want)
-    # two pass buffer sets (6 and 5 rows) beside the eval set; none per step
-    assert sorted(key[1] for key in new[0].scratch if isinstance(key, tuple)) == [5, 6]
+    # two training sets (6 and 5 rows) beside the eval set (11 rows); none per step
+    scratch = new[0].scratch
+    assert sorted(map(str, scratch)) == ["('forward', 5)", "('forward', 6)", "predict",
+                                         *(["view_grad"] if plus else [])]
+    assert scratch["predict"]["logits"].shape == (11, k)

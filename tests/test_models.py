@@ -143,12 +143,14 @@ class TestPredict:
             probs = predict(model, x)
             expected, _ = forward(no_dropout, x)
             assert probs.tobytes() == expected.tobytes()
-            for buf in model.scratch[n]:
+            held = model.scratch["predict"]
+            for buf in [*(layer["h"] for layer in held["layers"]), held["logits"]]:
                 assert not np.shares_memory(probs, buf)
             again = predict(model, x)
             assert probs.tobytes() == expected.tobytes()  # the first result survives
             assert again.tobytes() == expected.tobytes()
-            assert list(model.scratch) == [n]
+            assert list(model.scratch) == ["predict"] and model.scratch["predict"] is held
+            assert held["logits"].shape == (n, spec.classes)
 
     def test_is_pure_with_dropout(self):
         model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,), dropout=0.5, seed=2))
@@ -160,7 +162,10 @@ class TestPredict:
     def test_scratch_holds_one_buffer_per_dense_layer(self):
         model = init_model(PREDICT_SPECS["mlp-relu"])
         predict(model, np.zeros((5, 3)))
-        assert [b.shape for b in model.scratch[5]] == [(5, 32), (5, 32), (5, 4)]
+        held = model.scratch["predict"]
+        assert [{name: b.shape for name, b in layer.items()} for layer in held["layers"]] == [
+            {"h": (5, 32)}, {"h": (5, 32)}]
+        assert held["logits"].shape == (5, 4)
 
     def test_dimension_mismatch(self):
         model = init_model(ModelSpec(input_dim=4, classes=3))

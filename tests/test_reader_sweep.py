@@ -13,6 +13,7 @@ import io
 import json
 import math
 import re
+import tracemalloc
 from argparse import Namespace
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import dataclass
@@ -217,6 +218,9 @@ def metric_set(text):
     return lambda raw: re.sub(rb'"test_acc": [^,}]+', b'"test_acc": ' + text, raw, count=1)
 
 
+# a file of this many bytes with no newline; no refusal may read it whole or quote it
+JUNK_BYTES = 4 << 20
+
 OFF_SIMPLEX = "does not hold rows of finite entries >= 0 summing to 1 within 1e-06"
 
 # (reader, edit of the valid file's bytes, message); each case was accepted, or
@@ -264,6 +268,8 @@ NAMED = {
                      "CSV row 2, column 'x0': '0.\ufffd' is not a number"),
     "csv-label-beyond-int64": ("csv", lambda raw: raw.replace(b",0\n", b",%d\n" % 2 ** 64),
                                f"column 'label': '{2 ** 64}' is not an integer label"),
+    "trace-no-newline": ("trace", lambda raw: b"x" * JUNK_BYTES,
+                         "expected magic 'BSDLAB-TRACE v1', found 'xxxxxxxxxxxxxxxx'"),
 }
 
 
@@ -275,6 +281,13 @@ def test_named_defect_refused(readers, case):
     raw = edit(reader.source)
     assert raw != reader.source
     reader.path.write_bytes(raw)
-    with pytest.raises(reader.refusals) as info:
-        reader.read(reader.path)
+    tracemalloc.start()
+    try:
+        with pytest.raises(reader.refusals) as info:
+            reader.read(reader.path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert reader.named in str(info.value) and message in str(info.value)
+    assert len(str(info.value)) < len(reader.named) + 200
+    assert peak < JUNK_BYTES // 4

@@ -467,7 +467,8 @@ class TestSeedRun:
         run.step(ds, test, cfg)
         run.step(ds, test, cfg)
         assert held() == first
-        assert sorted(map(str, first)) == ["('forward', 4)", "('forward', 6)", "10"]
+        assert sorted(map(str, first)) == ["('forward', 4)", "('forward', 6)", "predict"]
+        assert run.model.scratch["predict"]["logits"].shape[0] == 10
 
     def test_stepped_rows_are_the_records(self, tmp_path):
         ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
