@@ -1,6 +1,7 @@
 """Calibration metrics, OOD/perturbation metrics, and the dark-knowledge decomposition.
 
-All operations are pure over immutable prediction traces. Conditional means
+All operations are pure over immutable prediction traces. Every metric that
+takes labels checks them first with ``numerics._as_labels``. Conditional means
 and binned statistics use numpy's deterministic reductions so repeated calls
 give identical bytes; the class-mean matrix is symmetrized as (M + M^T) / 2,
 which is bitwise symmetric because float addition commutes.
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import PROB_FLOOR, _class_reduce, kl_div, softmax
+from .numerics import PROB_FLOOR, _as_labels, _class_reduce, kl_div, softmax
 
 __all__ = [
     "CalibrationReport",
@@ -68,22 +69,6 @@ def _as_preds(preds):
     if p.ndim != 2 or p.shape[0] == 0:
         raise ValueError("need a nonempty (n, k) prediction array")
     return p
-
-
-def _as_labels(labels, n, k):
-    """Labels as a 1-D int64 array of length ``n`` with every value in [0, k).
-
-    Checked up front because a negative label would index from the end of a
-    row and a length-1 array would broadcast, both without an error.
-    """
-    labels = np.asarray(labels)
-    if labels.ndim != 1 or labels.shape[0] != n:
-        raise ValueError(f"need {n} labels in a 1-D array, got shape {labels.shape}")
-    if labels.dtype.kind not in "iu":
-        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
-    if n and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"label out of range [0, {k})")
-    return labels.astype(np.int64, copy=False)
 
 
 def _bin_index(conf, bins):

@@ -1,8 +1,9 @@
 """Dataset construction, file ingestion, label-noise protocols, and augmentations.
 
 Datasets are immutable after construction: noise injection returns a copy with
-a fresh ``labels`` array while ``clean_labels`` is never touched. All
-generators and noise protocols are pure functions of their spec and seed.
+a fresh ``labels`` array while ``clean_labels`` is never touched; both pass
+``numerics._as_labels``. All generators and noise protocols are pure functions
+of their spec and seed.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fileio import atomic_open, read_declared, write_table
+from .numerics import _as_labels
 from .settings import Settings, setting
 
 __all__ = [
@@ -45,13 +47,8 @@ class Dataset:
     k: int
 
     def __post_init__(self):
-        self.clean_labels = np.asarray(self.clean_labels, dtype=np.int64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-        for labels in (self.clean_labels, self.labels):
-            if labels.shape != (self.samples.shape[0],):
-                raise ValueError("sample/label count mismatch")
-            if labels.size and (labels.min() < 0 or labels.max() >= self.k):
-                raise ValueError(f"label out of range [0, {self.k})")
+        self.clean_labels = _as_labels(self.clean_labels, self.samples.shape[0], self.k)
+        self.labels = _as_labels(self.labels, self.samples.shape[0], self.k)
         if not np.all(np.isfinite(self.samples)):
             raise ValueError("non-finite sample values")
 
@@ -68,7 +65,7 @@ class Dataset:
         return int(np.prod(self.samples.shape[1:]))
 
     def with_labels(self, labels):
-        return replace(self, labels=np.asarray(labels, dtype=np.int64))
+        return replace(self, labels=labels)
 
 
 @dataclass
@@ -211,7 +208,7 @@ def inject_symmetric(labels, rate, k, seed):
     Flips are guaranteed (the new class is drawn from the other k-1), so the
     realized noise rate equals the nominal rate.
     """
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _as_labels(labels, None, k)
     n = labels.shape[0]
     n_flip = int(round(rate * n))
     rng = np.random.default_rng(seed)

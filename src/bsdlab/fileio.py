@@ -12,6 +12,13 @@ import numpy as np
 # enough that no whole-file string is built.
 ROWS_PER_WRITE = 256
 
+# The longest JSON header line, newline included, that ``read_blocks`` reads: a
+# longer one is refused before the rest of it is read, so a file whose header has
+# no newline is never read whole. A header lists every block, and measured lines
+# are 814 B for a ``.state`` with hidden (32, 32), Adam and bsd and 11.8 KB with
+# 50 hidden layers.
+HEADER_MAX_BYTES = 64 << 10
+
 
 @contextmanager
 def atomic_open(path, mode="wb", **kwargs):
@@ -42,14 +49,18 @@ def write_blocks(path, magic, header, blocks):
 
 def read_blocks(path, magic):
     """Read a ``write_blocks`` file; returns (header, name -> float64 array). A file that
-    does not match its magic line or its manifest, or repeats a name, raises ``ValueError``."""
+    does not match its magic line or its manifest, repeats a name, or has a header line
+    longer than ``HEADER_MAX_BYTES`` raises ``ValueError``."""
     with open(path, "rb") as fh:
         # at most the magic and its newline: a file without one is not read whole
         found = fh.readline(len(magic) + 1).rstrip(b"\n").decode("ascii", errors="replace")
         if found != magic:
             raise ValueError(f"{path}: expected magic {magic!r}, found {found!r}")
+        line = fh.readline(HEADER_MAX_BYTES + 1)
+        if len(line) > HEADER_MAX_BYTES:
+            raise ValueError(f"{path}: header line longer than {HEADER_MAX_BYTES} bytes")
         try:
-            header = json.loads(fh.readline().decode("ascii"))
+            header = json.loads(line.decode("ascii"))
         except ValueError:  # JSONDecodeError and UnicodeDecodeError
             header = None
         if not isinstance(header, dict) or not isinstance(header.get("blocks"), list):

@@ -67,6 +67,22 @@ def on_simplex(p):
                     and (abs(_class_reduce(np.add, p) - 1.0) <= SIMPLEX_TOL).all())
 
 
+def _as_labels(labels, n, k):
+    """``labels`` as a 1-D int64 array of ``n`` values in [0, k), any length when ``n`` is
+    None, or a ``ValueError``: the one rule for a label array that bsdlab takes in. A
+    float or bool label would be cast silently, a negative one index from a row's end,
+    and a length-1 array broadcast."""
+    labels = np.asarray(labels)
+    if labels.ndim != 1 or n not in (None, labels.shape[0]):
+        need = "a 1-D label array" if n is None else f"{n} labels in a 1-D array"
+        raise ValueError(f"sample/label count mismatch: need {need}, got shape {labels.shape}")
+    if labels.dtype.kind not in "iu":
+        raise ValueError(f"labels must be integers, got dtype {labels.dtype}")
+    if labels.size and (labels.min() < 0 or labels.max() >= k):
+        raise ValueError(f"label out of range [0, {k})")
+    return labels.astype(np.int64, copy=False)
+
+
 class NonFinite(ValueError):
     """A value that must be finite is not; ``what`` names it, as in ``non-finite <what>``."""
 
@@ -123,8 +139,8 @@ def soft_cross_entropy(target, pred):
 
 
 def one_hot(labels, k):
-    """Integer labels to one-hot float64 rows."""
-    labels = np.asarray(labels)
+    """A 1-D integer label array (checked by ``_as_labels``) to one-hot float64 rows."""
+    labels = _as_labels(labels, None, k)
     out = np.zeros(labels.shape + (k,), dtype=np.float64)
     np.put_along_axis(out, labels[..., None], 1.0, axis=-1)
     return out

@@ -7,6 +7,7 @@ config file accept exactly the same values.
 
 from __future__ import annotations
 
+import math
 from dataclasses import field, fields
 
 __all__ = ["Settings", "setting", "check_error"]
@@ -24,7 +25,10 @@ def setting(default, check=None, msg=None, *, key=None, config_default=None):
 
 
 def check_error(name, value, check, msg):
-    """The message for ``value`` of ``name`` failing ``check``, or None if it passes."""
+    """The message for ``value`` of ``name`` failing ``check``, or None if it passes.
+    A float must be finite before ``check`` sees it: no setting takes a NaN or an inf."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return f"{name} must be finite, got {value!r}"
     if check is None or check(value):
         return None
     return f"{name} must be {msg}, got {value!r}"

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import write_table
-from .numerics import SIMPLEX_TOL, _class_reduce, on_simplex, one_hot
+from .numerics import SIMPLEX_TOL, _as_labels, _class_reduce, on_simplex, one_hot
 from .settings import Settings, setting
 
 STRATEGY_MODES = ("bsd", "baseline", "label-smoothing", "ps-kd", "dlb", "te")
@@ -92,13 +92,11 @@ def init_prior(labels, k, c, epsilon, gamma) -> EvidenceStore:
 
     The stored row is the prior mean ``alpha0 / A0`` with ``A0 = c + (k-1)*epsilon``.
     """
-    labels = np.asarray(labels)
     if c <= 0.0:
         raise ValueError("prior strength c must be > 0")
     if epsilon < 0.0:
         raise ValueError("off-class prior epsilon must be >= 0")
-    if labels.size and (labels.min() < 0 or labels.max() >= k):
-        raise ValueError(f"label out of range [0, {k})")
+    labels = _as_labels(labels, None, k)
     if not (0.0 <= gamma <= 1.0):
         raise ValueError("gamma must be in [0, 1]")
     n = labels.shape[0]

@@ -13,7 +13,8 @@ import math
 
 import numpy as np
 
-from bsdlab.analysis import DarkKnowledge, _as_labels
+from bsdlab.analysis import DarkKnowledge
+from bsdlab.numerics import _as_labels
 from bsdlab.targets import EvidenceStore
 
 

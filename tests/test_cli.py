@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import json
+import math
 import re
 import shutil
 from pathlib import Path
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsdlab import analysis, cli, training
+from bsdlab import analysis, cli, config, training
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
 from bsdlab.data import NoiseSpec, load_csv, make_blobs, write_idx
@@ -148,6 +149,26 @@ INVALID_SETTINGS = [
 SECTION_CLASSES = {"model": ModelSpec, "train": TrainConfig, "train.strategy": StrategyConfig,
                    "train.bsd_plus": BsdPlusConfig, "noise": NoiseSpec}
 
+# (dotted section, config key) for every float setting, the blobs dataset's included
+FLOAT_SETTINGS = [(section, f.metadata["key"] or f.name) for section, cls in SECTION_CLASSES.items()
+                  for f in dataclasses.fields(cls)
+                  if "check" in f.metadata and type(f.default) is float]
+FLOAT_SETTINGS += [("dataset", key) for key, (default, _, _) in config._BLOBS.items()
+                   if type(default) is float]
+
+
+def setting_config(tmp_path, section, key, value):
+    """A config file that sets only ``<section>.<key>``, NaN and infinities as JSON's
+    non-standard tokens."""
+    raw = {}
+    node = raw
+    for part in section.split("."):
+        node = node.setdefault(part, {})
+    node[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(raw))
+    return path
+
 
 class TestSettingsParity:
     def test_every_checked_setting_is_covered(self):
@@ -160,20 +181,33 @@ class TestSettingsParity:
     @pytest.mark.parametrize("section,key,value", INVALID_SETTINGS,
                              ids=[f"{s}.{k}={v!r}" for s, k, v in INVALID_SETTINGS])
     def test_config_and_library_reject_alike(self, tmp_path, section, key, value):
-        raw = {}
-        node = raw
-        for part in section.split("."):
-            node = node.setdefault(part, {})
-        node[key] = value
-        path = tmp_path / "bad.json"
-        path.write_text(json.dumps(raw))
         with pytest.raises(ConfigError) as exc:
-            parse_config(path)
+            parse_config(setting_config(tmp_path, section, key, value))
         assert str(exc.value).startswith(f"{section}.{key} must be ")
         name = "lam" if key == "lambda" else key
         required = {"input_dim": 4, "classes": 3} if section == "model" else {}
         with pytest.raises(ValueError):
             SECTION_CLASSES[section](**required, **{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=repr)
+    @pytest.mark.parametrize("section,key", FLOAT_SETTINGS,
+                             ids=[f"{s}.{k}" for s, k in FLOAT_SETTINGS])
+    def test_float_settings_must_be_finite(self, tmp_path, section, key, value):
+        with pytest.raises(ConfigError, match=re.escape(
+                f"{section}.{key} must be finite, got {value!r}")):
+            parse_config(setting_config(tmp_path, section, key, value))
+        if section == "dataset":  # read by make_blobs, not by a Settings class
+            return
+        name = "lam" if key == "lambda" else key
+        required = {"input_dim": 4, "classes": 3} if section == "model" else {}
+        with pytest.raises(ValueError, match=re.escape(f"{name} must be finite, got {value!r}")):
+            SECTION_CLASSES[section](**required, **{name: value})
+
+    def test_float_overflowing_to_inf_refused(self, tmp_path):
+        path = tmp_path / "big.json"
+        path.write_text('{"train": {"lr": 1e400}}')
+        with pytest.raises(ConfigError, match="train.lr must be finite, got inf"):
+            parse_config(path)
 
     def test_field_name_lam_is_an_unknown_key(self, tmp_path):
         path = tmp_path / "lam.json"
@@ -333,6 +367,7 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("case,key", [
         ("dim", "dataset.dim"), ("cov_scale", "dataset.cov_scale"),
+        ("spacing", "dataset.spacing must be finite, got nan"),
         ("conv_blobs", "model.architecture"), ("conv_csv", "model.architecture"),
         ("kind_list", "dataset.kind must be one of ['blobs', 'csv', 'idx'], got ['blobs']")])
     def test_dry_run_rejects_what_training_cannot_build(self, tmp_path, capsys, case, key):
@@ -341,6 +376,7 @@ class TestTrainCommand:
         overrides = {
             "dim": {"dataset": {"kind": "blobs", "dim": 1}},
             "cov_scale": {"dataset": {"kind": "blobs", "cov_scale": 0}},
+            "spacing": {"dataset": {"kind": "blobs", "spacing": math.nan}},
             "conv_blobs": {"model": {"architecture": "tiny-conv"}},
             "conv_csv": {"model": {"architecture": "tiny-conv"},
                          "dataset": {"kind": "csv", "path": "train.csv",

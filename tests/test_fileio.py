@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from bsdlab.data import write_idx
-from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks, write_json, write_table
+from bsdlab.fileio import (HEADER_MAX_BYTES, ROWS_PER_WRITE, read_blocks, write_blocks, write_json,
+                           write_table)
 
 MAGIC = "BSDLAB-TEST v1"
 
@@ -91,6 +92,21 @@ class TestBlocks:
         path = block_file(tmp_path / "b.bin", entries, payload)
         with pytest.raises(ValueError, match=re.escape(f"{path}: manifest entry")):
             read_blocks(path, MAGIC)
+
+    @pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "past-cap"])
+    def test_header_line_capped(self, tmp_path, over):
+        # a header padded so its line, newline included, is HEADER_MAX_BYTES + over long
+        path, blocks = tmp_path / "b.bin", {"a": np.arange(2.0)}
+        write_blocks(path, MAGIC, {"pad": ""}, blocks)
+        short = len(path.read_bytes().split(b"\n")[1]) + 1
+        write_blocks(path, MAGIC, {"pad": "x" * (HEADER_MAX_BYTES - short + over)}, blocks)
+        assert len(path.read_bytes().split(b"\n")[1]) + 1 == HEADER_MAX_BYTES + over
+        if over:
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: header line longer than {HEADER_MAX_BYTES} bytes")):
+                read_blocks(path, MAGIC)
+        else:
+            np.testing.assert_array_equal(read_blocks(path, MAGIC)[1]["a"], blocks["a"])
 
     def test_bytes_after_last_block_rejected(self, tmp_path):
         path = block_file(tmp_path / "b.bin", [{"name": "a", "shape": [2]}], bytes(24))

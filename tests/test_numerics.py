@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from bsdlab.analysis import nll
+from bsdlab.data import Dataset, inject_symmetric
 from bsdlab.numerics import (entropy, kl_div, one_hot, optimizer_step, softmax,
                              soft_cross_entropy)
+from bsdlab.targets import STRATEGY_MODES, StrategyConfig, TargetStrategy, init_prior
 from bsdlab.training import TrainConfig, make_optimizer
 
 from oracles import finite_diff_grad
@@ -230,3 +233,51 @@ class TestFiniteDiffGrad:
 def test_one_hot_rows():
     out = one_hot(np.array([2, 0]), 4)
     np.testing.assert_array_equal(out, [[0, 0, 1, 0], [1, 0, 0, 0]])
+
+
+# the label rule, numerics._as_labels, over k = 3 classes and n = 4 samples
+VALID_LABELS = np.array([0, 1, 2, 0])
+BAD_LABELS = {
+    "negative": ([0, 1, -1, 0], r"label out of range \[0, 3\)"),
+    "equal to k": ([0, 1, 3, 0], r"label out of range \[0, 3\)"),
+    "float": ([0.0, 1.0, 2.0, 0.0], "labels must be integers, got dtype float64"),
+    "bool": ([True, False, True, False], "labels must be integers, got dtype bool"),
+    "2-D": ([[0, 1, 2, 0]], r"sample/label count mismatch: .* got shape \(1, 4\)"),
+    "wrong length": ([0, 1, 2], r"sample/label count mismatch: need 4 labels"),
+}
+
+
+def label_dataset(clean, active):
+    return Dataset(samples=np.zeros((4, 2)), clean_labels=clean, labels=active, k=3)
+
+
+# name: (call on a label array, whether the call fixes the label count)
+LABEL_ENTRY_POINTS = {
+    "Dataset.clean_labels": (lambda y: label_dataset(y, VALID_LABELS), True),
+    "Dataset.labels": (lambda y: label_dataset(VALID_LABELS, y), True),
+    "Dataset.with_labels": (lambda y: label_dataset(VALID_LABELS, VALID_LABELS).with_labels(y),
+                            True),
+    "one_hot": (lambda y: one_hot(y, 3), False),
+    **{f"TargetStrategy-{mode}": (
+        lambda y, mode=mode: TargetStrategy(StrategyConfig(mode=mode), y, 3, 5), False)
+       for mode in STRATEGY_MODES},
+    "init_prior": (lambda y: init_prior(y, 3, 10.0, 0.0, 0.9), False),
+    "inject_symmetric": (lambda y: inject_symmetric(y, 0.5, 3, 0), False),
+    "analysis.nll": (lambda y: nll(np.full((4, 3), 1.0 / 3.0), y), True),
+}
+
+
+class TestLabelRule:
+    """Every entry point that takes a label array refuses the same bad arrays alike."""
+
+    @pytest.mark.parametrize("entry", LABEL_ENTRY_POINTS)
+    def test_valid_labels_accepted(self, entry):
+        LABEL_ENTRY_POINTS[entry][0](VALID_LABELS)
+
+    @pytest.mark.parametrize("entry,case", [
+        (entry, case) for entry, (_, fixed_n) in LABEL_ENTRY_POINTS.items()
+        for case in BAD_LABELS if fixed_n or case != "wrong length"])
+    def test_bad_labels_refused(self, entry, case):
+        labels, message = BAD_LABELS[case]
+        with pytest.raises(ValueError, match=message):
+            LABEL_ENTRY_POINTS[entry][0](np.array(labels))

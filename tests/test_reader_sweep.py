@@ -270,6 +270,8 @@ NAMED = {
                                f"column 'label': '{2 ** 64}' is not an integer label"),
     "trace-no-newline": ("trace", lambda raw: b"x" * JUNK_BYTES,
                          "expected magic 'BSDLAB-TRACE v1', found 'xxxxxxxxxxxxxxxx'"),
+    "trace-header-no-newline": ("trace", lambda raw: TRACE_MAGIC.encode() + b"\n"
+                                + b"x" * JUNK_BYTES, "header line longer than 65536 bytes"),
 }
 
 
