@@ -86,7 +86,8 @@ def _bin_slices(idx, bins):
     original order, and bin b is ``order[bounds[b]:bounds[b + 1]]``. A mean over
     that contiguous slice has the bytes of the mean over a boolean bin mask."""
     bounds = [0] + np.cumsum(np.bincount(idx, minlength=bins)).tolist()
-    return np.argsort(idx, kind="stable"), bounds
+    # the smallest integer type that holds every bin lets numpy radix-sort the index
+    return np.argsort(idx.astype(np.min_scalar_type(bins - 1)), kind="stable"), bounds
 
 
 def accuracy(preds, labels):
@@ -155,13 +156,19 @@ def nll(preds, labels):
 
 def reliability_bins(preds, labels, bins=DEFAULT_BINS):
     """Per-bin (lo, hi, mean confidence, empirical accuracy, count)."""
+    return _accuracy_and_bins(preds, labels, bins)[1]
+
+
+def _accuracy_and_bins(preds, labels, bins):
+    """``(accuracy(preds, labels), reliability_bins(preds, labels, bins))`` from one argmax."""
     preds = _as_preds(preds)
     labels = _as_labels(labels, *preds.shape)
     _check_bins(bins)
+    hits = preds.argmax(axis=1) == labels
     conf = _class_reduce(np.maximum, preds)
     order, bounds = _bin_slices(_bin_index(conf, bins), bins)
     conf = conf[order]
-    correct = (preds.argmax(axis=1) == labels).astype(np.float64)[order]
+    correct = hits.astype(np.float64)[order]
     rows = []
     for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
         rows.append({
@@ -171,13 +178,13 @@ def reliability_bins(preds, labels, bins=DEFAULT_BINS):
             "acc": float(correct[lo:hi].mean()) if hi > lo else 0.0,
             "count": hi - lo,
         })
-    return rows
+    return float(np.mean(hits)), rows
 
 
 def calibration_report(preds, labels) -> CalibrationReport:
-    rows = reliability_bins(preds, labels)
+    acc, rows = _accuracy_and_bins(preds, labels, DEFAULT_BINS)
     return CalibrationReport(
-        accuracy=accuracy(preds, labels),
+        accuracy=acc,
         ece=_ece_from_bins(rows),
         sce=sce(preds, labels),
         ace=ace(preds, labels),

@@ -226,12 +226,18 @@ def cyclic_map(k):
     return {j: (j + 1) % k for j in range(k)}
 
 
-def inject_asymmetric(labels, rate, mapping, seed):
-    """Per mapped class, relabel round(rate * class_count) of its samples to map(class)."""
-    labels = np.asarray(labels, dtype=np.int64)
+def inject_asymmetric(labels, rate, mapping, k, seed):
+    """Per mapped class, relabel round(rate * class_count) of its samples to map(class).
+
+    The labels pass ``_as_labels`` with ``k`` classes, and every class the map sends
+    to must be an integer in [0, k)."""
+    labels = _as_labels(labels, None, k)
     for src, dst in mapping.items():
         if src == dst:
             raise ValueError(f"asymmetric map has a fixed point at class {src}")
+        if not (isinstance(dst, (int, np.integer)) and 0 <= dst < k):
+            raise ValueError(f"asymmetric map sends class {src} to {dst!r}, "
+                             f"not a class in [0, {k})")
     rng = np.random.default_rng(seed)
     noisy = labels.copy()
     for src in sorted(mapping):
@@ -251,7 +257,8 @@ def apply_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     if spec.kind == "symmetric":
         noisy = inject_symmetric(dataset.clean_labels, spec.rate, dataset.k, spec.seed)
     else:
-        noisy = inject_asymmetric(dataset.clean_labels, spec.rate, cyclic_map(dataset.k), spec.seed)
+        noisy = inject_asymmetric(dataset.clean_labels, spec.rate, cyclic_map(dataset.k),
+                                  dataset.k, spec.seed)
     return dataset.with_labels(noisy)
 
 

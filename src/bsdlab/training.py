@@ -1,15 +1,21 @@
 """Training loop, loss assembly, schedules, and experiment orchestration.
 
 One epoch follows the in-place recursion exactly: for each mini-batch,
-forward, loss against the stored targets (sharpened by tau), gradient step;
-the predictions are folded back into the target state once per epoch, in one
-store update after the last step. That is the same computation as folding
-each batch in after its step: the epoch's shuffle visits every sample once,
-so a batch reads only its own rows, and no row is written before the next
-epoch. Targets consumed by a batch are therefore always the pre-update
-values; predictions fed to the state are the same forward outputs used for
-the loss, captured before the optimizer step, with no gradient connection.
-The update refuses a batch with a row off the simplex and never rewrites a row.
+forward, the loss gradient against the stored targets (sharpened by tau),
+gradient step; the predictions are folded back into the target state once per
+epoch, in one store update after the last step. That is the same computation
+as folding each batch in after its step: the epoch's shuffle visits every
+sample once, so a batch reads only its own rows, and no row is written before
+the next epoch. Targets consumed by a batch are therefore always the
+pre-update values; predictions fed to the state are the same forward outputs
+used for the gradient, captured before the optimizer step, with no gradient
+connection. The update refuses a batch with a row off the simplex and never
+rewrites a row.
+
+A step needs only the fused logit gradient ``probs - target``, so the recorded
+``train_loss`` is computed once per epoch, before the store update, from the
+epoch's predictions and served targets: one cross-entropy pass, summed batch
+by batch with the same float operations in the same order as a per-step loss.
 
 Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
@@ -27,7 +33,7 @@ import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -174,15 +180,15 @@ def _kl_logit_grad(strong_probs, anchor_probs):
     return strong_probs * (diff - row_kl)
 
 
-def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_flat, loss=0.0):
+def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_flat):
     """Consistency loss (lam / (m * n)) * sum_j sum_i KL(f(view_j)_i, anchor_i).
 
     ``strong_views`` holds m batches of the n samples whose anchor
     probabilities (constants) are ``anchor_probs``. Each view's parameter
     gradient is added into ``grad_flat``, laid out like ``model.flat``.
-    Returns ``loss`` plus each view's term, added view by view. Each view
-    goes through the training pass ``forward``; ``rng`` drives its dropout.
-    Its gradient goes through a vector kept in ``model.scratch``.
+    Returns each view's term, in view order; the loss adds them in that order.
+    Each view goes through the training pass ``forward``; ``rng`` drives its
+    dropout. Its gradient goes through a vector kept in ``model.scratch``.
     """
     m = len(strong_views)
     if m == 0:
@@ -193,12 +199,13 @@ def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_fl
         view_flat = np.empty_like(model.flat)
         kept = model.scratch["view_grad"] = (view_flat, model.views(view_flat))
     view_flat, view_grads = kept
+    terms = []
     for view in strong_views:
         probs, cache = forward(model, view, rng)
-        loss += float(scale * kl_div(probs, anchor_probs).sum())
+        terms.append(float(scale * kl_div(probs, anchor_probs).sum()))
         backward(model, cache, scale * _kl_logit_grad(probs, anchor_probs), out=view_grads)
         grad_flat += view_flat
-    return loss
+    return terms
 
 
 def _augmented_views(samples, plus: BsdPlusConfig, weak_rng, strong_rngs):
@@ -212,15 +219,34 @@ def _augmented_views(samples, plus: BsdPlusConfig, weak_rng, strong_rngs):
     return weak, strong
 
 
+def _batch_losses(row_loss, batch_size, k):
+    """Each batch's mean loss from the epoch's per-row losses, in batch order: the bits
+    of ``row_loss[start:stop].sum() / (bsz * k)``, since a row sum of a C-ordered
+    reshape adds its terms in the order a 1-D slice's sum does."""
+    n = row_loss.shape[0]
+    full = n - n % batch_size
+    losses = (row_loss[:full].reshape(full // batch_size, batch_size).sum(axis=1)
+              / (batch_size * k)).tolist()
+    if full < n:
+        losses.append(float(row_loss[full:].sum() / ((n - full) * k)))
+    return losses
+
+
 def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                 opt_state, cfg: TrainConfig, epoch, seed):
     """Run one epoch (1-based ``epoch``); returns epoch metrics. A ``NonFinite`` in a batch
-    step (weak view, loss, backward, strong views, optimizer step) stops it before the update
+    step (weak view, backward, strong views, optimizer step) stops it before the update
     and raises ``TrainingDiverged`` naming epoch, batch start, seed and a gradient's block.
-    ``forward`` writes each batch's probabilities straight into the epoch predictions."""
+    ``forward`` writes each batch's probabilities straight into the epoch predictions.
+
+    The steps take no loss: ``train_loss`` is one ``soft_cross_entropy`` pass over the
+    epoch's served targets and predictions after the last step, summed per batch, plus
+    each batch's strong-view terms, in the order a per-step loss adds them. A non-finite
+    batch loss then raises ``TrainingDiverged`` naming the first such batch, before the
+    store update. Predictions and targets are checked finite, so no run reaches that."""
     if strategy.labels.shape[0] != dataset.n:
         raise ValueError("target state and dataset sizes are misaligned")
-    n, k = dataset.n, dataset.k
+    n, k, bs = dataset.n, dataset.k, cfg.batch_size
     lr = lr_at(cfg.schedule, cfg.lr, epoch - 1, cfg.epochs)
     perm = _epoch_rng(seed, epoch, _SHUFFLE).permutation(n)
     dropout_rng = _epoch_rng(seed, epoch, _DROPOUT)
@@ -240,31 +266,35 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     if cfg.tau != 1.0:
         served = sharpen(served, cfg.tau)
     preds = np.empty((n, k))
-    dlogits_buf = np.empty((min(cfg.batch_size, n), k))
-    loss_sum = 0.0
-    for start in range(0, n, cfg.batch_size):
-        stop = min(start + cfg.batch_size, n)
+    dlogits_buf = np.empty((min(bs, n), k))
+    view_terms = []  # per batch, its strong views' loss terms
+    for start in range(0, n, bs):
+        stop = min(start + bs, n)
         bsz = stop - start
         weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
-        sharp = served[start:stop]
         try:
             probs, cache = forward(model, weak, dropout_rng, out=preds[start:stop])
-            batch_loss = float(soft_cross_entropy(sharp, probs).sum() / (bsz * k))
-            dlogits = np.subtract(probs, sharp, out=dlogits_buf[:bsz])
+            dlogits = np.subtract(probs, served[start:stop], out=dlogits_buf[:bsz])
             dlogits /= bsz * k
             backward(model, cache, dlogits, out=grads)
             if strong_views:
-                batch_loss = contrastive_term(model, strong_views, probs, plus.lam,
-                                              dropout_rng, grad_flat, batch_loss)
-            if not math.isfinite(batch_loss):
-                raise NonFinite("loss")
+                view_terms.append(contrastive_term(model, strong_views, probs, plus.lam,
+                                                   dropout_rng, grad_flat))
             optimizer_step(model.flat, grad_flat, opt_state, lr=lr)
         except NonFinite as exc:  # grads view all of grad_flat, so one block holds a bad entry
             block = (f" in block {next(b for b, g in grads.items() if not _all_finite(g))!r}"
                      if exc.what == "gradient" else "")
             raise TrainingDiverged(f"{exc}{block} at epoch {epoch}, batch starting {start} "
                                    f"(seed {seed})") from exc
-        loss_sum += batch_loss * bsz
+    loss_sum = 0.0
+    losses = _batch_losses(soft_cross_entropy(served, preds), bs, k)
+    for start, batch_loss, terms in zip(range(0, n, bs), losses, view_terms or repeat(())):
+        for term in terms:
+            batch_loss += term
+        if not math.isfinite(batch_loss):
+            raise TrainingDiverged(f"non-finite loss at epoch {epoch}, batch starting {start} "
+                                   f"(seed {seed})")
+        loss_sum += batch_loss * (min(start + bs, n) - start)
     strategy.update(perm, preds)
 
     target_entropy = float(np.mean(entropy(strategy.current_targets(epoch))))
@@ -278,12 +308,14 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
 
 
 def evaluate(model: Model, dataset: Dataset):
-    """Eval-mode predictions (``predict``) plus accuracy/ECE/NLL on the active labels."""
+    """Eval-mode predictions (``predict``) plus accuracy/ECE/NLL on the active labels;
+    accuracy and the ECE bins share one argmax."""
     preds = predict(model, dataset.samples)
+    acc, bins = analysis._accuracy_and_bins(preds, dataset.labels, analysis.DEFAULT_BINS)
     return {
         "preds": preds,
-        "acc": analysis.accuracy(preds, dataset.labels),
-        "ece": analysis.ece(preds, dataset.labels),
+        "acc": acc,
+        "ece": analysis._ece_from_bins(bins),
         "nll": analysis.nll(preds, dataset.labels),
     }
 

@@ -171,11 +171,11 @@ class TestAsymmetricNoise:
     def test_rate_zero(self):
         labels = np.array([0, 1, 2])
         np.testing.assert_array_equal(
-            inject_asymmetric(labels, 0.0, cyclic_map(3), seed=0), labels)
+            inject_asymmetric(labels, 0.0, cyclic_map(3), 3, seed=0), labels)
 
     def test_cyclic_per_class_counts(self):
         labels = np.repeat(np.arange(3), 100)
-        noisy = inject_asymmetric(labels, 0.3, cyclic_map(3), seed=1)
+        noisy = inject_asymmetric(labels, 0.3, cyclic_map(3), 3, seed=1)
         for src in range(3):
             moved = (labels == src) & (noisy != labels)
             assert int(moved.sum()) == 30
@@ -183,12 +183,28 @@ class TestAsymmetricNoise:
 
     def test_fixed_point_rejected(self):
         with pytest.raises(ValueError, match="fixed point"):
-            inject_asymmetric(np.array([0, 1]), 0.5, {0: 0, 1: 0}, seed=0)
+            inject_asymmetric(np.array([0, 1]), 0.5, {0: 0, 1: 0}, 2, seed=0)
+
+    def test_float_labels_refused(self):
+        # these were truncated to [0, 1, 5] and relabelled to [1, 0, 5]
+        with pytest.raises(ValueError, match="labels must be integers, got dtype float64"):
+            inject_asymmetric([0.7, 1.9, 5.5], 1.0, {0: 1, 1: 0}, 6, 0)
+
+    def test_label_out_of_range_refused(self):
+        with pytest.raises(ValueError, match=r"label out of range \[0, 3\)"):
+            inject_asymmetric([0, 1, 5], 1.0, {0: 1, 1: 0}, 3, 0)
+
+    @pytest.mark.parametrize("dst", [7, 3, -1, 1.0, "1"])
+    def test_map_target_outside_the_classes_refused(self, dst):
+        # {0: 7, 1: 0} on [0, 1, 2] returned [7 0 2]
+        with pytest.raises(ValueError, match=rf"asymmetric map sends class 0 to {dst!r}, "
+                                             r"not a class in \[0, 3\)"):
+            inject_asymmetric([0, 1, 2], 1.0, {0: dst, 1: 0}, 3, 0)
 
     def test_deterministic(self):
         labels = np.repeat(np.arange(4), 25)
-        a = inject_asymmetric(labels, 0.4, cyclic_map(4), seed=3)
-        b = inject_asymmetric(labels, 0.4, cyclic_map(4), seed=3)
+        a = inject_asymmetric(labels, 0.4, cyclic_map(4), 4, seed=3)
+        b = inject_asymmetric(labels, 0.4, cyclic_map(4), 4, seed=3)
         np.testing.assert_array_equal(a, b)
 
 
@@ -205,7 +221,7 @@ class TestApplyNoise:
     def test_asymmetric_uses_cyclic_map(self, k, seed):
         ds = make_blobs(k, 40, seed=seed)
         noisy = apply_noise(ds, NoiseSpec(kind="asymmetric", rate=0.3, seed=seed))
-        want = inject_asymmetric(ds.clean_labels, 0.3, cyclic_map(k), seed)
+        want = inject_asymmetric(ds.clean_labels, 0.3, cyclic_map(k), k, seed)
         np.testing.assert_array_equal(noisy.labels, want)
         assert np.any(noisy.labels != ds.clean_labels)
 
@@ -253,9 +269,9 @@ class TestDatasetInvariants:
                     labels=np.array([0]), k=2)
 
     def test_active_label_out_of_range_rejected(self):
-        # a map that sends class 0 to -1 would have served row 3 the one-hot of class 3
+        # a label -1 would have served its row the one-hot of class 3
         ds = make_blobs(4, 5, seed=0)
-        noisy = inject_asymmetric(ds.labels, 0.5, {0: -1}, 0)
+        noisy = np.where(ds.labels == 0, -1, ds.labels)
         with pytest.raises(ValueError, match=r"label out of range \[0, 4\)"):
             ds.with_labels(noisy)
 

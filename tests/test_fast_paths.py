@@ -38,9 +38,9 @@ import numpy as np
 import pytest
 
 from bsdlab import data, models, training
-from bsdlab.analysis import (DarkKnowledge, _as_preds, _bin_index, _midranks,
-                             _temperature_nll, ace, auroc, delta_decomposition,
-                             reliability_bins, sce)
+from bsdlab.analysis import (DarkKnowledge, _accuracy_and_bins, _as_preds, _bin_index,
+                             _bin_slices, _midranks, _temperature_nll, ace, auroc,
+                             delta_decomposition, reliability_bins, sce)
 from bsdlab.data import augment_strong, make_blobs
 from bsdlab.models import (CONV_CHANNELS, ModelSpec, _conv_backward, backward, forward,
                            init_model)
@@ -698,14 +698,29 @@ def test_check_pred_matches_reference(n, k):
 
 
 @pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
-@pytest.mark.parametrize("bins", [1, 10, 15, 40])
+@pytest.mark.parametrize("bins", [1, 10, 15, 40, 300])
 def test_binned_calibration_matches_reference(n, k, bins):
     rng = np.random.default_rng(n * 41 + k + bins)
     p = trace_preds(rng, n, k)
     labels = rng.integers(0, k, size=n)
     assert repr(reliability_bins(p, labels, bins)) == repr(old_reliability_bins(p, labels, bins))
+    acc, rows = _accuracy_and_bins(p, labels, bins)  # one argmax for both
+    assert repr((acc, rows)) == repr((float(np.mean(p.argmax(axis=1) == labels)),
+                                      old_reliability_bins(p, labels, bins)))
     assert repr(sce(p, labels, bins)) == repr(old_sce(p, labels, bins))
     assert repr(ace(p, labels, bins)) == repr(old_ace(p, labels, bins))
+
+
+@pytest.mark.parametrize("n", [1, 17, 10_000])
+@pytest.mark.parametrize("bins", [1, 2, 15, 256, 257, 300])
+def test_bin_sort_in_small_ints_matches_int64_sort(n, bins):
+    # the bin index sorted as uint8/uint16 gives the stable int64 permutation
+    conf = np.random.default_rng([n, bins]).uniform(size=n)
+    conf[::3] = np.round(conf[::3] * bins) / bins  # values on bin edges
+    idx = _bin_index(conf, bins)
+    order, bounds = _bin_slices(idx, bins)
+    assert_bit_equal(order, np.argsort(idx, kind="stable"))
+    assert bounds == [0] + np.cumsum(np.bincount(idx, minlength=bins)).tolist()
 
 
 @pytest.mark.parametrize("n, k", ANALYSIS_SHAPES)
@@ -864,8 +879,9 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
         old_backward(model, cache, dlogits, out=grads)
 
         if strong_views:
-            batch_loss = contrastive_term(model, strong_views, probs, cfg.bsd_plus.lam,
-                                          dropout_rng, grad_flat, batch_loss)
+            batch_loss = old_alloc_contrastive_term(model, strong_views, probs,
+                                                    cfg.bsd_plus.lam, dropout_rng, grad_flat,
+                                                    batch_loss)
 
         if not np.isfinite(batch_loss):
             raise TrainingDiverged(
@@ -965,6 +981,37 @@ def test_train_epoch_matches_reference_bsd_plus(mode, monkeypatch):
     spec = ModelSpec(input_dim=h * w * ch, classes=3, hidden=(5,), architecture="tiny-conv",
                      grid_shape=(h, w, ch), dropout=0.2, seed=6)
     assert_same_run(*run_both(train, spec, cfg, monkeypatch))
+
+
+@pytest.mark.parametrize("n", [300, 1001])
+@pytest.mark.parametrize("bs", [1, 7, 16, 64, 127, 128, 129, 256, None, 5000])
+def test_batch_losses_match_per_slice_sums(n, bs):
+    # None is one batch of all n rows; 5000 > n leaves only the partial batch
+    bs = bs or n
+    k = 3
+    row_loss = soft_cross_entropy(np.random.default_rng([n, bs]).dirichlet(np.ones(k), size=n),
+                                  np.random.default_rng([bs, n]).dirichlet(np.ones(k), size=n))
+    want = [float(row_loss[start:start + bs].sum() / (row_loss[start:start + bs].size * k))
+            for start in range(0, n, bs)]
+    got = training._batch_losses(row_loss, bs, k)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+@pytest.mark.parametrize("views", [1, 2])
+@pytest.mark.parametrize("optimizer, momentum", [("sgd", 0.9), ("adam", 0.0)])
+def test_epoch_loss_matches_per_step_loss(views, optimizer, momentum, monkeypatch):
+    # 23 samples in batches of 6 (the last is short), tau != 1, strong views on an MLP
+    train = make_blobs(3, 8, spacing=1.5, cov_scale=0.8, seed=[9, 0])
+    train = data.Dataset(samples=train.samples[:23], clean_labels=train.clean_labels[:23],
+                         labels=train.labels[:23], k=3)
+    cfg = TrainConfig(epochs=3, batch_size=6, optimizer=optimizer, lr=0.05, momentum=momentum,
+                      tau=0.6, strategy=StrategyConfig(mode="bsd", gamma=0.8, c=20.0),
+                      bsd_plus=BsdPlusConfig(enabled=True, lam=1.3, views=views,
+                                             strong_jitter=0.2))
+    spec = ModelSpec(input_dim=2, classes=3, hidden=(6,), dropout=0.2, seed=8)
+    new, old = run_both(train, spec, cfg, monkeypatch)
+    assert [r["train_loss"].hex() for r in new[3]] == [r["train_loss"].hex() for r in old[3]]
+    assert_same_run(new, old)
 
 
 @pytest.mark.parametrize("first, second", [("off", "negative"), ("negative", "off"),

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from bsdlab.analysis import nll
-from bsdlab.data import Dataset, inject_symmetric
+from bsdlab.data import Dataset, inject_asymmetric, inject_symmetric
 from bsdlab.numerics import (entropy, kl_div, one_hot, optimizer_step, softmax,
                              soft_cross_entropy)
 from bsdlab.targets import STRATEGY_MODES, StrategyConfig, TargetStrategy, init_prior
@@ -263,6 +263,7 @@ LABEL_ENTRY_POINTS = {
        for mode in STRATEGY_MODES},
     "init_prior": (lambda y: init_prior(y, 3, 10.0, 0.0, 0.9), False),
     "inject_symmetric": (lambda y: inject_symmetric(y, 0.5, 3, 0), False),
+    "inject_asymmetric": (lambda y: inject_asymmetric(y, 0.5, {0: 1, 1: 2, 2: 0}, 3, 0), False),
     "analysis.nll": (lambda y: nll(np.full((4, 3), 1.0 / 3.0), y), True),
 }
 

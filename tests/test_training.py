@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsdlab import training
+from bsdlab import analysis, training
 from bsdlab.data import Dataset, make_blobs
 from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import Model, ModelSpec, forward, init_model
@@ -264,6 +264,39 @@ class TestEpochUpdate:
         assert strategy.store.y.tobytes() == y0
         assert strategy.store.A.tobytes() == A0
 
+    def test_non_finite_loss_names_first_batch_and_leaves_store(self, monkeypatch):
+        # probabilities and targets are checked finite, so only a patched loss gets here
+        model, ds, strategy, opt, cfg = fresh_run("bsd", batch_size=4)  # 20 = 5 batches
+        y0, A0 = strategy.store.y.tobytes(), strategy.store.A.tobytes()
+        original = training.soft_cross_entropy
+
+        def poisoned(target, pred):
+            rows = original(target, pred)
+            rows[[5, 13]] = np.nan  # batches 2 and 4
+            return rows
+
+        monkeypatch.setattr(training, "soft_cross_entropy", poisoned)
+        with pytest.raises(TrainingDiverged, match=r"^non-finite loss at epoch 1, batch "
+                           r"starting 4 \(seed 6\)$"):
+            train_epoch(model, ds, strategy, opt, cfg, 1, seed=6)
+        assert opt.step == 5  # the loss is checked after the epoch's last step
+        assert strategy.store.y.tobytes() == y0
+        assert strategy.store.A.tobytes() == A0
+
+    def test_loss_is_one_pass_per_epoch(self, monkeypatch):
+        calls = []
+        original = training.soft_cross_entropy
+
+        def counted(target, pred):
+            calls.append(pred.shape)
+            return original(target, pred)
+
+        monkeypatch.setattr(training, "soft_cross_entropy", counted)
+        model, ds, strategy, opt, cfg = fresh_run("bsd", batch_size=6)  # 20 = 3 * 6 + 2
+        for epoch in (1, 2):
+            train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
+        assert calls == [(ds.n, ds.k)] * 2
+
     def test_store_updated_once_per_epoch_with_batch_blocks(self, monkeypatch):
         calls = []
         original = EvidenceStore.update_rows
@@ -323,6 +356,14 @@ class TestEpochUpdate:
 
 
 class TestEvaluate:
+    def test_metrics_equal_the_analysis_functions(self):
+        ds = tiny_dataset(n_per=40, k=3, spacing=1.0)
+        model = init_model(ModelSpec(input_dim=2, classes=3, hidden=(4,), seed=9))
+        ev = evaluate(model, ds)
+        assert (ev["acc"], ev["ece"], ev["nll"]) == (
+            analysis.accuracy(ev["preds"], ds.labels), analysis.ece(ev["preds"], ds.labels),
+            analysis.nll(ev["preds"], ds.labels))
+
     def test_equals_dropout_free_forward(self):
         ds = tiny_dataset()
         spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.5)
@@ -332,6 +373,14 @@ class TestEvaluate:
         assert preds.tobytes() == expected.tobytes()
 
 
+def view_loss(terms, loss=0.0):
+    """``loss`` plus ``contrastive_term``'s per-view terms, added in view order as
+    ``train_epoch`` adds them."""
+    for term in terms:
+        loss += term
+    return loss
+
+
 class TestContrastive:
     def test_identical_views_zero_loss(self):
         spec = ModelSpec(input_dim=3, classes=2, hidden=(4,), dropout=0.0, seed=10)
@@ -339,8 +388,9 @@ class TestContrastive:
         x = np.array([[0.2, -0.4, 1.0], [1.5, 0.3, -0.7]])
         pred, _ = forward(model, x)
         grad_flat = np.zeros_like(model.flat)
-        loss = contrastive_term(model, [x, x], pred, 3.0, None, grad_flat)
-        np.testing.assert_allclose(loss, 0.0, atol=1e-12)
+        terms = contrastive_term(model, [x, x], pred, 3.0, None, grad_flat)
+        assert len(terms) == 2 and all(type(t) is float for t in terms)
+        np.testing.assert_allclose(view_loss(terms), 0.0, atol=1e-12)
         np.testing.assert_allclose(grad_flat, 0.0, atol=1e-12)
 
     def test_lambda_scaling(self):
@@ -350,8 +400,10 @@ class TestContrastive:
         x = rng.normal(size=(1, 3))
         views = [rng.normal(size=(1, 3))]
         anchor, _ = forward(model, x)
-        l1 = contrastive_term(model, views, anchor, 1.0, None, np.zeros_like(model.flat))
-        l2 = contrastive_term(model, views, anchor, 2.0, None, np.zeros_like(model.flat))
+        l1 = view_loss(contrastive_term(model, views, anchor, 1.0, None,
+                                        np.zeros_like(model.flat)))
+        l2 = view_loss(contrastive_term(model, views, anchor, 2.0, None,
+                                        np.zeros_like(model.flat)))
         np.testing.assert_allclose(l2, 2.0 * l1, rtol=1e-12)
 
     def test_batch_is_mean_of_single_samples(self):
@@ -362,10 +414,11 @@ class TestContrastive:
         views = [rng.normal(size=(4, 3)), rng.normal(size=(4, 3))]
         anchor, _ = forward(model, x)
         grad_flat = np.zeros_like(model.flat)
-        loss = contrastive_term(model, views, anchor, 1.3, None, grad_flat)
+        loss = view_loss(contrastive_term(model, views, anchor, 1.3, None, grad_flat))
         singles = [np.zeros_like(model.flat) for _ in range(4)]
-        single_losses = [contrastive_term(model, [v[i:i + 1] for v in views], anchor[i:i + 1],
-                                          1.3, None, singles[i]) for i in range(4)]
+        single_losses = [view_loss(contrastive_term(model, [v[i:i + 1] for v in views],
+                                                    anchor[i:i + 1], 1.3, None, singles[i]))
+                         for i in range(4)]
         np.testing.assert_allclose(loss, np.mean(single_losses), rtol=1e-12)
         np.testing.assert_allclose(grad_flat, np.mean(singles, axis=0), rtol=1e-10, atol=1e-15)
 
@@ -376,15 +429,16 @@ class TestContrastive:
         x = rng.normal(size=(3, 3))
         views = [rng.normal(size=(3, 3)), rng.normal(size=(3, 3))]
         anchor, _ = forward(model, x)
-        # the gradient is added to what the buffer already holds, the loss to ``loss``
+        # the gradient is added to what the buffer already holds
         grad_flat = np.ones_like(model.flat)
-        loss = contrastive_term(model, views, anchor, 1.7, None, grad_flat, loss=5.0)
+        loss = view_loss(contrastive_term(model, views, anchor, 1.7, None, grad_flat), 5.0)
         analytic = grad_flat - 1.0
         x0 = model.flat.copy()
 
         def f(flat):
             model.flat[...] = flat
-            return contrastive_term(model, views, anchor, 1.7, None, np.zeros_like(flat))
+            return view_loss(contrastive_term(model, views, anchor, 1.7, None,
+                                              np.zeros_like(flat)))
 
         np.testing.assert_allclose(loss - 5.0, f(x0), rtol=1e-12)
         numeric = finite_diff_grad(f, x0.copy(), h=1e-5)
@@ -618,7 +672,7 @@ class TestRunExperiment:
         # closing or flushing anything, so only flushed record rows survive
         child = textwrap.dedent("""
             import os, sys
-            from bsdlab import training
+            from bsdlab import analysis, training
             from bsdlab.data import make_blobs
             from bsdlab.models import ModelSpec
             from bsdlab.targets import StrategyConfig
