@@ -23,7 +23,10 @@ unused input gradient, run on the allocating forward (``old_alloc_forward``),
 so no production pass stands in its own reference. Parameters, optimizer
 moments, the evidence store and every epoch row must match bit for bit, and
 the epoch-level store update must check each prediction row on its own,
-exactly as the replaced check does on that row alone.
+exactly as the replaced check does on that row alone. The reference loop
+still computes its loss in every step, with the strong-view term that adds
+onto a passed-in loss (``old_alloc_contrastive_term``), so the epoch-level
+``train_loss`` is checked against the per-step one bit for bit.
 
 The training pass that writes into the model's kept buffers is checked
 against verbatim copies of the allocating softmax, forward, backward,
