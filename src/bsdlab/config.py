@@ -49,21 +49,21 @@ def _get(section_name, section, key, default, check=None, msg=None):
     return value
 
 
-# key: (default, check, msg); the checks exclude what make_blobs rejects
-_BLOBS = {
-    "classes": (4, lambda v: v >= 2, ">= 2"),
-    "per_class": (1000, lambda v: v >= 1, ">= 1"),
-    "test_per_class": (250, lambda v: v >= 1, ">= 1"),
-    "dim": (2, lambda v: v >= 2, ">= 2 (class centers sit on a ring)"),
-    "spacing": (3.0, None, None),
-    "cov_scale": (1.0, lambda v: v > 0.0, "> 0"),
-    "seed": (0, lambda v: v >= 0, ">= 0"),
-}
-
-_DATASET_KEYS = {
-    "blobs": {"kind", *_BLOBS},
-    "csv": {"kind", "path", "test_path", "label_column"},
-    "idx": {"kind", "images", "labels", "test_images", "test_labels"},
+# kind -> key -> (default, check, msg), or None for a file key: required, resolved
+# against the config file's directory, naming an existing file. The blobs checks
+# exclude what make_blobs rejects.
+_DATASETS = {
+    "blobs": {
+        "classes": (4, lambda v: v >= 2, ">= 2"),
+        "per_class": (1000, lambda v: v >= 1, ">= 1"),
+        "test_per_class": (250, lambda v: v >= 1, ">= 1"),
+        "dim": (2, lambda v: v >= 2, ">= 2 (class centers sit on a ring)"),
+        "spacing": (3.0, None, None),
+        "cov_scale": (1.0, lambda v: v > 0.0, "> 0"),
+        "seed": (0, lambda v: v >= 0, ">= 0"),
+    },
+    "csv": {"path": None, "test_path": None, "label_column": ("label", None, None)},
+    "idx": {"images": None, "labels": None, "test_images": None, "test_labels": None},
 }
 
 
@@ -71,26 +71,22 @@ def _resolve_dataset(section, base_dir):
     if not isinstance(section, dict):
         raise ConfigError("dataset must be an object")
     kind = section.get("kind", "blobs")
-    if not isinstance(kind, str) or kind not in _DATASET_KEYS:
-        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASET_KEYS)}, got {kind!r}")
-    _reject_unknown("dataset", section, _DATASET_KEYS[kind])
+    if not isinstance(kind, str) or kind not in _DATASETS:
+        raise ConfigError(f"dataset.kind must be one of {sorted(_DATASETS)}, got {kind!r}")
+    _reject_unknown("dataset", section, ["kind", *_DATASETS[kind]])
     out = {"kind": kind}
-    if kind == "blobs":
-        for key, (default, check, msg) in _BLOBS.items():
-            out[key] = _get("dataset", section, key, default, check, msg)
-    else:
-        path_keys = ("path", "test_path") if kind == "csv" else (
-            "images", "labels", "test_images", "test_labels")
-        for key in path_keys:
-            value = section.get(key)
-            if not isinstance(value, str):
-                raise ConfigError(f"dataset.{key} is required for kind {kind!r}")
-            resolved = str((base_dir / value).resolve()) if not Path(value).is_absolute() else value
-            if not Path(resolved).exists():
-                raise ConfigError(f"dataset.{key}: no such file {resolved}")
-            out[key] = resolved
-        if kind == "csv":
-            out["label_column"] = _get("dataset", section, "label_column", "label")
+    for key, spec in _DATASETS[kind].items():
+        if spec is not None:
+            out[key] = _get("dataset", section, key, *spec)
+            continue
+        if key not in section:
+            raise ConfigError(f"dataset.{key} is required for kind {kind!r}")
+        value = _get("dataset", section, key, "")
+        if not Path(value).is_absolute():
+            value = str((base_dir / value).resolve())
+        if not Path(value).exists():
+            raise ConfigError(f"dataset.{key}: no such file {value}")
+        out[key] = value
     return out
 
 
@@ -163,17 +159,13 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown("top level", raw, _TOP_KEYS)
-    seeds = raw.get("seeds", [0])
-    if (not isinstance(seeds, list) or not seeds
-            or not all(isinstance(s, int) and not isinstance(s, bool) and s >= 0 for s in seeds)):
-        raise ConfigError("seeds must be a nonempty list of non-negative integers")
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError("seeds must be distinct")
-    name = raw.get("name", path.stem)
+    seeds = _get("top level", raw, "seeds", [0],
+                 lambda v: all(type(s) is int and s >= 0 for s in v) and 0 < len(set(v)) == len(v),
+                 "a nonempty list of non-negative integers, each once")
     # the run directory is <output_dir>/<name>, so a name may not leave output_dir
-    if not isinstance(name, str) or name in ("", ".", "..") or "/" in name or "\\" in name:
-        raise ConfigError("name must be a nonempty single path component "
-                          f"(no '/', '\\', '.' or '..'), got {name!r}")
+    name = _get("top level", raw, "name", path.stem,
+                lambda v: v not in ("", ".", "..") and "/" not in v and "\\" not in v,
+                "a nonempty single path component (no '/', '\\', '.' or '..')")
     resolved = {
         "name": name,
         "dataset": _resolve_dataset(raw.get("dataset", {}), path.parent),

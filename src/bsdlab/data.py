@@ -1,9 +1,9 @@
 """Dataset construction, file ingestion, label-noise protocols, and augmentations.
 
-Datasets are immutable after construction: noise injection returns a copy with
-a fresh ``labels`` array while ``clean_labels`` is never touched; both pass
-``numerics._as_labels``. All generators and noise protocols are pure functions
-of their spec and seed.
+Datasets hold at least one sample and are immutable after construction: noise
+injection returns a copy with a fresh ``labels`` array while ``clean_labels`` is
+never touched; both pass ``numerics._as_labels``. All generators and noise
+protocols are pure functions of their spec and seed.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ class Dataset:
     k: int
 
     def __post_init__(self):
+        if not self.samples.shape[0]:
+            raise ValueError("no samples")
         self.clean_labels = _as_labels(self.clean_labels, self.samples.shape[0], self.k)
         self.labels = _as_labels(self.labels, self.samples.shape[0], self.k)
         if not np.all(np.isfinite(self.samples)):

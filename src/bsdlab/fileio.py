@@ -12,11 +12,11 @@ import numpy as np
 # enough that no whole-file string is built.
 ROWS_PER_WRITE = 256
 
-# The longest JSON header line, newline included, that ``read_blocks`` reads: a
-# longer one is refused before the rest of it is read, so a file whose header has
-# no newline is never read whole. A header lists every block, and measured lines
-# are 814 B for a ``.state`` with hidden (32, 32), Adam and bsd and 11.8 KB with
-# 50 hidden layers.
+# The longest line, newline included, that a line reader reads: the JSON header line
+# of ``read_blocks`` and each row of ``training.read_records``. A longer one is refused
+# before the rest of it is read, so a file with no newline is never read whole.
+# Measured lines: a header lists every block, 814 B for a ``.state`` with hidden
+# (32, 32), Adam and bsd and 11.8 KB with 50 hidden layers; a records row 204-247 B.
 HEADER_MAX_BYTES = 64 << 10
 
 

@@ -13,7 +13,10 @@ class columns left to right (``add`` from +0.0, ``maximum`` from column 0),
 one whole-column call per class instead of numpy's per-row reduction
 overhead. That is the order numpy itself adds and compares fewer than 8
 terms in; from 8 terms on it unrolls the sum pairwise, so wider rows, fewer
-rows and other shapes make the one reduce call.
+rows and other shapes make the one reduce call. One exception: under numpy's
+AVX2 loops (a CPU without AVX-512), ``np.maximum.reduce`` at k = 5-7 may give
+a row maximum of zero the opposite sign to the chain's. That cannot move a
+softmax output, since exp(+0) = exp(-0) = 1.
 """
 
 from __future__ import annotations
@@ -43,7 +46,8 @@ __all__ = [
 
 def _class_reduce(ufunc, x, keepdims=False):
     """``ufunc.reduce(x, axis=-1, keepdims=keepdims)`` bit for bit, for ``np.add`` or
-    ``np.maximum`` over a float array; see the module docstring for when it chains."""
+    ``np.maximum`` over a float array, except the sign of a zero row maximum under
+    numpy's AVX2 loops; see the module docstring for when it chains."""
     if x.ndim != 2 or not 2 <= x.shape[1] < 8 or x.shape[0] < CHAIN_MIN_ROWS:
         return ufunc.reduce(x, axis=-1, keepdims=keepdims)
     # numpy adds onto the identity +0.0, which turns an all -0.0 row into +0.0

@@ -190,5 +190,7 @@ class TargetStrategy:
         return None if self.frozen else float(self.store.A.mean())
 
     def current_targets(self, epoch):
-        """Snapshot of every sample's target row as it would be served at ``epoch``."""
+        """Every sample's target row, mixed from the store as ``targets`` mixes it at
+        ``epoch`` and not sharpened by ``tau``. ``train_epoch`` takes it after the
+        epoch's store update, so it is not the row that epoch served."""
         return self.targets(np.arange(self.labels.shape[0]), epoch)

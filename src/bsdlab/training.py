@@ -40,8 +40,8 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import (atomic_open, json_object, read_blocks, write_blocks, write_json,
-                     write_table)
+from .fileio import (HEADER_MAX_BYTES, atomic_open, json_object, read_blocks, write_blocks,
+                     write_json, write_table)
 from .models import Model, backward, forward, init_model, predict, save_checkpoint
 from .numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, OptimizerState, _all_finite,
                        _class_reduce, entropy, kl_div, on_simplex, optimizer_step,
@@ -428,12 +428,16 @@ def read_trace_csv(path):
 def read_records(fh, last=None):
     """Rows 1..``last`` (every row when None) of a records file open as binary ``fh``.
 
-    Line e must be a whole line holding a JSON object whose ``epoch`` is the int e and
-    whose ``test_acc``, ``test_ece`` and ``test_nll`` are JSON floats or null; another
-    raises ``ValueError`` naming the file and the line.
+    Line e must be a whole line of at most ``HEADER_MAX_BYTES`` bytes holding a JSON
+    object whose ``epoch`` is the int e and whose ``test_acc``, ``test_ece`` and
+    ``test_nll`` are JSON floats or null; another raises ``ValueError`` naming the file
+    and the line. A longer line is refused before the rest of it is read.
     """
     rows = []
-    for epoch, line in enumerate(islice(fh, last), start=1):
+    lines = iter(lambda: fh.readline(HEADER_MAX_BYTES + 1), b"")
+    for epoch, line in enumerate(islice(lines, last), start=1):
+        if len(line) > HEADER_MAX_BYTES:
+            raise ValueError(f"{fh.name}: line {epoch} is longer than {HEADER_MAX_BYTES} bytes")
         row = json_object(line, f"{fh.name}: line {epoch}")
         if type(row.get("epoch")) is not int or row["epoch"] != epoch or not line.endswith(b"\n"):
             raise ValueError(f"{fh.name}: line {epoch} is not a complete row for epoch {epoch}")

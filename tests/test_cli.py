@@ -109,6 +109,35 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="name must be a nonempty single path component"):
             parse_config(path)
 
+    def test_duplicate_seeds_rejected(self, tmp_path):
+        path = tmp_path / "seeds.json"
+        path.write_text(json.dumps({"seeds": [1, 1]}))
+        with pytest.raises(ConfigError, match=re.escape(
+                "top level.seeds must be a nonempty list of non-negative integers, each once, "
+                "got [1, 1]")):
+            parse_config(path)
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("test_pth", "test.csv", "unknown key 'test_pth' in dataset; did you mean 'test_path'?"),
+        ("per_class", 10, "unknown key 'per_class' in dataset"),
+        ("path", 5, "dataset.path must be str, got 5"),
+        ("test_path", None, "dataset.test_path must be str, got None"),
+    ], ids=["csv-typo", "blobs-key-under-csv", "path-int", "test-path-null"])
+    def test_csv_dataset_keys(self, tmp_path, key, value, message):
+        for name in ("train.csv", "test.csv"):
+            (tmp_path / name).write_text("x0,label\n0.5,0\n")
+        dataset = {"kind": "csv", "path": "train.csv", "test_path": "test.csv", key: value}
+        path = tmp_path / "csv.json"
+        path.write_text(json.dumps({"dataset": dataset}))
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            parse_config(path)
+
+    def test_missing_file_key_required(self, tmp_path):
+        path = tmp_path / "idx.json"
+        path.write_text(json.dumps({"dataset": {"kind": "idx"}}))
+        with pytest.raises(ConfigError, match=re.escape("dataset.images is required for kind 'idx'")):
+            parse_config(path)
+
 
 # (dotted section, config key, invalid value) for every checked setting
 INVALID_SETTINGS = [
@@ -153,7 +182,7 @@ SECTION_CLASSES = {"model": ModelSpec, "train": TrainConfig, "train.strategy": S
 FLOAT_SETTINGS = [(section, f.metadata["key"] or f.name) for section, cls in SECTION_CLASSES.items()
                   for f in dataclasses.fields(cls)
                   if "check" in f.metadata and type(f.default) is float]
-FLOAT_SETTINGS += [("dataset", key) for key, (default, _, _) in config._BLOBS.items()
+FLOAT_SETTINGS += [("dataset", key) for key, (default, _, _) in config._DATASETS["blobs"].items()
                    if type(default) is float]
 
 

@@ -258,6 +258,18 @@ class TestAugment:
 
 
 class TestDatasetInvariants:
+    @pytest.mark.parametrize("build", [
+        lambda: make_blobs(3, 0),
+        lambda: Dataset(samples=np.zeros((0, 2)), clean_labels=np.zeros(0, dtype=np.int64),
+                        labels=np.zeros(0, dtype=np.int64), k=2),
+        lambda: Dataset(samples=np.zeros((0, 4, 4, 1)), clean_labels=np.zeros(0, dtype=np.int64),
+                        labels=np.zeros(0, dtype=np.int64), k=2),
+    ], ids=["make_blobs", "vectors", "grids"])
+    def test_no_samples_rejected(self, build):
+        # an empty training set used to reach train_epoch's loss_sum / n
+        with pytest.raises(ValueError, match="^no samples$"):
+            build()
+
     def test_label_range_checked(self):
         with pytest.raises(ValueError, match="label out of range"):
             Dataset(samples=np.zeros((2, 2)), clean_labels=np.array([0, 5]),

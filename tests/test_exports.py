@@ -41,8 +41,10 @@ def test_exports_resolve_and_root_exports_are_listed():
 def test_test_only_names_are_gone():
     modules = [bsdlab] + [importlib.import_module(f"bsdlab.{n}") for n in MODULES]
     # the store update's own simplex check and tolerance, replaced by numerics.on_simplex;
-    # the training pass's own buffer set, replaced by models._buffers
-    for name in ORACLES + ["_check_pred", "SIMPLEX_RENORM_TOL", "_pass_buffers"]:
+    # the training pass's own buffer set, replaced by models._buffers; the dataset
+    # kinds' key tables, replaced by config._DATASETS
+    for name in ORACLES + ["_check_pred", "SIMPLEX_RENORM_TOL", "_pass_buffers", "_BLOBS",
+                           "_DATASET_KEYS"]:
         assert not any(hasattr(m, name) for m in modules), name
     model = init_model(ModelSpec(input_dim=2, classes=2))
     for name in ("block_names", "train", "eval", "mode"):

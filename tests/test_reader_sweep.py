@@ -272,6 +272,8 @@ NAMED = {
                          "expected magic 'BSDLAB-TRACE v1', found 'xxxxxxxxxxxxxxxx'"),
     "trace-header-no-newline": ("trace", lambda raw: TRACE_MAGIC.encode() + b"\n"
                                 + b"x" * JUNK_BYTES, "header line longer than 65536 bytes"),
+    "records-no-newline": ("records", lambda raw: raw + b"x" * JUNK_BYTES,
+                           "line 3 is longer than 65536 bytes"),
 }
 
 

@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from dataclasses import replace as dc_replace
 from pathlib import Path
 
@@ -15,13 +16,13 @@ import pytest
 
 from bsdlab import analysis, training
 from bsdlab.data import Dataset, make_blobs
-from bsdlab.fileio import ROWS_PER_WRITE, read_blocks, write_blocks
+from bsdlab.fileio import HEADER_MAX_BYTES, ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import Model, ModelSpec, forward, init_model
 from bsdlab.numerics import kl_div, soft_cross_entropy
 from bsdlab.targets import EvidenceStore, StrategyConfig, TargetStrategy, update_weight
 from bsdlab.training import (BsdPlusConfig, SeedRun, TrainConfig, TrainingDiverged,
                              contrastive_term, evaluate, lr_at, make_optimizer,
-                             run_experiment, run_layout, run_single_seed,
+                             read_records, run_experiment, run_layout, run_single_seed,
                              train_epoch)
 
 from oracles import finite_diff_grad
@@ -775,6 +776,31 @@ class TestRunExperiment:
             ent[mode] = [row["mean_target_entropy"] for row in records[0].rows]
         assert ent["baseline"][-1] == 0.0
         assert ent["bsd"][2] > 0.0
+
+
+@pytest.mark.parametrize("over", [0, 1], ids=["at-cap", "past-cap"])
+def test_records_line_capped(tmp_path, over):
+    # a row padded so its line, newline included, is HEADER_MAX_BYTES + over long,
+    # then 4 MiB with no newline: neither line past the cap is read whole
+    row = {"epoch": 1, "test_acc": None, "test_ece": None, "test_nll": None, "pad": ""}
+    row["pad"] = "x" * (HEADER_MAX_BYTES - len(json.dumps(row)) - 1 + over)
+    line = json.dumps(row).encode() + b"\n"
+    assert len(line) == HEADER_MAX_BYTES + over
+    path = tmp_path / "seed_1.jsonl"
+    path.write_bytes(line + b"x" * (4 << 20))
+    with open(path, "rb") as fh:
+        if not over:
+            assert read_records(fh, 1) == [row]
+            fh.seek(0)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError) as info:
+                read_records(fh)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert str(info.value) == f"{path}: line {2 - over} is longer than {HEADER_MAX_BYTES} bytes"
+    assert peak < 1 << 20
 
 
 class TestUnusableState:
