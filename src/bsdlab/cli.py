@@ -40,7 +40,7 @@ from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
 from .fileio import json_object, numbered_files, write_json, write_table
-from .numerics import _class_reduce
+from .numerics import PROB_FLOOR, _class_reduce
 from .training import (TrainingDiverged, read_records, read_trace_csv, run_experiment,
                        run_layout)
 
@@ -142,7 +142,7 @@ def _analyze_dark_knowledge(layout, seed, epochs, args):
     write_table(layout["reports"] / f"mu_seed_{seed}.csv", header, [mu], newline="\r\n")
     # plot-ready log-scale heatmap data, floored to keep zeros finite
     write_table(layout["reports"] / f"mu_log10_seed_{seed}.csv", header,
-                [np.log10(np.maximum(mu, 1e-12))], newline="\r\n")
+                [np.log10(np.maximum(mu, PROB_FLOOR))], newline="\r\n")
     write_json(layout["reports"] / f"dark_knowledge_seed_{seed}.json",
                {"class_mean_delta_l1": dk.class_mean_delta_l1.tolist(),
                 "mu_row_sums": dk.mu_row_sums.tolist()})

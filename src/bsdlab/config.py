@@ -84,7 +84,7 @@ def _resolve_dataset(section, base_dir):
         value = _get("dataset", section, key, "")
         if not Path(value).is_absolute():
             value = str((base_dir / value).resolve())
-        if not Path(value).exists():
+        if not Path(value).is_file():
             raise ConfigError(f"dataset.{key}: no such file {value}")
         out[key] = value
     return out

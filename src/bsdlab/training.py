@@ -33,7 +33,7 @@ import shutil
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace as dc_replace
-from itertools import islice, repeat
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -208,17 +208,6 @@ def contrastive_term(model: Model, strong_views, anchor_probs, lam, rng, grad_fl
     return terms
 
 
-def _augmented_views(samples, plus: BsdPlusConfig, weak_rng, strong_rngs):
-    """Weak view plus one strong view per rng in ``strong_rngs``; identity when bsd_plus is off."""
-    if not plus.enabled:
-        return samples, []
-    weak = augment_weak(samples, weak_rng, jitter_sigma=plus.weak_jitter)
-    strong = [augment_strong(samples, rng, jitter_sigma=plus.strong_jitter,
-                             erase_frac=plus.erase_frac)
-              for rng in strong_rngs]
-    return weak, strong
-
-
 def _batch_losses(row_loss, batch_size, k):
     """Each batch's mean loss from the epoch's per-row losses, in batch order: the bits
     of ``row_loss[start:stop].sum() / (bsz * k)``, since a row sum of a C-ordered
@@ -237,7 +226,6 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     """Run one epoch (1-based ``epoch``); returns epoch metrics. A ``NonFinite`` in a batch
     step (weak view, backward, strong views, optimizer step) stops it before the update
     and raises ``TrainingDiverged`` naming epoch, batch start, seed and a gradient's block.
-    ``forward`` writes each batch's probabilities straight into the epoch predictions.
 
     The steps take no loss: ``train_loss`` is one ``soft_cross_entropy`` pass over the
     epoch's served targets and predictions after the last step, summed per batch, plus
@@ -271,15 +259,18 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
     for start in range(0, n, bs):
         stop = min(start + bs, n)
         bsz = stop - start
-        weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
+        batch = samples[start:stop]
+        weak = batch if weak_rng is None else augment_weak(batch, weak_rng,
+                                                           jitter_sigma=plus.weak_jitter)
+        strong_views = [augment_strong(batch, rng, jitter_sigma=plus.strong_jitter,
+                                       erase_frac=plus.erase_frac) for rng in strong_rngs]
         try:
             probs, cache = forward(model, weak, dropout_rng, out=preds[start:stop])
             dlogits = np.subtract(probs, served[start:stop], out=dlogits_buf[:bsz])
             dlogits /= bsz * k
             backward(model, cache, dlogits, out=grads)
-            if strong_views:
-                view_terms.append(contrastive_term(model, strong_views, probs, plus.lam,
-                                                   dropout_rng, grad_flat))
+            view_terms.append(contrastive_term(model, strong_views, probs, plus.lam, dropout_rng,
+                                               grad_flat) if strong_views else ())
             optimizer_step(model.flat, grad_flat, opt_state, lr=lr)
         except NonFinite as exc:  # grads view all of grad_flat, so one block holds a bad entry
             block = (f" in block {next(b for b, g in grads.items() if not _all_finite(g))!r}"
@@ -288,7 +279,7 @@ def train_epoch(model: Model, dataset: Dataset, strategy: TargetStrategy,
                                    f"(seed {seed})") from exc
     loss_sum = 0.0
     losses = _batch_losses(soft_cross_entropy(served, preds), bs, k)
-    for start, batch_loss, terms in zip(range(0, n, bs), losses, view_terms or repeat(())):
+    for start, batch_loss, terms in zip(range(0, n, bs), losses, view_terms):
         for term in terms:
             batch_loss += term
         if not math.isfinite(batch_loss):

@@ -12,7 +12,7 @@ import pytest
 from bsdlab import analysis, cli, config, training
 from bsdlab.cli import main
 from bsdlab.config import ConfigError, parse_config, resolved_json
-from bsdlab.data import NoiseSpec, load_csv, make_blobs, write_idx
+from bsdlab.data import NoiseSpec, load_csv, load_idx, make_blobs, write_idx
 from bsdlab.fileio import write_blocks
 from bsdlab.models import ModelSpec
 from bsdlab.targets import StrategyConfig
@@ -388,6 +388,12 @@ class TestTrainCommand:
         final = json.loads((run_dir / "records" / "seed_1.jsonl").read_text().splitlines()[-1])
         assert final["epoch"] == 2 and report["accuracy"] == final["test_acc"]
 
+    def test_top_level_not_an_object(self, tmp_path, capsys):
+        cfg_path = tmp_path / "list.json"
+        cfg_path.write_text("[1, 2]")
+        assert main(["train", str(cfg_path), "--dry-run"]) == 2
+        assert capsys.readouterr().err == f"config error: {cfg_path}: top level must be an object\n"
+
     def test_config_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"train": {"strategy": {"gamma": 2.0}}}))
@@ -398,7 +404,9 @@ class TestTrainCommand:
         ("dim", "dataset.dim"), ("cov_scale", "dataset.cov_scale"),
         ("spacing", "dataset.spacing must be finite, got nan"),
         ("conv_blobs", "model.architecture"), ("conv_csv", "model.architecture"),
-        ("kind_list", "dataset.kind must be one of ['blobs', 'csv', 'idx'], got ['blobs']")])
+        ("kind_list", "dataset.kind must be one of ['blobs', 'csv', 'idx'], got ['blobs']"),
+        ("dataset_list", "dataset must be an object"), ("train_list", "train must be an object"),
+        ("strategy_str", "train.strategy must be an object")])
     def test_dry_run_rejects_what_training_cannot_build(self, tmp_path, capsys, case, key):
         for name in ("train.csv", "test.csv"):
             (tmp_path / name).write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.4,1\n")
@@ -411,6 +419,9 @@ class TestTrainCommand:
                          "dataset": {"kind": "csv", "path": "train.csv",
                                      "test_path": "test.csv"}},
             "kind_list": {"dataset": {"kind": ["blobs"]}},
+            "dataset_list": {"dataset": []},
+            "train_list": {"train": [1]},
+            "strategy_str": {"train": {"strategy": "bsd"}},
         }[case]
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"),
                                 **overrides)
@@ -609,6 +620,24 @@ class TestAnalyzeCommand:
         lines.append(f"reports written to {reports}")
         assert capsys.readouterr().out == "".join(line + "\n" for line in lines)
 
+    def test_seed_without_epoch_traces_named(self, trained_run, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "traces", run / "traces")
+        seed_dir = run / "traces" / "seed_2"
+        for trace in seed_dir.iterdir():
+            trace.unlink()
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--what", "calibration"]) == 1
+        assert capsys.readouterr().err == f"error: no epoch traces in {seed_dir}\n"
+
+    def test_ood_run_lacking_a_seed(self, trained_run, tmp_path, capsys):
+        ood = tmp_path / "ood"
+        shutil.copytree(trained_run / "traces" / "seed_1", ood / "traces" / "seed_1")
+        capsys.readouterr()
+        assert main(["analyze", str(trained_run), "--what", "ood", "--ood-run", str(ood)]) == 1
+        assert capsys.readouterr().err == (f"error: missing OOD traces for seed 2 in {ood}; "
+                                           "train the --ood-run with the same seeds\n")
+
     def test_missing_traces_named(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "empty"), "--what", "calibration"]) == 1
         err = capsys.readouterr().err
@@ -646,6 +675,12 @@ class TestCompareCommand:
             rows = list(csv.reader(fh))
         assert [len(row) for row in rows] == [6, 6, 6]
         assert [row[0] for row in rows] == ["run", "a,b", "a,b"]
+
+    def test_one_run_directory_refused(self, trained_run, capsys):
+        capsys.readouterr()
+        assert main(["compare", str(trained_run)]) == 2
+        out = capsys.readouterr()
+        assert out.err == "error: compare needs at least two run directories\n" and not out.out
 
     def test_identical_runs_identical_columns(self, trained_run, capsys):
         assert main(["compare", str(trained_run), str(trained_run)]) == 0
@@ -760,6 +795,25 @@ class TestExportDataset:
                      "--split", "test"]) == 0
         assert load_csv(out).n == 30
 
+    def test_grid_idx_pair(self, tmp_path):
+        cfg_path, _ = dataset_config(tmp_path, "idx")
+        cfg = json.loads(cfg_path.read_text())
+        cfg["noise"] = {"kind": "symmetric", "rate": 0.5, "seed": 4}
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "exported"
+        # pixels / 255 round-trip through rint(x * 255), so the test split is its files
+        assert main(["export-dataset", str(cfg_path), "--out", str(out), "--split", "test"]) == 0
+        for part in ("images", "labels"):
+            exported = (tmp_path / f"exported.{part}.idx").read_bytes()
+            assert exported == (tmp_path / f"test.{part}.idx").read_bytes()
+        # the train split carries the noised labels
+        train, _ = cli.build_datasets(parse_config(cfg_path))
+        assert (train.labels != train.clean_labels).any()
+        assert main(["export-dataset", str(cfg_path), "--out", str(out)]) == 0
+        exported = load_idx(tmp_path / "exported.images.idx", tmp_path / "exported.labels.idx")
+        assert np.array_equal(exported.labels, train.labels)
+        assert np.array_equal(exported.samples, train.samples)
+
 
 def dataset_config(tmp_path, kind):
     """A 1-epoch config over small csv or idx files; returns (config path, train data file)."""
@@ -829,6 +883,18 @@ class TestBadDatasetFile:
         # the datasets are built before --force deletes anything
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
         assert not any(tmp_path.glob("exported*"))
+
+    @pytest.mark.parametrize("kind, key", [("csv", "test_path"), ("idx", "labels")])
+    def test_directory_as_data_file_is_a_config_error(self, tmp_path, capsys, kind, key):
+        cfg_path, _ = dataset_config(tmp_path, kind)
+        cfg = json.loads(cfg_path.read_text())
+        cfg["dataset"][key] = "."
+        cfg_path.write_text(json.dumps(cfg))
+        for flag in ("--dry-run", "--quiet"):
+            assert main(["train", str(cfg_path), flag]) == 2
+            assert capsys.readouterr().err == (f"config error: dataset.{key}: no such file "
+                                               f"{tmp_path.resolve()}\n")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.parametrize("kind", ["csv", "idx"])
     def test_empty_split_exits_1(self, tmp_path, capsys, kind):

@@ -42,9 +42,10 @@ def test_test_only_names_are_gone():
     modules = [bsdlab] + [importlib.import_module(f"bsdlab.{n}") for n in MODULES]
     # the store update's own simplex check and tolerance, replaced by numerics.on_simplex;
     # the training pass's own buffer set, replaced by models._buffers; the dataset
-    # kinds' key tables, replaced by config._DATASETS
+    # kinds' key tables, replaced by config._DATASETS; the batch-view helper, folded into
+    # train_epoch
     for name in ORACLES + ["_check_pred", "SIMPLEX_RENORM_TOL", "_pass_buffers", "_BLOBS",
-                           "_DATASET_KEYS"]:
+                           "_DATASET_KEYS", "_augmented_views"]:
         assert not any(hasattr(m, name) for m in modules), name
     model = init_model(ModelSpec(input_dim=2, classes=2))
     for name in ("block_names", "train", "eval", "mode"):

@@ -26,7 +26,9 @@ the epoch-level store update must check each prediction row on its own,
 exactly as the replaced check does on that row alone. The reference loop
 still computes its loss in every step, with the strong-view term that adds
 onto a passed-in loss (``old_alloc_contrastive_term``), so the epoch-level
-``train_loss`` is checked against the per-step one bit for bit.
+``train_loss`` is checked against the per-step one bit for bit. Both reference
+loops build a batch's views through a copy of the helper the epoch loop used to
+call (``old_augmented_views``).
 
 The training pass that writes into the model's kept buffers is checked
 against verbatim copies of the allocating softmax, forward, backward,
@@ -44,7 +46,7 @@ from bsdlab import data, models, training
 from bsdlab.analysis import (DarkKnowledge, _accuracy_and_bins, _as_preds, _bin_index,
                              _bin_slices, _midranks, _temperature_nll, ace, auroc,
                              delta_decomposition, reliability_bins, sce)
-from bsdlab.data import augment_strong, make_blobs
+from bsdlab.data import augment_strong, augment_weak, make_blobs
 from bsdlab.models import (CONV_CHANNELS, ModelSpec, _conv_backward, backward, forward,
                            init_model)
 from bsdlab.numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, _all_finite, _class_reduce,
@@ -53,8 +55,8 @@ from bsdlab.numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, _all_finite, _c
 from bsdlab.targets import (STRATEGY_MODES, EvidenceStore, StrategyConfig, TargetStrategy,
                             init_prior, sharpen)
 from bsdlab.training import (_DROPOUT, _SHUFFLE, _STRONG_BASE, _WEAK, BsdPlusConfig, TrainConfig,
-                             TrainingDiverged, _augmented_views, _epoch_rng, _kl_logit_grad,
-                             contrastive_term, evaluate, lr_at, make_optimizer, train_epoch)
+                             TrainingDiverged, _epoch_rng, _kl_logit_grad, contrastive_term,
+                             evaluate, lr_at, make_optimizer, train_epoch)
 
 
 def old_conv_forward(model, batch):
@@ -847,6 +849,17 @@ def old_backward(model, cache, dlogits, out=None):
     return grads
 
 
+def old_augmented_views(samples, plus: BsdPlusConfig, weak_rng, strong_rngs):
+    """Weak view plus one strong view per rng in ``strong_rngs``; identity when bsd_plus is off."""
+    if not plus.enabled:
+        return samples, []
+    weak = augment_weak(samples, weak_rng, jitter_sigma=plus.weak_jitter)
+    strong = [augment_strong(samples, rng, jitter_sigma=plus.strong_jitter,
+                             erase_frac=plus.erase_frac)
+              for rng in strong_rngs]
+    return weak, strong
+
+
 def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
     """Run one epoch (1-based ``epoch``); returns epoch metrics."""
     if strategy.labels.shape[0] != dataset.n:
@@ -865,7 +878,7 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
         idx = perm[start:start + cfg.batch_size]
         bsz = idx.shape[0]
         raw = dataset.samples[idx]
-        weak, strong_views = _augmented_views(raw, cfg.bsd_plus, weak_rng, strong_rngs)
+        weak, strong_views = old_augmented_views(raw, cfg.bsd_plus, weak_rng, strong_rngs)
 
         try:
             probs, cache = old_alloc_forward(model, weak, dropout_rng)
@@ -1157,7 +1170,8 @@ def old_alloc_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed)
     for start in range(0, n, cfg.batch_size):
         stop = min(start + cfg.batch_size, n)
         bsz = stop - start
-        weak, strong_views = _augmented_views(samples[start:stop], plus, weak_rng, strong_rngs)
+        weak, strong_views = old_augmented_views(samples[start:stop], plus, weak_rng,
+                                                 strong_rngs)
         sharp = served[start:stop]
         try:
             probs, cache = old_alloc_forward(model, weak, dropout_rng)

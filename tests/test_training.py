@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from bsdlab import analysis, training
-from bsdlab.data import Dataset, make_blobs
+from bsdlab.data import Dataset, augment_strong, augment_weak, make_blobs
 from bsdlab.fileio import HEADER_MAX_BYTES, ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import Model, ModelSpec, forward, init_model
 from bsdlab.numerics import kl_div, soft_cross_entropy
@@ -323,7 +323,9 @@ class TestEpochUpdate:
         batch = gathered[2:7]
         plus = BsdPlusConfig(enabled=True, views=3, weak_jitter=jitter, strong_jitter=jitter)
         rngs = [np.random.default_rng(j) for j in range(1 + plus.views)]
-        weak, strong = training._augmented_views(batch, plus, rngs[0], rngs[1:])
+        weak = augment_weak(batch, rngs[0], jitter_sigma=plus.weak_jitter)
+        strong = [augment_strong(batch, rng, jitter_sigma=plus.strong_jitter,
+                                 erase_frac=plus.erase_frac) for rng in rngs[1:]]
         for view in [weak, *strong]:
             assert view.shape == batch.shape
             assert not np.shares_memory(view, gathered)
@@ -814,6 +816,16 @@ class TestUnusableState:
         layout = run_layout(tmp_path / "run")
         run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
         return spec, test, cfg, layout, layout["checkpoints"] / "seed_5.state"
+
+    def test_missing_state(self, tmp_path):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        records = layout["records"] / "seed_5.jsonl"
+        before = records.read_bytes()
+        path.unlink()
+        with pytest.raises(FileNotFoundError, match=re.escape(
+                f"no training state to resume at {path}")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
+        assert records.read_bytes() == before
 
     @pytest.mark.parametrize("mode, old_blocks", [
         ("dlb", ("strategy/last_pred",)),
