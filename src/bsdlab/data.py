@@ -154,7 +154,8 @@ def load_idx(images_path, labels_path):
         raise ValueError(f"{labels_path}: IDX image/label counts differ from {images_path}")
     if not labels.size:
         raise ValueError(f"{images_path}: no samples")
-    samples = images.astype(np.float64)[..., None] / 255.0
+    samples = images.astype(np.float64)[..., None]
+    samples /= 255.0  # in place: one float copy of the pixels, not two
     labels = labels.astype(np.int64)
     return Dataset(samples=samples, clean_labels=labels, labels=labels.copy(),
                    k=max(int(labels.max()) + 1, 2))

@@ -32,6 +32,12 @@ from .numerics import softmax
 from .settings import Settings, setting
 
 CONV_CHANNELS = 8
+# Images per conv front-end slice in ``predict``. OpenBLAS dgemm kernels run a
+# product's rows in blocks of up to 16 and can sum a short last block in another
+# order (Haswell its last row when the count is odd, Nehalem its last count % 4
+# rows). The conv product has oh * ow rows per image, so slices of a multiple of
+# 16 images start on a multiple of 16 rows and keep the whole product's bits.
+CONV_CHUNK = 64
 CHECKPOINT_MAGIC = "BSDLAB-CKPT v1"
 
 __all__ = [
@@ -175,8 +181,6 @@ def _conv_forward(model, batch):
     """3x3 valid convolution via im2col, relu, 2x2 average pool, flatten."""
     h, w, ch = model.spec.grid_shape
     n = batch.shape[0]
-    if batch.shape[1:] != (h, w, ch):
-        raise ValueError(f"expected grid batch of shape (n, {h}, {w}, {ch}), got {batch.shape}")
     oh, ow = h - 2, w - 2
     # patch row (i, y, x) holds the 3x3 window at (y, x); columns ordered (ky, kx, ch)
     patches = batch.reshape(n, h * w * ch).take(_patch_index(h, w, ch), axis=1)
@@ -216,14 +220,25 @@ def _conv_backward(model, cache, dflat, grads):
     np.einsum("ij->j", dz, out=grads["conv_b"])
 
 
-def _head_input(model, batch):
-    """(input of the first dense layer, conv cache or None) for a float64 batch."""
-    if model.spec.architecture == "tiny-conv":
+def _head_input(model, batch, train=True):
+    """(input of the first dense layer, conv cache or None) for a float64 batch.
+
+    The eval pass (``train=False``) runs the conv front end on ``CONV_CHUNK``-image
+    slices into one array and keeps no cache."""
+    spec = model.spec
+    if spec.architecture == "mlp":
+        if batch.ndim != 2 or batch.shape[1] != spec.input_dim:
+            raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {batch.shape}")
+        return batch, None
+    h, w, ch = spec.grid_shape
+    if batch.shape[1:] != (h, w, ch):
+        raise ValueError(f"expected grid batch of shape (n, {h}, {w}, {ch}), got {batch.shape}")
+    if train:
         return _conv_forward(model, batch)
-    if batch.ndim != 2 or batch.shape[1] != model.spec.input_dim:
-        raise ValueError(f"expected batch of shape (n, {model.spec.input_dim}), "
-                         f"got {batch.shape}")
-    return batch, None
+    a = np.empty((batch.shape[0], spec.head_input_dim()))
+    for i in range(0, len(a), CONV_CHUNK):
+        a[i:i + CONV_CHUNK] = _conv_forward(model, batch[i:i + CONV_CHUNK])[0]
+    return a, None
 
 
 def _buffers(model, n, train):
@@ -302,12 +317,15 @@ def predict(model: Model, batch):
     ``forward`` on the same parameters with dropout 0: the same dense loop
     (``_dense``) in the model's eval set for the latest row count n, which
     holds n * (sum(hidden) + classes) floats. The returned probabilities
-    are a fresh array. The whole set goes through each matmul in one call:
-    how many rows BLAS gets at once can change the last bits of a product,
-    so splitting the rows would change the output.
+    are a fresh array. The whole set goes through each dense matmul in one
+    call: how many rows BLAS gets at once can change the last bits of a
+    product, so splitting those rows would change the output. The tiny-conv
+    front end runs on ``CONV_CHUNK``-image slices, whose conv products start
+    on 16-row boundaries and keep the whole product's bits (see the
+    constant), so its patches and activations never exist for the whole set.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    a, _ = _head_input(model, batch)
+    a, _ = _head_input(model, batch, train=False)
     return softmax(_dense(model, a, _buffers(model, batch.shape[0], train=False), None))
 
 

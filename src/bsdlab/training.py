@@ -463,16 +463,16 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     """
     t0 = time.perf_counter()
     trace_dir = layout["traces"] / f"seed_{seed}"
-    for path in (layout["records"], layout["checkpoints"], trace_dir):
-        path.mkdir(parents=True, exist_ok=True)
     records_path = layout["records"] / f"seed_{seed}.jsonl"
     state_path = layout["checkpoints"] / f"seed_{seed}.state"
+    if resume and not state_path.exists():  # checked first, so a refusal makes no directory
+        raise FileNotFoundError(f"no training state to resume at {state_path}")
+    for path in (layout["records"], layout["checkpoints"], trace_dir):
+        path.mkdir(parents=True, exist_ok=True)
 
     run = SeedRun(seed, init_model(dc_replace(model_spec, seed=seed)), make_optimizer(cfg),
                   TargetStrategy(cfg.strategy, train_set.labels, train_set.k, cfg.epochs))
     if resume:
-        if not state_path.exists():
-            raise FileNotFoundError(f"no training state to resume at {state_path}")
         run.epoch = _load_train_state(state_path, run.model, run.opt_state, run.strategy)
         run.rows = _truncate_records(records_path, run.epoch)
 

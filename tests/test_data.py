@@ -1,5 +1,6 @@
 import re
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,21 @@ class TestIdx:
         path = tmp_path / "rt.idx"
         write_idx(path, arr)
         np.testing.assert_array_equal(read_idx(path), arr)
+
+    def test_load_scales_pixels_in_one_float_copy(self, tmp_path):
+        # a second float copy of the pixels would peak past twice the samples' bytes
+        images = np.random.default_rng(4).integers(0, 256, size=(2000, 12, 12), dtype=np.uint8)
+        images[0, 0, :2] = 0, 255
+        write_idx(tmp_path / "images.idx", images)
+        write_idx(tmp_path / "labels.idx", np.arange(2000, dtype=np.uint8) % 10)
+        tracemalloc.start()
+        try:
+            ds = load_idx(tmp_path / "images.idx", tmp_path / "labels.idx")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert ds.samples.tobytes() == (images.astype(np.float64)[..., None] / 255.0).tobytes()
+        assert peak < 1.5 * ds.samples.nbytes
 
 
 class TestCsv:

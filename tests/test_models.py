@@ -1,10 +1,16 @@
 import dataclasses
+import os
 import re
+import subprocess
+import sys
+import textwrap
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bsdlab import models
 from bsdlab.fileio import read_blocks, write_blocks
 from bsdlab.models import (CHECKPOINT_MAGIC, Model, ModelSpec, backward, forward, init_model,
                            load_checkpoint, param_count, predict, save_checkpoint)
@@ -126,7 +132,33 @@ PREDICT_SPECS = {
     "mlp-dropout": ModelSpec(input_dim=3, classes=4, hidden=(32, 32), dropout=0.1, seed=5),
     "tiny-conv": ModelSpec(input_dim=72, classes=3, hidden=(32,), architecture="tiny-conv",
                            grid_shape=(6, 6, 2), seed=5),
+    "tiny-conv-12x12x1": ModelSpec(input_dim=144, classes=4, hidden=(32,),
+                                   architecture="tiny-conv", grid_shape=(12, 12, 1), seed=5),
+    "tiny-conv-odd-pool": ModelSpec(input_dim=98, classes=3, hidden=(32,),
+                                    architecture="tiny-conv", grid_shape=(7, 7, 2), seed=5),
+    # 6 * 5 conv rows per image: an odd image count leaves a conv product of
+    # 2 (mod 4) rows, whose last two rows are not both dropped by the pool
+    "tiny-conv-8x7x1": ModelSpec(input_dim=56, classes=3, hidden=(32,),
+                                 architecture="tiny-conv", grid_shape=(8, 7, 1), seed=5),
 }
+CONV_SPECS = [name for name, spec in PREDICT_SPECS.items() if spec.architecture == "tiny-conv"]
+# set sizes on both sides of predict's CONV_CHUNK = 64 and of its 16-image alignment
+CHUNK_EDGES = (1, 15, 16, 17, 63, 64, 65, 130, 1001)
+
+
+def chunk_mismatches(name):
+    """The sizes in CHUNK_EDGES at which ``predict`` on PREDICT_SPECS[name] differs
+    in any bit from ``forward`` with dropout 0 on the whole set."""
+    spec = PREDICT_SPECS[name]
+    model = init_model(spec)
+    no_dropout = Model(dataclasses.replace(spec, dropout=0.0), model.flat)
+    rng = np.random.default_rng(1)
+    mismatches = []
+    for n in CHUNK_EDGES:
+        x = rng.normal(size=(n, *spec.grid_shape))
+        if predict(model, x).tobytes() != forward(no_dropout, x)[0].tobytes():
+            mismatches.append(n)
+    return mismatches
 
 
 class TestPredict:
@@ -151,6 +183,46 @@ class TestPredict:
             assert again.tobytes() == expected.tobytes()
             assert list(model.scratch) == ["predict"] and model.scratch["predict"] is held
             assert held["logits"].shape == (n, spec.classes)
+
+    @pytest.mark.parametrize("name", CONV_SPECS)
+    def test_conv_chunk_edges_bit_for_bit(self, name):
+        assert chunk_mismatches(name) == []
+
+    def test_conv_chunk_edges_under_a_second_blas_kernel(self):
+        # OpenBLAS reads its settings once, when it loads, so a child process runs
+        # the Nehalem kernel, which sums a product's last count % 4 rows in another
+        # order: slices of an odd image count fail there on "tiny-conv-8x7x1". The
+        # child runs one thread, since threads split the whole product at rows of
+        # their own choosing.
+        child = textwrap.dedent("""
+            import sys
+            sys.path.insert(0, sys.argv[1])
+            from test_models import CONV_SPECS, chunk_mismatches
+            print({name: chunk_mismatches(name) for name in CONV_SPECS})
+        """)
+        src = str(Path(models.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=path)
+        proc = subprocess.run([sys.executable, "-c", child, str(Path(__file__).parent)],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == f"{dict.fromkeys(CONV_SPECS, [])}\n"
+
+    def test_repeat_conv_call_peaks_under_one_whole_set_conv_output(self):
+        # the whole set's conv output z is 1000 * 100 * 8 * 8 B; a front end run on
+        # the whole set at once peaks at more than twice that
+        spec = PREDICT_SPECS["tiny-conv-12x12x1"]
+        model = init_model(spec)
+        x = np.random.default_rng(0).normal(size=(1000, *spec.grid_shape))
+        predict(model, x)
+        tracemalloc.start()
+        try:
+            predict(model, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1000 * 100 * 8 * 8
 
     def test_is_pure_with_dropout(self):
         model = init_model(ModelSpec(input_dim=4, classes=3, hidden=(8,), dropout=0.5, seed=2))

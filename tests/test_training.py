@@ -827,6 +827,17 @@ class TestUnusableState:
             run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
         assert records.read_bytes() == before
 
+    def test_refused_resume_on_an_empty_run_leaves_no_directory(self, tmp_path):
+        layout = run_layout(tmp_path / "run")
+        layout["root"].mkdir()
+        path = layout["checkpoints"] / "seed_5.state"
+        with pytest.raises(FileNotFoundError, match=re.escape(
+                f"no training state to resume at {path}")):
+            run_single_seed(ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0),
+                            tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2),
+                            small_config("bsd", epochs=4), 5, layout, resume=True)
+        assert list(layout["root"].iterdir()) == []
+
     @pytest.mark.parametrize("mode, old_blocks", [
         ("dlb", ("strategy/last_pred",)),
         ("te", ("strategy/te_accum", "strategy/te_count")),
