@@ -33,10 +33,11 @@ from .settings import Settings, setting
 
 CONV_CHANNELS = 8
 # Images per conv front-end slice in ``predict``. OpenBLAS dgemm kernels run a
-# product's rows in blocks of up to 16 and can sum a short last block in another
-# order (Haswell its last row when the count is odd, Nehalem its last count % 4
-# rows). The conv product has oh * ow rows per image, so slices of a multiple of
-# 16 images start on a multiple of 16 rows and keep the whole product's bits.
+# product's rows in blocks and can sum a short last block in another order
+# (Haswell its last row when the count is odd, Nehalem its last count % 4 rows).
+# The conv product has oh * ow rows per image, so slices of a multiple of 16
+# images start on a multiple of 16 rows, a multiple of each such block, and
+# keep the whole product's bits.
 CONV_CHUNK = 64
 CHECKPOINT_MAGIC = "BSDLAB-CKPT v1"
 
