@@ -225,19 +225,17 @@ def auroc(id_scores, ood_scores):
 
 
 def mean_flip_probability(sequences):
-    """Fraction of adjacent frames whose argmax class changes, sample-averaged.
+    """Fraction of adjacent frames whose class changes, sample-averaged.
 
-    ``sequences`` is one array-like of equal-length sequences: ``(n, frames)``
-    class indices or ``(n, frames, k)`` probability rows; ragged input is not
-    accepted. Every sequence needs at least two frames.
+    ``sequences`` is one array-like of equal-length sequences of class indices,
+    ``(n, frames)``; ragged input is not accepted. Every sequence needs at least
+    two frames.
     """
     frames = np.asarray(sequences)
     if frames.shape[0] == 0:
         raise ValueError("no sequences given")
-    if frames.ndim == 3:
-        frames = frames.argmax(axis=2)
     if frames.ndim != 2:
-        raise ValueError("expected (n, frames) class indices or (n, frames, k) probabilities")
+        raise ValueError("expected (n, frames) class indices")
     if frames.shape[1] < 2:
         raise ValueError("prediction sequence shorter than 2 frames")
     return float(np.mean(np.mean(frames[:, 1:] != frames[:, :-1], axis=1)))

@@ -30,7 +30,6 @@ __all__ = [
     "export_csv",
     "inject_symmetric",
     "inject_asymmetric",
-    "cyclic_map",
     "apply_noise",
     "augment_weak",
     "augment_strong",
@@ -78,29 +77,22 @@ class NoiseSpec(Settings):
     seed: int = setting(0, lambda v: v >= 0, ">= 0")
 
 
-def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0,
-               centers=None):
+def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0):
     """Gaussian class clusters with controllable overlap.
 
-    Default centers sit on a ring of radius ``spacing`` in the first two
+    The centers sit on a ring of radius ``spacing`` in the first two
     dimensions, so adjacent classes overlap and confusions have structure.
-    Pass explicit ``centers`` (k x dim) to override, e.g. coincident pairs.
     """
     if k < 2:
         raise ValueError("need at least 2 classes")
     if cov_scale <= 0.0:
         raise ValueError("degenerate covariance")
-    if centers is None:
-        if dim < 2:
-            raise ValueError("default ring centers need dim >= 2")
-        angles = 2.0 * np.pi * np.arange(k) / k
-        centers = np.zeros((k, dim))
-        centers[:, 0] = spacing * np.cos(angles)
-        centers[:, 1] = spacing * np.sin(angles)
-    else:
-        centers = np.asarray(centers, dtype=np.float64)
-        if centers.shape != (k, dim):
-            raise ValueError(f"centers must have shape ({k}, {dim})")
+    if dim < 2:
+        raise ValueError("ring centers need dim >= 2")
+    angles = 2.0 * np.pi * np.arange(k) / k
+    centers = np.zeros((k, dim))
+    centers[:, 0] = spacing * np.cos(angles)
+    centers[:, 1] = spacing * np.sin(angles)
     rng = np.random.default_rng(seed)
     samples = np.empty((k * per_class, dim))
     labels = np.repeat(np.arange(k), per_class)
@@ -224,32 +216,18 @@ def inject_symmetric(labels, rate, k, seed):
     return noisy
 
 
-def cyclic_map(k):
-    """The asymmetric map of ``apply_noise``: each class flips to its successor mod k."""
-    return {j: (j + 1) % k for j in range(k)}
-
-
-def inject_asymmetric(labels, rate, mapping, k, seed):
-    """Per mapped class, relabel round(rate * class_count) of its samples to map(class).
-
-    The labels pass ``_as_labels`` with ``k`` classes, and every class the map sends
-    to must be an integer in [0, k)."""
+def inject_asymmetric(labels, rate, k, seed):
+    """Per class j, relabel round(rate * class_count) of its samples to (j + 1) mod k."""
     labels = _as_labels(labels, None, k)
-    for src, dst in mapping.items():
-        if src == dst:
-            raise ValueError(f"asymmetric map has a fixed point at class {src}")
-        if not (isinstance(dst, (int, np.integer)) and 0 <= dst < k):
-            raise ValueError(f"asymmetric map sends class {src} to {dst!r}, "
-                             f"not a class in [0, {k})")
     rng = np.random.default_rng(seed)
     noisy = labels.copy()
-    for src in sorted(mapping):
+    for src in range(k):
         members = np.flatnonzero(labels == src)
         n_flip = int(round(rate * members.size))
         if n_flip == 0:
             continue
         chosen = rng.choice(members, size=n_flip, replace=False)
-        noisy[chosen] = mapping[src]
+        noisy[chosen] = (src + 1) % k
     return noisy
 
 
@@ -257,12 +235,8 @@ def apply_noise(dataset: Dataset, spec: NoiseSpec) -> Dataset:
     """Return a copy of the dataset with active labels noised per the spec."""
     if spec.kind == "none" or spec.rate == 0.0:
         return dataset.with_labels(dataset.clean_labels.copy())
-    if spec.kind == "symmetric":
-        noisy = inject_symmetric(dataset.clean_labels, spec.rate, dataset.k, spec.seed)
-    else:
-        noisy = inject_asymmetric(dataset.clean_labels, spec.rate, cyclic_map(dataset.k),
-                                  dataset.k, spec.seed)
-    return dataset.with_labels(noisy)
+    inject = inject_symmetric if spec.kind == "symmetric" else inject_asymmetric
+    return dataset.with_labels(inject(dataset.clean_labels, spec.rate, dataset.k, spec.seed))
 
 
 def _jitter(batch, rng, sigma):

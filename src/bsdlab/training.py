@@ -21,8 +21,9 @@ Every random draw flows from named integer streams derived from
 (run seed, epoch, stream tag), so runs are bit-reproducible and resuming from
 a saved state at an epoch boundary replays the identical remainder. A
 ``SeedRun``'s ``step`` trains, and on eval epochs evaluates, one epoch without
-opening a file; ``run_single_seed`` writes each epoch's record row, ``.state``
-and eval ``.trace`` (the last also as CSV), then the seed's checkpoint and store.
+opening a file. A ``_SeedWriter`` writes each epoch's eval ``.trace`` (the last
+also as CSV), record row and ``.state``, then the seed's checkpoint and store;
+``run_single_seed`` is the loop of the two.
 """
 
 from __future__ import annotations
@@ -454,6 +455,48 @@ def _truncate_records(path, epoch):
     return rows
 
 
+class _SeedWriter:
+    """One seed's files under a ``run_layout``. Set-up makes their directories, and with
+    ``resume`` loads the seed's ``.state`` into ``run`` and cuts its records back to that
+    epoch; it refuses a missing ``.state`` before making any directory."""
+
+    def __init__(self, layout, run, labels, epochs, resume):
+        name = f"seed_{run.seed}"
+        self.labels, self.epochs = labels, epochs
+        self.records = layout["records"] / f"{name}.jsonl"
+        self.state = layout["checkpoints"] / f"{name}.state"
+        self.traces = layout["traces"] / name
+        if resume and not self.state.exists():
+            raise FileNotFoundError(f"no training state to resume at {self.state}")
+        for path in (layout["records"], layout["checkpoints"], self.traces):
+            path.mkdir(parents=True, exist_ok=True)
+        if resume:
+            run.epoch = _load_train_state(self.state, run.model, run.opt_state, run.strategy)
+            run.rows = _truncate_records(self.records, run.epoch)
+        else:
+            self.records.write_bytes(b"")
+
+    def epoch(self, run, row, ev):
+        """Write an epoch's eval ``.trace`` (and on the last epoch its CSV), then append
+        its record row, closed and so flushed, then save its ``.state``."""
+        if ev is not None:
+            with run.timed("trace_write"):
+                trace = self.traces / f"epoch_{run.epoch}.trace"
+                write_blocks(trace, TRACE_MAGIC, {}, {"labels": self.labels, "probs": ev["preds"]})
+                if run.epoch == self.epochs:
+                    write_trace_csv(trace.with_suffix(".csv"), ev["preds"], self.labels)
+        with open(self.records, "a") as fh:
+            fh.write(json.dumps(row, sort_keys=True) + "\n")
+        with run.timed("state_write"):
+            _save_train_state(self.state, run.model, run.opt_state, run.strategy, run.epoch)
+
+    def finish(self, run):
+        """Write the seed's final checkpoint and, unless frozen, its store CSV."""
+        save_checkpoint(run.model, self.state.with_name(f"seed_{run.seed}_final.ckpt"))
+        if not run.strategy.frozen:
+            run.strategy.store.save_csv(self.records.with_name(f"store_seed_{run.seed}.csv"))
+
+
 def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
                     cfg: TrainConfig, seed, layout, progress=None, stop_after=None, resume=False):
     """Train one seed, writing all its files; returns its ``SeedRun``, eval buffers freed.
@@ -462,42 +505,17 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     after epoch e and resuming later replays epochs e+1..T identically.
     """
     t0 = time.perf_counter()
-    trace_dir = layout["traces"] / f"seed_{seed}"
-    records_path = layout["records"] / f"seed_{seed}.jsonl"
-    state_path = layout["checkpoints"] / f"seed_{seed}.state"
-    if resume and not state_path.exists():  # checked first, so a refusal makes no directory
-        raise FileNotFoundError(f"no training state to resume at {state_path}")
-    for path in (layout["records"], layout["checkpoints"], trace_dir):
-        path.mkdir(parents=True, exist_ok=True)
-
     run = SeedRun(seed, init_model(dc_replace(model_spec, seed=seed)), make_optimizer(cfg),
                   TargetStrategy(cfg.strategy, train_set.labels, train_set.k, cfg.epochs))
-    if resume:
-        run.epoch = _load_train_state(state_path, run.model, run.opt_state, run.strategy)
-        run.rows = _truncate_records(records_path, run.epoch)
-
+    writer = _SeedWriter(layout, run, test_set.labels, cfg.epochs, resume)
     last_epoch = cfg.epochs if stop_after is None else min(stop_after, cfg.epochs)
-    with open(records_path, "a" if resume else "w") as rec_fh:
-        while run.epoch < last_epoch:
-            row, ev = run.step(train_set, test_set, cfg)
-            if ev is not None:
-                with run.timed("trace_write"):
-                    trace = trace_dir / f"epoch_{run.epoch}.trace"
-                    write_blocks(trace, TRACE_MAGIC, {},
-                                 {"labels": test_set.labels, "probs": ev["preds"]})
-                    if run.epoch == cfg.epochs:
-                        write_trace_csv(trace.with_suffix(".csv"), ev["preds"], test_set.labels)
-            rec_fh.write(json.dumps(row, sort_keys=True) + "\n")
-            rec_fh.flush()
-            with run.timed("state_write"):
-                _save_train_state(state_path, run.model, run.opt_state, run.strategy, run.epoch)
-            if progress is not None:
-                progress(seed, row)
-
+    while run.epoch < last_epoch:
+        row, ev = run.step(train_set, test_set, cfg)
+        writer.epoch(run, row, ev)
+        if progress is not None:
+            progress(seed, row)
     if last_epoch == cfg.epochs:
-        save_checkpoint(run.model, layout["checkpoints"] / f"seed_{seed}_final.ckpt")
-        if not run.strategy.frozen:
-            run.strategy.store.save_csv(layout["records"] / f"store_seed_{seed}.csv")
+        writer.finish(run)
     run.model.scratch.clear()
     run.wall_clock_s = time.perf_counter() - t0
     return run

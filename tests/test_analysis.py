@@ -179,10 +179,10 @@ class TestMeanFlipProbability:
     def test_counting(self):
         assert mean_flip_probability([np.array([0, 0, 1, 1, 1])]) == 0.25
 
-    def test_depends_only_on_argmax(self):
+    def test_probability_rows_refused(self):
         probs = np.array([[0.6, 0.4], [0.9, 0.1], [0.2, 0.8]])
-        ints = probs.argmax(axis=1)
-        assert mean_flip_probability([probs]) == mean_flip_probability([ints])
+        with pytest.raises(ValueError, match=r"expected \(n, frames\) class indices"):
+            mean_flip_probability([probs])
 
     def test_short_sequence_rejected(self):
         with pytest.raises(ValueError, match="shorter"):
@@ -199,7 +199,6 @@ class TestMeanFlipProbability:
         rates = [np.mean(f[1:] != f[:-1]) for f in frames]
         expected = float(np.mean(rates))
         assert mean_flip_probability(frames) == expected
-        assert mean_flip_probability(probs) == expected
         assert mean_flip_probability(list(frames)) == expected
 
 

@@ -64,3 +64,24 @@ def test_traced_bench_run_is_correct(tmp_path):
     # the end-of-epoch and end-of-seed writes run_single_seed makes
     assert calls["models.save_checkpoint"] == calls["training.write_trace_csv"] > 0, calls
     assert calls["targets.EvidenceStore.save_csv"] > 0, calls
+
+
+def test_untraced_bench_run_times_every_epoch(tmp_path):
+    # the untraced run times epochs by wrapping training.run_single_seed and its
+    # progress callback (bench/run.py EpochClock), so a moved or positional
+    # progress call shows here
+    shutil.copytree(ROOT / "bench", tmp_path / "bench")
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
+    (tmp_path / "src").symlink_to(ROOT / "src")
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "blobs_b16", "--seed", "1",
+         "--seconds", "1", "--trace", "0"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    *_, info_line, result_line = proc.stdout.splitlines()
+    result, info = json.loads(result_line), json.loads(info_line)["info"]
+    assert result["correct"] is True
+    assert result["metrics"]["epoch_s_p50"]["value"] > 0
+    sizes = info["sizes"]
+    trained = info["reps"] * len(sizes["arms"]) * sizes["seeds_per_arm"] * sizes["epochs"]
+    assert info["epoch_samples"] == trained > 0

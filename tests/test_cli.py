@@ -400,6 +400,16 @@ class TestTrainCommand:
         assert main(["train", str(bad)]) == 2
         assert "gamma" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("noise", [{"rate": 0.4, "seed": 3}, {"kind": "none", "rate": 0.1}])
+    def test_noise_rate_without_a_kind_refused(self, tmp_path, capsys, noise):
+        # kind defaults to "none", which keeps the clean labels and would ignore the rate
+        cfg_path = write_config(tmp_path / "noisy.json", output_dir=str(tmp_path / "runs"),
+                                noise=noise)
+        assert main(["train", str(cfg_path), "--dry-run"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: noise.rate > 0 needs noise.kind 'symmetric' or 'asymmetric'\n")
+        assert not (tmp_path / "runs").exists()
+
     @pytest.mark.parametrize("case,key", [
         ("dim", "dataset.dim"), ("cov_scale", "dataset.cov_scale"),
         ("spacing", "dataset.spacing must be finite, got nan"),

@@ -263,7 +263,7 @@ LABEL_ENTRY_POINTS = {
        for mode in STRATEGY_MODES},
     "init_prior": (lambda y: init_prior(y, 3, 10.0, 0.0, 0.9), False),
     "inject_symmetric": (lambda y: inject_symmetric(y, 0.5, 3, 0), False),
-    "inject_asymmetric": (lambda y: inject_asymmetric(y, 0.5, {0: 1, 1: 2, 2: 0}, 3, 0), False),
+    "inject_asymmetric": (lambda y: inject_asymmetric(y, 0.5, 3, 0), False),
     "analysis.nll": (lambda y: nll(np.full((4, 3), 1.0 / 3.0), y), True),
 }
 

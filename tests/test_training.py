@@ -550,6 +550,32 @@ class TestSeedRun:
         assert [json.dumps(row, sort_keys=True) for row in run.rows] == lines
         assert [row["epoch"] for row in run.rows] == [1, 2, 3, 4]
 
+    def test_seeds_stepped_in_lockstep_write_the_run_experiment_bytes(self, tmp_path):
+        # two seeds alternate epoch by epoch, each through its own writer
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, eval_every=3, optimizer="adam", lr=0.05,
+                           strategy_kw={"gamma": 0.8, "c": 20.0})
+        run_experiment(self.SPEC, ds, test, cfg, seeds=[5, 6], run_dir=tmp_path / "serial")
+        layout = run_layout(tmp_path / "lockstep")
+        runs = [new_seed_run(self.SPEC, ds, cfg, seed) for seed in (5, 6)]
+        writers = [training._SeedWriter(layout, run, test.labels, cfg.epochs, False)
+                   for run in runs]
+        for _ in range(cfg.epochs):
+            for run, writer in zip(runs, writers):
+                writer.epoch(run, *run.step(ds, test, cfg))
+        for run, writer in zip(runs, writers):
+            writer.finish(run)
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*")
+                    if p.is_file() and p.name != "timing.txt"}
+
+        serial, lockstep = tree(tmp_path / "serial"), tree(layout["root"])
+        assert "traces/seed_6/epoch_4.csv" in lockstep and "records/store_seed_5.csv" in lockstep
+        assert sorted(serial) == sorted(lockstep)
+        for rel in serial:
+            assert serial[rel] == lockstep[rel], rel
+
 
 class TestRunExperiment:
     def test_three_seeds_three_records(self, tmp_path):
