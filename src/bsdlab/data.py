@@ -218,6 +218,9 @@ def inject_symmetric(labels, rate, k, seed):
 
 def inject_asymmetric(labels, rate, k, seed):
     """Per class j, relabel round(rate * class_count) of its samples to (j + 1) mod k."""
+    if k < 2:
+        raise ValueError(f"asymmetric noise needs k >= 2; k = {k} maps class 0 to itself, "
+                         "a fixed point")
     labels = _as_labels(labels, None, k)
     rng = np.random.default_rng(seed)
     noisy = labels.copy()

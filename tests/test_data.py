@@ -51,6 +51,11 @@ class TestMakeBlobs:
         with pytest.raises(ValueError, match="covariance"):
             make_blobs(2, 10, cov_scale=0.0)
 
+    def test_one_dim_rejected(self):
+        # the ring puts its centers in the first two dimensions
+        with pytest.raises(ValueError, match=r"ring centers need dim >= 2"):
+            make_blobs(3, 10, dim=1)
+
 
 class TestIdx:
     def test_header_parsing(self, tmp_path):
@@ -196,6 +201,11 @@ class TestAsymmetricNoise:
             moved = (labels == src) & (noisy != labels)
             assert int(moved.sum()) == 30
             assert np.all(noisy[moved] == (src + 1) % 3)
+
+    def test_fixed_point_rejected(self):
+        # with one class, (0 + 1) mod 1 = 0: every chosen label stayed as it was
+        with pytest.raises(ValueError, match="fixed point"):
+            inject_asymmetric(np.array([0, 0, 0, 0]), 0.5, 1, seed=0)
 
     def test_float_labels_refused(self):
         # these were truncated to [0, 1, 5] and relabelled to [1, 0, 5]
