@@ -178,9 +178,12 @@ def parse_config(path) -> ExperimentConfig:
     if resolved["model"]["architecture"] == "tiny-conv" and resolved["dataset"]["kind"] != "idx":
         raise ConfigError("model.architecture 'tiny-conv' needs image grids, "
                           "which only dataset.kind 'idx' gives")
-    if resolved["noise"]["kind"] == "none" and resolved["noise"]["rate"] > 0.0:
-        raise ConfigError("noise.rate > 0 needs noise.kind 'symmetric' or 'asymmetric'")
-    return ExperimentConfig(name=name, resolved=resolved)
+    cfg = ExperimentConfig(name=name, resolved=resolved)
+    try:
+        cfg.noise_spec()  # NoiseSpec states the rule that ties rate to kind
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    return cfg
 
 
 def resolved_json(cfg: ExperimentConfig) -> str:

@@ -76,6 +76,12 @@ class NoiseSpec(Settings):
     rate: float = setting(0.0, lambda v: 0.0 <= v <= 1.0, "in [0,1]")
     seed: int = setting(0, lambda v: v >= 0, ">= 0")
 
+    def __post_init__(self):
+        super().__post_init__()
+        # kind "none" keeps the clean labels, so it would ignore the rate
+        if self.kind == "none" and self.rate > 0.0:
+            raise ValueError("noise.rate > 0 needs noise.kind 'symmetric' or 'asymmetric'")
+
 
 def make_blobs(k, per_class, dim=2, spacing=3.0, cov_scale=1.0, seed=0):
     """Gaussian class clusters with controllable overlap.
@@ -203,6 +209,9 @@ def inject_symmetric(labels, rate, k, seed):
     Flips are guaranteed (the new class is drawn from the other k-1), so the
     realized noise rate equals the nominal rate.
     """
+    if k < 2:
+        raise ValueError(f"symmetric noise needs k >= 2; k = {k} has no other class "
+                         "to flip a label to")
     labels = _as_labels(labels, None, k)
     n = labels.shape[0]
     n_flip = int(round(rate * n))

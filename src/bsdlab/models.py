@@ -12,11 +12,13 @@ reshaped view into it, in ``block_shapes`` order.
 ``forward`` is the training pass: it keeps the activations ``backward``
 needs. ``predict`` is the only eval pass, over a whole set: it keeps nothing.
 Both run one dense-layer loop in a buffer set the model keeps between calls
-(``Model.scratch``), so repeated steps and evaluations reuse memory: ``predict``
-one eval set for the latest row count, ``forward`` and ``backward`` one
-training set per batch row count. A ``forward`` cache is its set, valid only
-until the next ``forward`` on the model at that row count; ``backward``
-refuses a cache a later pass has overwritten.
+(``Model.scratch``), so repeated steps and evaluations reuse memory: ``forward``
+and ``backward`` one training set per batch row count, ``predict`` one eval set
+for the latest row count. ``predict`` runs everything before the logits product
+in row slices (``_slice_rows``), so its set keeps one slice per hidden layer and
+the whole set's rows only for the logits product's input. A ``forward`` cache is
+its set, valid only until the next ``forward`` on the model at that row count;
+``backward`` refuses a cache a later pass has overwritten.
 """
 
 from __future__ import annotations
@@ -32,13 +34,9 @@ from .numerics import softmax
 from .settings import Settings, setting
 
 CONV_CHANNELS = 8
-# Images per conv front-end slice in ``predict``. OpenBLAS dgemm kernels run a
-# product's rows in blocks and can sum a short last block in another order
-# (Haswell its last row when the count is odd, Nehalem its last count % 4 rows).
-# The conv product has oh * ow rows per image, so slices of a multiple of 16
-# images start on a multiple of 16 rows, a multiple of each such block, and
-# keep the whole product's bits.
-CONV_CHUNK = 64
+# Bytes of the widest array of one ``predict`` slice (``_slice_rows``): 64 grids'
+# conv patches at 12 x 12 x 1, or 2048 rows of a 32-wide hidden layer.
+SLICE_BYTES = 1 << 19
 CHECKPOINT_MAGIC = "BSDLAB-CKPT v1"
 
 __all__ = [
@@ -221,60 +219,100 @@ def _conv_backward(model, cache, dflat, grads):
     np.einsum("ij->j", dz, out=grads["conv_b"])
 
 
-def _head_input(model, batch, train=True):
-    """(input of the first dense layer, conv cache or None) for a float64 batch.
-
-    The eval pass (``train=False``) runs the conv front end on ``CONV_CHUNK``-image
-    slices into one array and keeps no cache."""
-    spec = model.spec
+def _check_batch(spec, batch):
     if spec.architecture == "mlp":
         if batch.ndim != 2 or batch.shape[1] != spec.input_dim:
             raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {batch.shape}")
-        return batch, None
-    h, w, ch = spec.grid_shape
-    if batch.shape[1:] != (h, w, ch):
+    elif batch.shape[1:] != spec.grid_shape:
+        h, w, ch = spec.grid_shape
         raise ValueError(f"expected grid batch of shape (n, {h}, {w}, {ch}), got {batch.shape}")
-    if train:
-        return _conv_forward(model, batch)
-    a = np.empty((batch.shape[0], spec.head_input_dim()))
-    for i in range(0, len(a), CONV_CHUNK):
-        a[i:i + CONV_CHUNK] = _conv_forward(model, batch[i:i + CONV_CHUNK])[0]
-    return a, None
+
+
+def _head_input(model, batch):
+    """(input of the first dense layer, conv cache or None) for a float64 batch."""
+    _check_batch(model.spec, batch)
+    if model.spec.architecture == "mlp":
+        return batch, None
+    return _conv_forward(model, batch)
+
+
+def _slice_rows(spec):
+    """Rows per ``predict`` slice: the most, a multiple of 16 and at least 16, whose
+    widest array fits ``SLICE_BYTES``: a hidden layer's output or the conv patches.
+
+    OpenBLAS dgemm kernels run a product's rows in blocks and can sum a short last
+    block in another order (Haswell its last row when the count is odd, Nehalem its
+    last count % 4 rows). Slices of a multiple of 16 rows, and for tiny-conv of 16
+    images, start every product on a multiple of 16 rows, a multiple of each such
+    block. Such slices keep the bits of the hidden layers' products, though not of
+    the logits product (see ``predict``)."""
+    widths = list(spec.hidden)
+    if spec.architecture == "tiny-conv":
+        h, w, ch = spec.grid_shape
+        widths.append((h - 2) * (w - 2) * 9 * ch)
+    return max(16, SLICE_BYTES // (8 * max(widths, default=1)) // 16 * 16)
 
 
 def _buffers(model, n, train):
-    """A pass's memory for n rows in ``model.scratch``: per hidden layer ``h`` (matmul,
-    bias and activation in place), the ``logits`` and a ``stamp`` counting forwards.
-    A training set (``("forward", n)``, one per batch row count) adds per layer
-    ``backward``'s output gradient ``da`` and float ``gate`` (a bool one is cast
-    through a fresh buffer), with dropout the ``mask`` and ``masked`` activation.
-    The eval set (``"predict"``) is kept for the latest row count only."""
+    """A pass's memory for n rows in ``model.scratch``, with the ``logits``.
+
+    A training set (``("forward", n)``, one per batch row count) holds per hidden
+    layer ``h`` (matmul, bias and activation in place), ``backward``'s output
+    gradient ``da`` and float ``gate`` (a bool one is cast through a fresh buffer),
+    with dropout the ``mask`` and ``masked`` activation, and a ``stamp`` counting
+    forwards. The eval set (``"predict"``) is kept for the latest row count only.
+    It holds ``whole``, the (n, width) input of the logits product (None for an MLP
+    with no hidden layer, whose logits read the batch), and ``slices``: per slice of
+    ``_slice_rows`` rows its (start, stop, layers), where ``layers`` gives each
+    hidden layer's ``h``: the first rows of one kept slice buffer, or for the last
+    hidden layer the slice's rows of ``whole``."""
     key = ("forward", n) if train else "predict"
     bufs = model.scratch.get(key)
     if bufs is None or bufs["logits"].shape[0] != n:
         model.scratch.pop(key, None)  # free the old eval set before building the new one
         spec = model.spec
-        per_layer = ("h",)
         if train:
-            per_layer += ("da", "gate") + (("mask", "masked") if spec.dropout > 0.0 else ())
-        layers = [{name: np.empty((n, w)) for name in per_layer} for w in spec.hidden]
-        bufs = model.scratch[key] = {"layers": layers, "logits": np.empty((n, spec.classes)),
-                                     "stamp": 0}
+            per_layer = ("h", "da", "gate") + (("mask", "masked") if spec.dropout > 0.0 else ())
+            layers = [{name: np.empty((n, w)) for name in per_layer} for w in spec.hidden]
+            bufs = {"layers": layers, "stamp": 0}
+        else:
+            whole = None
+            if spec.hidden:
+                whole = np.empty((n, spec.hidden[-1]))
+            elif spec.architecture == "tiny-conv":
+                whole = np.empty((n, spec.head_input_dim()))
+            starts = list(range(0, n if whole is not None else 0, _slice_rows(spec)))
+            if len(starts) > 1 and starts[-1] == n - 1:
+                # numpy multiplies a one-row matrix as a vector (gemv), which sums in
+                # another order than gemm: a lone last row joins the slice before it
+                starts.pop()
+            bounds = list(zip(starts, starts[1:] + [n]))
+            rows = max((stop - start for start, stop in bounds), default=0)
+            kept = [np.empty((rows, w)) for w in spec.hidden[:-1]]
+            slices = []
+            for start, stop in bounds:
+                layers = [{"h": h[:stop - start]} for h in kept]
+                if spec.hidden:
+                    layers.append({"h": whole[start:stop]})
+                slices.append((start, stop, layers))
+            bufs = {"whole": whole, "slices": slices}
+        bufs["logits"] = np.empty((n, spec.classes))
+        model.scratch[key] = bufs
     return bufs
 
 
-def _dense(model, a, bufs, rng):
-    """The dense layers on head input ``a`` in the set ``bufs``; returns the logits."""
+def _dense(model, a, layers, rng):
+    """The hidden layers on ``a``, each into its ``layers`` entry; returns the input
+    of the logits product: the last hidden output (masked under dropout), or ``a``."""
     spec = model.spec
-    names = _dense_names(len(spec.hidden))
-    for (w, b), layer in zip(names, bufs["layers"]):
+    for (w, b), layer in zip(_dense_names(len(spec.hidden)), layers):
         h = np.matmul(a, model.params[w], out=layer["h"])
         if "gate" in layer:
             # numpy buffers a broadcast operand afresh per call, so a training set adds
             # b tiled into the gate, which backward overwrites before it reads it
             np.copyto(layer["gate"], model.params[b])
             h += layer["gate"]
-        else:  # an eval set's tile would cost n * width more floats
+        else:  # an eval set keeps no gate
             h += model.params[b]
         _activate(spec.activation, h, out=h)
         a = h
@@ -283,8 +321,12 @@ def _dense(model, a, bufs, rng):
             np.greater_equal(mask, spec.dropout, out=mask)
             mask /= 1.0 - spec.dropout
             a = np.multiply(h, mask, out=layer["masked"])
-    w, b = names[-1]
-    logits = np.matmul(a, model.params[w], out=bufs["logits"])
+    return a
+
+
+def _logits(model, a, out):
+    w, b = _dense_names(len(model.spec.hidden))[-1]
+    logits = np.matmul(a, model.params[w], out=out)
     logits += model.params[b]
     return logits
 
@@ -308,26 +350,34 @@ def forward(model: Model, batch, rng=None, out=None):
     bufs = _buffers(model, batch.shape[0], train=True)
     bufs["stamp"] += 1
     cache = {"input": a, "conv": conv_cache, "buffers": bufs, "stamp": bufs["stamp"]}
-    return softmax(_dense(model, a, bufs, rng), out=out), cache
+    logits = _logits(model, _dense(model, a, bufs["layers"], rng), bufs["logits"])
+    return softmax(logits, out=out), cache
 
 
 def predict(model: Model, batch):
     """The eval pass: class probabilities for ``batch``, with no dropout.
 
     Builds no cache and draws nothing; the output is bit for bit that of
-    ``forward`` on the same parameters with dropout 0: the same dense loop
-    (``_dense``) in the model's eval set for the latest row count n, which
-    holds n * (sum(hidden) + classes) floats. The returned probabilities
-    are a fresh array. The whole set goes through each dense matmul in one
-    call: how many rows BLAS gets at once can change the last bits of a
-    product, so splitting those rows would change the output. The tiny-conv
-    front end runs on ``CONV_CHUNK``-image slices, whose conv products start
-    on 16-row boundaries and keep the whole product's bits (see the
-    constant), so its patches and activations never exist for the whole set.
+    ``forward`` on the same parameters with dropout 0, through the same dense
+    loop (``_dense``). The returned probabilities are a fresh array. The
+    tiny-conv front end and every hidden layer run on slices of ``_slice_rows``
+    rows, in the model's eval set for the latest row count n (``_buffers``): each
+    hidden layer but the last keeps one slice, and the last writes its (n, width)
+    output whole. Slices that start on 16-row boundaries keep the bits of those
+    products. The logits product reads that whole output in one call, since its
+    narrow output (k columns) does change in its last bits when its rows are split.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    a, _ = _head_input(model, batch, train=False)
-    return softmax(_dense(model, a, _buffers(model, batch.shape[0], train=False), None))
+    _check_batch(model.spec, batch)
+    bufs = _buffers(model, batch.shape[0], train=False)
+    whole = batch if bufs["whole"] is None else bufs["whole"]
+    for start, stop, layers in bufs["slices"]:
+        a, _ = _head_input(model, batch[start:stop])
+        if layers:
+            _dense(model, a, layers, None)
+        else:  # a tiny-conv with no hidden layer: the logits read the conv output
+            whole[start:stop] = a
+    return softmax(_logits(model, whole, bufs["logits"]))
 
 
 def backward(model: Model, cache, dlogits, out=None):

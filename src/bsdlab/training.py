@@ -530,6 +530,35 @@ def _remove_run(layout):
             path.unlink(missing_ok=True)
 
 
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS at one thread, then restore its count.
+
+    BLAS threads split a product's rows where they choose, and some kernels sum a
+    short block of rows in another order, so the bytes would depend on the thread
+    count. Under a BLAS without these symbols nothing changes."""
+    import ctypes  # here, not at the top, so that ``import bsdlab`` stays as fast
+
+    libs = Path(np.__file__).parent.parent / "numpy.libs"
+    try:
+        blas = ctypes.CDLL(str(next(libs.glob("libscipy_openblas*"))))
+        get_threads = blas.scipy_openblas_get_num_threads64_
+        set_threads = blas.scipy_openblas_set_num_threads64_
+    except (StopIteration, OSError, AttributeError):
+        get_threads = None
+    if get_threads is None:  # outside the handler, so the block's errors chain to nothing
+        yield
+        return
+    get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+    set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+    threads = get_threads()
+    set_threads(1)
+    try:
+        yield
+    finally:
+        set_threads(threads)
+
+
 def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
                    cfg: TrainConfig, seeds, run_dir, config_snapshot=None,
                    progress=None):
@@ -538,14 +567,16 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
     Deletes a previous run's ``run_layout`` entries, then writes ``config_snapshot`` (the
     resolved config) to ``config.resolved``. Per-seed wall-clock totals and ``phase_s`` go
     to ``timing.txt``, so every other artifact is byte-reproducible from (config, seeds).
+    numpy's bundled OpenBLAS runs one thread meanwhile (``_one_blas_thread``).
     """
     layout = run_layout(run_dir)
     _remove_run(layout)
     layout["root"].mkdir(parents=True, exist_ok=True)
     if config_snapshot is not None:
         write_json(layout["config"], config_snapshot)
-    runs = [run_single_seed(model_spec, train_set, test_set, cfg, seed, layout,
-                            progress=progress) for seed in seeds]
+    with _one_blas_thread():
+        runs = [run_single_seed(model_spec, train_set, test_set, cfg, seed, layout,
+                                progress=progress) for seed in seeds]
     with atomic_open(layout["timing"], "w") as fh:
         fh.writelines(run.timing_line() for run in runs)
     return runs

@@ -187,6 +187,11 @@ class TestSymmetricNoise:
         b = inject_symmetric(labels, 0.3, 3, seed=11)
         np.testing.assert_array_equal(a, b)
 
+    def test_one_class_rejected(self):
+        # the new class is drawn from the other k - 1, of which one class has none
+        with pytest.raises(ValueError, match="no other class to flip a label to"):
+            inject_symmetric(np.array([0, 0, 0, 0]), 0.5, 1, seed=0)
+
 
 class TestAsymmetricNoise:
     def test_rate_zero(self):
@@ -231,6 +236,13 @@ class TestApplyNoise:
         np.testing.assert_array_equal(ds.clean_labels, before)
         np.testing.assert_array_equal(noisy.clean_labels, before)
         assert int((noisy.labels != before).sum()) == int(round(0.4 * ds.n))
+
+    def test_rate_without_a_kind_refused(self):
+        # kind defaults to "none", which keeps the clean labels: this flipped none
+        with pytest.raises(ValueError, match="noise.rate > 0 needs noise.kind 'symmetric' or "
+                                             "'asymmetric'"):
+            apply_noise(make_blobs(3, 20, seed=1), NoiseSpec(rate=0.4, seed=3))
+        assert NoiseSpec(kind="none", rate=0.0).rate == 0.0
 
     # the samples apply_noise moves to the next class mod k, pinned here because no
     # golden digest trains with asymmetric noise

@@ -142,23 +142,46 @@ PREDICT_SPECS = {
                                  architecture="tiny-conv", grid_shape=(8, 7, 1), seed=5),
 }
 CONV_SPECS = [name for name, spec in PREDICT_SPECS.items() if spec.architecture == "tiny-conv"]
-# set sizes on both sides of predict's CONV_CHUNK = 64 and of its 16-image alignment
-CHUNK_EDGES = (1, 15, 16, 17, 63, 64, 65, 130, 1001)
 
 
-def chunk_mismatches(name):
-    """The sizes in CHUNK_EDGES at which ``predict`` on PREDICT_SPECS[name] differs
+def slice_edges(spec):
+    """Set sizes on both sides of 16 and of predict's slice row count S, two with a
+    lone last row (which joins the slice before it), and a set of several slices."""
+    rows = models._slice_rows(spec)
+    return (1, 15, 16, 17, rows - 1, rows, rows + 1, 2 * rows + 1,
+            1001 if spec.architecture == "tiny-conv" else 10_000)
+
+
+def slice_mismatches(name):
+    """The sizes in ``slice_edges`` at which ``predict`` on PREDICT_SPECS[name] differs
     in any bit from ``forward`` with dropout 0 on the whole set."""
     spec = PREDICT_SPECS[name]
     model = init_model(spec)
     no_dropout = Model(dataclasses.replace(spec, dropout=0.0), model.flat)
+    shape = spec.grid_shape or (spec.input_dim,)
     rng = np.random.default_rng(1)
     mismatches = []
-    for n in CHUNK_EDGES:
-        x = rng.normal(size=(n, *spec.grid_shape))
+    for n in slice_edges(spec):
+        x = rng.normal(size=(n, *shape))
         if predict(model, x).tobytes() != forward(no_dropout, x)[0].tobytes():
             mismatches.append(n)
     return mismatches
+
+
+def held_buffers(held):
+    """The distinct arrays behind an eval set, each view traced to the array it slices."""
+    found = {}
+
+    def walk(value):
+        if isinstance(value, np.ndarray):
+            base = value if value.base is None else value.base
+            found.setdefault(id(base), base)
+        elif isinstance(value, (dict, list, tuple)):
+            for item in value.values() if isinstance(value, dict) else value:
+                walk(item)
+
+    walk(held)
+    return list(found.values())
 
 
 class TestPredict:
@@ -176,7 +199,7 @@ class TestPredict:
             expected, _ = forward(no_dropout, x)
             assert probs.tobytes() == expected.tobytes()
             held = model.scratch["predict"]
-            for buf in [*(layer["h"] for layer in held["layers"]), held["logits"]]:
+            for buf in held_buffers(held):
                 assert not np.shares_memory(probs, buf)
             again = predict(model, x)
             assert probs.tobytes() == expected.tobytes()  # the first result survives
@@ -184,30 +207,31 @@ class TestPredict:
             assert list(model.scratch) == ["predict"] and model.scratch["predict"] is held
             assert held["logits"].shape == (n, spec.classes)
 
-    @pytest.mark.parametrize("name", CONV_SPECS)
-    def test_conv_chunk_edges_bit_for_bit(self, name):
-        assert chunk_mismatches(name) == []
+    @pytest.mark.parametrize("name", PREDICT_SPECS)
+    def test_slice_edges_bit_for_bit(self, name):
+        assert slice_mismatches(name) == []
 
-    def test_conv_chunk_edges_under_a_second_blas_kernel(self):
+    @pytest.mark.parametrize("coretype", ["Nehalem", "Haswell"])
+    def test_slice_edges_under_other_blas_kernels(self, coretype):
         # OpenBLAS reads its settings once, when it loads, so a child process runs
-        # the Nehalem kernel, which sums a product's last count % 4 rows in another
-        # order: slices of an odd image count fail there on "tiny-conv-8x7x1". The
-        # child runs one thread, since threads split the whole product at rows of
-        # their own choosing.
+        # another kernel. Nehalem sums a product's last count % 4 rows in another
+        # order, Haswell an odd count's last row: slices of an odd row count fail
+        # there. The child runs one thread, since threads split the whole product at
+        # rows of their own choosing.
         child = textwrap.dedent("""
             import sys
             sys.path.insert(0, sys.argv[1])
-            from test_models import CONV_SPECS, chunk_mismatches
-            print({name: chunk_mismatches(name) for name in CONV_SPECS})
+            from test_models import PREDICT_SPECS, slice_mismatches
+            print({name: slice_mismatches(name) for name in PREDICT_SPECS})
         """)
         src = str(Path(models.__file__).resolve().parents[1])
         path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-        env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS="1",
+        env = dict(os.environ, OPENBLAS_CORETYPE=coretype, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=path)
         proc = subprocess.run([sys.executable, "-c", child, str(Path(__file__).parent)],
                               env=env, capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == f"{dict.fromkeys(CONV_SPECS, [])}\n"
+        assert proc.stdout == f"{dict.fromkeys(PREDICT_SPECS, [])}\n"
 
     def test_repeat_conv_call_peaks_under_one_whole_set_conv_output(self):
         # the whole set's conv output z is 1000 * 100 * 8 * 8 B; a front end run on
@@ -232,12 +256,40 @@ class TestPredict:
         np.testing.assert_array_equal(p1, p2)
 
     def test_scratch_holds_one_buffer_per_dense_layer(self):
-        model = init_model(PREDICT_SPECS["mlp-relu"])
-        predict(model, np.zeros((5, 3)))
+        # the first hidden layer keeps one slice; the last writes the whole set's rows,
+        # which the logits product reads
+        spec = PREDICT_SPECS["mlp-relu"]
+        rows = models._slice_rows(spec)
+        assert rows == 2048
+        n = 2 * rows + 5
+        model = init_model(spec)
+        predict(model, np.zeros((n, 3)))
         held = model.scratch["predict"]
-        assert [{name: b.shape for name, b in layer.items()} for layer in held["layers"]] == [
-            {"h": (5, 32)}, {"h": (5, 32)}]
-        assert held["logits"].shape == (5, 4)
+        assert [b.shape for b in held_buffers(held)] == [(n, 32), (rows, 32), (n, 4)]
+        whole, kept = held["whole"], held_buffers(held)[1]
+        assert [(start, stop) for start, stop, _ in held["slices"]] == [
+            (0, rows), (rows, 2 * rows), (2 * rows, n)]
+        for start, stop, (first, last) in held["slices"]:
+            assert first["h"].shape == (stop - start, 32) and first["h"].base is kept
+            assert last["h"].base is whole and last["h"].shape == (stop - start, 32)
+            assert np.shares_memory(last["h"], whole[start:stop])
+        assert held["logits"].shape == (n, 4)
+
+    def test_eval_set_keeps_one_slice_beside_the_logits_input(self):
+        # every layer whole would be 10_000 * (32 + 32 + 4) * 8 B
+        spec = ModelSpec(input_dim=2, classes=4, hidden=(32, 32), seed=1)
+        model = init_model(spec)
+        predict(model, np.random.default_rng(0).normal(size=(10_000, 2)))
+        held = sum(b.nbytes for b in held_buffers(model.scratch["predict"]))
+        assert held <= 10_000 * (32 + 4) * 8 + models._slice_rows(spec) * 32 * 8
+
+    def test_tiny_conv_without_hidden_layers(self):
+        spec = ModelSpec(input_dim=144, classes=3, architecture="tiny-conv",
+                         grid_shape=(12, 12, 1), seed=2)
+        model = init_model(spec)
+        x = np.random.default_rng(3).normal(size=(3 * models._slice_rows(spec) + 1, 12, 12, 1))
+        assert predict(model, x).tobytes() == forward(model, x)[0].tobytes()
+        assert model.scratch["predict"]["whole"].shape == (len(x), spec.head_input_dim())
 
     def test_dimension_mismatch(self):
         model = init_model(ModelSpec(input_dim=4, classes=3))

@@ -1,5 +1,6 @@
 import builtins
 import copy
+import ctypes
 import json
 import math
 import os
@@ -695,6 +696,73 @@ class TestRunExperiment:
         for rel in ("records/seed_5.jsonl", "records/store_seed_5.csv",
                     "checkpoints/seed_5.state", "checkpoints/seed_5_final.ckpt"):
             assert (layout["root"] / rel).read_bytes() == (full["root"] / rel).read_bytes(), rel
+
+    def test_runs_one_blas_thread_and_restores_the_count(self, tmp_path, monkeypatch):
+        libs = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*"))
+        if not libs:
+            pytest.skip("numpy without its bundled OpenBLAS")
+        blas = ctypes.CDLL(str(libs[0]))
+        get_threads, set_threads = (blas.scipy_openblas_get_num_threads64_,
+                                    blas.scipy_openblas_set_num_threads64_)
+        ds, test = tiny_dataset(n_per=6), tiny_dataset(n_per=4, seed=1)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
+        seen = []
+        before = get_threads()
+        set_threads(2)
+        try:
+            run_experiment(spec, ds, test, small_config("bsd", epochs=2), seeds=[1],
+                           run_dir=tmp_path / "run", progress=lambda *_: seen.append(get_threads()))
+            assert seen == [1, 1] and get_threads() == 2
+            # a BLAS without the symbols is left as it is
+            monkeypatch.setattr(ctypes, "CDLL", lambda path: object())
+            seen.clear()
+            run_experiment(spec, ds, test, small_config("bsd", epochs=2), seeds=[1],
+                           run_dir=tmp_path / "run", progress=lambda *_: seen.append(get_threads()))
+            assert seen == [2, 2]
+        finally:
+            set_threads(before)
+
+    def test_bytes_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # OpenBLAS reads its kernel and thread count once, when it loads, so each run is
+        # a child process. Two threads cut a 13 000-row conv product into parts that
+        # are no multiple of the Nehalem kernel's 4-row block, which sums such a
+        # part's last rows in another order; run_experiment runs one thread.
+        child = textwrap.dedent("""
+            import sys
+            import numpy as np
+            from bsdlab.data import Dataset
+            from bsdlab.models import ModelSpec
+            from bsdlab.targets import StrategyConfig
+            from bsdlab.training import BsdPlusConfig, TrainConfig, run_experiment
+
+            rng = np.random.default_rng(4)
+            labels = np.tile(np.arange(3), 464)[:1391]
+            grids = rng.normal(0.0, 0.3, size=(1391, 12, 12, 1))
+            for c in range(3):
+                grids[labels == c, 4 * c:4 * c + 4, :, 0] += 1.0
+            train, test = (Dataset(samples=grids[rows], clean_labels=labels[rows],
+                                   labels=labels[rows].copy(), k=3)
+                           for rows in (slice(0, 390), slice(390, None)))
+            cfg = TrainConfig(epochs=3, batch_size=130, optimizer="adam", lr=0.01,
+                              eval_every=1, strategy=StrategyConfig(mode="bsd"),
+                              bsd_plus=BsdPlusConfig(enabled=True, views=2))
+            spec = ModelSpec(input_dim=144, classes=3, hidden=(32,), architecture="tiny-conv",
+                             grid_shape=(12, 12, 1), dropout=0.1)
+            run_experiment(spec, train, test, cfg, seeds=[1], run_dir=sys.argv[1])
+        """)
+        src = str(Path(training.__file__).resolve().parents[1])
+        path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_CORETYPE="Nehalem", OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=path)
+            proc = subprocess.run([sys.executable, "-c", child, str(tmp_path / threads)],
+                                  env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+        files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*")
+                       if p.is_file() and p.name != "timing.txt")
+        assert files
+        for rel in files:
+            assert (tmp_path / "1" / rel).read_bytes() == (tmp_path / "2" / rel).read_bytes(), rel
 
     def test_killed_process_keeps_every_saved_epoch_row(self, tmp_path):
         # the child process dies right after the epoch-2 state save, without
