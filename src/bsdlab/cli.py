@@ -61,6 +61,10 @@ def build_datasets(cfg: ExperimentConfig):
     else:
         train = load_idx(d["images"], d["labels"])
         test = load_idx(d["test_images"], d["test_labels"])
+    if test.samples.shape[1:] != train.samples.shape[1:]:  # blobs share one dim
+        raise ValueError(f"{d.get('test_path') or d['test_images']}: samples of shape "
+                         f"{test.samples.shape[1:]}, the train set's are "
+                         f"{train.samples.shape[1:]}")
     k = max(train.k, test.k)  # a file's split may lack the top class
     train, test = replace(train, k=k), replace(test, k=k)
     train = apply_noise(train, cfg.noise_spec())

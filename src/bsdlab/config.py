@@ -175,9 +175,10 @@ def parse_config(path) -> ExperimentConfig:
         "seeds": seeds,
         "output_dir": _get("top level", raw, "output_dir", "runs"),
     }
-    if resolved["model"]["architecture"] == "tiny-conv" and resolved["dataset"]["kind"] != "idx":
-        raise ConfigError("model.architecture 'tiny-conv' needs image grids, "
-                          "which only dataset.kind 'idx' gives")
+    architecture, kind = resolved["model"]["architecture"], resolved["dataset"]["kind"]
+    if (architecture == "tiny-conv") != (kind == "idx"):  # only idx gives image grids
+        raise ConfigError(f"model.architecture {architecture!r} does not take dataset.kind "
+                          f"{kind!r}: 'tiny-conv' takes 'idx' and 'mlp' the others")
     cfg = ExperimentConfig(name=name, resolved=resolved)
     try:
         cfg.noise_spec()  # NoiseSpec states the rule that ties rate to kind

@@ -11,14 +11,12 @@ reshaped view into it, in ``block_shapes`` order.
 
 ``forward`` is the training pass: it keeps the activations ``backward``
 needs. ``predict`` is the only eval pass, over a whole set: it keeps nothing.
-Both run one dense-layer loop in a buffer set the model keeps between calls
-(``Model.scratch``), so repeated steps and evaluations reuse memory: ``forward``
-and ``backward`` one training set per batch row count, ``predict`` one eval set
-for the latest row count. ``predict`` runs everything before the logits product
-in row slices (``_slice_rows``), so its set keeps one slice per hidden layer and
-the whole set's rows only for the logits product's input. A ``forward`` cache is
-its set, valid only until the next ``forward`` on the model at that row count;
-``backward`` refuses a cache a later pass has overwritten.
+Both run one dense-layer loop in buffer sets of one layout (``_buffers``) that
+the model keeps between calls (``Model.scratch``): one training set per batch
+row count, and one eval set for the latest row count, which ``predict`` fills
+in row slices (``_slice_bounds``). A ``forward`` cache is its set, valid only
+until the next ``forward`` on the model at that row count; ``backward`` refuses
+a cache a later pass has overwritten.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .fileio import read_blocks, write_blocks
-from .numerics import softmax
+from .numerics import _all_finite, softmax
 from .settings import Settings, setting
 
 CONV_CHANNELS = 8
@@ -220,17 +218,14 @@ def _conv_backward(model, cache, dflat, grads):
 
 
 def _check_batch(spec, batch):
-    if spec.architecture == "mlp":
-        if batch.ndim != 2 or batch.shape[1] != spec.input_dim:
-            raise ValueError(f"expected batch of shape (n, {spec.input_dim}), got {batch.shape}")
-    elif batch.shape[1:] != spec.grid_shape:
-        h, w, ch = spec.grid_shape
-        raise ValueError(f"expected grid batch of shape (n, {h}, {w}, {ch}), got {batch.shape}")
+    shape = spec.grid_shape if spec.architecture == "tiny-conv" else (spec.input_dim,)
+    if batch.shape[1:] != shape:
+        raise ValueError(f"expected batch of shape (n, {', '.join(map(str, shape))}), "
+                         f"got {batch.shape}")
 
 
 def _head_input(model, batch):
-    """(input of the first dense layer, conv cache or None) for a float64 batch."""
-    _check_batch(model.spec, batch)
+    """(input of the first dense layer, conv cache or None) for a checked float64 batch."""
     if model.spec.architecture == "mlp":
         return batch, None
     return _conv_forward(model, batch)
@@ -253,50 +248,44 @@ def _slice_rows(spec):
     return max(16, SLICE_BYTES // (8 * max(widths, default=1)) // 16 * 16)
 
 
-def _buffers(model, n, train):
-    """A pass's memory for n rows in ``model.scratch``, with the ``logits``.
+def _slice_bounds(spec, n):
+    """(start, stop) of each ``predict`` slice of n rows: ``_slice_rows`` rows each, but
+    numpy multiplies a one-row matrix as a vector (gemv), which sums in another order
+    than gemm, so a lone last row joins the slice before it."""
+    starts = list(range(0, n, _slice_rows(spec)))
+    if len(starts) > 1 and starts[-1] == n - 1:
+        starts.pop()
+    return list(zip(starts, starts[1:] + [n]))
 
-    A training set (``("forward", n)``, one per batch row count) holds per hidden
-    layer ``h`` (matmul, bias and activation in place), ``backward``'s output
-    gradient ``da`` and float ``gate`` (a bool one is cast through a fresh buffer),
-    with dropout the ``mask`` and ``masked`` activation, and a ``stamp`` counting
-    forwards. The eval set (``"predict"``) is kept for the latest row count only.
-    It holds ``whole``, the (n, width) input of the logits product (None for an MLP
-    with no hidden layer, whose logits read the batch), and ``slices``: per slice of
-    ``_slice_rows`` rows its (start, stop, layers), where ``layers`` gives each
-    hidden layer's ``h``: the first rows of one kept slice buffer, or for the last
-    hidden layer the slice's rows of ``whole``."""
+
+def _buffers(model, n, train):
+    """A pass's memory for n rows in ``model.scratch``: ``layers``, a dict of arrays per
+    hidden layer, and the ``logits``.
+
+    A training set (``("forward", n)``) gives each layer n rows of ``h`` (matmul, bias
+    and activation in place), ``backward``'s ``da`` and float ``gate`` (a bool one is
+    cast through a fresh buffer), and with dropout the ``mask`` and ``masked``
+    activation. The eval set (``"predict"``, latest n only) gives each layer ``h``
+    alone, of one slice's rows but n for the last, the logits product's input: a
+    tiny-conv with no hidden layer keeps its conv output there, an MLP with none
+    keeps no layer."""
     key = ("forward", n) if train else "predict"
     bufs = model.scratch.get(key)
     if bufs is None or bufs["logits"].shape[0] != n:
         model.scratch.pop(key, None)  # free the old eval set before building the new one
         spec = model.spec
+        widths = list(spec.hidden)
         if train:
-            per_layer = ("h", "da", "gate") + (("mask", "masked") if spec.dropout > 0.0 else ())
-            layers = [{name: np.empty((n, w)) for name in per_layer} for w in spec.hidden]
-            bufs = {"layers": layers, "stamp": 0}
+            names = ("h", "da", "gate") + (("mask", "masked") if spec.dropout > 0.0 else ())
+            rows = [n] * len(widths)
         else:
-            whole = None
-            if spec.hidden:
-                whole = np.empty((n, spec.hidden[-1]))
-            elif spec.architecture == "tiny-conv":
-                whole = np.empty((n, spec.head_input_dim()))
-            starts = list(range(0, n if whole is not None else 0, _slice_rows(spec)))
-            if len(starts) > 1 and starts[-1] == n - 1:
-                # numpy multiplies a one-row matrix as a vector (gemv), which sums in
-                # another order than gemm: a lone last row joins the slice before it
-                starts.pop()
-            bounds = list(zip(starts, starts[1:] + [n]))
-            rows = max((stop - start for start, stop in bounds), default=0)
-            kept = [np.empty((rows, w)) for w in spec.hidden[:-1]]
-            slices = []
-            for start, stop in bounds:
-                layers = [{"h": h[:stop - start]} for h in kept]
-                if spec.hidden:
-                    layers.append({"h": whole[start:stop]})
-                slices.append((start, stop, layers))
-            bufs = {"whole": whole, "slices": slices}
-        bufs["logits"] = np.empty((n, spec.classes))
+            names = ("h",)
+            if spec.architecture == "tiny-conv" and not widths:
+                widths = [spec.head_input_dim()]
+            most = max((stop - start for start, stop in _slice_bounds(spec, n)), default=0)
+            rows = [most] * (len(widths) - 1) + [n]
+        layers = [{name: np.empty((r, w)) for name in names} for r, w in zip(rows, widths)]
+        bufs = {"layers": layers, "logits": np.empty((n, spec.classes))}
         model.scratch[key] = bufs
     return bufs
 
@@ -346,9 +335,10 @@ def forward(model: Model, batch, rng=None, out=None):
     batch = np.asarray(batch, dtype=np.float64)
     if model.spec.dropout > 0.0 and rng is None:
         raise ValueError("forward with dropout requires an rng stream")
+    _check_batch(model.spec, batch)
     a, conv_cache = _head_input(model, batch)
     bufs = _buffers(model, batch.shape[0], train=True)
-    bufs["stamp"] += 1
+    bufs["stamp"] = bufs.get("stamp", 0) + 1  # counts the forwards run in this set
     cache = {"input": a, "conv": conv_cache, "buffers": bufs, "stamp": bufs["stamp"]}
     logits = _logits(model, _dense(model, a, bufs["layers"], rng), bufs["logits"])
     return softmax(logits, out=out), cache
@@ -357,23 +347,25 @@ def forward(model: Model, batch, rng=None, out=None):
 def predict(model: Model, batch):
     """The eval pass: class probabilities for ``batch``, with no dropout.
 
-    Builds no cache and draws nothing; the output is bit for bit that of
-    ``forward`` on the same parameters with dropout 0, through the same dense
-    loop (``_dense``). The returned probabilities are a fresh array. The
-    tiny-conv front end and every hidden layer run on slices of ``_slice_rows``
-    rows, in the model's eval set for the latest row count n (``_buffers``): each
-    hidden layer but the last keeps one slice, and the last writes its (n, width)
-    output whole. Slices that start on 16-row boundaries keep the bits of those
-    products. The logits product reads that whole output in one call, since its
-    narrow output (k columns) does change in its last bits when its rows are split.
+    Builds no cache and draws nothing; the output, a fresh array, is bit for bit
+    that of ``forward`` on the same parameters with dropout 0, through the same
+    dense loop (``_dense``). The tiny-conv front end and the hidden layers run
+    per ``_slice_bounds`` slice, which keeps their bits, in the model's eval set
+    (``_buffers``). The logits product reads the last layer's n rows in one call:
+    its narrow output (k columns) changes in its last bits when its rows are split.
     """
     batch = np.asarray(batch, dtype=np.float64)
-    _check_batch(model.spec, batch)
-    bufs = _buffers(model, batch.shape[0], train=False)
-    whole = batch if bufs["whole"] is None else bufs["whole"]
-    for start, stop, layers in bufs["slices"]:
+    spec = model.spec
+    _check_batch(spec, batch)
+    n = batch.shape[0]
+    bufs = _buffers(model, n, train=False)
+    if not bufs["layers"]:  # an MLP with no hidden layer: the logits read the batch
+        return softmax(_logits(model, batch, bufs["logits"]))
+    *kept, whole = (layer["h"] for layer in bufs["layers"])
+    for start, stop in _slice_bounds(spec, n):
         a, _ = _head_input(model, batch[start:stop])
-        if layers:
+        if spec.hidden:
+            layers = [{"h": h[:stop - start]} for h in kept] + [{"h": whole[start:stop]}]
             _dense(model, a, layers, None)
         else:  # a tiny-conv with no hidden layer: the logits read the conv output
             whole[start:stop] = a
@@ -428,7 +420,7 @@ def save_checkpoint(model: Model, path):
 
 def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file; a header or blocks that do not make a
-    model raise ``ValueError("<path>: ...")``."""
+    model, non-finite values included, raise ``ValueError("<path>: ...")``."""
     header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
     if header.get("format_version") != 1:
         raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
@@ -444,4 +436,7 @@ def load_checkpoint(path) -> Model:
         raise ValueError(f"{path}: bad model spec: {exc}") from None
     if [(n, b.shape) for n, b in blocks.items()] != block_shapes(spec):
         raise ValueError(f"{path}: checkpoint blocks do not match its model spec")
+    for name, block in blocks.items():
+        if not _all_finite(block):
+            raise ValueError(f"{path}: block {name!r} does not hold finite values")
     return Model(spec, np.concatenate([b.ravel() for b in blocks.values()]))

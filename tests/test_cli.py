@@ -414,12 +414,15 @@ class TestTrainCommand:
         ("dim", "dataset.dim"), ("cov_scale", "dataset.cov_scale"),
         ("spacing", "dataset.spacing must be finite, got nan"),
         ("conv_blobs", "model.architecture"), ("conv_csv", "model.architecture"),
+        ("mlp_idx", "model.architecture"),
         ("kind_list", "dataset.kind must be one of ['blobs', 'csv', 'idx'], got ['blobs']"),
         ("dataset_list", "dataset must be an object"), ("train_list", "train must be an object"),
         ("strategy_str", "train.strategy must be an object")])
     def test_dry_run_rejects_what_training_cannot_build(self, tmp_path, capsys, case, key):
         for name in ("train.csv", "test.csv"):
             (tmp_path / name).write_text("x0,x1,label\n0.1,0.2,0\n0.3,0.4,1\n")
+        write_idx(tmp_path / "images.idx", np.zeros((2, 8, 8)))
+        write_idx(tmp_path / "labels.idx", np.arange(2))
         overrides = {
             "dim": {"dataset": {"kind": "blobs", "dim": 1}},
             "cov_scale": {"dataset": {"kind": "blobs", "cov_scale": 0}},
@@ -428,6 +431,9 @@ class TestTrainCommand:
             "conv_csv": {"model": {"architecture": "tiny-conv"},
                          "dataset": {"kind": "csv", "path": "train.csv",
                                      "test_path": "test.csv"}},
+            "mlp_idx": {"dataset": {"kind": "idx", "images": "images.idx",
+                                    "labels": "labels.idx", "test_images": "images.idx",
+                                    "test_labels": "labels.idx"}},
             "kind_list": {"dataset": {"kind": ["blobs"]}},
             "dataset_list": {"dataset": []},
             "train_list": {"train": [1]},
@@ -437,6 +443,19 @@ class TestTrainCommand:
                                 **overrides)
         assert main(["train", str(cfg_path), "--dry-run"]) == 2
         assert f"error: {key}" in capsys.readouterr().err
+
+    def test_mlp_on_idx_refused_before_a_run_exists(self, tmp_path, capsys):
+        # an MLP would meet the first (n, h, w, 1) grid batch only once training began
+        cfg_path, _ = dataset_config(tmp_path, "idx")
+        cfg = json.loads(cfg_path.read_text())
+        cfg["model"]["architecture"] = "mlp"
+        cfg_path.write_text(json.dumps(cfg))
+        for flag in ("--dry-run", "--quiet"):
+            assert main(["train", str(cfg_path), flag]) == 2
+            assert capsys.readouterr().err == (
+                "config error: model.architecture 'mlp' does not take dataset.kind 'idx': "
+                "'tiny-conv' takes 'idx' and 'mlp' the others\n")
+        assert not (tmp_path / "runs").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
     @pytest.mark.parametrize("train, message", [
@@ -891,6 +910,30 @@ class TestBadDatasetFile:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and message in err and err.count("\n") == 1
         # the datasets are built before --force deletes anything
+        assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
+        assert not any(tmp_path.glob("exported*"))
+
+    @pytest.mark.parametrize("kind", ["csv", "idx"])
+    def test_test_samples_of_another_shape_exit_1(self, tmp_path, capsys, kind):
+        cfg_path, _ = dataset_config(tmp_path, kind)
+        assert main(["train", str(cfg_path), "--quiet"]) == 0
+        run_dir = tmp_path / "runs" / "tiny"
+        before = {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+        if kind == "csv":  # 3 features against the train file's 2
+            test_file = tmp_path / "test.csv"
+            test_file.write_text("x0,x1,x2,label\n" + "0.5,0.5,0.5,1\n" * 12)
+            shapes = "(3,), the train set's are (2,)"
+        else:  # 7 x 7 grids against the train file's 6 x 6
+            test_file = tmp_path / "test.images.idx"
+            write_idx(test_file, np.zeros((12, 7, 7)))
+            shapes = "(7, 7, 1), the train set's are (6, 6, 1)"
+        capsys.readouterr()
+        out = tmp_path / "exported.csv"
+        for argv in (["train", str(cfg_path), "--force", "--quiet"],
+                     ["export-dataset", str(cfg_path), "--out", str(out)]):
+            assert main(argv) == 1
+            assert capsys.readouterr().err == (
+                f"error: {test_file.resolve()}: samples of shape {shapes}\n")
         assert {p: p.read_bytes() for p in run_dir.rglob("*") if p.is_file()} == before
         assert not any(tmp_path.glob("exported*"))
 

@@ -56,3 +56,33 @@ def test_test_only_names_are_gone():
 def test_seed_run_replaces_run_record():
     assert not hasattr(bsdlab, "RunRecord") and not hasattr(training, "RunRecord")
     assert "SeedRun" in training.__all__ and bsdlab.SeedRun is training.SeedRun
+
+
+# settable values in src (ROADMAP aim 2): (parameters with a default, dataclass
+# fields that __init__ takes)
+SETTABLE = (34, 80)
+
+
+def settable_values():
+    """``SETTABLE``'s two counts over the source of every ``bsdlab`` module."""
+    params = fields = 0
+    for path in sorted(Path(bsdlab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.arguments):  # functions and lambdas
+                params += len(node.defaults) + sum(d is not None for d in node.kw_defaults)
+            elif isinstance(node, ast.ClassDef) and any(
+                    isinstance(d, ast.Name) and d.id == "dataclass" or
+                    isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+                    for d in node.decorator_list):
+                fields += sum(isinstance(st, ast.AnnAssign) and not any(
+                    kw.arg == "init" and ast.literal_eval(kw.value) is False
+                    for kw in getattr(st.value, "keywords", ())) for st in node.body)
+    return params, fields
+
+
+def test_settable_value_count_is_pinned():
+    params, fields = settable_values()
+    assert (params, fields) == SETTABLE, (
+        f"bsdlab now has {params + fields} settable values ({params} parameters with a "
+        f"default + {fields} dataclass init fields), not {sum(SETTABLE)}: pin the new "
+        "count in SETTABLE and give the change a CHANGES.md line")

@@ -256,23 +256,27 @@ class TestPredict:
         np.testing.assert_array_equal(p1, p2)
 
     def test_scratch_holds_one_buffer_per_dense_layer(self):
-        # the first hidden layer keeps one slice; the last writes the whole set's rows,
+        # the first hidden layer keeps one slice; the last holds the whole set's rows,
         # which the logits product reads
         spec = PREDICT_SPECS["mlp-relu"]
         rows = models._slice_rows(spec)
         assert rows == 2048
         n = 2 * rows + 5
         model = init_model(spec)
-        predict(model, np.zeros((n, 3)))
+        x = np.random.default_rng(2).normal(size=(n, 3))
+        predict(model, x)
         held = model.scratch["predict"]
-        assert [b.shape for b in held_buffers(held)] == [(n, 32), (rows, 32), (n, 4)]
-        whole, kept = held["whole"], held_buffers(held)[1]
-        assert [(start, stop) for start, stop, _ in held["slices"]] == [
-            (0, rows), (rows, 2 * rows), (2 * rows, n)]
-        for start, stop, (first, last) in held["slices"]:
-            assert first["h"].shape == (stop - start, 32) and first["h"].base is kept
-            assert last["h"].base is whole and last["h"].shape == (stop - start, 32)
-            assert np.shares_memory(last["h"], whole[start:stop])
+        assert list(held) == ["layers", "logits"]
+        assert [list(layer) for layer in held["layers"]] == [["h"], ["h"]]
+        first, last = (layer["h"] for layer in held["layers"])
+        assert [b.shape for b in held_buffers(held)] == [(rows, 32), (n, 32), (n, 4)]
+        assert first.base is None and last.base is None
+        assert models._slice_bounds(spec, n) == [(0, rows), (rows, 2 * rows), (2 * rows, n)]
+        # the last slice's rows are left in the first buffer, every row in the last
+        _, cache = forward(model, x)
+        h0, h1 = (layer["h"] for layer in cache["buffers"]["layers"])
+        assert first[:n - 2 * rows].tobytes() == h0[2 * rows:].tobytes()
+        assert last.tobytes() == h1.tobytes() and not np.shares_memory(last, h1)
         assert held["logits"].shape == (n, 4)
 
     def test_eval_set_keeps_one_slice_beside_the_logits_input(self):
@@ -289,7 +293,25 @@ class TestPredict:
         model = init_model(spec)
         x = np.random.default_rng(3).normal(size=(3 * models._slice_rows(spec) + 1, 12, 12, 1))
         assert predict(model, x).tobytes() == forward(model, x)[0].tobytes()
-        assert model.scratch["predict"]["whole"].shape == (len(x), spec.head_input_dim())
+        layers = model.scratch["predict"]["layers"]
+        assert [layer["h"].shape for layer in layers] == [(len(x), spec.head_input_dim())]
+
+    def test_mlp_without_hidden_layers_keeps_no_layer(self):
+        model = init_model(ModelSpec(input_dim=3, classes=4, seed=2))
+        x = np.random.default_rng(3).normal(size=(9, 3))
+        assert predict(model, x).tobytes() == forward(model, x)[0].tobytes()
+        assert model.scratch["predict"]["layers"] == []
+
+    @pytest.mark.parametrize("spec, batch, expected", [
+        (ModelSpec(input_dim=4, classes=3), np.zeros(4), "(n, 4), got (4,)"),
+        (ModelSpec(input_dim=36, classes=3, architecture="tiny-conv", grid_shape=(6, 6, 1)),
+         np.zeros((2, 6, 7, 1)), "(n, 6, 6, 1), got (2, 6, 7, 1)"),
+    ], ids=["mlp-1d", "tiny-conv-grid"])
+    def test_batch_shape_refused_by_both_passes(self, spec, batch, expected):
+        model = init_model(spec)
+        for run in (predict, forward):
+            with pytest.raises(ValueError, match=re.escape(f"expected batch of shape {expected}")):
+                run(model, batch)
 
     def test_dimension_mismatch(self):
         model = init_model(ModelSpec(input_dim=4, classes=3))
@@ -470,6 +492,17 @@ class TestCheckpoint:
         write_blocks(path, CHECKPOINT_MAGIC, header, blocks)
         with pytest.raises(ValueError,
                            match=f"^{re.escape(str(path))}: model spec lacks {missing}$"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("block, index, value", [("w0", (0, 0), np.nan), ("b1", 1, -np.inf)])
+    def test_non_finite_block_names_the_file(self, tmp_path, block, index, value):
+        # a loaded model would raise only at its first predict, naming no file
+        model = init_model(ModelSpec(input_dim=3, classes=2, hidden=(4,)))
+        model.params[block][index] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: block '{block}' "
+                                             "does not hold finite values$"):
             load_checkpoint(path)
 
     def test_bad_magic_rejected(self, tmp_path):

@@ -242,6 +242,8 @@ NAMED = {
                         "block 'param/w0' does not hold finite values"),
     "state-moment-nan": ("state", block_set("opt/v/b1", 0, np.nan),
                          "block 'opt/v/b1' does not hold finite values"),
+    "ckpt-param-nan": ("ckpt", block_set("w0", (0, 0), np.nan),
+                       "block 'w0' does not hold finite values"),
     "records-metric-true": ("records", metric_set(b"true"),
                             "line 1 has test_acc true, not a float or null"),
     "records-metric-string": ("records", metric_set(b'"x"'),
