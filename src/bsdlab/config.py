@@ -18,7 +18,7 @@ from .data import NoiseSpec
 from .fileio import json_text
 from .models import ModelSpec
 from .settings import check_error
-from .training import TrainConfig
+from .training import SEEDS_RULE, TrainConfig
 
 __all__ = ["ConfigError", "ExperimentConfig", "parse_config", "resolved_json"]
 
@@ -124,7 +124,6 @@ def _build(cls, section, **extra):
 
 @dataclass
 class ExperimentConfig:
-    name: str
     resolved: dict
 
     def model_spec(self, input_dim, classes, grid_shape=None) -> ModelSpec:
@@ -136,6 +135,10 @@ class ExperimentConfig:
 
     def noise_spec(self) -> NoiseSpec:
         return _build(NoiseSpec, self.resolved["noise"])
+
+    @property
+    def name(self):
+        return self.resolved["name"]
 
     @property
     def seeds(self):
@@ -159,9 +162,7 @@ def parse_config(path) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError(f"{path}: top level must be an object")
     _reject_unknown("top level", raw, _TOP_KEYS)
-    seeds = _get("top level", raw, "seeds", [0],
-                 lambda v: all(type(s) is int and s >= 0 for s in v) and 0 < len(set(v)) == len(v),
-                 "a nonempty list of non-negative integers, each once")
+    seeds = _get("top level", raw, "seeds", [0], *SEEDS_RULE)
     # the run directory is <output_dir>/<name>, so a name may not leave output_dir
     name = _get("top level", raw, "name", path.stem,
                 lambda v: v not in ("", ".", "..") and "/" not in v and "\\" not in v,
@@ -179,7 +180,7 @@ def parse_config(path) -> ExperimentConfig:
     if (architecture == "tiny-conv") != (kind == "idx"):  # only idx gives image grids
         raise ConfigError(f"model.architecture {architecture!r} does not take dataset.kind "
                           f"{kind!r}: 'tiny-conv' takes 'idx' and 'mlp' the others")
-    cfg = ExperimentConfig(name=name, resolved=resolved)
+    cfg = ExperimentConfig(resolved)
     try:
         cfg.noise_spec()  # NoiseSpec states the rule that ties rate to kind
     except ValueError as exc:

@@ -160,8 +160,9 @@ def load_idx(images_path, labels_path):
 
 
 def load_csv(path, label_column="label"):
-    """Load a header-bearing UTF-8 CSV, one labeled sample per row; a bad byte reads as U+FFFD."""
-    with open(path, newline="", encoding="utf-8", errors="replace") as fh:
+    """Load a header-bearing UTF-8 CSV, one labeled sample per row; a leading byte-order
+    mark is skipped, and a bad byte reads as U+FFFD."""
+    with open(path, newline="", encoding="utf-8-sig", errors="replace") as fh:
         rows = list(csv.reader(fh))
     if len(rows) < 2:
         raise ValueError(f"{path}: no samples")

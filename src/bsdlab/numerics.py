@@ -156,20 +156,22 @@ class OptimizerState:
 
     ``cfg`` is the run's ``TrainConfig``, whose six fields ``optimizer``,
     ``momentum``, ``beta1``, ``beta2``, ``adam_eps`` and ``weight_decay`` a
-    step reads; the other fields are what a step changes. Flat moment vectors
-    (``m``/``v`` for Adam, ``buf`` for momentum) are allocated on the first
-    step, so the state can be created before the parameter count is known.
+    step reads, and the only constructor argument; the other fields are what a
+    step changes. ``allocate`` is the one place the flat vectors are made: the
+    moments ``moment_names`` lists (``m``/``v`` for Adam, ``buf`` for momentum)
+    and the scratch pair. The first step calls it, or a ``.state`` load before
+    that, so the state can be created before the parameter count is known.
     ``step`` drives Adam's bias correction. ``scratch`` is a pair of vectors
     for the step's intermediates; it is working memory, not state, so it is
     neither saved nor compared.
     """
 
     cfg: object
-    step: int = 0
-    m: np.ndarray | None = None
-    v: np.ndarray | None = None
-    buf: np.ndarray | None = None
-    scratch: tuple | None = field(default=None, repr=False, compare=False)
+    step: int = field(default=0, init=False)
+    m: np.ndarray | None = field(default=None, init=False)
+    v: np.ndarray | None = field(default=None, init=False)
+    buf: np.ndarray | None = field(default=None, init=False)
+    scratch: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def moment_names(self):
@@ -177,6 +179,13 @@ class OptimizerState:
         if self.cfg.optimizer == "adam":
             return ("m", "v")
         return ("buf",) if self.cfg.momentum != 0.0 else ()
+
+    def allocate(self, like):
+        """Zero each moment ``moment_names`` lists and make the scratch pair, all
+        shaped like the flat vector ``like``."""
+        for key in self.moment_names:
+            setattr(self, key, np.zeros_like(like))
+        self.scratch = (np.empty_like(like), np.empty_like(like))
 
 
 def optimizer_step(params, grads, state, lr):
@@ -197,7 +206,7 @@ def optimizer_step(params, grads, state, lr):
     cfg = state.cfg
     state.step += 1
     if state.scratch is None:
-        state.scratch = (np.empty_like(params), np.empty_like(params))
+        state.allocate(params)
     # intermediates go to the scratch pair, each op in the order of the plain
     # expressions g = grads + wd * params, then params -= lr * g (sgd) or
     # params -= lr * m_hat / (sqrt(v_hat) + eps) (adam); float + and * commute
@@ -208,15 +217,11 @@ def optimizer_step(params, grads, state, lr):
         g += grads
     if cfg.optimizer == "sgd":
         if cfg.momentum != 0.0:
-            if state.buf is None:
-                state.buf = np.zeros_like(params)
             state.buf *= cfg.momentum
             state.buf += g
             g = state.buf
         params -= np.multiply(lr, g, s2)
         return params, state
-    if state.m is None:
-        state.m, state.v = np.zeros_like(params), np.zeros_like(params)
     m, v = state.m, state.v
     m *= cfg.beta1
     m += np.multiply(1.0 - cfg.beta1, g, s2)

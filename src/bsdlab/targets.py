@@ -112,6 +112,8 @@ def sharpen(target, tau):
 
     tau = 1 is the identity; tau < 1 concentrates mass on the dominant class;
     one-hot rows are fixed points for every tau. Operates on the last axis.
+    A row whose every powered entry underflows to 0 is powered again after
+    division by its own maximum, so its top entry powers to exactly 1.
     """
     if tau <= 0.0:
         raise ValueError("sharpening tau must be > 0")
@@ -119,7 +121,12 @@ def sharpen(target, tau):
     if tau == 1.0:
         return t.copy()
     powered = t ** (1.0 / tau)
-    return powered / _class_reduce(np.add, powered, keepdims=True)
+    total = _class_reduce(np.add, powered, keepdims=True)
+    lost = (total == 0.0)[..., 0]
+    if lost.any():
+        powered[lost] = (t[lost] / t[lost].max(axis=-1, keepdims=True)) ** (1.0 / tau)
+        total[lost] = _class_reduce(np.add, powered[lost], keepdims=True)
+    return powered / total
 
 
 @dataclass

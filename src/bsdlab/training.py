@@ -47,7 +47,7 @@ from .models import Model, backward, forward, init_model, predict, save_checkpoi
 from .numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, OptimizerState, _all_finite,
                        _class_reduce, entropy, kl_div, on_simplex, optimizer_step,
                        soft_cross_entropy)
-from .settings import Settings, setting
+from .settings import Settings, check_error, setting
 from .targets import StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
@@ -105,6 +105,10 @@ class TrainConfig(Settings):
     eval_every: int = setting(5, lambda v: v >= 1, ">= 1")
 
 
+# a run's seed list: (check, message) for settings.check_error; parse_config uses it too
+SEEDS_RULE = (lambda v: all(type(s) is int and s >= 0 for s in v) and 0 < len(set(v)) == len(v),
+              "a nonempty list of non-negative integers, each once")
+
 # per-seed wall-clock phases reported in timing.txt
 PHASES = ("train_epoch", "evaluate", "trace_write", "state_write")
 
@@ -116,10 +120,10 @@ class SeedRun:
     model: Model
     opt_state: OptimizerState
     strategy: TargetStrategy
-    epoch: int = 0
-    rows: list = field(default_factory=list)
-    wall_clock_s: float = 0.0
-    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0))
+    epoch: int = field(default=0, init=False)
+    rows: list = field(default_factory=list, init=False)
+    wall_clock_s: float = field(default=0.0, init=False)
+    phase_s: dict = field(default_factory=lambda: dict.fromkeys(PHASES, 0.0), init=False)
 
     @contextmanager
     def timed(self, phase):
@@ -353,8 +357,7 @@ def _load_train_state(path, model, opt_state, strategy):
         raise ValueError(f"{path}: holds optimizer moments {stored}, this run's optimizer "
                          f"keeps {list(opt_state.moment_names)}")
     opt_state.step = header["opt_step"]
-    for key in stored:
-        setattr(opt_state, key, np.zeros_like(model.flat))
+    opt_state.allocate(model.flat)
     used = _state_blocks(model, opt_state, strategy)
     for name, dest in used.items():
         block = blocks.get(name)
@@ -396,14 +399,17 @@ def read_trace_csv(path):
     """Read a trace bit for bit; returns (preds (n, k), labels, k).
 
     ``path`` names the ``.trace`` file or its CSV export; either way only the
-    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k), is read. Each
-    label must be an integer in [0, k), and ``probs`` must pass ``on_simplex``.
+    ``.trace`` file, with blocks ``labels`` (n,) and ``probs`` (n, k) and no other, is
+    read. Each label must be an integer in [0, k), and ``probs`` must pass ``on_simplex``.
     """
     trace = Path(path).with_suffix(".trace")
     _, blocks = read_blocks(trace, TRACE_MAGIC)
     for name in ("labels", "probs"):
         if name not in blocks:
             raise ValueError(f"{trace}: missing block {name!r}")
+    extra = [name for name in blocks if name not in ("labels", "probs")]
+    if extra:
+        raise ValueError(f"{trace}: holds blocks {extra} besides 'labels' and 'probs'")
     probs, labels = blocks["probs"], blocks["labels"]
     if probs.ndim != 2 or labels.shape != probs.shape[:1]:
         raise ValueError(f"{trace}: blocks 'labels' of shape {labels.shape} and 'probs' "
@@ -567,8 +573,12 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
     Deletes a previous run's ``run_layout`` entries, then writes ``config_snapshot`` (the
     resolved config) to ``config.resolved``. Per-seed wall-clock totals and ``phase_s`` go
     to ``timing.txt``, so every other artifact is byte-reproducible from (config, seeds).
-    numpy's bundled OpenBLAS runs one thread meanwhile (``_one_blas_thread``).
+    numpy's bundled OpenBLAS runs one thread meanwhile (``_one_blas_thread``). Seeds that
+    break ``SEEDS_RULE`` raise ``ValueError`` before anything is deleted or made.
     """
+    error = check_error("seeds", seeds, *SEEDS_RULE)
+    if error:
+        raise ValueError(error)
     layout = run_layout(run_dir)
     _remove_run(layout)
     layout["root"].mkdir(parents=True, exist_ok=True)

@@ -51,7 +51,7 @@ class TestParseConfig:
         assert strat["gamma"] == 0.95
         assert strat["c"] == 1000.0
         assert strat["epsilon"] == 0.0
-        assert cfg.resolved["name"] == "min"
+        assert cfg.name == cfg.resolved["name"] == "min"
         assert cfg.seeds == [0]
 
     def test_gamma_out_of_range(self, tmp_path):

@@ -137,6 +137,19 @@ class TestCsv:
         np.testing.assert_array_equal(loaded.labels, ds.labels)
         assert loaded.k == ds.k
 
+    def test_byte_order_mark_is_skipped(self, tmp_path):
+        # Excel's "CSV UTF-8" starts the file with one; here it abuts the label column
+        text = "label,x0,x1\r\n1,0.5,-1.25\r\n0,1e-3,2\r\n"
+        plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+        plain.write_bytes(text.encode())
+        marked.write_bytes(b"\xef\xbb\xbf" + text.encode())
+        a, b = load_csv(plain), load_csv(marked)
+        assert a.samples.tobytes() == b.samples.tobytes()
+        np.testing.assert_array_equal(a.labels, b.labels)
+        np.testing.assert_array_equal(a.labels, [1, 0])
+        export_csv(b, tmp_path / "out.csv")
+        assert (tmp_path / "out.csv").read_bytes().startswith(b"x0,x1,label\r\n")
+
     def test_row_width_mismatch(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("x0,x1,label\n1.0,2.0,0\n1.0,1\n")

@@ -232,6 +232,9 @@ NAMED = {
     "trace-nan-row": ("trace", lambda raw: probs_row([np.nan] * 3), "block 'probs' holds a row"),
     "trace-negative-entry": ("trace", lambda raw: probs_row([2.0, -1.0, 0.0]),
                              "block 'probs' holds a row"),
+    "trace-extra-block": ("trace", lambda raw: block_file(
+        [("labels", np.zeros(2)), ("probs", P), ("junk", np.array([np.nan]))]),
+        "holds blocks ['junk'] besides 'labels' and 'probs'"),
     "state-y-off-simplex": ("state", block_set("strategy/y", 0, [2.0, -1.0, 0.0]),
                             f"block 'strategy/y' {OFF_SIMPLEX}"),
     "state-y-nan-row": ("state", block_set("strategy/y", 0, np.nan),

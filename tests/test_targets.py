@@ -189,6 +189,27 @@ class TestSharpen:
             np.testing.assert_array_equal(out.argmax(axis=1), p.argmax(axis=1))
             np.testing.assert_allclose(out.sum(axis=1), 1.0, atol=1e-12)
 
+    @pytest.mark.parametrize("row, tau, want", [
+        ([0.25] * 4, 1e-3, [0.25] * 4),
+        ([0.9, 0.05, 0.05], 1e-4, [1.0, 0.0, 0.0]),
+        ([0.925, 0.025, 0.025, 0.025], 1e-4, [1.0, 0.0, 0.0, 0.0]),
+    ], ids=["uniform", "three-class", "label-smoothed"])
+    def test_rows_whose_powers_all_underflow(self, row, tau, want):
+        np.testing.assert_array_equal(sharpen(np.array([row]), tau), [want])
+        np.testing.assert_array_equal(sharpen(row, tau), want)
+        mixed = sharpen(np.array([row, [1.0] + [0.0] * (len(row) - 1)]), tau)
+        np.testing.assert_array_equal(mixed[0], want)
+
+    def test_rows_that_do_not_underflow_keep_their_bits(self):
+        p = random_simplex(np.random.default_rng(23), 2000, 5)
+        for tau in (1e-4, 0.01, 0.1, 0.5, 2.0):
+            powered = p ** (1.0 / tau)
+            total = powered.sum(axis=1, keepdims=True)
+            kept = total[:, 0] > 0.0
+            out = sharpen(p, tau)
+            assert out[kept].tobytes() == (powered[kept] / total[kept]).tobytes(), tau
+            assert on_simplex(out) and kept.all() == (tau >= 0.01), tau
+
     def test_nonpositive_tau_rejected(self):
         with pytest.raises(ValueError):
             sharpen([0.5, 0.5], 0.0)

@@ -19,7 +19,7 @@ from bsdlab import analysis, training
 from bsdlab.data import Dataset, augment_strong, augment_weak, make_blobs
 from bsdlab.fileio import HEADER_MAX_BYTES, ROWS_PER_WRITE, read_blocks, write_blocks
 from bsdlab.models import Model, ModelSpec, forward, init_model
-from bsdlab.numerics import kl_div, soft_cross_entropy
+from bsdlab.numerics import kl_div, optimizer_step, soft_cross_entropy
 from bsdlab.targets import EvidenceStore, StrategyConfig, TargetStrategy, update_weight
 from bsdlab.training import (BsdPlusConfig, SeedRun, TrainConfig, TrainingDiverged,
                              contrastive_term, evaluate, lr_at, make_optimizer,
@@ -239,6 +239,18 @@ class TestTrainEpoch:
         with pytest.raises(ValueError, match=r"^expected batch of shape \(n, 2\), got") as info:
             train_epoch(model, wide, strategy, opt, cfg, 1, seed=3)
         assert type(info.value) is ValueError
+
+    def test_label_smoothing_trains_at_a_tau_whose_powers_underflow(self):
+        # 0.025 ** 1e4 and 0.925 ** 1e4 are both 0, so sharpen must not divide by 0
+        ds = make_blobs(4, 20, seed=1)
+        cfg = TrainConfig(epochs=2, batch_size=16, tau=1e-4,
+                          strategy=StrategyConfig(mode="label-smoothing"))
+        spec = ModelSpec(input_dim=ds.d, classes=ds.k, hidden=(8,))
+        model = init_model(spec)
+        strategy = TargetStrategy(cfg.strategy, ds.labels, ds.k, cfg.epochs)
+        opt = make_optimizer(cfg)
+        rows = [train_epoch(model, ds, strategy, opt, cfg, e, seed=0) for e in (1, 2)]
+        assert all(math.isfinite(row["train_loss"]) for row in rows)
 
 
 class TestEpochUpdate:
@@ -622,6 +634,24 @@ class TestRunExperiment:
                               run_dir=tmp_path / "run")
         assert [run.model.scratch for run in runs] == [{}, {}]
 
+    @pytest.mark.parametrize("seeds", [[], [3, 3], [-1]], ids=["empty", "twice", "negative"])
+    def test_bad_seed_list_refused_before_anything_changes(self, tmp_path, seeds):
+        ds, test = tiny_dataset(n_per=6), tiny_dataset(n_per=4, seed=1)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,))
+        cfg = small_config("bsd", epochs=2)
+        run_experiment(spec, ds, test, cfg, seeds=[3], run_dir=tmp_path / "run")
+
+        def tree(root):
+            return {str(p.relative_to(root)): p.is_file() and p.read_bytes()
+                    for p in root.rglob("*")}
+
+        before = tree(tmp_path)
+        message = re.escape(f"seeds must be {training.SEEDS_RULE[1]}, got {seeds}")
+        for run_dir in ("run", "fresh"):
+            with pytest.raises(ValueError, match=message):
+                run_experiment(spec, ds, test, cfg, seeds=seeds, run_dir=tmp_path / run_dir)
+        assert tree(tmp_path) == before
+
     def test_seeds_differ(self, tmp_path):
         ds = tiny_dataset(n_per=6)
         test = tiny_dataset(n_per=4, seed=1)
@@ -858,6 +888,30 @@ class TestRunExperiment:
         model = init_model(dc_replace(spec, seed=5))
         strategy = TargetStrategy(cfg.strategy, ds.labels, ds.k, cfg.epochs)
         assert training._load_train_state(state_path, model, make_optimizer(cfg), strategy) == 2
+
+    @pytest.mark.parametrize("opt_kw", [{"optimizer": "adam", "lr": 0.05},
+                                        {"optimizer": "sgd", "momentum": 0.9}],
+                             ids=["adam", "sgd-momentum"])
+    def test_step_after_a_state_load_updates_the_loaded_moments(self, tmp_path, opt_kw):
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, **opt_kw)
+        spec = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(spec, ds, test, cfg, 5, layout, stop_after=2)
+        state_path = layout["checkpoints"] / "seed_5.state"
+        model, opt = init_model(dc_replace(spec, seed=5)), make_optimizer(cfg)
+        strategy = TargetStrategy(cfg.strategy, ds.labels, ds.k, cfg.epochs)
+        training._load_train_state(state_path, model, opt, strategy)
+        _, saved = read_blocks(state_path, training.STATE_MAGIC)
+        loaded, scratch = {key: getattr(opt, key) for key in opt.moment_names}, opt.scratch
+        for key, moment in loaded.items():
+            for name, view in model.views(moment).items():
+                np.testing.assert_array_equal(view, saved[f"opt/{key}/{name}"])
+        before = {key: moment.copy() for key, moment in loaded.items()}
+        optimizer_step(model.flat, np.ones_like(model.flat), opt, 0.01)
+        assert opt.scratch is scratch
+        for key, moment in loaded.items():
+            assert getattr(opt, key) is moment and not np.array_equal(moment, before[key])
 
     def test_bsd_entropy_positive_baseline_zero(self, tmp_path):
         ds = tiny_dataset(n_per=10)
@@ -1097,9 +1151,11 @@ class TestTraceCsv:
         # a sum that overflows fails the check without a RuntimeWarning
         ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [1e308, 1e308], [1.0, 0.0]])},
          "block 'probs' holds a row"),
+        ({"labels": np.zeros(2), "probs": np.full((2, 2), 0.5), "junk": np.array([np.nan])},
+         "holds blocks ['junk'] besides 'labels' and 'probs'"),
     ], ids=["no-labels", "no-probs", "row-counts", "flat-probs", "fractional-label",
             "nan-label", "inf-label", "label-k", "negative-label", "huge-label", "nan-probs",
-            "negative-probs", "probs-sum-off", "inf-probs", "huge-probs"])
+            "negative-probs", "probs-sum-off", "inf-probs", "huge-probs", "extra-block"])
     def test_sidecar_without_trace_blocks_rejected(self, tmp_path, blocks, match):
         sidecar = tmp_path / "epoch_1.trace"
         write_blocks(sidecar, training.TRACE_MAGIC, {}, blocks)
