@@ -339,8 +339,8 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
     if logits.ndim != 2:
         raise ValueError("need an (n, k) logit array")
     labels = _as_labels(labels, *logits.shape)
-    if not lo > 0.0:
-        raise ValueError("temperature search needs lo > 0")
+    if not (0.0 < lo < hi and math.isfinite(hi)):
+        raise ValueError(f"temperature search needs finite 0 < lo < hi, got lo={lo}, hi={hi}")
     if np.all(logits == logits[:, :1]):
         raise ValueError("degenerate logits: all classes identical")
     objective = _temperature_nll(logits, labels)

@@ -1,5 +1,5 @@
-"""Crash-safe file replacement, the binary block format of checkpoints and states,
-the text-table writer and the JSON codec of every other artifact; every writer is atomic."""
+"""Atomic, crash-safe writers and their formats: the blocks of checkpoints, states and traces
+with ``check_blocks``, their one rule; the text table; JSON for every other artifact."""
 
 import json
 import math
@@ -80,6 +80,24 @@ def read_blocks(path, magic):
         if fh.read(1):
             raise ValueError(f"{path}: bytes after the last block")
     return header, blocks
+
+
+def check_blocks(path, blocks, table):
+    """Raise ``ValueError`` naming ``path`` and the block unless ``blocks`` (as ``read_blocks``
+    returns them) are exactly those ``table`` names, each of its shape and passing its check;
+    ``table`` maps a name to ``(shape, check, words)``, ``words`` saying what ``check`` wants."""
+    for name in table:
+        if name not in blocks:
+            raise ValueError(f"{path}: missing block {name!r}")
+    for name in blocks:
+        if name not in table:
+            raise ValueError(f"{path}: extra block {name!r}")
+    for name, (shape, check, words) in table.items():
+        if blocks[name].shape != shape:
+            raise ValueError(f"{path}: block {name!r} has shape {blocks[name].shape}, "
+                             f"not {shape}")
+        if not check(blocks[name]):
+            raise ValueError(f"{path}: block {name!r} does not hold {words}")
 
 
 def read_declared(fh, size, what):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .fileio import read_blocks, write_blocks
+from .fileio import check_blocks, read_blocks, write_blocks
 from .numerics import _all_finite, softmax
 from .settings import Settings, setting
 
@@ -434,9 +434,7 @@ def load_checkpoint(path) -> Model:
         spec = ModelSpec(**spec_dict)
     except (TypeError, ValueError) as exc:
         raise ValueError(f"{path}: bad model spec: {exc}") from None
-    if [(n, b.shape) for n, b in blocks.items()] != block_shapes(spec):
-        raise ValueError(f"{path}: checkpoint blocks do not match its model spec")
-    for name, block in blocks.items():
-        if not _all_finite(block):
-            raise ValueError(f"{path}: block {name!r} does not hold finite values")
-    return Model(spec, np.concatenate([b.ravel() for b in blocks.values()]))
+    shapes = block_shapes(spec)
+    check_blocks(path, blocks, {name: (shape, _all_finite, "finite values")
+                                for name, shape in shapes})
+    return Model(spec, np.concatenate([blocks[name].ravel() for name, _ in shapes]))

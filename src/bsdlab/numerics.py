@@ -114,9 +114,8 @@ def softmax(logits, out=None):
 
 
 def entropy(p):
-    """Shannon entropy -sum p*ln(p) along the last axis, in nats."""
-    p = np.asarray(p, dtype=np.float64)
-    return -_class_reduce(np.add, p * np.log(np.maximum(p, PROB_FLOOR)))
+    """Shannon entropy -sum p*ln(p) along the last axis, in nats: ``soft_cross_entropy(p, p)``."""
+    return soft_cross_entropy(p, p)
 
 
 def kl_div(p, q):

@@ -41,8 +41,8 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import (HEADER_MAX_BYTES, atomic_open, json_object, read_blocks, write_blocks,
-                     write_json, write_table)
+from .fileio import (HEADER_MAX_BYTES, atomic_open, check_blocks, json_object, read_blocks,
+                     write_blocks, write_json, write_table)
 from .models import Model, backward, forward, init_model, predict, save_checkpoint
 from .numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, OptimizerState, _all_finite,
                        _class_reduce, entropy, kl_div, on_simplex, optimizer_step,
@@ -53,7 +53,7 @@ from .targets import StrategyConfig, TargetStrategy, sharpen
 RECORD_SCHEMA_VERSION = 1
 STATE_MAGIC = "BSDLAB-STATE v1"
 TRACE_MAGIC = "BSDLAB-TRACE v1"
-ON_SIMPLEX = f"finite entries >= 0 summing to 1 within {SIMPLEX_TOL}"  # on_simplex, in words
+ON_SIMPLEX = f"rows of finite entries >= 0 summing to 1 within {SIMPLEX_TOL}"  # on_simplex
 
 # rng stream tags
 _SHUFFLE, _DROPOUT, _WEAK, _STRONG_BASE = 0, 1, 2, 3
@@ -332,6 +332,12 @@ def run_layout(run_dir):
     }
 
 
+# (check, words) for a ``.state`` block's values; blocks not named here must be finite
+_FINITE = (_all_finite, "finite values")
+_STATE_RULES = {"strategy/y": (on_simplex, ON_SIMPLEX),
+                "strategy/A": (lambda a: _all_finite(a) and (a >= 0.0).all(), "finite values >= 0")}
+
+
 def _state_blocks(model, opt_state, strategy):
     """The ``.state`` blocks, name to array, in file order."""
     moments = [(key, model.views(getattr(opt_state, key))) for key in opt_state.moment_names]
@@ -359,27 +365,10 @@ def _load_train_state(path, model, opt_state, strategy):
     opt_state.step = header["opt_step"]
     opt_state.allocate(model.flat)
     used = _state_blocks(model, opt_state, strategy)
+    check_blocks(path, blocks, {name: (dest.shape, *_STATE_RULES.get(name, _FINITE))
+                                for name, dest in used.items()})
     for name, dest in used.items():
-        block = blocks.get(name)
-        if block is None:
-            raise ValueError(f"{path}: missing block {name!r}; the state does not match "
-                             f"this run's model, optimizer or strategy")
-        if block.shape != dest.shape:
-            raise ValueError(f"{path}: block {name!r} has shape {block.shape}, "
-                             f"this run needs {dest.shape}")
-        if name == "strategy/y":
-            ok, rule = on_simplex(block), f"rows of {ON_SIMPLEX}"
-        elif name == "strategy/A":
-            ok, rule = _all_finite(block) and (block >= 0.0).all(), "finite values >= 0"
-        else:
-            ok, rule = _all_finite(block), "finite values"
-        if not ok:
-            raise ValueError(f"{path}: block {name!r} does not hold {rule}")
-        dest[...] = block
-    unused = [name for name in blocks if name not in used]
-    if unused:
-        raise ValueError(f"{path}: holds blocks {unused} that this run does not use; the "
-                         "state does not match this run's model, optimizer or strategy")
+        dest[...] = blocks[name]
     return header["epoch"]
 
 
@@ -404,23 +393,16 @@ def read_trace_csv(path):
     """
     trace = Path(path).with_suffix(".trace")
     _, blocks = read_blocks(trace, TRACE_MAGIC)
-    for name in ("labels", "probs"):
-        if name not in blocks:
-            raise ValueError(f"{trace}: missing block {name!r}")
-    extra = [name for name in blocks if name not in ("labels", "probs")]
-    if extra:
-        raise ValueError(f"{trace}: holds blocks {extra} besides 'labels' and 'probs'")
-    probs, labels = blocks["probs"], blocks["labels"]
-    if probs.ndim != 2 or labels.shape != probs.shape[:1]:
-        raise ValueError(f"{trace}: blocks 'labels' of shape {labels.shape} and 'probs' "
-                         f"of shape {probs.shape} are not (n,) and (n, k)")
-    k = probs.shape[1]
-    if not ((labels >= 0) & (labels < k) & (labels == np.trunc(labels))).all():  # False on NaN
-        raise ValueError(f"{trace}: block 'labels' holds a value that is not a finite "
-                         f"integer in [0, {k})")
-    if not on_simplex(probs):
-        raise ValueError(f"{trace}: block 'probs' holds a row that is not {ON_SIMPLEX}")
-    return probs, labels.astype(np.int64), k
+    probs = blocks.get("probs", np.empty((0, 0)))  # a missing block is refused below
+    if probs.ndim != 2:
+        raise ValueError(f"{trace}: block 'probs' has shape {probs.shape}, not (n, k)")
+    n, k = probs.shape
+    check_blocks(trace, blocks, {
+        "labels": ((n,), lambda y: ((y >= 0) & (y < k) & (y == np.trunc(y))).all(),  # False on NaN
+                   f"integers in [0, {k})"),
+        "probs": ((n, k), on_simplex, ON_SIMPLEX),
+    })
+    return probs, blocks["labels"].astype(np.int64), k
 
 
 def read_records(fh, last=None):
@@ -462,9 +444,9 @@ def _truncate_records(path, epoch):
 
 
 class _SeedWriter:
-    """One seed's files under a ``run_layout``. Set-up makes their directories, and with
-    ``resume`` loads the seed's ``.state`` into ``run`` and cuts its records back to that
-    epoch; it refuses a missing ``.state`` before making any directory."""
+    """One seed's files under a ``run_layout``. Set-up makes their directories; with ``resume``
+    it first refuses a missing ``.state``, then loads it into ``run``, refuses one saved past
+    the run's last epoch, and cuts the records back to the state's epoch."""
 
     def __init__(self, layout, run, labels, epochs, resume):
         name = f"seed_{run.seed}"
@@ -478,6 +460,9 @@ class _SeedWriter:
             path.mkdir(parents=True, exist_ok=True)
         if resume:
             run.epoch = _load_train_state(self.state, run.model, run.opt_state, run.strategy)
+            if run.epoch > epochs:
+                raise ValueError(f"{self.state}: saved at epoch {run.epoch}, past this run's "
+                                 f"last epoch {epochs}")
             run.rows = _truncate_records(self.records, run.epoch)
         else:
             self.records.write_bytes(b"")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -351,10 +352,13 @@ class TestTemperature:
         with pytest.raises(ValueError, match="non-finite"):
             objective(0.05)
 
-    def test_non_positive_search_bound_rejected(self):
+    @pytest.mark.parametrize("lo, hi", [(0.0, 20.0), (5.0, 1.0), (1.0, 1.0),
+                                        (0.05, float("inf")), (float("nan"), 20.0)])
+    def test_bad_search_domain_rejected(self, lo, hi):
         logits, labels = self.calibrated_fixture()
-        with pytest.raises(ValueError, match="lo > 0"):
-            fit_temperature(logits, labels, lo=0.0)
+        with pytest.raises(ValueError, match=re.escape(
+                f"temperature search needs finite 0 < lo < hi, got lo={lo}, hi={hi}")):
+            fit_temperature(logits, labels, lo=lo, hi=hi)
 
     def test_degenerate_logits_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):

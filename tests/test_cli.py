@@ -522,8 +522,8 @@ class TestAnalyzeCommand:
         trace = tmp_path / "bad" / "traces" / "seed_0" / "epoch_1.trace"
         write_trace(trace, np.tile([0.5, 0.25, 0.25], (7, 1)), labels)
         assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
-        assert capsys.readouterr().err == (f"error: {trace}: block 'labels' holds a value "
-                                           "that is not a finite integer in [0, 3)\n")
+        assert capsys.readouterr().err == (f"error: {trace}: block 'labels' does not hold "
+                                           "integers in [0, 3)\n")
 
     @pytest.mark.parametrize("what", ["calibration", "dark-knowledge", "dynamics"])
     def test_probs_off_the_simplex_is_an_error(self, tmp_path, capsys, what):
@@ -532,8 +532,8 @@ class TestAnalyzeCommand:
         trace = tmp_path / "bad" / "traces" / "seed_0" / "epoch_1.trace"
         write_trace(trace, probs, np.arange(6) % 3)
         assert main(["analyze", str(tmp_path / "bad"), "--what", what]) == 1
-        assert capsys.readouterr().err == (f"error: {trace}: block 'probs' holds a row that is "
-                                           "not finite entries >= 0 summing to 1 within 1e-06\n")
+        assert capsys.readouterr().err == (f"error: {trace}: block 'probs' does not hold rows "
+                                           "of finite entries >= 0 summing to 1 within 1e-06\n")
 
     def test_dark_knowledge_symmetric_csv(self, trained_run):
         assert main(["analyze", str(trained_run), "--what", "dark-knowledge"]) == 0

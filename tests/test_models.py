@@ -457,6 +457,18 @@ class TestCheckpoint:
         for name in model.params:
             np.testing.assert_array_equal(loaded.params[name], model.params[name])
 
+    def test_reordered_manifest_loads_the_same_model(self, tmp_path):
+        # blocks are matched by name, not by their place in the file
+        model = init_model(ModelSpec(input_dim=3, classes=2, hidden=(4, 5), seed=3))
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(model, path)
+        header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
+        del header["blocks"]
+        write_blocks(path, CHECKPOINT_MAGIC, header, dict(reversed(blocks.items())))
+        assert read_blocks(path, CHECKPOINT_MAGIC)[0]["blocks"][0]["name"] == "b2"
+        loaded = load_checkpoint(path)
+        assert loaded.spec == model.spec and loaded.flat.tobytes() == model.flat.tobytes()
+
     @pytest.mark.parametrize("case", ["no spec", "no hidden", "unknown key", "null hidden",
                                       "blocks differ"])
     def test_bad_spec_names_the_file(self, tmp_path, case):

@@ -5,8 +5,8 @@ import pytest
 
 from bsdlab.analysis import nll
 from bsdlab.data import Dataset, inject_asymmetric, inject_symmetric
-from bsdlab.numerics import (entropy, kl_div, one_hot, optimizer_step, softmax,
-                             soft_cross_entropy)
+from bsdlab.numerics import (PROB_FLOOR, _class_reduce, entropy, kl_div, one_hot,
+                             optimizer_step, softmax, soft_cross_entropy)
 from bsdlab.targets import STRATEGY_MODES, StrategyConfig, TargetStrategy, init_prior
 from bsdlab.training import TrainConfig, make_optimizer
 
@@ -85,6 +85,16 @@ class TestSoftCrossEntropy:
             p = random_simplex(rng, 300, k)
             lhs = soft_cross_entropy(t, p) - kl_div(t, p)
             np.testing.assert_allclose(lhs, entropy(t), atol=1e-9)
+
+    @pytest.mark.parametrize("k", range(2, 10))
+    def test_entropy_keeps_its_bits(self, k):
+        rng = np.random.default_rng(k)
+        for n in (5, 100):  # one reduce call, and from 64 rows the column chain at k < 8
+            p = random_simplex(rng, n, k)
+            p[::3] = np.eye(k)[rng.integers(0, k, size=len(p[::3]))]  # exact zeros
+            # entropy's own formula before it became soft_cross_entropy(p, p)
+            own = -_class_reduce(np.add, p * np.log(np.maximum(p, PROB_FLOOR)))
+            assert entropy(p).tobytes() == own.tobytes()
 
 
 def plain_sgd():

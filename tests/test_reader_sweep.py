@@ -47,12 +47,26 @@ class Reader:
     refusals: tuple = (ValueError, OSError)  # a refusal of any other type is a failure
 
 
-def block_file(blocks):
-    """The bytes ``write_blocks`` writes for a ``.trace``, from (name, array) pairs
-    that may name a block twice."""
-    header = {"blocks": [{"name": name, "shape": list(b.shape)} for name, b in blocks]}
-    return b"".join([TRACE_MAGIC.encode() + b"\n", json.dumps(header).encode() + b"\n",
+def block_file(blocks, magic=TRACE_MAGIC, header=None):
+    """The bytes ``write_blocks`` writes, a ``.trace`` unless ``magic`` says otherwise,
+    from (name, array) pairs that may name a block twice."""
+    header = dict(header or {},
+                  blocks=[{"name": name, "shape": list(b.shape)} for name, b in blocks])
+    return b"".join([magic.encode() + b"\n", json.dumps(header).encode() + b"\n",
                      *(np.ascontiguousarray(b, dtype="<f8").tobytes() for _, b in blocks)])
+
+
+def split_blocks(raw):
+    """(magic, header without its manifest, (name, array) pairs) of a block file's bytes."""
+    magic, line, data = raw.split(b"\n", 2)
+    header = json.loads(line)
+    pairs, start = [], 0
+    for entry in header.pop("blocks"):
+        size = 8 * math.prod(entry["shape"])
+        block = np.frombuffer(data[start:start + size], "<f8").reshape(entry["shape"])
+        pairs.append((entry["name"], block))
+        start += size
+    return magic.decode(), header, pairs
 
 
 def compare(run):
@@ -229,12 +243,13 @@ NAMED = {
     "trace-block-twice": ("trace", lambda raw: block_file(
         [("labels", np.zeros(2)), ("probs", P), ("probs", np.eye(3)[:2])]),
         "manifest names block 'probs' twice"),
-    "trace-nan-row": ("trace", lambda raw: probs_row([np.nan] * 3), "block 'probs' holds a row"),
+    "trace-nan-row": ("trace", lambda raw: probs_row([np.nan] * 3),
+                      f"block 'probs' {OFF_SIMPLEX}"),
     "trace-negative-entry": ("trace", lambda raw: probs_row([2.0, -1.0, 0.0]),
-                             "block 'probs' holds a row"),
+                             f"block 'probs' {OFF_SIMPLEX}"),
     "trace-extra-block": ("trace", lambda raw: block_file(
         [("labels", np.zeros(2)), ("probs", P), ("junk", np.array([np.nan]))]),
-        "holds blocks ['junk'] besides 'labels' and 'probs'"),
+        "extra block 'junk'"),
     "state-y-off-simplex": ("state", block_set("strategy/y", 0, [2.0, -1.0, 0.0]),
                             f"block 'strategy/y' {OFF_SIMPLEX}"),
     "state-y-nan-row": ("state", block_set("strategy/y", 0, np.nan),
@@ -300,3 +315,35 @@ def test_named_defect_refused(readers, case):
     assert reader.named in str(info.value) and message in str(info.value)
     assert len(str(info.value)) < len(reader.named) + 200
     assert peak < JUNK_BYTES // 4
+
+
+# the block of each block-file reader that the rule cases damage, and a value its check refuses
+RULE_BLOCKS = {"trace": ("labels", 3.0), "state": ("strategy/A", -1.0), "ckpt": ("b1", np.nan)}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("defect", ["missing", "extra", "shape", "value"])
+@pytest.mark.parametrize("name", RULE_BLOCKS)
+def test_block_rule_refused_in_one_form(readers, name, defect):
+    """Each block-file reader refuses a break of ``fileio.check_blocks``' rule with the
+    same message, naming the file and the block."""
+    reader, (target, bad) = readers[name], RULE_BLOCKS[name]
+    magic, header, pairs = split_blocks(reader.source)
+    block = dict(pairs)[target]
+    if defect == "missing":
+        pairs, message = [(n, b) for n, b in pairs if n != target], f"missing block '{target}'"
+    elif defect == "extra":
+        pairs, message = pairs + [("junk", np.zeros(1))], "extra block 'junk'"
+    else:
+        if defect == "shape":
+            damaged = np.concatenate([block, block[:1]])
+            message = f"block '{target}' has shape {damaged.shape}, not {block.shape}"
+        else:
+            damaged = block.copy()
+            damaged.flat[0] = bad
+            message = f"block '{target}' does not hold "
+        pairs = [(n, damaged if n == target else b) for n, b in pairs]
+    reader.path.write_bytes(block_file(pairs, magic, header))
+    with pytest.raises(ValueError) as info:
+        reader.read(reader.path)
+    assert str(info.value).startswith(f"{reader.named}: {message}")

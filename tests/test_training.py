@@ -1005,14 +1005,24 @@ class TestUnusableState:
     def test_block_of_wrong_shape(self, tmp_path):
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: block 'strategy/y' has shape (16, 2), this run needs (18, 2)")):
+                f"{path}: block 'strategy/y' has shape (16, 2), not (18, 2)")):
             run_single_seed(spec, tiny_dataset(n_per=9), test, cfg, 5, layout, resume=True)
+
+    def test_state_past_the_last_epoch(self, tmp_path):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        records = layout["records"] / "seed_5.jsonl"
+        before = records.read_bytes()
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: saved at epoch 2, past this run's last epoch 1")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, dc_replace(cfg, epochs=1), 5,
+                            layout, resume=True)
+        assert records.read_bytes() == before
+        assert not (layout["checkpoints"] / "seed_5_final.ckpt").exists()
 
     def test_blocks_the_run_does_not_use(self, tmp_path):
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
         baseline = dc_replace(cfg, strategy=dc_replace(cfg.strategy, mode="baseline"))
-        with pytest.raises(ValueError, match=re.escape(
-                f"{path}: holds blocks ['strategy/y', 'strategy/A'] that this run does not use")):
+        with pytest.raises(ValueError, match=re.escape(f"{path}: extra block 'strategy/y'")):
             run_single_seed(spec, tiny_dataset(n_per=8), test, baseline, 5, layout, resume=True)
 
     @pytest.mark.parametrize("saved, resumed, stored, kept", [
@@ -1124,35 +1134,37 @@ class TestTraceCsv:
     @pytest.mark.parametrize("blocks, match", [
         ({"probs": np.full((3, 2), 0.5)}, "missing block 'labels'"),
         ({"labels": np.zeros(3)}, "missing block 'probs'"),
-        ({"labels": np.zeros(2), "probs": np.full((3, 2), 0.5)}, "not (n,) and (n, k)"),
-        ({"labels": np.zeros(3), "probs": np.full(3, 0.5)}, "not (n,) and (n, k)"),
+        ({"labels": np.zeros(2), "probs": np.full((3, 2), 0.5)},
+         "block 'labels' has shape (2,), not (3,)"),
+        ({"labels": np.zeros(3), "probs": np.full(3, 0.5)},
+         "block 'probs' has shape (3,), not (n, k)"),
         ({"labels": np.array([0.0, 1.5, 0.0]), "probs": np.full((3, 2), 0.5)},
-         "not a finite integer"),
+         "block 'labels' does not hold integers in [0, 2)"),
         ({"labels": np.array([0.0, np.nan, 0.0]), "probs": np.full((3, 2), 0.5)},
-         "not a finite integer"),
+         "block 'labels' does not hold integers in [0, 2)"),
         ({"labels": np.array([0.0, np.inf, 0.0]), "probs": np.full((3, 2), 0.5)},
-         "not a finite integer"),
+         "block 'labels' does not hold integers in [0, 2)"),
         ({"labels": np.array([0.0, 2.0, 0.0]), "probs": np.full((3, 2), 0.5)},
-         "not a finite integer in [0, 2)"),
+         "block 'labels' does not hold integers in [0, 2)"),
         ({"labels": np.array([0.0, -1.0, 0.0]), "probs": np.full((3, 2), 0.5)},
-         "not a finite integer in [0, 2)"),
+         "block 'labels' does not hold integers in [0, 2)"),
         # finite, but too large for int64: a cast would wrap it with a RuntimeWarning
         ({"labels": np.array([0.0, 1e19, 0.0]), "probs": np.full((3, 2), 0.5)},
-         "not a finite integer in [0, 2)"),
+         "block 'labels' does not hold integers in [0, 2)"),
         # each probs row must hold finite entries >= 0 that sum to 1 within 1e-6
         ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [np.nan, 1.0], [1.0, 0.0]])},
-         "block 'probs' holds a row that is not finite entries >= 0 summing to 1 within 1e-06"),
+         "block 'probs' does not hold rows of finite entries >= 0 summing to 1 within 1e-06"),
         ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [2.0, -1.0], [1.0, 0.0]])},
-         "block 'probs' holds a row"),
+         "block 'probs' does not hold rows"),
         ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [0.5, 0.5 + 2e-6], [1.0, 0]])},
-         "block 'probs' holds a row"),
+         "block 'probs' does not hold rows"),
         ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [np.inf, 0.0], [1.0, 0.0]])},
-         "block 'probs' holds a row"),
+         "block 'probs' does not hold rows"),
         # a sum that overflows fails the check without a RuntimeWarning
         ({"labels": np.zeros(3), "probs": np.array([[0.5, 0.5], [1e308, 1e308], [1.0, 0.0]])},
-         "block 'probs' holds a row"),
+         "block 'probs' does not hold rows"),
         ({"labels": np.zeros(2), "probs": np.full((2, 2), 0.5), "junk": np.array([np.nan])},
-         "holds blocks ['junk'] besides 'labels' and 'probs'"),
+         "extra block 'junk'"),
     ], ids=["no-labels", "no-probs", "row-counts", "flat-probs", "fractional-label",
             "nan-label", "inf-label", "label-k", "negative-label", "huge-label", "nan-probs",
             "negative-probs", "probs-sum-off", "inf-probs", "huge-probs", "extra-block"])
