@@ -1,8 +1,9 @@
 """Per-sample Dirichlet evidence store, its discounted update, and the strategy layer.
 
-The store keeps each sample's soft target as a normalized row ``y`` together
-with the total evidence mass ``A`` (the sum of the underlying concentration
-parameters). One observation of a prediction ``p`` performs
+The store keeps each sample's soft target as a normalized row ``y``, and one
+total evidence mass ``A`` (the sum of a row's concentration parameters) for
+all rows: every row starts at the same A0, and each epoch's update observes
+every row once. One observation of a prediction ``p`` performs
 
     w = gamma * A / (gamma * A + 1)
     y <- w * y + (1 - w) * p
@@ -45,36 +46,39 @@ __all__ = [
 
 @dataclass
 class EvidenceStore:
-    """Soft targets ``y`` (n rows on the simplex) and evidence masses ``A`` (n positives)."""
+    """Soft targets ``y`` (n rows on the simplex) and their one evidence mass ``mass``."""
 
     y: np.ndarray
-    A: np.ndarray
+    mass: float
     gamma: float
 
-    @property
-    def n(self):
-        return self.y.shape[0]
-
-    @property
-    def k(self):
-        return self.y.shape[1]
-
-    def update_rows(self, indices, preds):
-        """Discounted Bayesian update of the selected rows from their predictions, which
-        must pass ``on_simplex``: a failing batch raises and writes nothing."""
+    def update(self, perm, preds):
+        """Discounted Bayesian update of row ``perm[j]`` from ``preds[j]``, for a ``perm`` of all
+        n rows and (n, k) ``preds`` that pass ``on_simplex``; else raise and write nothing."""
+        n = len(self.y)
+        if np.shape(preds) != self.y.shape or not np.array_equal(np.sort(perm), np.arange(n)):
+            raise ValueError(f"an update takes a permutation of all {n} rows and their "
+                             f"{self.y.shape} predictions")
         if not on_simplex(preds):
             raise ValueError("prediction off the simplex: a negative or non-finite entry, "
                              f"or a row sum off 1 by more than {SIMPLEX_TOL}")
-        A = self.A[indices]
-        w = update_weight(self.gamma, A)
-        self.y[indices] = w[:, None] * self.y[indices] + (1.0 - w)[:, None] * preds
-        self.A[indices] = self.gamma * A + 1.0
+        w = update_weight(self.gamma, self.mass)
+        self.y[perm] = w * self.y[perm] + (1.0 - w) * preds
+        self.mass = self.mass_after(1)
+
+    def mass_after(self, updates):
+        """The mass after ``updates`` more updates: ``A <- gamma * A + 1`` each."""
+        mass = self.mass
+        for _ in range(updates):
+            mass = self.gamma * mass + 1.0
+        return mass
 
     def save_csv(self, path):
-        """``sample_id,A,y_0..y_{k-1}`` rows, floats as ``repr``, ``\\r\\n`` line ends: an
-        export that bsdlab never reads back (a run's ``.state`` holds the store)."""
-        header = ["sample_id", "A"] + [f"y_{j}" for j in range(self.k)]
-        write_table(path, header, [np.arange(self.n), self.A, self.y], newline="\r\n")
+        """``sample_id,A,y_0..y_{k-1}`` rows, ``A`` repeating the mass, floats as ``repr``,
+        ``\\r\\n`` ends: an export bsdlab never reads back (a run's ``.state`` holds the store)."""
+        n, k = self.y.shape
+        header = ["sample_id", "A"] + [f"y_{j}" for j in range(k)]
+        write_table(path, header, [np.arange(n), np.full(n, self.mass), self.y], newline="\r\n")
 
 
 def update_weight(gamma, A):
@@ -103,8 +107,7 @@ def init_prior(labels, k, c, epsilon, gamma) -> EvidenceStore:
     a0 = c + (k - 1) * epsilon
     y = np.full((n, k), epsilon / a0, dtype=np.float64)
     y[np.arange(n), labels] = c / a0
-    A = np.full(n, a0, dtype=np.float64)
-    return EvidenceStore(y=y, A=A, gamma=gamma)
+    return EvidenceStore(y=y, mass=float(a0), gamma=gamma)
 
 
 def sharpen(target, tau):
@@ -171,7 +174,7 @@ class TargetStrategy:
         if mode == "label-smoothing":
             y0 = (1.0 - cfg.ls_alpha) * self.onehot + cfg.ls_alpha / k
         A0, gamma = (0.0, cfg.te_momentum) if mode == "te" else (1.0, 0.0)
-        self.store = EvidenceStore(y0, np.full(self.labels.shape[0], A0), gamma)
+        self.store = EvidenceStore(y0, A0, gamma)
 
     def _mix(self, epoch):
         """Weight a(epoch) of the stored row against the one-hot label."""
@@ -191,10 +194,12 @@ class TargetStrategy:
     def update(self, indices, preds):
         """Fold predictions into the store (post-step); frozen stores ignore them."""
         if not self.frozen:
-            self.store.update_rows(indices, preds)
+            self.store.update(indices, preds)
 
     def mean_evidence(self):
-        return None if self.frozen else float(self.store.A.mean())
+        # the mean of n copies of the mass, as records hold it: not always the mass's own bits
+        n = len(self.labels)
+        return None if self.frozen else float(np.broadcast_to(self.store.mass, n).mean())
 
     def current_targets(self, epoch):
         """Every sample's target row, mixed from the store as ``targets`` mixes it at

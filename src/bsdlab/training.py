@@ -9,7 +9,7 @@ sample once, so a batch reads only its own rows, and no row is written before
 the next epoch. Targets consumed by a batch are therefore always the
 pre-update values; predictions fed to the state are the same forward outputs
 used for the gradient, captured before the optimizer step, with no gradient
-connection. The update refuses a batch with a row off the simplex and never
+connection. The update refuses an epoch with a row off the simplex and never
 rewrites a row.
 
 A step needs only the fused logit gradient ``probs - target``, so the recorded
@@ -332,19 +332,14 @@ def run_layout(run_dir):
     }
 
 
-# (check, words) for a ``.state`` block's values; blocks not named here must be finite
-_FINITE = (_all_finite, "finite values")
-_STATE_RULES = {"strategy/y": (on_simplex, ON_SIMPLEX),
-                "strategy/A": (lambda a: _all_finite(a) and (a >= 0.0).all(), "finite values >= 0")}
-
-
 def _state_blocks(model, opt_state, strategy):
     """The ``.state`` blocks, name to array, in file order."""
     moments = [(key, model.views(getattr(opt_state, key))) for key in opt_state.moment_names]
     blocks = {f"param/{n}": v for n, v in model.params.items()}
     blocks.update((f"opt/{key}/{n}", views[n]) for n in model.params for key, views in moments)
     if not strategy.frozen:
-        blocks.update({"strategy/y": strategy.store.y, "strategy/A": strategy.store.A})
+        blocks.update({"strategy/y": strategy.store.y,
+                       "strategy/A": np.full(len(strategy.labels), strategy.store.mass)})
     return blocks
 
 
@@ -354,22 +349,37 @@ def _save_train_state(path, model, opt_state, strategy, epoch):
 
 
 def _load_train_state(path, model, opt_state, strategy):
+    """Load a ``.state`` into a fresh run's parts; returns its epoch, which fixes the header's
+    ``opt_step`` (epoch times batches per epoch) and each ``strategy/A`` entry (the mass)."""
     header, blocks = read_blocks(path, STATE_MAGIC)
     for key in ("epoch", "opt_step"):
         if type(header.get(key)) is not int or header[key] < 0:
             raise ValueError(f"{path}: header has no non-negative integer {key!r}")
+    epoch, store = header["epoch"], strategy.store
+    if epoch > strategy.total_epochs:
+        raise ValueError(f"{path}: saved at epoch {epoch}, past this run's last epoch "
+                         f"{strategy.total_epochs}")
     stored = sorted({b.split("/")[1] for b in blocks if b.startswith("opt/")})
     if stored != list(opt_state.moment_names):
         raise ValueError(f"{path}: holds optimizer moments {stored}, this run's optimizer "
                          f"keeps {list(opt_state.moment_names)}")
-    opt_state.step = header["opt_step"]
     opt_state.allocate(model.flat)
+    mass = store.mass_after(epoch)
+    # (check, words) for a block's values; blocks not named here must be finite
+    rules = {"strategy/y": (on_simplex, ON_SIMPLEX),
+             "strategy/A": (lambda a: a.tobytes() == np.full(a.shape, mass).tobytes(),
+                            f"the mass {mass} in every entry, A0 after {epoch} updates")}
     used = _state_blocks(model, opt_state, strategy)
-    check_blocks(path, blocks, {name: (dest.shape, *_STATE_RULES.get(name, _FINITE))
+    check_blocks(path, blocks, {name: (dest.shape, *rules.get(name, (_all_finite, "finite values")))
                                 for name, dest in used.items()})
+    batches = -(-len(strategy.labels) // opt_state.cfg.batch_size)
+    if header["opt_step"] != epoch * batches:
+        raise ValueError(f"{path}: header 'opt_step' is {header['opt_step']}, not epoch "
+                         f"{epoch} times {batches} batches")
     for name, dest in used.items():
         dest[...] = blocks[name]
-    return header["epoch"]
+    opt_state.step, store.mass = header["opt_step"], mass
+    return epoch
 
 
 def write_trace_csv(path, preds, labels):
@@ -460,9 +470,6 @@ class _SeedWriter:
             path.mkdir(parents=True, exist_ok=True)
         if resume:
             run.epoch = _load_train_state(self.state, run.model, run.opt_state, run.strategy)
-            if run.epoch > epochs:
-                raise ValueError(f"{self.state}: saved at epoch {run.epoch}, past this run's "
-                                 f"last epoch {epochs}")
             run.rows = _truncate_records(self.records, run.epoch)
         else:
             self.records.write_bytes(b"")

@@ -5,7 +5,7 @@ form: ``conjugate_update_oracle`` is the concentration-space update
 alpha' = gamma * alpha + pred that the (y, A) factorization must match,
 ``evidence_mass_closed_form`` and ``fixed_point`` give the mass after t
 updates and its stationary value, and ``bsd_update`` runs the store's
-update on one row. ``finite_diff_grad`` checks hand-derived gradients, and
+update on a one-row store. ``finite_diff_grad`` checks hand-derived gradients, and
 ``reconstruct_predictions`` inverts ``analysis.delta_decomposition``.
 """
 
@@ -19,9 +19,9 @@ from bsdlab.targets import EvidenceStore
 
 
 def bsd_update(store: EvidenceStore, i, pred):
-    """Single-row discounted update; returns the new (y_i, A_i)."""
-    store.update_rows(np.asarray([i]), np.asarray(pred, dtype=np.float64)[None, :])
-    return store.y[i], store.A[i]
+    """Discounted update of a one-row store (``i`` is 0); returns the new (y_i, mass)."""
+    store.update(np.asarray([i]), np.asarray(pred, dtype=np.float64)[None, :])
+    return store.y[i], store.mass
 
 
 def conjugate_update_oracle(alpha, pred, gamma):

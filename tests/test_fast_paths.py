@@ -17,7 +17,8 @@ slice-binned calibration errors, the class-major temperature objective and
 the vectorized midranks against copies of the versions they replaced.
 
 The training loop is checked against a copy of the per-batch loop it
-replaced: one store update, sample gather and target gather per mini-batch,
+replaced: one store update, sample gather and target gather per mini-batch
+on a store with one evidence mass per row (``OldEvidenceStore``),
 the allocating optimizer step and the backward pass that also formed the
 unused input gradient, run on the allocating forward (``old_alloc_forward``),
 so no production pass stands in its own reference. Parameters, optimizer
@@ -38,6 +39,7 @@ on and off, with two batch row counts and an evaluation between epochs.
 """
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -301,7 +303,8 @@ class OldTargetStrategy:
         self.te_accum = None
         self.te_count = None
         if cfg.mode == "bsd":
-            self.store = init_prior(self.labels, k, cfg.c, cfg.epsilon, cfg.gamma)
+            self.store = OldEvidenceStore.of(init_prior(self.labels, k, cfg.c, cfg.epsilon,
+                                                        cfg.gamma))
         elif cfg.mode in ("ps-kd", "dlb"):
             self.last_pred = self.onehot.copy()
         elif cfg.mode == "te":
@@ -387,12 +390,12 @@ def test_target_strategy_matches_reference(mode, kw):
     old = OldTargetStrategy(cfg, labels, k, epochs)
     for epoch in range(1, epochs + 2):  # one epoch past the ramp's end
         perm = rng.permutation(n)
-        for start in range(0, n, batch):
+        preds = rng.dirichlet(np.full(k, 0.5), size=n)
+        for start in range(0, n, batch):  # the reference is updated batch by batch
             idx = perm[start:start + batch]
             assert_same_targets(mode, new.targets(idx, epoch), old.targets(idx, epoch))
-            preds = rng.dirichlet(np.full(k, 0.5), size=idx.shape[0])
-            new.update(idx, preds)
-            old.update(idx, preds)
+            old.update(idx, preds[start:start + batch])
+        new.update(perm, preds)  # the store takes the whole epoch at once
         assert_same_targets(mode, new.current_targets(epoch), old.current_targets(epoch))
 
 
@@ -777,7 +780,19 @@ def test_midranks_and_auroc_match_reference(n_id, n_ood):
 # ---------------------------------------------------------------------------
 # The epoch-level training loop and the call-trimmed step
 
-class OldEvidenceStore(EvidenceStore):
+@dataclass
+class OldEvidenceStore:
+    """The store with one evidence mass per row, gathered and scattered batch by batch."""
+
+    y: np.ndarray
+    A: np.ndarray
+    gamma: float
+
+    @classmethod
+    def of(cls, store: EvidenceStore):
+        """A per-row store with ``store``'s rows (shared, not copied) and its mass on each."""
+        return cls(store.y, np.full(len(store.y), store.mass), store.gamma)
+
     def update_rows(self, indices, preds):
         """Discounted Bayesian update of the selected rows from their predictions."""
         preds = old_check_pred(preds)
@@ -792,6 +807,9 @@ class OldUpdateTargetStrategy(TargetStrategy):
         """Fold the batch predictions into the store (post-step); frozen stores ignore them."""
         if not self.frozen:
             self.store.update_rows(indices, preds)
+
+    def mean_evidence(self):
+        return None if self.frozen else float(self.store.A.mean())
 
 
 def old_optimizer_step(params, grads, state, lr):
@@ -922,6 +940,11 @@ def old_train_epoch(model, dataset, strategy, opt_state, cfg, epoch, seed):
     }
 
 
+def row_masses(store):
+    """A store's mass per row: the per-row reference's own, or the one mass on every row."""
+    return store.A if isinstance(store, OldEvidenceStore) else np.full(len(store.y), store.mass)
+
+
 def assert_same_run(new, old):
     """Same epoch rows (repr of every float), parameters, moments and store bytes."""
     new_model, new_opt, new_strategy, new_rows = new
@@ -935,7 +958,7 @@ def assert_same_run(new, old):
         if got is not None:
             assert_bit_equal(got, want)
     assert_bit_equal(new_strategy.store.y, old_strategy.store.y)
-    assert_bit_equal(new_strategy.store.A, old_strategy.store.A)
+    assert_bit_equal(row_masses(new_strategy.store), row_masses(old_strategy.store))
 
 
 def run_both(dataset, spec, cfg, monkeypatch, seed=5):
@@ -949,7 +972,7 @@ def run_both(dataset, spec, cfg, monkeypatch, seed=5):
     new = run(train_epoch, TargetStrategy(cfg.strategy, dataset.labels, dataset.k, cfg.epochs))
     old_strategy = OldUpdateTargetStrategy(cfg.strategy, dataset.labels, dataset.k, cfg.epochs)
     store = old_strategy.store
-    old_strategy.store = OldEvidenceStore(store.y, store.A, store.gamma)
+    old_strategy.store = OldEvidenceStore.of(store)
     # the strong views' pass too
     monkeypatch.setattr(training, "forward", old_alloc_forward)
     monkeypatch.setattr(training, "backward", old_backward)
@@ -1044,18 +1067,18 @@ def test_epoch_update_raises_first_offending_batch_message(first, second):
         else:
             preds[rows, 0] = -1e-3
     store = init_prior(rng.integers(0, k, size=n), k, c=30.0, epsilon=0.1, gamma=0.9)
-    store.A += rng.uniform(0.0, 5.0, size=n)
-    y0, A0 = store.y.copy(), store.A.copy()
+    store.mass += 2.5
+    y0, A0 = store.y.copy(), store.mass
     # one message for the whole epoch, whichever batch and kind of row is at fault
     with pytest.raises(ValueError, match="^prediction off the simplex: a negative or "
                                          "non-finite entry, or a row sum off 1 by more "
                                          r"than 1e-06$"):
-        store.update_rows(perm, preds)
+        store.update(perm, preds)
     with pytest.raises(ValueError):
         old_check_pred(preds)
     # nothing is written when any row is rejected
     assert_bit_equal(store.y, y0)
-    assert_bit_equal(store.A, A0)
+    assert store.mass == A0
 
 
 # ---------------------------------------------------------------------------

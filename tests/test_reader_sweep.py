@@ -104,10 +104,11 @@ def readers(tmp_path_factory):
     spec, train_cfg = cfg.model_spec(train_set.d, train_set.k), cfg.train_config()
 
     model = init_model(spec)
-    strategy = TargetStrategy(train_cfg.strategy, train_set.labels, train_set.k,
-                              train_cfg.epochs)
 
     def load_state(path):
+        # a fresh store each time: the loader derives the mass from the store's first one
+        strategy = TargetStrategy(train_cfg.strategy, train_set.labels, train_set.k,
+                                  train_cfg.epochs)
         _load_train_state(path, model, OptimizerState(train_cfg), strategy)
 
     def load_records(path):
@@ -236,6 +237,9 @@ def metric_set(text):
 JUNK_BYTES = 4 << 20
 
 OFF_SIMPLEX = "does not hold rows of finite entries >= 0 summing to 1 within 1e-06"
+# the valid ``.state``'s mass: c = 50 and gamma = 0.9 after its 2 epochs
+MASS = 0.9 * (0.9 * 50.0 + 1.0) + 1.0
+STATE_MASS = f"the mass {MASS} in every entry, A0 after 2 updates"
 
 # (reader, edit of the valid file's bytes, message); each case was accepted, or
 # escaped as another exception type, before its check was added
@@ -255,7 +259,13 @@ NAMED = {
     "state-y-nan-row": ("state", block_set("strategy/y", 0, np.nan),
                         f"block 'strategy/y' {OFF_SIMPLEX}"),
     "state-A-negative": ("state", block_set("strategy/A", 0, -1.0),
-                         "block 'strategy/A' does not hold finite values >= 0"),
+                         f"block 'strategy/A' does not hold {STATE_MASS}"),
+    "state-A-one-ulp-up": ("state", block_set("strategy/A", 5, np.nextafter(MASS, np.inf)),
+                           f"block 'strategy/A' does not hold {STATE_MASS}"),
+    "state-A-one-epoch-early": ("state", block_set("strategy/A", slice(None), 0.9 * 50.0 + 1.0),
+                                f"block 'strategy/A' does not hold {STATE_MASS}"),
+    "state-opt-step-zero": ("state", lambda raw: raw.replace(b'"opt_step": 6', b'"opt_step": 0'),
+                            "header 'opt_step' is 0, not epoch 2 times 3 batches"),
     "state-param-inf": ("state", block_set("param/w0", (0, 0), np.inf),
                         "block 'param/w0' does not hold finite values"),
     "state-moment-nan": ("state", block_set("opt/v/b1", 0, np.nan),

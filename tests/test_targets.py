@@ -1,5 +1,6 @@
 import csv
 import io
+import re
 
 import numpy as np
 import pytest
@@ -20,17 +21,17 @@ class TestInitPrior:
     def test_reference_hyperparameters(self):
         store = init_prior(np.array([1]), k=3, c=1000.0, epsilon=0.0, gamma=0.95)
         np.testing.assert_array_equal(store.y[0], [0.0, 1.0, 0.0])
-        assert store.A[0] == 1000.0
+        assert store.mass == 1000.0
 
     def test_degenerate_equal_weights(self):
         store = init_prior(np.array([2]), k=4, c=2.0, epsilon=2.0, gamma=0.95)
         np.testing.assert_allclose(store.y[0], 0.25, rtol=1e-15)
-        assert store.A[0] == 8.0
+        assert store.mass == 8.0
 
     def test_direct_normalization(self):
         store = init_prior(np.array([0]), k=3, c=98.0, epsilon=1.0, gamma=0.95)
         np.testing.assert_allclose(store.y[0], [0.98, 0.01, 0.01], rtol=1e-12)
-        assert store.A[0] == 100.0
+        assert store.mass == 100.0
 
     def test_label_out_of_range(self):
         with pytest.raises(ValueError, match="label out of range"):
@@ -51,7 +52,7 @@ class TestBsdUpdate:
 
     def test_ema_at_fixed_point(self):
         store = init_prior(np.array([0]), k=2, c=1.0, epsilon=0.0, gamma=0.5)
-        store.A[0] = 2.0  # 1 / (1 - 0.5)
+        store.mass = 2.0  # 1 / (1 - 0.5)
         y, A = bsd_update(store, 0, np.array([0.0, 1.0]))
         np.testing.assert_array_equal(y, [0.5, 0.5])
         assert A == 2.0
@@ -59,7 +60,7 @@ class TestBsdUpdate:
     def test_hand_evaluation(self):
         store = init_prior(np.array([0]), k=2, c=1.0, epsilon=0.0, gamma=0.9)
         store.y[0] = [0.8, 0.2]
-        store.A[0] = 10.0
+        store.mass = 10.0
         y, A = bsd_update(store, 0, np.array([0.2, 0.8]))
         # w = 9/10 so y = 0.9*[0.8,0.2] + 0.1*[0.2,0.8]
         np.testing.assert_allclose(y, [0.74, 0.26], rtol=1e-12)
@@ -79,7 +80,7 @@ class TestBsdUpdate:
         store = init_prior(rng.integers(0, k, size=n), k=k, c=100.0, epsilon=0.5,
                            gamma=0.95)
         for _ in range(100):
-            store.update_rows(np.arange(n), random_simplex(rng, n, k))
+            store.update(rng.permutation(n), random_simplex(rng, n, k))
         assert np.all(store.y >= 0.0)
         np.testing.assert_allclose(store.y.sum(axis=1), 1.0, atol=1e-9)
 
@@ -105,8 +106,8 @@ class TestConjugacyOracle:
             ap = conjugate_update_oracle(alpha, pred, gamma)
             expected = ap / ap.sum()
 
-            store = EvidenceStore(y=(alpha / alpha.sum())[None, :],
-                                  A=np.array([alpha.sum()]), gamma=gamma)
+            store = EvidenceStore(y=(alpha / alpha.sum())[None, :], mass=alpha.sum(),
+                                  gamma=gamma)
             y, _ = bsd_update(store, 0, pred)
             np.testing.assert_allclose(y, expected, atol=1e-12)
 
@@ -261,11 +262,12 @@ class TestTargetStrategy:
 
     def test_dlb_serves_previous_pass_prediction(self):
         strat = self.make("dlb")
-        np.testing.assert_array_equal(strat.targets(np.array([0]), 1),
-                                      one_hot(self.labels[:1], self.k))
-        pred = np.array([[0.1, 0.2, 0.3, 0.4]])
-        strat.update(np.array([0]), pred)
-        np.testing.assert_array_equal(strat.targets(np.array([0]), 2), pred)
+        np.testing.assert_array_equal(strat.targets(np.arange(4), 1),
+                                      one_hot(self.labels, self.k))
+        perm = np.array([2, 0, 3, 1])
+        preds = np.array([[0.1, 0.2, 0.3, 0.4], [0.7, 0.1, 0.1, 0.1], [0.25] * 4, [0, 0, 1, 0]])
+        strat.update(perm, preds)
+        np.testing.assert_array_equal(strat.targets(perm, 2), preds)
 
     def test_te_before_first_update_is_onehot(self):
         strat = self.make("te")
@@ -286,7 +288,7 @@ class TestTargetStrategy:
                                       strat.store.y)
         pred = np.full((4, 4), 0.25)
         strat.update(np.arange(4), pred)
-        assert np.all(strat.store.A == 0.5 * 10.0 + 1.0)
+        assert strat.store.mass == 0.5 * 10.0 + 1.0
 
     def test_label_smoothing_approximation_monotone(self):
         # epsilon > 0, mass at its stationary value, model pinned to the one-hot
@@ -294,7 +296,7 @@ class TestTargetStrategy:
         gamma = 0.9
         cfg = StrategyConfig(mode="bsd", gamma=gamma, c=8.0, epsilon=0.1)
         strat = TargetStrategy(cfg, np.array([1]), 3, 100)
-        strat.store.A[0] = fixed_point(gamma)
+        strat.store.mass = fixed_point(gamma)
         onehot = np.array([[0.0, 1.0, 0.0]])
         masses = []
         for _ in range(30):
@@ -312,12 +314,12 @@ class TestStoreCsv:
         rng = np.random.default_rng(23)
         store = init_prior(rng.integers(0, 3, size=5), k=3, c=50.0, epsilon=0.5,
                            gamma=0.8)
-        store.update_rows(np.arange(5), random_simplex(rng, 5, 3))
+        store.update(rng.permutation(5), random_simplex(rng, 5, 3))
         path = tmp_path / "store.csv"
         store.save_csv(path)
         table = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
         np.testing.assert_array_equal(table[:, 0], np.arange(5))
-        np.testing.assert_array_equal(table[:, 1], store.A)
+        np.testing.assert_array_equal(table[:, 1], np.full(5, store.mass))
         np.testing.assert_array_equal(table[:, 2:], store.y)
 
     @pytest.mark.parametrize("n", [1, ROWS_PER_WRITE, 2 * ROWS_PER_WRITE + 3])
@@ -325,9 +327,8 @@ class TestStoreCsv:
         rng = np.random.default_rng(n)
         y = random_simplex(rng, n, 3)
         y[0] = [5e-324, 1e-310, 1.0]
-        A = rng.uniform(1.0, 1e4, size=n)
-        A[0] = 1e-05
-        store = EvidenceStore(y=y, A=A, gamma=0.8)
+        A = np.full(n, 1e-05 if n == 1 else rng.uniform(1.0, 1e4))  # the mass on every row
+        store = EvidenceStore(y=y, mass=A[0], gamma=0.8)
         path = tmp_path / "store.csv"
         store.save_csv(path)
 
@@ -343,22 +344,38 @@ class TestStoreCsv:
         np.testing.assert_array_equal(table[:, 1].view(np.int64), A.view(np.int64))
 
 
-def test_update_rows_matches_update_weight_formula():
+def test_update_matches_update_weight_formula():
     rng = np.random.default_rng(31)
     store = init_prior(rng.integers(0, 4, size=40), k=4, c=30.0, epsilon=0.1, gamma=0.9)
     for _ in range(5):
-        idx = rng.choice(40, size=16, replace=False)
-        preds = random_simplex(rng, 16, 4)
-        w = update_weight(store.gamma, store.A[idx])
-        y_ref = w[:, None] * store.y[idx] + (1.0 - w)[:, None] * preds
-        A_ref = store.gamma * store.A[idx] + 1.0
-        store.update_rows(idx, preds)
-        np.testing.assert_array_equal(store.y[idx].view(np.int64), y_ref.view(np.int64))
-        np.testing.assert_array_equal(store.A[idx].view(np.int64), A_ref.view(np.int64))
+        perm = rng.permutation(40)
+        preds = random_simplex(rng, 40, 4)
+        w = update_weight(store.gamma, np.full(40, store.mass))  # one weight per row, as before
+        y_ref = w[:, None] * store.y[perm] + (1.0 - w)[:, None] * preds
+        mass_ref = store.gamma * store.mass + 1.0
+        store.update(perm, preds)
+        np.testing.assert_array_equal(store.y[perm].view(np.int64), y_ref.view(np.int64))
+        assert store.mass.hex() == mass_ref.hex()
+
+
+@pytest.mark.parametrize("perm, shape", [
+    (np.arange(5), (6, 3)), (np.array([0, 1, 2, 3, 4, 4]), (6, 3)),
+    (np.array([0, 1, 2, 3, 4, 6]), (6, 3)), (np.arange(6)[::-1], (1, 3)),
+    (np.arange(6)[None, :], (6, 3)),
+], ids=["partial", "repeated", "out-of-range", "one-prediction-row", "2-d-perm"])
+def test_update_refuses_all_but_a_permutation_of_every_row(perm, shape):
+    """The store's one mass holds only if each update observes every row once."""
+    rng = np.random.default_rng(32)
+    store = init_prior(rng.integers(0, 3, size=6), k=3, c=30.0, epsilon=0.1, gamma=0.9)
+    before = store.y.tobytes(), store.mass
+    with pytest.raises(ValueError, match=re.escape(
+            "an update takes a permutation of all 6 rows and their (6, 3) predictions")):
+        store.update(perm, random_simplex(rng, shape[0], shape[1]))
+    assert (store.y.tobytes(), store.mass) == before
 
 
 class TestCheckPred:
-    """``on_simplex``, the check a prediction batch passes before ``update_rows`` writes it."""
+    """``on_simplex``, the check an epoch's predictions pass before ``update`` writes them."""
 
     def test_negative_entry_rejected(self):
         assert not on_simplex(np.array([[0.5, 0.5, 0.0], [1.1, -0.1, 0.0]]))
@@ -375,7 +392,7 @@ class TestCheckPred:
         kept = pred.copy()
         assert on_simplex(pred)
         init_prior(np.zeros(16, dtype=int), k=4, c=10.0, epsilon=0.1,
-                   gamma=0.5).update_rows(np.arange(16), pred)
+                   gamma=0.5).update(np.arange(16), pred)
         assert pred.tobytes() == kept.tobytes()
 
     def test_empty_batch_passes_through(self):

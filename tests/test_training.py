@@ -81,7 +81,7 @@ class TestTrainEpoch:
         model, ds, strategy, opt, cfg = fresh_run(
             "bsd", strategy_kw={"gamma": 0.95, "c": 1000.0})
         train_epoch(model, ds, strategy, opt, cfg, 1, seed=0)
-        np.testing.assert_allclose(strategy.store.A, 0.95 * 1000.0 + 1.0, rtol=1e-15)
+        np.testing.assert_allclose(strategy.store.mass, 0.95 * 1000.0 + 1.0, rtol=1e-15)
 
     def test_frozen_model_targets_converge_geometrically(self):
         ds = tiny_dataset()
@@ -94,7 +94,7 @@ class TestTrainEpoch:
         opt = make_optimizer(cfg)
         gaps = [np.abs(strategy.store.y - pred).max()]
         for epoch in range(1, 6):
-            w = update_weight(cfg.strategy.gamma, strategy.store.A[0])
+            w = update_weight(cfg.strategy.gamma, strategy.store.mass)
             train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
             gaps.append(np.abs(strategy.store.y - pred).max())
             np.testing.assert_allclose(gaps[-1], w * gaps[-2], rtol=1e-9)
@@ -150,14 +150,14 @@ class TestTrainEpoch:
         model = init_model(spec)
         strategy = TargetStrategy(cfg.strategy, ds.labels, 2, cfg.epochs)
         opt = make_optimizer(cfg)
-        alpha = strategy.store.y * strategy.store.A[:, None]
+        alpha = strategy.store.y * strategy.store.mass
         for epoch in range(1, T + 1):
             alpha += evaluate(model, ds)["preds"]  # params at epoch start
             train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
         np.testing.assert_allclose(strategy.store.y,
                                    alpha / alpha.sum(axis=1, keepdims=True),
                                    atol=1e-12)
-        np.testing.assert_allclose(strategy.store.A, 10.0 + T, rtol=1e-15)
+        np.testing.assert_allclose(strategy.store.mass, 10.0 + T, rtol=1e-15)
 
     def test_simplex_conservation_each_epoch(self):
         model, ds, strategy, opt, cfg = fresh_run(
@@ -260,7 +260,7 @@ class TestEpochUpdate:
         model, ds, strategy, opt, cfg = fresh_run("bsd", optimizer="adam", lr=0.05,
                                                   batch_size=4)
         train_epoch(model, ds, strategy, opt, cfg, 1, seed=4)
-        y0, A0, step = strategy.store.y.tobytes(), strategy.store.A.tobytes(), opt.step
+        y0, A0, step = strategy.store.y.tobytes(), strategy.store.mass, opt.step
         original = training.backward
         calls = []
 
@@ -276,12 +276,12 @@ class TestEpochUpdate:
             train_epoch(model, ds, strategy, opt, cfg, 2, seed=4)
         assert opt.step == step + 2  # two batches stepped before the third diverged
         assert strategy.store.y.tobytes() == y0
-        assert strategy.store.A.tobytes() == A0
+        assert strategy.store.mass == A0
 
     def test_non_finite_loss_names_first_batch_and_leaves_store(self, monkeypatch):
         # probabilities and targets are checked finite, so only a patched loss gets here
         model, ds, strategy, opt, cfg = fresh_run("bsd", batch_size=4)  # 20 = 5 batches
-        y0, A0 = strategy.store.y.tobytes(), strategy.store.A.tobytes()
+        y0, A0 = strategy.store.y.tobytes(), strategy.store.mass
         original = training.soft_cross_entropy
 
         def poisoned(target, pred):
@@ -295,7 +295,7 @@ class TestEpochUpdate:
             train_epoch(model, ds, strategy, opt, cfg, 1, seed=6)
         assert opt.step == 5  # the loss is checked after the epoch's last step
         assert strategy.store.y.tobytes() == y0
-        assert strategy.store.A.tobytes() == A0
+        assert strategy.store.mass == A0
 
     def test_loss_is_one_pass_per_epoch(self, monkeypatch):
         calls = []
@@ -313,13 +313,13 @@ class TestEpochUpdate:
 
     def test_store_updated_once_per_epoch_with_batch_blocks(self, monkeypatch):
         calls = []
-        original = EvidenceStore.update_rows
+        original = EvidenceStore.update
 
         def counted(self, indices, preds):
             calls.append((indices.shape[0], preds.shape))
             return original(self, indices, preds)
 
-        monkeypatch.setattr(EvidenceStore, "update_rows", counted)
+        monkeypatch.setattr(EvidenceStore, "update", counted)
         model, ds, strategy, opt, cfg = fresh_run("bsd", batch_size=6)  # 20 = 3 * 6 + 2
         for epoch in (1, 2, 3):
             train_epoch(model, ds, strategy, opt, cfg, epoch, seed=0)
@@ -1019,6 +1019,22 @@ class TestUnusableState:
         assert records.read_bytes() == before
         assert not (layout["checkpoints"] / "seed_5_final.ckpt").exists()
 
+    def test_opt_step_the_epoch_does_not_fix(self, tmp_path):
+        """Adam at ``opt_step`` 0 would restart its bias correction and train on to other
+        bytes; a resume refuses any count but the epoch times the batches per epoch, before
+        it trains or cuts the records."""
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        records = layout["records"] / "seed_5.jsonl"
+        before = records.read_bytes()
+        header, blocks = read_blocks(path, training.STATE_MAGIC)
+        del header["blocks"]
+        assert header == {"epoch": 2, "opt_step": 4}  # 16 samples in batches of 8
+        write_blocks(path, training.STATE_MAGIC, dict(header, opt_step=0), blocks)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: header 'opt_step' is 0, not epoch 2 times 2 batches")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
+        assert records.read_bytes() == before
+
     def test_blocks_the_run_does_not_use(self, tmp_path):
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
         baseline = dc_replace(cfg, strategy=dc_replace(cfg.strategy, mode="baseline"))
@@ -1205,8 +1221,8 @@ def test_store_update_and_trace_reader_share_one_simplex_rule(tmp_path, row, tak
     ``TargetStrategy.update`` and ``read_trace_csv`` or refused by both, and a refused
     update leaves the store's bytes as they were."""
     probs = np.empty((0, 3)) if row is None else np.array([[0.25, 0.25, 0.5], row])
-    strategy = TargetStrategy(StrategyConfig(), np.array([0, 1]), 3, total_epochs=1)
-    before = strategy.store.y.tobytes() + strategy.store.A.tobytes()
+    strategy = TargetStrategy(StrategyConfig(), np.array([0, 1])[:len(probs)], 3, total_epochs=1)
+    before = strategy.store.y.tobytes(), strategy.store.mass
     trace = tmp_path / "epoch_1.trace"
     write_blocks(trace, training.TRACE_MAGIC, {}, {"labels": np.zeros(len(probs)), "probs": probs})
     outcomes = []
@@ -1219,4 +1235,4 @@ def test_store_update_and_trace_reader_share_one_simplex_rule(tmp_path, row, tak
             outcomes.append(False)
     assert outcomes == [taken, taken]
     if not taken:
-        assert strategy.store.y.tobytes() + strategy.store.A.tobytes() == before
+        assert (strategy.store.y.tobytes(), strategy.store.mass) == before
