@@ -68,6 +68,8 @@ def _as_preds(preds):
     p = np.asarray(preds, dtype=np.float64)
     if p.ndim != 2 or p.shape[0] == 0:
         raise ValueError("need a nonempty (n, k) prediction array")
+    if not np.all(np.isfinite(p)):
+        raise ValueError("predictions hold a non-finite entry")
     return p
 
 
@@ -248,6 +250,8 @@ def mu_matrix(preds, labels, k):
     the result is (M + M^T) / 2. Missing classes are a hard error.
     """
     preds = _as_preds(preds)
+    if k != preds.shape[1]:
+        raise ValueError(f"k={k} does not match the predictions' {preds.shape[1]} classes")
     labels = _as_labels(labels, preds.shape[0], k)
     missing = [j for j in range(k) if not np.any(labels == j)]
     if missing:
@@ -270,13 +274,15 @@ def delta_decomposition(preds, labels, mu) -> DarkKnowledge:
     """
     preds = _as_preds(preds)
     mu = np.asarray(mu, dtype=np.float64)
-    labels = _as_labels(labels, preds.shape[0], mu.shape[0])
+    k = preds.shape[1]
+    if mu.shape != (k, k):
+        raise ValueError(f"mu has shape {mu.shape}, not ({k}, {k}) for {k}-class predictions")
+    labels = _as_labels(labels, preds.shape[0], k)
     a, b = preds, -mu[labels]
     delta = a + b
     bb = delta - a
     comp = (a - (delta - bb)) + (b - bb)  # Knuth two-sum residual
     mags = _class_reduce(np.add, np.abs(delta))
-    k = mu.shape[0]
     class_means = np.array([
         mags[labels == j].mean() if np.any(labels == j) else 0.0 for j in range(k)
     ])
@@ -327,11 +333,16 @@ def _temperature_nll(logits, labels):
     return objective
 
 
-def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
+def fit_temperature(logits, labels, lo=0.05, hi=20.0):
     """Scalar temperature minimizing NLL of softmax(logits / T), by golden section.
 
-    ``logits`` may be genuine logits or log-probabilities. The search domain
-    and iteration count are fixed, so the result is deterministic.
+    ``logits`` may be genuine logits or log-probabilities. The search stops once
+    the bracket is narrower than 2**-26 (about sqrt(eps)) of its midpoint, and
+    returns the midpoint. Near its minimum the NLL is quadratic in T, so over
+    that width a float64 NLL moves by about one ulp and cannot place T more
+    finely. The search also stops once the probes no longer lie strictly inside
+    the bracket, which happens only at subnormal widths, where 2**-27 * (a + b)
+    underflows. The rule is fixed, so the result is deterministic.
     """
     logits = np.asarray(logits, dtype=np.float64)
     if logits.shape[0] == 0:
@@ -350,7 +361,7 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = objective(c), objective(d)
-    for _ in range(iters):
+    while b - a >= 2.0 ** -27 * (a + b) and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -364,6 +375,8 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0, iters=80):
 
 def temperature_scale(preds, temperature):
     """Re-normalize predictions at the given temperature: softmax(log(p) / T)."""
+    if not (math.isfinite(temperature) and temperature > 0):
+        raise ValueError(f"temperature must be finite and > 0, got {temperature}")
     return softmax(_logits_from_preds(preds) / temperature)
 
 

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from bsdlab import analysis
 from bsdlab.analysis import (_temperature_nll, accuracy, ace, auroc, calibration_report,
                              delta_decomposition, ece, fit_temperature,
                              mean_flip_probability, mu_matrix, nll, reliability_bins,
@@ -67,6 +68,33 @@ class TestLabels:
             assert nll(preds, labels.astype(dtype)) == nll(preds, labels)
             assert fit_temperature(np.log(preds), labels.astype(dtype)) == \
                 fit_temperature(np.log(preds), labels)
+
+
+class TestPredictions:
+    """Every entry point that takes predictions refuses a non-finite entry."""
+
+    labels = np.array([0, 1, 2])
+    ENTRY_POINTS = {
+        "accuracy": accuracy,
+        "ece": ece,
+        "sce": sce,
+        "ace": ace,
+        "nll": nll,
+        "reliability_bins": reliability_bins,
+        "calibration_report": calibration_report,
+        "mu_matrix": lambda p, y: mu_matrix(p, y, 3),
+        "delta_decomposition": lambda p, y: delta_decomposition(p, y, np.full((3, 3), 1 / 3)),
+        "temperature_scale": lambda p, y: temperature_scale(p, 1.0),
+    }
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+    def test_non_finite_prediction_rejected(self, name, bad):
+        # argmax picks a NaN or inf at the label, so accuracy counted the row correct
+        preds = TestLabels.preds.copy()
+        preds[1, 1] = bad
+        with pytest.raises(ValueError, match="^predictions hold a non-finite entry$"):
+            self.ENTRY_POINTS[name](preds, self.labels)
 
 
 class TestEce:
@@ -231,8 +259,22 @@ class TestMuMatrix:
         mu = mu_matrix(preds, labels, 6)
         np.testing.assert_array_equal(mu, mu.T)
 
+    @pytest.mark.parametrize("k", [2, 4])
+    def test_class_count_other_than_the_predictions_rejected(self, k):
+        # k = 2 failed in a numpy broadcast; k = 4 named classes 2 and 3 missing
+        preds = np.full((3, 3), 1 / 3)
+        with pytest.raises(ValueError, match=re.escape(
+                f"k={k} does not match the predictions' 3 classes")):
+            mu_matrix(preds, np.array([0, 1, 1]), k)
+
 
 class TestDeltaDecomposition:
+    @pytest.mark.parametrize("mu", [np.eye(3), np.eye(2)[0], np.ones((2, 3))])
+    def test_mu_of_another_shape_rejected(self, mu):
+        with pytest.raises(ValueError, match=re.escape(
+                f"mu has shape {mu.shape}, not (2, 2) for 2-class predictions")):
+            delta_decomposition(np.full((3, 2), 0.5), np.array([0, 1, 1]), mu)
+
     def test_zero_when_pred_equals_class_row(self):
         mu = np.array([[0.7, 0.3], [0.2, 0.8]])
         dk = delta_decomposition(mu[[0, 1]], np.array([0, 1]), mu)
@@ -297,16 +339,24 @@ class TestTemperature:
         assert fit_temperature(logits, labels) == fit_temperature(logits, labels)
 
     @staticmethod
-    def reference_fit(logits, labels, lo=0.05, hi=20.0, iters=80):
-        """Golden section over the unhoisted nll(softmax(logits / t)) objective."""
+    def reference_fit(logits, labels, lo=0.05, hi=20.0, steps=None):
+        """Golden section over the unhoisted nll(softmax(logits / t)) objective:
+        ``steps`` steps, or by ``fit_temperature``'s stop rule when None."""
         def objective(t):
             return nll(softmax(logits / t), labels)
+
+        def go_on(a, b, c, d):
+            if steps is not None:
+                return step < steps
+            return b - a >= 2.0 ** -27 * (a + b) and a < c < d < b
 
         invphi = (np.sqrt(5.0) - 1.0) / 2.0
         a, b = lo, hi
         c, d = b - invphi * (b - a), a + invphi * (b - a)
         fc, fd = objective(c), objective(d)
-        for _ in range(iters):
+        step = 0
+        while go_on(a, b, c, d):
+            step += 1
             if fc < fd:
                 b, d, fd = d, c, fc
                 c = b - invphi * (b - a)
@@ -333,9 +383,82 @@ class TestTemperature:
             for t in ts:
                 assert objective(t) == nll(softmax(logits / t), labels), t
 
+    @staticmethod
+    def interior_sets():
+        """Sets whose NLL-optimal T lies inside the search domain: labels drawn
+        from softmax(logits / t0), and a 10 000 x 4 set of log-probabilities
+        with 40% of its labels moved to the next class."""
+        rng = np.random.default_rng(37)
+        for scale, t0 in ((0.5, 0.3), (3.0, 1.0), (50.0, 4.0), (3.0, 15.0)):
+            logits = rng.normal(0.0, scale, size=(300, 4))
+            p = softmax(logits / t0)
+            labels = (rng.random((300, 1)) > np.cumsum(p, axis=1)).sum(axis=1)
+            yield logits, np.minimum(labels, 3)
+        labels = rng.integers(0, 4, size=10_000)
+        logits = rng.normal(0.0, 1.0, size=(10_000, 4))
+        logits[np.arange(10_000), labels] += 2.0
+        labels = np.where(rng.random(10_000) < 0.4, (labels + 1) % 4, labels)
+        yield np.log(np.maximum(softmax(logits), 1e-12)), labels
+
     def test_fit_matches_unhoisted_search(self):
         for logits, labels in self.logit_sets():
             assert fit_temperature(logits, labels) == self.reference_fit(logits, labels)
+
+    @staticmethod
+    def count_evaluations(monkeypatch, limit):
+        """Count objective evaluations per fit; fail a fit that runs past ``limit``."""
+        calls = [0]
+        hoist = analysis._temperature_nll
+
+        def counted(logits, labels):
+            objective = hoist(logits, labels)
+
+            def call(t):
+                calls[0] += 1
+                assert calls[0] <= limit, f"more than {limit} evaluations"
+                return objective(t)
+
+            calls[0] = 0
+            return call
+
+        monkeypatch.setattr(analysis, "_temperature_nll", counted)
+        return calls
+
+    def test_fit_stops_within_52_evaluations(self, monkeypatch):
+        # the bracket shrinks by 0.618 a step from 19.95 to 2**-26 of T >= 0.05
+        calls = self.count_evaluations(monkeypatch, 1000)
+        for logits, labels in [*self.logit_sets(), *self.interior_sets()]:
+            fit_temperature(logits, labels)
+            assert 2 < calls[0] <= 52
+
+    def test_fit_is_within_the_nll_resolution_of_80_steps(self):
+        # Near an interior minimum the NLL is quadratic in T, so stopping at
+        # 2**-26 of T moves the NLL by a few ulp at most. The logit_sets fit at
+        # hi, where the NLL is linear in T; there only T is bounded.
+        for interior, sets in ((False, self.logit_sets()), (True, self.interior_sets())):
+            for logits, labels in sets:
+                t = fit_temperature(logits, labels)
+                t80 = self.reference_fit(logits, labels, steps=80)
+                assert abs(t - t80) <= 2e-8 * t80
+                if interior:
+                    f, f80 = nll(softmax(logits / t), labels), nll(softmax(logits / t80), labels)
+                    assert abs(f - f80) <= 4 * math.ulp(f80)
+
+    TINY = np.array([[0.0, 1e-320], [1e-320, 0.0]])
+
+    @pytest.mark.parametrize("logits, labels, lo, hi", [
+        (TINY, [1, 0], 5e-324, 1e-321),  # T goes down to the subnormal edge of NLL 0
+        (TINY, [0, 1], 5e-324, 1e-321),  # T goes up to hi, every probe subnormal
+        (TINY, [1, 0], 5e-324, 20.0),    # a flat NLL: ties move T up to hi
+        (np.log([[0.8, 0.2]] * 5), [0, 0, 0, 0, 1], 5e-324, 20.0),
+        (np.log([[0.8, 0.2]] * 5), [0, 0, 0, 0, 1], 1e-300, 1e300),
+        (np.log([[0.8, 0.2]] * 5), [0, 0, 0, 0, 1], 1.0, 1.0 + 1e-12),
+    ])
+    def test_fit_ends_on_every_finite_domain(self, monkeypatch, logits, labels, lo, hi):
+        # at subnormal widths 2**-27 * (a + b) underflows to 0; the loop still
+        # ends, once the probes no longer fall strictly inside the bracket
+        self.count_evaluations(monkeypatch, 3000)
+        assert lo <= fit_temperature(logits, np.array(labels), lo=lo, hi=hi) <= hi
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_logits_rejected(self, bad):
@@ -363,6 +486,16 @@ class TestTemperature:
     def test_degenerate_logits_rejected(self):
         with pytest.raises(ValueError, match="degenerate"):
             fit_temperature(np.zeros((4, 3)), np.array([0, 1, 2, 0]))
+
+    @pytest.mark.parametrize("t", [-1.0, 0.0, -0.0, np.nan, np.inf, -np.inf])
+    def test_temperature_scale_refuses_a_temperature_that_is_not_one(self, t):
+        # -1.0 inverted the class ranking; 0.0 warned and blamed the logits
+        preds = np.array([[0.7, 0.2, 0.1], [0.1, 0.8, 0.1]])
+        with pytest.raises(ValueError, match=re.escape(
+                f"temperature must be finite and > 0, got {t}")):
+            temperature_scale(preds, t)
+        with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+            temp_adjusted_kl(preds, preds, (1.0, t))
 
     def test_temperature_scale_matches_power_transform(self):
         rng = np.random.default_rng(7)

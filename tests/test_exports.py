@@ -83,7 +83,7 @@ def test_constructors_take_no_working_state():
 
 # settable values in src (ROADMAP aim 2): (parameters with a default, dataclass
 # fields that __init__ takes)
-SETTABLE = (34, 70)
+SETTABLE = (33, 70)
 
 
 def settable_values():

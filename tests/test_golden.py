@@ -226,7 +226,7 @@ def cli_config(path, name, data_seed, mode, output_dir):
 
 
 GOLDEN_REPORTS = {
-    "reports": "3789b1d7dee56922b1abebddd6d2fa1c7c02859e9a6cadac532233f928e8f12c",
+    "reports": "e6cee6c4a84b5e42e5fd76b9000530e88c722e4c0a896db324d7809ac569205d",
     "compare.csv": "3848b427e552cc02bd0c657ff1eeb04f5fa4bcaff280de7b470116f3f3e5d9cf",
 }
 
