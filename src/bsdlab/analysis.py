@@ -356,7 +356,7 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0):
         raise ValueError("degenerate logits: all classes identical")
     objective = _temperature_nll(logits, labels)
 
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    invphi = (math.sqrt(5.0) - 1.0) / 2.0  # a float, so no probe is a numpy scalar
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)

@@ -1,29 +1,21 @@
 """Command-line entry point: train, analyze, compare, export-dataset.
 
-Commands are batch processes over a fixed run-directory layout:
-
-    <output_dir>/<name>/
-        config.resolved      resolved config echo (byte-stable)
-        records/             per-seed epoch logs (jsonl, what compare reads) + final
-                             store CSV export
-        checkpoints/         final model checkpoints + rolling training state
-        traces/seed_<s>/     per-eval-epoch test-set predictions as binary .trace
-                             files (what analyze reads) + final-epoch CSV export
-        reports/             analyze outputs
-        timing.txt           wall-clock sidecar
-
-The CSV exports are for other tools; no command reads them back. Seeds and
-epochs come from the ``_<n>`` ending of the file names, in numeric order.
+Commands are batch processes over a run directory, ``<output_dir>/<name>/``. Its files
+are named once, in ``training.run_layout``, ``seed_files`` and ``trace_file``; ``analyze``
+takes a run's seeds from its trace directories (``training.run_traces``), ``compare`` from
+its records files. The CSV exports are for other tools; no command reads them back.
 
 The output root can be overridden with the BSDLAB_OUT_ROOT environment variable.
 Everything except timing.txt is byte-reproducible from (config, seeds). Training first
-deletes these entries of a previous run, which ``train`` refuses to do without ``--force``.
-A bad input file ends a command with ``error: ...`` and exit 1, a bad config with exit 2.
+deletes the layout's entries of a previous run (``training.previous_run``), which
+``train`` refuses to do without ``--force``. A bad input file ends a command with
+``error: ...`` and exit 1, a bad config with exit 2.
 
-To add an analysis, write a function ``(layout, seed, epochs, args)`` that
-writes one seed's reports and returns its result, and give it an ``ANALYSES``
-row: the function, the summary JSON of ``{seed: result}`` (or None) and the
-line printed per seed from ``(seed, result)`` (or None).
+To add an analysis, write a function ``(layout, seed, epochs, ood_epochs)`` that
+writes one seed's reports and returns its result (``ood_epochs``: the seed's traces in
+the ``--ood-run``, for ``ood`` only), and give it an ``ANALYSES`` row: the function,
+the summary JSON of ``{seed: result}`` (or None) and the line printed per seed from
+``(seed, result)`` (or None).
 """
 
 from __future__ import annotations
@@ -39,10 +31,10 @@ import numpy as np
 from . import analysis
 from .config import ConfigError, ExperimentConfig, parse_config, resolved_json
 from .data import apply_noise, export_csv, load_csv, load_idx, make_blobs, write_idx
-from .fileio import json_object, numbered_files, write_json, write_table
+from .fileio import json_object, write_json, write_table
 from .numerics import PROB_FLOOR, _class_reduce
-from .training import (TrainingDiverged, read_records, read_trace_csv, run_experiment,
-                       run_layout)
+from .training import (TrainingDiverged, numbered, previous_run, read_records, read_trace_csv,
+                       run_experiment, run_layout, run_traces, seed_files)
 
 OUT_ROOT_ENV = "BSDLAB_OUT_ROOT"
 
@@ -82,8 +74,7 @@ def cmd_train(args):
         sys.stdout.write(resolved_json(cfg))
         return 0
     run_dir = resolve_run_dir(cfg)
-    layout = run_layout(run_dir)
-    if not args.force and any(p.exists() for key, p in layout.items() if key != "root"):
+    if not args.force and previous_run(run_layout(run_dir)):
         raise FileExistsError(f"{run_dir} already holds a run; pass --force to overwrite")
     train_set, test_set = build_datasets(cfg)
     grid_shape = train_set.samples.shape[1:] if train_set.is_grid else None
@@ -106,28 +97,23 @@ def cmd_train(args):
     return 0
 
 
-def _seed_traces(layout):
-    """{seed: {epoch: trace path}} for each trained seed, seeds and epochs ascending."""
-    seeds = numbered_files(layout["traces"].glob("seed_*"), "")
-    if not seeds:
-        raise FileNotFoundError(
-            f"no traces under {layout['traces']}; run 'bsdlab train' first "
-            "(eval traces are written every train.eval_every epochs)")
-    return {seed: _trace_epochs(seed_dir) for seed, seed_dir in seeds.items()}
-
-
-def _trace_epochs(seed_dir):
-    files = numbered_files(seed_dir.glob("epoch_*.trace"), ".trace")
-    if not files:
-        raise FileNotFoundError(f"no epoch traces in {seed_dir}")
-    return files
-
-
 def _final_trace(epochs):
     return read_trace_csv(epochs[max(epochs)])
 
 
-def _analyze_calibration(layout, seed, epochs, args):
+def _earlier_trace(path, final_preds, labels):
+    """The predictions of a seed's earlier trace ``path``; one whose shape or labels are not
+    those of the seed's final trace (``final_preds``, ``labels``) raises."""
+    preds, own_labels, _ = read_trace_csv(path)
+    if preds.shape != final_preds.shape:
+        raise ValueError(f"{path}: predictions of shape {preds.shape}, the seed's final trace "
+                         f"has {final_preds.shape}")
+    if not np.array_equal(own_labels, labels):
+        raise ValueError(f"{path}: labels differ from the seed's final trace")
+    return preds
+
+
+def _analyze_calibration(layout, seed, epochs, ood_epochs):
     preds, labels, _ = _final_trace(epochs)
     report = analysis.calibration_report(preds, labels)
     write_json(layout["reports"] / f"calibration_seed_{seed}.json", asdict(report))
@@ -138,7 +124,7 @@ def _analyze_calibration(layout, seed, epochs, args):
     return report
 
 
-def _analyze_dark_knowledge(layout, seed, epochs, args):
+def _analyze_dark_knowledge(layout, seed, epochs, ood_epochs):
     preds, labels, k = _final_trace(epochs)
     mu = analysis.mu_matrix(preds, labels, k)
     dk = analysis.delta_decomposition(preds, labels, mu)
@@ -152,7 +138,7 @@ def _analyze_dark_knowledge(layout, seed, epochs, args):
                 "mu_row_sums": dk.mu_row_sums.tolist()})
 
 
-def _analyze_dynamics(layout, seed, epochs, args):
+def _analyze_dynamics(layout, seed, epochs, ood_epochs):
     last = max(epochs)
     final_preds, labels, _ = read_trace_csv(epochs[last])
     t_final = analysis.fit_temperature(analysis._logits_from_preds(final_preds), labels)
@@ -164,7 +150,7 @@ def _analyze_dynamics(layout, seed, epochs, args):
         if epoch == last:
             t_snap, at_fit, at_final = t_final, final_at_t, final_at_t
         else:
-            snap_preds, _, _ = read_trace_csv(path)
+            snap_preds = _earlier_trace(path, final_preds, labels)
             t_snap = analysis.fit_temperature(analysis._logits_from_preds(snap_preds), labels)
             at_fit = analysis.temperature_scale(snap_preds, t_snap)
             at_final = (at_fit if t_snap == t_final
@@ -176,24 +162,35 @@ def _analyze_dynamics(layout, seed, epochs, args):
                 list(zip(*rows)))
 
 
-def _analyze_ood(layout, seed, epochs, args):
+def _ood_traces(args, seeds):
+    """The ``--ood-run``'s traces, read once per command; it must hold every seed of ``seeds``."""
     if args.ood_run is None:
         raise FileNotFoundError("ood analysis needs a second trace set; pass --ood-run <run_dir>")
-    ood_epochs = _seed_traces(run_layout(args.ood_run)).get(seed)
-    if ood_epochs is None:
-        raise FileNotFoundError(f"missing OOD traces for seed {seed} in {args.ood_run}; "
-                                "train the --ood-run with the same seeds")
+    ood = run_traces(run_layout(args.ood_run))
+    for seed in seeds:
+        if seed not in ood:
+            raise FileNotFoundError(f"missing OOD traces for seed {seed} in {args.ood_run}; "
+                                    "train the --ood-run with the same seeds")
+    return ood
+
+
+def _analyze_ood(layout, seed, epochs, ood_epochs):
     id_preds, _, _ = _final_trace(epochs)
     ood_preds, _, _ = _final_trace(ood_epochs)
     return analysis.auroc(_class_reduce(np.maximum, id_preds),
                           _class_reduce(np.maximum, ood_preds))
 
 
-def _analyze_flip(layout, seed, epochs, args):
+def _analyze_flip(layout, seed, epochs, ood_epochs):
     if len(epochs) < 2:
         raise ValueError(f"flip analysis needs >= 2 eval traces for seed {seed}; "
                          "lower train.eval_every")
-    frames = [read_trace_csv(path)[0].argmax(axis=1) for path in epochs.values()]
+    last = max(epochs)
+    final_preds, labels, _ = read_trace_csv(epochs[last])
+    frames = []
+    for epoch, path in epochs.items():
+        preds = final_preds if epoch == last else _earlier_trace(path, final_preds, labels)
+        frames.append(preds.argmax(axis=1))
     return analysis.mean_flip_probability(np.stack(frames, axis=1))  # (n, frames)
 
 
@@ -211,9 +208,11 @@ ANALYSES = {
 def cmd_analyze(args):
     analyze, summary, line = ANALYSES[args.what]
     layout = run_layout(args.run_dir)
-    seeds = _seed_traces(layout)  # first, so a run without traces gets no reports/
+    seeds = run_traces(layout)  # first, so a run without traces gets no reports/
     layout["reports"].mkdir(exist_ok=True)
-    results = [(seed, analyze(layout, seed, epochs, args)) for seed, epochs in seeds.items()]
+    ood = _ood_traces(args, seeds) if args.what == "ood" else {}
+    results = [(seed, analyze(layout, seed, epochs, ood.get(seed)))
+               for seed, epochs in seeds.items()]
     if summary:
         write_json(layout["reports"] / summary, dict(results))
     if line:
@@ -241,14 +240,13 @@ def _collect_run(run_dir):
             raise ValueError(f"{config_path}: not a resolved run config (needs a string name and "
                              "train.strategy.mode, and a dataset object with int or no classes)")
     per_seed = {}
-    for seed, path in numbered_files(layout["records"].glob("seed_*.jsonl"), ".jsonl").items():
+    for seed, path in numbered(seed_files(layout, "*")["records"]).items():
         with open(path, "rb") as fh:
             evaluated = [row for row in read_records(fh) if row.get("test_acc") is not None]
         if evaluated:
             per_seed[seed] = evaluated[-1]
-    if classes is None and per_seed and any(layout["traces"].glob("seed_*")):
-        epochs = next(iter(_seed_traces(layout).values()))  # the lowest seed's
-        classes = _final_trace(epochs)[2]
+    if classes is None and per_seed and numbered(seed_files(layout, "*")["traces"]):
+        classes = _final_trace(next(iter(run_traces(layout).values())))[2]  # the lowest seed's
     return {"dir": str(run_dir), "name": name, "mode": mode, "classes": classes,
             "per_seed": per_seed}
 

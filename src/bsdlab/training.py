@@ -41,8 +41,8 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import (HEADER_MAX_BYTES, atomic_open, check_blocks, json_object, read_blocks,
-                     write_blocks, write_json, write_table)
+from .fileio import (HEADER_MAX_BYTES, atomic_open, check_blocks, json_object, numbered_files,
+                     read_blocks, write_blocks, write_json, write_table)
 from .models import Model, backward, forward, init_model, predict, save_checkpoint
 from .numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, OptimizerState, _all_finite,
                        _class_reduce, entropy, kl_div, on_simplex, optimizer_step,
@@ -332,6 +332,44 @@ def run_layout(run_dir):
     }
 
 
+def previous_run(layout):
+    """The ``run_layout`` entries but ``root`` that exist: a previous run, which a run deletes."""
+    return [path for key, path in layout.items() if key != "root" and path.exists()]
+
+
+def seed_files(layout, seed):
+    """Seed ``seed``'s files under a ``run_layout``; seed ``"*"`` gives each one's glob pattern."""
+    return {"records": layout["records"] / f"seed_{seed}.jsonl",
+            "state": layout["checkpoints"] / f"seed_{seed}.state",
+            "ckpt": layout["checkpoints"] / f"seed_{seed}_final.ckpt",
+            "store": layout["records"] / f"store_seed_{seed}.csv",
+            "traces": layout["traces"] / f"seed_{seed}"}  # a trace_file per eval epoch
+
+
+def trace_file(trace_dir, epoch):
+    """The eval ``.trace`` of ``epoch`` in a seed's trace directory; ``"*"`` gives the pattern."""
+    return trace_dir / f"epoch_{epoch}.trace"
+
+
+def numbered(pattern):
+    """``numbered_files`` of the paths matching a ``seed_files`` or ``trace_file`` pattern."""
+    return numbered_files(pattern.parent.glob(pattern.name), pattern.name.partition("*")[2])
+
+
+def run_traces(layout):
+    """{seed: {epoch: .trace}}, both ascending; a run or a seed without traces raises."""
+    trace_dirs = numbered(seed_files(layout, "*")["traces"])
+    if not trace_dirs:
+        raise FileNotFoundError(f"no traces under {layout['traces']}; run 'bsdlab train' first "
+                                "(eval traces are written every train.eval_every epochs)")
+    traces = {}
+    for seed, trace_dir in trace_dirs.items():
+        traces[seed] = numbered(trace_file(trace_dir, "*"))
+        if not traces[seed]:
+            raise FileNotFoundError(f"no epoch traces in {trace_dir}")
+    return traces
+
+
 def _state_blocks(model, opt_state, strategy):
     """The ``.state`` blocks, name to array, in file order."""
     moments = [(key, model.views(getattr(opt_state, key))) for key in opt_state.moment_names]
@@ -459,40 +497,38 @@ class _SeedWriter:
     the run's last epoch, and cuts the records back to the state's epoch."""
 
     def __init__(self, layout, run, labels, epochs, resume):
-        name = f"seed_{run.seed}"
         self.labels, self.epochs = labels, epochs
-        self.records = layout["records"] / f"{name}.jsonl"
-        self.state = layout["checkpoints"] / f"{name}.state"
-        self.traces = layout["traces"] / name
-        if resume and not self.state.exists():
-            raise FileNotFoundError(f"no training state to resume at {self.state}")
-        for path in (layout["records"], layout["checkpoints"], self.traces):
+        self.files = files = seed_files(layout, run.seed)
+        if resume and not files["state"].exists():
+            raise FileNotFoundError(f"no training state to resume at {files['state']}")
+        for path in (layout["records"], layout["checkpoints"], files["traces"]):
             path.mkdir(parents=True, exist_ok=True)
         if resume:
-            run.epoch = _load_train_state(self.state, run.model, run.opt_state, run.strategy)
-            run.rows = _truncate_records(self.records, run.epoch)
+            run.epoch = _load_train_state(files["state"], run.model, run.opt_state, run.strategy)
+            run.rows = _truncate_records(files["records"], run.epoch)
         else:
-            self.records.write_bytes(b"")
+            files["records"].write_bytes(b"")
 
     def epoch(self, run, row, ev):
         """Write an epoch's eval ``.trace`` (and on the last epoch its CSV), then append
         its record row, closed and so flushed, then save its ``.state``."""
         if ev is not None:
             with run.timed("trace_write"):
-                trace = self.traces / f"epoch_{run.epoch}.trace"
+                trace = trace_file(self.files["traces"], run.epoch)
                 write_blocks(trace, TRACE_MAGIC, {}, {"labels": self.labels, "probs": ev["preds"]})
                 if run.epoch == self.epochs:
                     write_trace_csv(trace.with_suffix(".csv"), ev["preds"], self.labels)
-        with open(self.records, "a") as fh:
+        with open(self.files["records"], "a") as fh:
             fh.write(json.dumps(row, sort_keys=True) + "\n")
         with run.timed("state_write"):
-            _save_train_state(self.state, run.model, run.opt_state, run.strategy, run.epoch)
+            _save_train_state(self.files["state"], run.model, run.opt_state, run.strategy,
+                              run.epoch)
 
     def finish(self, run):
         """Write the seed's final checkpoint and, unless frozen, its store CSV."""
-        save_checkpoint(run.model, self.state.with_name(f"seed_{run.seed}_final.ckpt"))
+        save_checkpoint(run.model, self.files["ckpt"])
         if not run.strategy.frozen:
-            run.strategy.store.save_csv(self.records.with_name(f"store_seed_{run.seed}.csv"))
+            run.strategy.store.save_csv(self.files["store"])
 
 
 def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
@@ -517,15 +553,6 @@ def run_single_seed(model_spec, train_set: Dataset, test_set: Dataset,
     run.model.scratch.clear()
     run.wall_clock_s = time.perf_counter() - t0
     return run
-
-
-def _remove_run(layout):
-    """Delete the ``run_layout`` entries of a previous run; other files in its directory stay."""
-    for path in (p for key, p in layout.items() if key != "root"):
-        if path.is_dir():
-            shutil.rmtree(path)
-        else:
-            path.unlink(missing_ok=True)
 
 
 @contextmanager
@@ -572,7 +599,11 @@ def run_experiment(model_spec, train_set: Dataset, test_set: Dataset,
     if error:
         raise ValueError(error)
     layout = run_layout(run_dir)
-    _remove_run(layout)
+    for path in previous_run(layout):  # other files in the directory stay
+        if path.is_dir():
+            shutil.rmtree(path)
+        else:
+            path.unlink()
     layout["root"].mkdir(parents=True, exist_ok=True)
     if config_snapshot is not None:
         write_json(layout["config"], config_snapshot)

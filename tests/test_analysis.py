@@ -475,6 +475,13 @@ class TestTemperature:
         with pytest.raises(ValueError, match="non-finite"):
             objective(0.05)
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_probe_raises_the_named_error_alone(self):
+        # 1 / T overflows at a subnormal probe; a numpy float64 probe would warn
+        # "overflow encountered in scalar divide" first
+        with pytest.raises(ValueError, match="^non-finite logits$"):
+            fit_temperature([[0, 1], [1, 0]], [1, 0], lo=5e-324, hi=1e-321)
+
     @pytest.mark.parametrize("lo, hi", [(0.0, 20.0), (5.0, 1.0), (1.0, 1.0),
                                         (0.05, float("inf")), (float("nan"), 20.0)])
     def test_bad_search_domain_rejected(self, lo, hi):

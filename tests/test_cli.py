@@ -585,6 +585,26 @@ class TestAnalyzeCommand:
         # temperature and at the final one (2 seeds x (1 + 2 x 2))
         assert len(calls) <= 10
 
+    @pytest.mark.parametrize("defect", ["labels-rolled", "one-row-short"])
+    @pytest.mark.parametrize("what", ["dynamics", "flip"])
+    def test_traces_of_a_seed_must_agree(self, trained_run, tmp_path, capsys, what, defect):
+        """An earlier trace of a seed whose labels or shape are not its final trace's
+        ends the analysis with one line naming that trace."""
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "traces", run / "traces")
+        trace = run / "traces" / "seed_1" / "epoch_2.trace"
+        preds, labels, _ = training.read_trace_csv(trace)
+        if defect == "labels-rolled":
+            write_trace(trace, preds, np.roll(labels, 1))
+            message = f"{trace}: labels differ from the seed's final trace"
+        else:
+            write_trace(trace, preds[:-1], labels[:-1])
+            message = (f"{trace}: predictions of shape {preds[:-1].shape}, the seed's final "
+                       f"trace has {preds.shape}")
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--what", what]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     def test_ood_requires_second_run(self, trained_run, capsys):
         assert main(["analyze", str(trained_run), "--what", "ood"]) == 1
         assert "--ood-run" in capsys.readouterr().err

@@ -113,3 +113,57 @@ def test_settable_value_count_is_pinned():
         f"default + {fields} dataclass init fields), not {sum(SETTABLE)}: pin the new "
         "count in SETTABLE and give the change a CHANGES.md line. (parameters, fields) "
         f"by module: {counts}")
+
+
+# what a run's file names hold (ROADMAP item 14): only training's layout functions state them
+RUN_FILE_NAMES = ("seed_", "epoch_", ".jsonl", ".state", "_final.ckpt", "store_seed")
+LAYOUT_FUNCTIONS = {("training", "seed_files"), ("training", "trace_file")}
+
+
+def run_file_literals(module, source):
+    """(module, line, text) for each string literal of ``source`` that holds one of
+    ``RUN_FILE_NAMES``, outside docstrings, ``LAYOUT_FUNCTIONS`` and the names of the
+    reports analyze writes (the right-hand side of ``layout["reports"] / ...``)."""
+    tree = ast.parse(source)
+    exempt = set()
+    for node in ast.walk(tree):
+        body = getattr(node, "body", None)
+        if (isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef)) and body
+                and isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant)):
+            exempt.add(body[0].value)  # the docstring
+        if isinstance(node, ast.FunctionDef) and (module, node.name) in LAYOUT_FUNCTIONS:
+            exempt.update(ast.walk(node))
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Div)
+                and isinstance(node.left, ast.Subscript)
+                and isinstance(node.left.slice, ast.Constant)
+                and node.left.slice.value == "reports"):
+            exempt.update(ast.walk(node.right))
+    return [(module, node.lineno, node.value) for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and node not in exempt and any(name in node.value for name in RUN_FILE_NAMES)]
+
+
+def test_run_file_names_are_stated_once():
+    sources = {path.stem: path.read_text()
+               for path in sorted(Path(bsdlab.__file__).parent.glob("*.py"))}
+    found = [hit for module, source in sources.items()
+             for hit in run_file_literals(module, source)]
+    assert found == [], "a run file name outside training.seed_files and trace_file"
+    # the layout functions hold every name, so the list above is not stale
+    layout = [node.value for node in ast.walk(ast.parse(sources["training"]))
+              if isinstance(node, ast.FunctionDef) and ("training", node.name) in LAYOUT_FUNCTIONS
+              for node in ast.walk(node)
+              if isinstance(node, ast.Constant) and isinstance(node.value, str)]
+    assert all(any(name in text for text in layout) for name in RUN_FILE_NAMES), layout
+
+
+def test_run_file_name_guard_finds_a_restated_name():
+    source = '''def walk(layout, seed):
+    """Reads records/seed_<s>.jsonl."""
+    write_json(layout["reports"] / f"calibration_seed_{seed}.json", {})
+    return layout["records"].glob("seed_*.jsonl")
+'''
+    assert run_file_literals("training", source) == [("training", 4, "seed_*.jsonl")]
+    assert run_file_literals("cli", source.replace("walk", "seed_files")) == [
+        ("cli", 4, "seed_*.jsonl")]
+    assert run_file_literals("training", source.replace("walk", "seed_files")) == []

@@ -590,6 +590,43 @@ class TestSeedRun:
             assert serial[rel] == lockstep[rel], rel
 
 
+class TestRunFiles:
+    """A run writes exactly the files that ``run_layout``, ``seed_files`` and ``trace_file``
+    name: each eval epoch's ``.trace``, the final trace's CSV once training reaches the last
+    epoch, and ``timing.txt`` and the resolved config for a whole run."""
+    SPEC = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
+
+    @staticmethod
+    def seed_named(layout, seed, eval_epochs, finished):
+        files = training.seed_files(layout, seed)
+        named = {files["records"], files["state"], files["traces"]}
+        named |= {training.trace_file(files["traces"], e) for e in eval_epochs}
+        if finished:
+            named |= {files["ckpt"], files["store"],
+                      training.trace_file(files["traces"], max(eval_epochs)).with_suffix(".csv")}
+        return named
+
+    def test_finished_run(self, tmp_path):
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, eval_every=3, strategy_kw={"gamma": 0.8, "c": 20.0})
+        layout = run_layout(tmp_path / "run")
+        run_experiment(self.SPEC, ds, test, cfg, seeds=[5, 6], run_dir=layout["root"],
+                       config_snapshot={"name": "run"})
+        named = {layout[key] for key in ("config", "records", "checkpoints", "traces", "timing")}
+        for seed in (5, 6):
+            named |= self.seed_named(layout, seed, (3, 4), finished=True)
+        assert set(layout["root"].rglob("*")) == named
+
+    def test_stopped_seed(self, tmp_path):
+        ds, test = tiny_dataset(n_per=8), tiny_dataset(n_per=4, seed=2)
+        cfg = small_config("bsd", epochs=4, strategy_kw={"gamma": 0.8, "c": 20.0})
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(self.SPEC, ds, test, cfg, 5, layout, stop_after=2)
+        named = {layout["records"], layout["checkpoints"], layout["traces"]}
+        named |= self.seed_named(layout, 5, (1, 2), finished=False)
+        assert set(layout["root"].rglob("*")) == named
+
+
 class TestRunExperiment:
     def test_three_seeds_three_records(self, tmp_path):
         ds = tiny_dataset(n_per=6)
