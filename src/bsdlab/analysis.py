@@ -333,7 +333,10 @@ def _temperature_nll(logits, labels):
     return objective
 
 
-def fit_temperature(logits, labels, lo=0.05, hi=20.0):
+T_LO, T_HI = 0.05, 20.0  # fit_temperature's search domain
+
+
+def fit_temperature(logits, labels, lo=T_LO, hi=T_HI):
     """Scalar temperature minimizing NLL of softmax(logits / T), by golden section.
 
     ``logits`` may be genuine logits or log-probabilities. The search stops once
@@ -371,6 +374,12 @@ def fit_temperature(logits, labels, lo=0.05, hi=20.0):
             d = a + invphi * (b - a)
             fd = objective(d)
     return float((a + b) / 2.0)
+
+
+def domain_edge(t):
+    """``T_LO`` or ``T_HI`` if a fitted ``t`` lies within 2**-26 * t of it, the width at which
+    the search stops, else None: the NLL's minimum may then lie outside the domain."""
+    return next((edge for edge in (T_LO, T_HI) if abs(t - edge) <= 2.0 ** -26 * t), None)
 
 
 def temperature_scale(preds, temperature):

@@ -157,6 +157,11 @@ def _analyze_dynamics(layout, seed, epochs, ood_epochs):
                         else analysis.temperature_scale(snap_preds, t_final))
         rows.append((epoch, t_snap, analysis.mean_kl(final_at_t, at_fit),
                      analysis.mean_kl(final_at_t, at_final)))
+        edge = analysis.domain_edge(t_snap)
+        if edge is not None:
+            print(f"warning: seed {seed}, epoch {epoch}: fitted temperature {t_snap!r} is at the "
+                  f"search edge {edge}; the NLL's minimum may lie outside "
+                  f"[{analysis.T_LO}, {analysis.T_HI}]", file=sys.stderr)
     write_table(layout["reports"] / f"dynamics_seed_{seed}.csv",
                 ["epoch", "fitted_temperature", "kl_snapshot_fit", "kl_final_fit"],
                 list(zip(*rows)))
@@ -208,9 +213,9 @@ ANALYSES = {
 def cmd_analyze(args):
     analyze, summary, line = ANALYSES[args.what]
     layout = run_layout(args.run_dir)
-    seeds = run_traces(layout)  # first, so a run without traces gets no reports/
-    layout["reports"].mkdir(exist_ok=True)
+    seeds = run_traces(layout)  # first, with the --ood-run's, so a refused run gets no reports/
     ood = _ood_traces(args, seeds) if args.what == "ood" else {}
+    layout["reports"].mkdir(exist_ok=True)
     results = [(seed, analyze(layout, seed, epochs, ood.get(seed)))
                for seed, epochs in seeds.items()]
     if summary:

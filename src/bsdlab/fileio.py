@@ -1,5 +1,5 @@
 """Atomic, crash-safe writers and their formats: the blocks of checkpoints, states and traces
-with ``check_blocks``, their one rule; the text table; JSON for every other artifact."""
+with their one rule, ``check_header`` and ``check_blocks``; the text table; JSON for the rest."""
 
 import json
 import math
@@ -15,8 +15,8 @@ ROWS_PER_WRITE = 256
 # The longest line, newline included, that a line reader reads: the JSON header line
 # of ``read_blocks`` and each row of ``training.read_records``. A longer one is refused
 # before the rest of it is read, so a file with no newline is never read whole.
-# Measured lines: a header lists every block, 814 B for a ``.state`` with hidden
-# (32, 32), Adam and bsd and 11.8 KB with 50 hidden layers; a records row 204-247 B.
+# Measured lines: a header lists every block, 762 B for a ``.state`` with hidden
+# (32, 32), Adam and bsd and 12.2 KB with 50 of 32; a records row 204-247 B.
 HEADER_MAX_BYTES = 64 << 10
 
 
@@ -98,6 +98,14 @@ def check_blocks(path, blocks, table):
                              f"not {shape}")
         if not check(blocks[name]):
             raise ValueError(f"{path}: block {name!r} does not hold {words}")
+
+
+def check_header(path, header, keys):
+    """Raise ``ValueError`` naming ``path`` and the key unless every key of ``header`` (as
+    ``read_blocks`` returns it) is one of ``keys`` or the block manifest, ``blocks``."""
+    for key in header:
+        if key != "blocks" and key not in keys:
+            raise ValueError(f"{path}: extra header key {key!r}")
 
 
 def read_declared(fh, size, what):

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
-from .fileio import check_blocks, read_blocks, write_blocks
+from .fileio import check_blocks, check_header, read_blocks, write_blocks
 from .numerics import _all_finite, softmax
 from .settings import Settings, setting
 
@@ -35,7 +35,7 @@ CONV_CHANNELS = 8
 # Bytes of the widest array of one ``predict`` slice (``_slice_rows``): 64 grids'
 # conv patches at 12 x 12 x 1, or 2048 rows of a 32-wide hidden layer.
 SLICE_BYTES = 1 << 19
-CHECKPOINT_MAGIC = "BSDLAB-CKPT v1"
+CHECKPOINT_MAGIC = "BSDLAB-CKPT v2"
 
 __all__ = [
     "ModelSpec",
@@ -414,16 +414,14 @@ def backward(model: Model, cache, dlogits, out=None):
 
 def save_checkpoint(model: Model, path):
     """Write the spec and every block as a block file; round-trips are bit-exact."""
-    header = {"format_version": 1, "spec": asdict(model.spec), "seed": model.spec.seed}
-    write_blocks(path, CHECKPOINT_MAGIC, header, model.params)
+    write_blocks(path, CHECKPOINT_MAGIC, {"spec": asdict(model.spec)}, model.params)
 
 
 def load_checkpoint(path) -> Model:
     """Read a ``save_checkpoint`` file; a header or blocks that do not make a
     model, non-finite values included, raise ``ValueError("<path>: ...")``."""
     header, blocks = read_blocks(path, CHECKPOINT_MAGIC)
-    if header.get("format_version") != 1:
-        raise ValueError(f"{path}: unsupported checkpoint version {header.get('format_version')}")
+    check_header(path, header, ("spec",))
     spec_dict = header.get("spec")
     if not isinstance(spec_dict, dict):
         raise ValueError(f"{path}: header holds no model spec")

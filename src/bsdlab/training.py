@@ -41,8 +41,8 @@ import numpy as np
 
 from . import analysis
 from .data import Dataset, augment_strong, augment_weak
-from .fileio import (HEADER_MAX_BYTES, atomic_open, check_blocks, json_object, numbered_files,
-                     read_blocks, write_blocks, write_json, write_table)
+from .fileio import (HEADER_MAX_BYTES, atomic_open, check_blocks, check_header, json_object,
+                     numbered_files, read_blocks, write_blocks, write_json, write_table)
 from .models import Model, backward, forward, init_model, predict, save_checkpoint
 from .numerics import (PROB_FLOOR, SIMPLEX_TOL, NonFinite, OptimizerState, _all_finite,
                        _class_reduce, entropy, kl_div, on_simplex, optimizer_step,
@@ -51,7 +51,7 @@ from .settings import Settings, check_error, setting
 from .targets import StrategyConfig, TargetStrategy, sharpen
 
 RECORD_SCHEMA_VERSION = 1
-STATE_MAGIC = "BSDLAB-STATE v1"
+STATE_MAGIC = "BSDLAB-STATE v2"
 TRACE_MAGIC = "BSDLAB-TRACE v1"
 ON_SIMPLEX = f"rows of finite entries >= 0 summing to 1 within {SIMPLEX_TOL}"  # on_simplex
 
@@ -376,24 +376,22 @@ def _state_blocks(model, opt_state, strategy):
     blocks = {f"param/{n}": v for n, v in model.params.items()}
     blocks.update((f"opt/{key}/{n}", views[n]) for n in model.params for key, views in moments)
     if not strategy.frozen:
-        blocks.update({"strategy/y": strategy.store.y,
-                       "strategy/A": np.full(len(strategy.labels), strategy.store.mass)})
+        blocks["strategy/y"] = strategy.store.y
     return blocks
 
 
 def _save_train_state(path, model, opt_state, strategy, epoch):
-    header = {"epoch": epoch, "opt_step": opt_state.step}
-    write_blocks(path, STATE_MAGIC, header, _state_blocks(model, opt_state, strategy))
+    write_blocks(path, STATE_MAGIC, {"epoch": epoch}, _state_blocks(model, opt_state, strategy))
 
 
 def _load_train_state(path, model, opt_state, strategy):
-    """Load a ``.state`` into a fresh run's parts; returns its epoch, which fixes the header's
-    ``opt_step`` (epoch times batches per epoch) and each ``strategy/A`` entry (the mass)."""
+    """Load a ``.state`` into a fresh run's parts; returns its epoch, which fixes the optimizer's
+    step count (epoch times batches per epoch) and the store's mass (A0 after epoch updates)."""
     header, blocks = read_blocks(path, STATE_MAGIC)
-    for key in ("epoch", "opt_step"):
-        if type(header.get(key)) is not int or header[key] < 0:
-            raise ValueError(f"{path}: header has no non-negative integer {key!r}")
-    epoch, store = header["epoch"], strategy.store
+    check_header(path, header, ("epoch",))
+    epoch = header.get("epoch")
+    if type(epoch) is not int or epoch < 0:
+        raise ValueError(f"{path}: header has no non-negative integer 'epoch'")
     if epoch > strategy.total_epochs:
         raise ValueError(f"{path}: saved at epoch {epoch}, past this run's last epoch "
                          f"{strategy.total_epochs}")
@@ -402,21 +400,14 @@ def _load_train_state(path, model, opt_state, strategy):
         raise ValueError(f"{path}: holds optimizer moments {stored}, this run's optimizer "
                          f"keeps {list(opt_state.moment_names)}")
     opt_state.allocate(model.flat)
-    mass = store.mass_after(epoch)
-    # (check, words) for a block's values; blocks not named here must be finite
-    rules = {"strategy/y": (on_simplex, ON_SIMPLEX),
-             "strategy/A": (lambda a: a.tobytes() == np.full(a.shape, mass).tobytes(),
-                            f"the mass {mass} in every entry, A0 after {epoch} updates")}
     used = _state_blocks(model, opt_state, strategy)
+    rules = {"strategy/y": (on_simplex, ON_SIMPLEX)}  # blocks not named here must be finite
     check_blocks(path, blocks, {name: (dest.shape, *rules.get(name, (_all_finite, "finite values")))
                                 for name, dest in used.items()})
-    batches = -(-len(strategy.labels) // opt_state.cfg.batch_size)
-    if header["opt_step"] != epoch * batches:
-        raise ValueError(f"{path}: header 'opt_step' is {header['opt_step']}, not epoch "
-                         f"{epoch} times {batches} batches")
     for name, dest in used.items():
         dest[...] = blocks[name]
-    opt_state.step, store.mass = header["opt_step"], mass
+    opt_state.step = epoch * -(-len(strategy.labels) // opt_state.cfg.batch_size)
+    strategy.store.mass = strategy.store.mass_after(epoch)
     return epoch
 
 
@@ -440,7 +431,8 @@ def read_trace_csv(path):
     read. Each label must be an integer in [0, k), and ``probs`` must pass ``on_simplex``.
     """
     trace = Path(path).with_suffix(".trace")
-    _, blocks = read_blocks(trace, TRACE_MAGIC)
+    header, blocks = read_blocks(trace, TRACE_MAGIC)
+    check_header(trace, header, ())
     probs = blocks.get("probs", np.empty((0, 0)))  # a missing block is refused below
     if probs.ndim != 2:
         raise ValueError(f"{trace}: block 'probs' has shape {probs.shape}, not (n, k)")

@@ -15,6 +15,7 @@ from bsdlab.config import ConfigError, parse_config, resolved_json
 from bsdlab.data import NoiseSpec, load_csv, load_idx, make_blobs, write_idx
 from bsdlab.fileio import write_blocks
 from bsdlab.models import ModelSpec
+from bsdlab.numerics import softmax
 from bsdlab.targets import StrategyConfig
 from bsdlab.training import (TRACE_MAGIC, BsdPlusConfig, TrainConfig, run_experiment,
                              run_layout)
@@ -686,6 +687,68 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(trained_run), "--what", "ood", "--ood-run", str(ood)]) == 1
         assert capsys.readouterr().err == (f"error: missing OOD traces for seed 2 in {ood}; "
                                            "train the --ood-run with the same seeds\n")
+
+    @pytest.mark.parametrize("ood", ["none", "no-traces", "lacking-a-seed"])
+    def test_refused_ood_leaves_no_reports(self, trained_run, tmp_path, capsys, ood):
+        run = tmp_path / "run"
+        shutil.copytree(trained_run / "traces", run / "traces")
+        ood_run = tmp_path / "ood"
+        if ood == "none":
+            extra, message = [], ("ood analysis needs a second trace set; pass "
+                                  "--ood-run <run_dir>")
+        elif ood == "no-traces":
+            ood_run.mkdir()
+            extra, message = ["--ood-run", str(ood_run)], (
+                f"no traces under {ood_run / 'traces'}; run 'bsdlab train' first "
+                "(eval traces are written every train.eval_every epochs)")
+        else:
+            shutil.copytree(trained_run / "traces" / "seed_1", ood_run / "traces" / "seed_1")
+            extra, message = ["--ood-run", str(ood_run)], (
+                f"missing OOD traces for seed 2 in {ood_run}; train the --ood-run with the "
+                "same seeds")
+        capsys.readouterr()
+        assert main(["analyze", str(run), "--what", "ood", *extra]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert sorted(p.name for p in run.iterdir()) == ["traces"]
+
+    @staticmethod
+    def hand_run(run, labels):
+        """Two eval traces of one seed: softmax of 1x and 2x the same logits, with labels
+        ``labels(logits, rng)``; returns the rows of its dynamics report."""
+        rng = np.random.default_rng(5)
+        logits = 3.0 * rng.normal(size=(300, 3))
+        y = labels(logits, rng)
+        for epoch in (1, 2):
+            write_trace(run / "traces" / "seed_0" / f"epoch_{epoch}.trace",
+                        softmax(epoch * logits), y)
+        assert main(["analyze", str(run), "--what", "dynamics"]) == 0
+        return np.loadtxt(run / "reports" / "dynamics_seed_0.csv", delimiter=",", skiprows=1)
+
+    @pytest.mark.parametrize("edge, labels", [
+        (analysis.T_LO, lambda z, rng: z.argmax(axis=1)),
+        (analysis.T_HI, lambda z, rng: rng.integers(0, 3, len(z))),
+    ], ids=["argmax-labels", "random-labels"])
+    def test_dynamics_warns_of_a_temperature_at_the_search_edge(self, tmp_path, capsys, edge,
+                                                                 labels):
+        """Labels that are each row's argmax fit at the low edge, random labels at the high
+        edge. Each such fitted T gets one warning line, and the report is written as ever."""
+        capsys.readouterr()
+        rows = self.hand_run(tmp_path / "run", labels)
+        assert capsys.readouterr().err == "".join(
+            f"warning: seed 0, epoch {int(epoch)}: fitted temperature {t!r} is at the search "
+            f"edge {edge}; the NLL's minimum may lie outside [0.05, 20.0]\n"
+            for epoch, t in rows[:, :2].tolist())
+
+    def test_dynamics_of_a_calibrated_run_warns_of_nothing(self, tmp_path, capsys):
+        """Labels drawn from the first trace's own predictions fit inside the domain."""
+        def drawn(z, rng):
+            p = softmax(z)
+            return (rng.random((len(z), 1)) > np.cumsum(p, axis=1)).sum(axis=1)
+
+        capsys.readouterr()
+        rows = self.hand_run(tmp_path / "run", drawn)
+        assert all(analysis.T_LO < t < analysis.T_HI for t in rows[:, 1])
+        assert capsys.readouterr().err == ""
 
     def test_missing_traces_named(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "empty"), "--what", "calibration"]) == 1

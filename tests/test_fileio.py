@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from bsdlab.data import write_idx
-from bsdlab.fileio import (HEADER_MAX_BYTES, ROWS_PER_WRITE, read_blocks, write_blocks, write_json,
-                           write_table)
+from bsdlab.fileio import (HEADER_MAX_BYTES, ROWS_PER_WRITE, check_header, read_blocks,
+                           write_blocks, write_json, write_table)
 
 MAGIC = "BSDLAB-TEST v1"
 
@@ -112,6 +112,15 @@ class TestBlocks:
         path = block_file(tmp_path / "b.bin", [{"name": "a", "shape": [2]}], bytes(24))
         with pytest.raises(ValueError, match=re.escape(f"{path}: bytes after the last block")):
             read_blocks(path, MAGIC)
+
+    def test_header_keys_beyond_those_named_refused(self, tmp_path):
+        path = tmp_path / "b.bin"
+        write_blocks(path, MAGIC, {"epoch": 2, "seed": 1}, {"a": np.arange(2.0)})
+        header, _ = read_blocks(path, MAGIC)
+        check_header(path, header, ("epoch", "seed"))  # the manifest, ``blocks``, is named
+        check_header(path, header, ("epoch", "seed", "unused"))
+        with pytest.raises(ValueError, match=re.escape(f"{path}: extra header key 'seed'")):
+            check_header(path, header, ("epoch",))
 
 
 class TestAtomicWrites:

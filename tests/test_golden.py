@@ -124,16 +124,16 @@ CASES = {
 }
 
 GOLDEN = {
-    "baseline": "2499bfb5374151b967bc9d6c49ade4e10b25038dc9dd1269208de3bc9a3c7859",
-    "bsd": "bb8252ac64d8e62ddf759d610b1ab36a80fe43e14fa6e2f2d5a7ebaa964d345c",
-    "bsd-sgd-momentum": "14d54a900200a48c0fa989a2cfc5334f7b3929b80fa7230017c83cd52f9e98de",
-    "bsd-sgd-plain": "769cbe09ac1d95305ff36be509e2301e951e3f63b739d707688aca7e7dc4a86f",
-    "bsd_plus-tiny-conv": "186a4b558435af6a3382b223cab03a6c9a3ed7a7f81be228eedcb1433404570f",
-    "bsd_plus-tiny-conv-7x7x2": "ba74abb5c50f375b609e8aee460282bc42e8a9a3a96dbd207332c54a08d9122f",
-    "dlb": "afbee4b63de171841521757e9db7b61cc3642cf4172cf8361504c7f371f4300f",
-    "label-smoothing": "e0c961ecb4cfdbac36db0eb16241adf03049a6b3819c9a67ff3fc4e67f800cd7",
-    "ps-kd": "85a13915e0acafb9942e9b99d3923c73bf4160e7aae40b0817c32c97bd053947",
-    "te": "a495fe8519f87871a318e4c014fa211a92180c092b2240c997443ae394cbf48b",
+    "baseline": "3407390b9c6345b6393003d4ec8c39f055c7925842236e7fd3bebc29cdaf9b1c",
+    "bsd": "b93ec79aed8218deaecc21ac1e05a8bda1f51d3ce58deda23051c1b8416f29fa",
+    "bsd-sgd-momentum": "df151ce680c845a5b62162272610ce884e9dd63580a9b9288a3176c1835c696e",
+    "bsd-sgd-plain": "b883b4f0980b7bafccff1c58f04b78f806707d73a270519261fe0eeebb4bbace",
+    "bsd_plus-tiny-conv": "e1ad8ab323e561e6f4692dd572fe50c078223e2ca852296c59a455012f4e7621",
+    "bsd_plus-tiny-conv-7x7x2": "0a9e4136b8ed2bb6f05e3dba73b263b12deb1b7c37fb13d82327ea0066fdd5fd",
+    "dlb": "29da449d5469bd9913498066587970108a29dfb85d6586710ee837bb679a8ab9",
+    "label-smoothing": "442fff81f28c162ea07db4348ac38df5964d5db630b6c055f37258718ada7611",
+    "ps-kd": "cc163114a5a2cbc234aded9bac80ade9135d7f8b0377e0a3939deb21bf4dc493",
+    "te": "c2ced1fb3c3f1b138317d5cecacd5d5b5f1dc6432a869a5b71cce32e93addb94",
 }
 
 
@@ -171,12 +171,14 @@ def test_artifact_digest(case, tmp_path):
 # with a separate last-prediction buffer. A gamma = 0 evidence store keeps
 # the last prediction bit for bit, so these files must not change; only the
 # records (``mean_evidence``), the ``.state`` blocks and the store CSVs may.
+# The checkpoint digests were re-recorded once, when the ``.ckpt`` header lost
+# ``format_version`` and ``seed`` (magic ``BSDLAB-CKPT v2``); its blocks kept their bytes.
 GOLDEN_FILES = {
     "dlb": {
         "checkpoints/seed_1_final.ckpt":
-            "b36ba10707764630086e386d510f6e4c89669aed78db6891e2b1ebd7508b3a8b",
+            "382f175a02d6093871e9b10872e90b7592f419342c698f738adec3644fd65b51",
         "checkpoints/seed_2_final.ckpt":
-            "fa391cf86fa78ba34aaa823f6a44b0668b8bf7fbc12ddb72ba970a7b95d432bc",
+            "cf895d44558897008eac15a856531e18e62e40fc030465c7ad20fb7f7df3e283",
         "traces/seed_1/epoch_2.csv":
             "6da479961305f8c6109ddbd20f56dbda396428a7eaba0e9438bfec81f244da18",
         "traces/seed_1/epoch_3.csv":
@@ -188,9 +190,9 @@ GOLDEN_FILES = {
     },
     "ps-kd": {
         "checkpoints/seed_1_final.ckpt":
-            "94c59a4f5eec725a96ab763570922395897d19aaeb6e84ccf1a01053a25ab64e",
+            "31d9220d33c8e3ffbdb4027ba2a7d7e56dd29a6b2c14ae099c3215f9b12f5d4c",
         "checkpoints/seed_2_final.ckpt":
-            "362d37b66f2ab47ff99ce6ded23ecb9ddfb9baa8d42ae2b3b05c21425e554048",
+            "c1d26e99154fcfae8b828b028e0c9df8f629b393ad7a715b9fd05524a3f824b3",
         "traces/seed_1/epoch_2.csv":
             "a541c7c2e09a13d40dba37901045d95eaddc80e09ed9ded96cdbe7d0d920a5ac",
         "traces/seed_1/epoch_3.csv":

@@ -517,6 +517,16 @@ class TestCheckpoint:
                                              "does not hold finite values$"):
             load_checkpoint(path)
 
+    def test_version_1_checkpoint_refused_by_its_magic(self, tmp_path):
+        """The format before the header lost ``format_version`` and ``seed``."""
+        model = init_model(ModelSpec(input_dim=3, classes=2, hidden=(4,), seed=3))
+        path = tmp_path / "model.ckpt"
+        header = {"format_version": 1, "spec": dataclasses.asdict(model.spec), "seed": 3}
+        write_blocks(path, "BSDLAB-CKPT v1", header, model.params)
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}: expected magic 'BSDLAB-CKPT v2', found 'BSDLAB-CKPT v1'")):
+            load_checkpoint(path)
+
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
         path.write_bytes(b"not a checkpoint\n")

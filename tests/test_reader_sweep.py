@@ -239,7 +239,24 @@ JUNK_BYTES = 4 << 20
 OFF_SIMPLEX = "does not hold rows of finite entries >= 0 summing to 1 within 1e-06"
 # the valid ``.state``'s mass: c = 50 and gamma = 0.9 after its 2 epochs
 MASS = 0.9 * (0.9 * 50.0 + 1.0) + 1.0
-STATE_MASS = f"the mass {MASS} in every entry, A0 after 2 updates"
+
+
+def carried(block=None, **keys):
+    """An edit of a block file's bytes that adds the header ``keys`` and, if given, the
+    (name, array) ``block``: what its writer once wrote and its epoch now fixes."""
+    def edit(raw):
+        magic, header, pairs = split_blocks(raw)
+        return block_file(pairs + ([block] if block else []), magic, dict(header, **keys))
+    return edit
+
+
+def state_masses(index, value):
+    """A carried ``strategy/A`` block of the valid ``.state``'s 12 masses, entry ``index``
+    set to ``value``."""
+    masses = np.full(12, MASS)
+    masses[index] = value
+    return carried(("strategy/A", masses))
+
 
 # (reader, edit of the valid file's bytes, message); each case was accepted, or
 # escaped as another exception type, before its check was added
@@ -258,14 +275,12 @@ NAMED = {
                             f"block 'strategy/y' {OFF_SIMPLEX}"),
     "state-y-nan-row": ("state", block_set("strategy/y", 0, np.nan),
                         f"block 'strategy/y' {OFF_SIMPLEX}"),
-    "state-A-negative": ("state", block_set("strategy/A", 0, -1.0),
-                         f"block 'strategy/A' does not hold {STATE_MASS}"),
-    "state-A-one-ulp-up": ("state", block_set("strategy/A", 5, np.nextafter(MASS, np.inf)),
-                           f"block 'strategy/A' does not hold {STATE_MASS}"),
-    "state-A-one-epoch-early": ("state", block_set("strategy/A", slice(None), 0.9 * 50.0 + 1.0),
-                                f"block 'strategy/A' does not hold {STATE_MASS}"),
-    "state-opt-step-zero": ("state", lambda raw: raw.replace(b'"opt_step": 6', b'"opt_step": 0'),
-                            "header 'opt_step' is 0, not epoch 2 times 3 batches"),
+    "state-A-negative": ("state", state_masses(0, -1.0), "extra block 'strategy/A'"),
+    "state-A-one-ulp-up": ("state", state_masses(5, np.nextafter(MASS, np.inf)),
+                           "extra block 'strategy/A'"),
+    "state-A-one-epoch-early": ("state", state_masses(slice(None), 0.9 * 50.0 + 1.0),
+                                "extra block 'strategy/A'"),
+    "state-opt-step-zero": ("state", carried(opt_step=0), "extra header key 'opt_step'"),
     "state-param-inf": ("state", block_set("param/w0", (0, 0), np.inf),
                         "block 'param/w0' does not hold finite values"),
     "state-moment-nan": ("state", block_set("opt/v/b1", 0, np.nan),
@@ -328,7 +343,7 @@ def test_named_defect_refused(readers, case):
 
 
 # the block of each block-file reader that the rule cases damage, and a value its check refuses
-RULE_BLOCKS = {"trace": ("labels", 3.0), "state": ("strategy/A", -1.0), "ckpt": ("b1", np.nan)}
+RULE_BLOCKS = {"trace": ("labels", 3.0), "state": ("strategy/y", -1.0), "ckpt": ("b1", np.nan)}
 
 
 @pytest.mark.filterwarnings("error")

@@ -15,9 +15,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bsdlab import analysis, training
+from bsdlab import analysis, models, training
 from bsdlab.data import Dataset, augment_strong, augment_weak, make_blobs
-from bsdlab.fileio import HEADER_MAX_BYTES, ROWS_PER_WRITE, read_blocks, write_blocks
+from bsdlab.fileio import (HEADER_MAX_BYTES, ROWS_PER_WRITE, check_header, read_blocks,
+                           write_blocks)
 from bsdlab.models import Model, ModelSpec, forward, init_model
 from bsdlab.numerics import kl_div, optimizer_step, soft_cross_entropy
 from bsdlab.targets import EvidenceStore, StrategyConfig, TargetStrategy, update_weight
@@ -627,6 +628,67 @@ class TestRunFiles:
         assert set(layout["root"].rglob("*")) == named
 
 
+def grid_dataset(n, seed):
+    """n 6x6x1 grids of two classes, a bright middle band for class 1."""
+    rng = np.random.default_rng(seed)
+    labels = np.arange(n) % 2
+    samples = rng.normal(0.0, 0.3, size=(n, 6, 6, 1))
+    samples[labels == 1, 2:4, :, 0] += 1.0
+    return Dataset(samples=samples, clean_labels=labels, labels=labels, k=2)
+
+
+class TestHeaderKeys:
+    """Each block file's writer writes exactly the header keys its reader names to
+    ``fileio.check_header``, and the reader refuses one more, naming the file and the key."""
+    MLP = ModelSpec(input_dim=2, classes=2, hidden=(4,), dropout=0.0)
+    CONV = ModelSpec(input_dim=36, classes=2, hidden=(4,), architecture="tiny-conv",
+                     grid_shape=(6, 6, 1), dropout=0.0)
+    CASES = {
+        "bsd-adam": (MLP, "bsd", {"optimizer": "adam"}),
+        "baseline-sgd-momentum": (MLP, "baseline", {"optimizer": "sgd", "momentum": 0.9}),
+        "dlb": (MLP, "dlb", {"optimizer": "adam"}),
+        "tiny-conv": (CONV, "bsd", {"optimizer": "adam"}),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_writer_and_reader_agree(self, tmp_path, monkeypatch, case):
+        spec, mode, opt_kw = self.CASES[case]
+        conv = spec.architecture == "tiny-conv"
+        ds = grid_dataset(8, 0) if conv else tiny_dataset(n_per=4)
+        test = grid_dataset(4, 1) if conv else tiny_dataset(n_per=2, seed=2)
+        cfg = small_config(mode, epochs=1, lr=0.05, **opt_kw)
+        layout = run_layout(tmp_path / "run")
+        run_single_seed(spec, ds, test, cfg, 5, layout)  # one epoch: a .state, .trace and .ckpt
+        files = training.seed_files(layout, 5)
+
+        def load_state(path):
+            strategy = TargetStrategy(cfg.strategy, ds.labels, ds.k, cfg.epochs)
+            training._load_train_state(path, init_model(dc_replace(spec, seed=5)),
+                                       make_optimizer(cfg), strategy)
+
+        named = []
+
+        def spy(path, header, keys):
+            named.append(set(keys))
+            return check_header(path, header, keys)
+
+        monkeypatch.setattr(training, "check_header", spy)
+        monkeypatch.setattr(models, "check_header", spy)
+        for path, magic, read in (
+                (files["state"], training.STATE_MAGIC, load_state),
+                (files["ckpt"], models.CHECKPOINT_MAGIC, models.load_checkpoint),
+                (training.trace_file(files["traces"], 1), training.TRACE_MAGIC,
+                 training.read_trace_csv)):
+            header, blocks = read_blocks(path, magic)
+            del header["blocks"]
+            named.clear()
+            read(path)
+            assert named == [set(header)], path
+            write_blocks(path, magic, dict(header, added=0), blocks)
+            with pytest.raises(ValueError, match=re.escape(f"{path}: extra header key 'added'")):
+                read(path)
+
+
 class TestRunExperiment:
     def test_three_seeds_three_records(self, tmp_path):
         ds = tiny_dataset(n_per=6)
@@ -918,7 +980,7 @@ class TestRunExperiment:
         # the second block cannot be converted, so the writer raises after
         # the header and the first block are already written
         with pytest.raises(TypeError):
-            write_blocks(state_path, training.STATE_MAGIC, {"epoch": 3, "opt_step": 0},
+            write_blocks(state_path, training.STATE_MAGIC, {"epoch": 3},
                          {"param/w0": np.zeros(3), "param/b0": object()})
         assert state_path.read_bytes() == before
         assert [p.name for p in state_path.parent.iterdir()] == ["seed_5.state"]
@@ -1031,9 +1093,9 @@ class TestUnusableState:
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, mode)
         header, blocks = read_blocks(path, training.STATE_MAGIC)
         # the layout these modes had before they became evidence stores
-        y, A = blocks.pop("strategy/y"), blocks.pop("strategy/A")
+        y = blocks.pop("strategy/y")
         for name in old_blocks:
-            blocks[name] = A if name.endswith("count") else y
+            blocks[name] = np.ones(len(y)) if name.endswith("count") else y
         del header["blocks"]
         write_blocks(path, training.STATE_MAGIC, header, blocks)
         with pytest.raises(ValueError, match=re.escape(f"{path}: missing block 'strategy/y'")):
@@ -1058,17 +1120,35 @@ class TestUnusableState:
 
     def test_opt_step_the_epoch_does_not_fix(self, tmp_path):
         """Adam at ``opt_step`` 0 would restart its bias correction and train on to other
-        bytes; a resume refuses any count but the epoch times the batches per epoch, before
-        it trains or cuts the records."""
+        bytes. The epoch fixes the count, so a ``.state`` holds none, and a resume refuses
+        one carried in the header, even the right one, before it trains or cuts the
+        records."""
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
         records = layout["records"] / "seed_5.jsonl"
         before = records.read_bytes()
         header, blocks = read_blocks(path, training.STATE_MAGIC)
         del header["blocks"]
-        assert header == {"epoch": 2, "opt_step": 4}  # 16 samples in batches of 8
-        write_blocks(path, training.STATE_MAGIC, dict(header, opt_step=0), blocks)
+        assert header == {"epoch": 2}
+        for opt_step in (0, 4):  # 4: 16 samples in batches of 8, for 2 epochs
+            write_blocks(path, training.STATE_MAGIC, dict(header, opt_step=opt_step), blocks)
+            with pytest.raises(ValueError, match=re.escape(
+                    f"{path}: extra header key 'opt_step'")):
+                run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
+            assert records.read_bytes() == before
+            assert not (layout["checkpoints"] / "seed_5_final.ckpt").exists()
+
+    def test_version_1_state_refused_by_its_magic(self, tmp_path):
+        """A ``.state`` in the format before the header lost ``opt_step`` and the blocks
+        lost ``strategy/A`` is refused by its magic line; the records stay."""
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        records = layout["records"] / "seed_5.jsonl"
+        before = records.read_bytes()
+        _, blocks = read_blocks(path, training.STATE_MAGIC)
+        store = TargetStrategy(cfg.strategy, tiny_dataset(n_per=8).labels, 2, 4).store
+        write_blocks(path, "BSDLAB-STATE v1", {"epoch": 2, "opt_step": 4},
+                     dict(blocks, **{"strategy/A": np.full(16, store.mass_after(2))}))
         with pytest.raises(ValueError, match=re.escape(
-                f"{path}: header 'opt_step' is 0, not epoch 2 times 2 batches")):
+                f"{path}: expected magic 'BSDLAB-STATE v2', found 'BSDLAB-STATE v1'")):
             run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
         assert records.read_bytes() == before
 
@@ -1100,7 +1180,6 @@ class TestUnusableState:
 
     @pytest.mark.parametrize("key, value", [
         ("epoch", None), ("epoch", "2"), ("epoch", 2.0), ("epoch", -1),
-        ("opt_step", None), ("opt_step", 1.5), ("opt_step", True),
     ])
     def test_header_without_integer_counter(self, tmp_path, key, value):
         spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
@@ -1113,6 +1192,17 @@ class TestUnusableState:
         write_blocks(path, training.STATE_MAGIC, header, blocks)
         with pytest.raises(ValueError, match=re.escape(
                 f"{path}: header has no non-negative integer {key!r}")):
+            run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
+
+    @pytest.mark.parametrize("key, value", [
+        ("opt_step", 1.5), ("opt_step", True), ("format_version", 1), ("seed", 5),
+    ])
+    def test_header_key_the_reader_does_not_name(self, tmp_path, key, value):
+        spec, test, cfg, layout, path = self.stopped_run(tmp_path, "bsd")
+        header, blocks = read_blocks(path, training.STATE_MAGIC)
+        del header["blocks"]
+        write_blocks(path, training.STATE_MAGIC, dict(header, **{key: value}), blocks)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: extra header key {key!r}")):
             run_single_seed(spec, tiny_dataset(n_per=8), test, cfg, 5, layout, resume=True)
 
 
