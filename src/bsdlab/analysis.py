@@ -92,6 +92,12 @@ def _bin_slices(idx, bins):
     return np.argsort(idx.astype(np.min_scalar_type(bins - 1)), kind="stable"), bounds
 
 
+def _mean(x):
+    """``float(x.mean())`` of a nonempty 1-D float64 array: the same pairwise sum and
+    division, without ``ndarray.mean``'s wrapper."""
+    return float(np.add.reduce(x) / x.shape[0])
+
+
 def accuracy(preds, labels):
     preds = _as_preds(preds)
     labels = _as_labels(labels, *preds.shape)
@@ -122,7 +128,7 @@ def sce(preds, labels, bins=DEFAULT_BINS):
         pj, hit = pj[order], (labels[order] == j).astype(np.float64)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
-                total += ((hi - lo) / n) * abs(hit[lo:hi].mean() - pj[lo:hi].mean())
+                total += ((hi - lo) / n) * abs(_mean(hit[lo:hi]) - _mean(pj[lo:hi]))
     return float(total / k)
 
 
@@ -143,7 +149,7 @@ def ace(preds, labels, bins=DEFAULT_BINS):
         pj, hit = pj[order], (labels[order] == j).astype(np.float64)
         for lo, hi in zip(bounds[:-1], bounds[1:]):
             if hi > lo:
-                total += abs(hit[lo:hi].mean() - pj[lo:hi].mean())
+                total += abs(_mean(hit[lo:hi]) - _mean(pj[lo:hi]))
                 used += 1
     return float(total / used)
 
@@ -176,8 +182,8 @@ def _accuracy_and_bins(preds, labels, bins):
         rows.append({
             "bin_lo": b / bins,
             "bin_hi": (b + 1) / bins,
-            "conf": float(conf[lo:hi].mean()) if hi > lo else 0.0,
-            "acc": float(correct[lo:hi].mean()) if hi > lo else 0.0,
+            "conf": _mean(conf[lo:hi]) if hi > lo else 0.0,
+            "acc": _mean(correct[lo:hi]) if hi > lo else 0.0,
             "count": hi - lo,
         })
     return float(np.mean(hits)), rows

@@ -21,9 +21,10 @@ the summary JSON of ``{seed: result}`` (or None) and the line printed per seed f
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
-from dataclasses import asdict, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -116,7 +117,7 @@ def _earlier_trace(path, final_preds, labels):
 def _analyze_calibration(layout, seed, epochs, ood_epochs):
     preds, labels, _ = _final_trace(epochs)
     report = analysis.calibration_report(preds, labels)
-    write_json(layout["reports"] / f"calibration_seed_{seed}.json", asdict(report))
+    write_json(layout["reports"] / f"calibration_seed_{seed}.json", vars(report))
     write_table(layout["reports"] / f"reliability_seed_{seed}.csv",
                 ["bin_lo", "bin_hi", "conf", "acc", "count"],
                 [report.bin_lo, report.bin_hi, report.bin_conf, report.bin_acc,
@@ -306,6 +307,7 @@ def cmd_export_dataset(args):
     return 0
 
 
+@functools.cache  # argparse keeps no state between parse_args calls
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="bsdlab",
@@ -342,8 +344,7 @@ def build_parser():
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

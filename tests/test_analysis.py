@@ -1,5 +1,6 @@
 import math
 import re
+import struct
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from bsdlab.analysis import (_temperature_nll, accuracy, ace, auroc, calibration
                              delta_decomposition, ece, fit_temperature,
                              mean_flip_probability, mu_matrix, nll, reliability_bins,
                              sce, temp_adjusted_kl, temperature_scale)
-from bsdlab.numerics import one_hot, softmax
+from bsdlab.numerics import _class_reduce, one_hot, softmax
 
 from oracles import reconstruct_predictions
 
@@ -542,3 +543,127 @@ def test_calibration_report_bins_sum_to_n():
     assert sum(report.bin_count) == 120
     assert 0.0 <= report.ece <= 1.0
     assert 0.0 <= report.accuracy <= 1.0
+
+
+def parent_bins(preds, labels, bins=analysis.DEFAULT_BINS):
+    """``_accuracy_and_bins`` with each bin mean taken by ``ndarray.mean``."""
+    hits = preds.argmax(axis=1) == labels
+    conf = _class_reduce(np.maximum, preds)
+    order, bounds = analysis._bin_slices(analysis._bin_index(conf, bins), bins)
+    conf = conf[order]
+    correct = hits.astype(np.float64)[order]
+    rows = []
+    for b, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        rows.append({
+            "bin_lo": b / bins,
+            "bin_hi": (b + 1) / bins,
+            "conf": float(conf[lo:hi].mean()) if hi > lo else 0.0,
+            "acc": float(correct[lo:hi].mean()) if hi > lo else 0.0,
+            "count": hi - lo,
+        })
+    return float(np.mean(hits)), rows
+
+
+def parent_sce(preds, labels, bins=analysis.DEFAULT_BINS):
+    n, k = preds.shape
+    total = 0.0
+    for j in range(k):
+        pj = preds[:, j]
+        order, bounds = analysis._bin_slices(analysis._bin_index(pj, bins), bins)
+        pj, hit = pj[order], (labels[order] == j).astype(np.float64)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                total += ((hi - lo) / n) * abs(hit[lo:hi].mean() - pj[lo:hi].mean())
+    return float(total / k)
+
+
+def parent_ace(preds, labels, bins=analysis.DEFAULT_BINS):
+    n, k = preds.shape
+    size, extra = divmod(n, bins)
+    bounds = np.cumsum([0] + [size + 1] * extra + [size] * (bins - extra)).tolist()
+    total = 0.0
+    used = 0
+    for j in range(k):
+        pj = preds[:, j]
+        order = np.argsort(pj, kind="stable")
+        pj, hit = pj[order], (labels[order] == j).astype(np.float64)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if hi > lo:
+                total += abs(hit[lo:hi].mean() - pj[lo:hi].mean())
+                used += 1
+    return float(total / used)
+
+
+def parent_report(preds, labels):
+    acc, rows = parent_bins(preds, labels)
+    return {"accuracy": acc, "ece": analysis._ece_from_bins(rows),
+            "sce": parent_sce(preds, labels), "ace": parent_ace(preds, labels),
+            "nll": nll(preds, labels), "bins": analysis.DEFAULT_BINS,
+            "bin_lo": [r["bin_lo"] for r in rows], "bin_hi": [r["bin_hi"] for r in rows],
+            "bin_conf": [r["conf"] for r in rows], "bin_acc": [r["acc"] for r in rows],
+            "bin_count": [r["count"] for r in rows]}
+
+
+def assert_same_bytes(got, want):
+    """Equal types and values; floats equal by their IEEE bytes, so the sign of a zero counts."""
+    assert type(got) is type(want)
+    if isinstance(want, dict):
+        assert list(got) == list(want)
+        for key in want:
+            assert_same_bytes(got[key], want[key])
+    elif isinstance(want, list):
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert_same_bytes(g, w)
+    elif isinstance(want, float):
+        assert struct.pack("<d", got) == struct.pack("<d", want), (got, want)
+    else:
+        assert got == want
+
+
+def bin_mean_sets():
+    """Prediction sets whose calibration bins hold 0, 1, 7, 8, 9, 128, 129 and over 1000
+    samples, with -0.0, 0.0 and 1.0 entries, around numpy's 8-wide unrolled and 128-block
+    pairwise sums."""
+    rng = np.random.default_rng(40)
+    sets = {}
+    # two classes: the top confidences fill reliability bins 7..14 with these counts
+    counts = [0, 1, 7, 8, 9, 128, 129, 1003]
+    conf = np.concatenate([(b + rng.uniform(0.05, 0.95, c)) / 15
+                           for b, c in zip(range(7, 15), counts)])
+    p0 = np.where(rng.integers(0, 2, conf.size) == 0, conf, 1.0 - conf)
+    edges = np.array([[1.0, -0.0], [-0.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
+    preds = rng.permutation(np.concatenate([np.stack([p0, 1.0 - p0], axis=1), edges]))
+    sets["counted-bins"] = (preds, rng.integers(0, 2, preds.shape[0]))
+    # the equal-mass bins of n samples hold n // 15 or one more
+    for n in (5, 110, 130, 1930, 15018):
+        preds = softmax(rng.normal(0.0, 2.0, size=(n, 3)))
+        preds[:4] = [[1.0, -0.0, 0.0], [-0.0, 1.0, -0.0], [0.0, 0.0, 1.0], [-0.0, -0.0, -0.0]]
+        sets[f"n={n}"] = (preds, rng.integers(0, 3, n))
+    # a confidence bin holding only zeros of either sign
+    for n in (1, 9):
+        preds = np.concatenate([np.full((n, 3), -0.0), np.eye(3), np.zeros((2, 3))])
+        sets[f"zero-rows-{n}"] = (preds, rng.integers(0, 3, preds.shape[0]))
+    return sets
+
+
+class TestBinMeanOracle:
+    """Every bin mean keeps the bytes of the ``ndarray.mean`` it replaces."""
+
+    SETS = bin_mean_sets()
+
+    @pytest.mark.parametrize("name", list(SETS))
+    def test_metrics_and_bins_keep_their_bytes(self, name):
+        preds, labels = self.SETS[name]
+        assert_same_bytes(sce(preds, labels), parent_sce(preds, labels))
+        assert_same_bytes(ace(preds, labels), parent_ace(preds, labels))
+        assert_same_bytes(reliability_bins(preds, labels), parent_bins(preds, labels)[1])
+        assert_same_bytes(vars(calibration_report(preds, labels)), parent_report(preds, labels))
+
+    def test_sets_reach_the_bin_sizes(self):
+        counts = set()
+        for preds, labels in self.SETS.values():
+            counts.update(r["count"] for r in reliability_bins(preds, labels))
+            n = preds.shape[0]
+            counts.update({n // analysis.DEFAULT_BINS, -(-n // analysis.DEFAULT_BINS)})
+        assert {0, 1, 7, 8, 9, 128, 129} <= counts and max(counts) > 1000

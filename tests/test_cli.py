@@ -892,6 +892,46 @@ def test_stray_file_name_named(trained_run, tmp_path, capsys, source, copy, what
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+
+def test_parser_reuse_carries_nothing_between_calls(trained_run, tmp_path, capsys):
+    """One process calls ``main`` again and again on one parser; each call's exit code,
+    output and files equal those of the same call on a freshly built parser."""
+    work = tmp_path / "work"
+    run, ood = work / "tiny", work / "ood"
+    calls = [
+        ["analyze", str(run)],  # refused: --what is required
+        ["analyze", str(run), "--what", "ood", "--ood-run", str(ood)],
+        ["analyze", str(run), "--what", "calibration"],
+        ["compare", str(run), str(ood), "--out", str(work / "cmp.csv")],
+        ["train", str(work / "exp.json"), "--dry-run"],
+    ]
+
+    def session(fresh):
+        shutil.rmtree(work, ignore_errors=True)
+        shutil.copytree(trained_run, run)
+        shutil.copytree(trained_run, ood)
+        write_config(work / "exp.json", output_dir=str(work / "runs"))
+        capsys.readouterr()
+        seen = []
+        for argv in calls:
+            if fresh:
+                cli.build_parser.cache_clear()
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = ("exit", exc.code)
+            out, err = capsys.readouterr()
+            files = {p.relative_to(work): p.read_bytes() for p in work.rglob("*") if p.is_file()}
+            seen.append((code, out, err, files))
+        return seen
+
+    reused = session(fresh=False)
+    assert cli.build_parser() is cli.build_parser()
+    assert [code for code, *_ in reused] == [("exit", 2), 0, 0, 0, 0]
+    assert "the following arguments are required: --what" in reused[0][2]
+    assert reused == session(fresh=True)
+
+
 class TestExportDataset:
     def test_csv_round_trip(self, tmp_path, capsys):
         cfg_path = write_config(tmp_path / "exp.json", output_dir=str(tmp_path / "runs"))
